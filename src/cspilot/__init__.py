@@ -4,7 +4,7 @@ Library layout:
 
 * `cspilot.channel` — OFDM parameters, sparse channels, sensing matrices
 * `cspilot.recovery` — Dantzig-selector LP, OMP oracle, dense LS baseline
-* `cspilot.simplex` — self-contained dense LP solver
+* `cspilot.simplex` — self-contained dense dual simplex for nonnegative costs
 * `cspilot.detection` — massive-MIMO energy detection
 * `cspilot.pilots` — orthogonal allocation and binary pilot codebooks
 * `cspilot.netsim` — collision analysis and multiplexing metrics

@@ -89,7 +89,8 @@ def _floats(text: str) -> list[float]:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() drops numpy's type from the repr (np.float64 is a float)
+        return repr(float(value))
     return str(value)
 
 
@@ -155,6 +156,8 @@ def _bench_tones(params: OfdmParams, policy: str, rng) -> np.ndarray:
 def _run_recover_bench(cfg, seed, workers):
     params = _ofdm_from(cfg)
     trials = int(cfg["trials"])
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
     policy = cfg["tone_policy"]
     if policy not in ("designed", "random"):
         raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
@@ -203,8 +206,8 @@ def _run_recover_bench(cfg, seed, workers):
             rows.append([snr_db, name, sums[name] / trials, hits[name] / trials, used])
         return rows
 
-    groups = _fan_out(work, list(enumerate(snrs)), workers, flatten=False)
-    rows = [row for group in groups for row in group]
+    per_snr = _fan_out(work, list(enumerate(snrs)), workers)
+    rows = [row for group in per_snr for row in group]
     return (
         ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"],
         rows,
@@ -275,7 +278,7 @@ def _run_netsim(cfg, seed, workers):
     )
 
 
-def _fan_out(work, items, workers, flatten=True):
+def _fan_out(work, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [work(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -6,15 +6,19 @@ UE is silent and around 1 + gP when it transmits; a threshold between the
 two separates the hypotheses with error probability vanishing in M_BS.
 
 Both energies are Gamma distributed under the Gaussian signal model:
-shape M_BS with scale 1/M_BS (silent) or (1+gP)/M_BS (active).
+shape M_BS with scale 1/M_BS (silent) or (1+gP)/M_BS (active).  Sharing
+the shape, their densities cross at ``(1+gP) ln(1+gP) / gP`` for every
+M_BS, and their tails are regularized incomplete gamma functions, so the
+threshold and the error probability are closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincc
 
 _MC_CHUNK = 4096
 
@@ -35,9 +39,11 @@ class DetectionConfig:
     def __post_init__(self):
         if self.antenna_count < 1:
             raise ValueError("antenna_count must be at least 1")
-        if self.pathloss_power < 0:
-            raise ValueError("pathloss_power must be nonnegative")
+        if not math.isfinite(self.pathloss_power) or self.pathloss_power < 0:
+            raise ValueError("pathloss_power must be finite and nonnegative")
         if self.threshold is not None:
+            if not math.isfinite(self.threshold):
+                raise ValueError("threshold must be finite")
             if self.threshold <= 1:
                 raise ValueError("threshold must exceed 1")
             if self.pathloss_power > 0 and self.threshold >= 1 + self.pathloss_power:
@@ -52,37 +58,35 @@ def energy_metric(received: np.ndarray) -> float:
     return float(np.mean(np.abs(received) ** 2))
 
 
-def _energy_laws(config: DetectionConfig):
-    m = config.antenna_count
-    silent = stats.gamma(a=m, scale=1.0 / m)
-    active = stats.gamma(a=m, scale=(1.0 + config.pathloss_power) / m)
-    return silent, active
+def _crossing(gp):
+    """Density crossing ``(1+gP) ln(1+gP) / gP``, elementwise for arrays.
+
+    Raises ``ValueError`` unless every crossing lies strictly inside
+    (1, 1 + gP); it rounds to 1.0 for gP below about 1e-16.
+    """
+    gp = np.asarray(gp, dtype=float)
+    threshold = (1.0 + gp) * np.log1p(gp) / gp
+    if not np.all((1.0 < threshold) & (threshold < 1.0 + gp)):
+        raise ValueError("energy densities do not cross inside (1, 1 + gP)")
+    return threshold
 
 
-def optimal_threshold(config: DetectionConfig, tol: float = 1e-9) -> float:
-    """Density-crossing threshold, located by bisection on (1, 1 + gP).
+def _error_probability(m: int, gp, threshold):
+    # silent survival plus active CDF of the Gamma(m, 1/m) and
+    # Gamma(m, (1+gP)/m) energies, elementwise for arrays
+    return 0.5 * (gammaincc(m, m * threshold) + gammainc(m, m * threshold / (1.0 + gp)))
+
+
+def optimal_threshold(config: DetectionConfig) -> float:
+    """Density-crossing threshold ``(1+gP) ln(1+gP) / gP``.
 
     The crossing of the two energy densities minimizes the equal-prior
-    error probability.  Raises ``ValueError`` when the densities do not
-    cross inside the open interval (degenerate gP close to 0).
+    error probability.  Raises ``ValueError`` for gP = 0, and when the
+    crossing rounds out of the open interval (1, 1 + gP) (gP close to 0).
     """
     if config.pathloss_power <= 0:
         raise ValueError("optimal threshold undefined for pathloss_power = 0")
-    silent, active = _energy_laws(config)
-
-    def gap(x: float) -> float:
-        return silent.logpdf(x) - active.logpdf(x)
-
-    lo, hi = 1.0, 1.0 + config.pathloss_power
-    if not (gap(lo) > 0 > gap(hi)):
-        raise ValueError("energy densities do not cross inside (1, 1 + gP)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(_crossing(config.pathloss_power))
 
 
 def detect(energy: float, threshold: float) -> int:
@@ -96,8 +100,7 @@ def error_probability(config: DetectionConfig, threshold: float | None = None) -
         threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)
-    silent, active = _energy_laws(config)
-    return float(0.5 * (silent.sf(threshold) + active.cdf(threshold)))
+    return float(_error_probability(config.antenna_count, config.pathloss_power, threshold))
 
 
 def error_probability_mc(
@@ -141,21 +144,23 @@ def min_threshold_for_network(
 
     A UE qualifies when its optimal-threshold error probability does not
     exceed ``max_error_probability`` (all UEs qualify when the cap is
-    None).  Raises ``ValueError`` on an empty list or when no UE qualifies.
+    None).  Thresholds and error probabilities are evaluated for all UEs
+    at once.  Raises ``ValueError`` on an empty list, on a non-finite or
+    non-positive power, or when no UE qualifies.
     """
-    powers = list(pathloss_powers)
-    if not powers:
+    powers = np.asarray(list(pathloss_powers), dtype=float)
+    if powers.size == 0:
         raise ValueError("pathloss_powers is empty")
-    if any(p <= 0 for p in powers):
+    if not np.isfinite(powers).all():
+        raise ValueError("all pathloss powers must be finite")
+    if (powers <= 0).any():
         raise ValueError("all pathloss powers must be positive")
-    qualified = []
-    for p in powers:
-        config = DetectionConfig(antenna_count=antenna_count, pathloss_power=p)
-        threshold = optimal_threshold(config)
-        if max_error_probability is not None:
-            if error_probability(config, threshold) > max_error_probability:
-                continue
-        qualified.append(threshold)
-    if not qualified:
+    if antenna_count < 1:
+        raise ValueError("antenna_count must be at least 1")
+    thresholds = _crossing(powers)
+    if max_error_probability is not None:
+        pe = _error_probability(antenna_count, powers, thresholds)
+        thresholds = thresholds[pe <= max_error_probability]
+    if thresholds.size == 0:
         raise ValueError("no UE meets the error-probability cap")
-    return min(qualified)
+    return float(thresholds.min())

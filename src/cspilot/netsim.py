@@ -27,7 +27,6 @@ class NetworkModel:
     cell_count: int
     coverage_prob: float
     group_size: int
-    groups: int | None = None  # bookkeeping: how many groups the band hosts
 
     def __post_init__(self):
         if self.cell_count < 1:
@@ -36,8 +35,6 @@ class NetworkModel:
             raise ValueError("coverage_prob must lie in (0, 1]")
         if self.group_size < 1:
             raise ValueError("group_size must be positive")
-        if self.groups is not None and self.groups < 1:
-            raise ValueError("groups must be positive when given")
 
 
 @dataclass

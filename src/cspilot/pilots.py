@@ -7,6 +7,12 @@ dimensions together with a binary on/off column: each column carries
 observing the group's per-dimension energy pattern can then tell apart
 "no UE", "exactly this UE", and "two or more UEs", because distinct
 l-zero columns never combine into another column's pattern.
+
+Codebook columns are the first K l-subsets of the L rows in reverse
+colexicographic order.  In that order column k is the subset whose zero
+rows c_1 < ... < c_l have rank ``C(L, l) - 1 - sum_i C(c_i, i)`` (the
+combinatorial number system), so columns are built by unranking their
+index and an observed zero set is decoded by ranking it, without search.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -69,13 +74,52 @@ def choose_l(K: int, L_prime: int) -> int:
     return l
 
 
+def _rank(zero_rows, L: int, l: int) -> int:
+    """Reverse-colex index of the l-subset with ascending rows ``zero_rows``."""
+    return math.comb(L, l) - 1 - sum(math.comb(c, i) for i, c in enumerate(zero_rows, start=1))
+
+
+def _unrank(k: int, L: int, l: int) -> list:
+    """Zero rows (descending) of the l-subset with reverse-colex index k."""
+    remainder = math.comb(L, l) - 1 - k
+    rows = []
+    c = L
+    for i in range(l, 0, -1):
+        c -= 1
+        while math.comb(c, i) > remainder:
+            c -= 1
+        rows.append(c)
+        remainder -= math.comb(c, i)
+    return rows
+
+
 @dataclass
 class PilotCodebook:
-    """L x K binary matrix; column k is UE k's on/off pattern."""
+    """L x K binary matrix; column k is UE k's on/off pattern.
+
+    The columns must be the first K zero patterns in reverse
+    colexicographic order, as `build_codebook` makes them: decoding finds a
+    UE from the rank of its zero set, so any other matrix is rejected with
+    ``ValueError`` rather than decoded to the wrong UE.
+    """
 
     ones_per_column: int
     zeros_per_column: int
     columns: np.ndarray
+
+    def __post_init__(self):
+        L, l = self.dimension, self.zeros_per_column
+        if self.ones_per_column < 1 or l < 1:
+            raise ValueError("ones_per_column and zeros_per_column must be positive")
+        cols = self.columns
+        if cols.ndim != 2 or cols.shape[0] != L or not np.isin(cols, (0, 1)).all():
+            raise ValueError(f"columns must be a 0/1 matrix with {L} rows")
+        for k in range(cols.shape[1]):
+            zeros = np.flatnonzero(cols[:, k] == 0).tolist()
+            if len(zeros) != l or _rank(zeros, L, l) != k:
+                raise ValueError(
+                    f"column {k} is not the {l}-zero pattern of reverse-colex rank {k}"
+                )
 
     @property
     def dimension(self) -> int:
@@ -94,7 +138,7 @@ def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
 
     For l = 1 and K = L this puts column i's single zero in row L-1-i,
     the anti-diagonal pattern; larger l extends the same ordering over all
-    l-subsets of rows.
+    l-subsets of rows.  Only the K requested columns are unranked.
     """
     if L_prime < 1 or l < 1:
         raise ValueError("L_prime and l must be positive")
@@ -104,10 +148,9 @@ def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
     if K > cap:
         raise CapacityExceededError(f"K={K} exceeds capacity C({L_prime + l},{l})={cap}")
     L = L_prime + l
-    zero_sets = sorted(combinations(range(L), l), key=lambda s: s[::-1], reverse=True)
     columns = np.ones((L, K), dtype=np.uint8)
     for k in range(K):
-        columns[list(zero_sets[k]), k] = 0
+        columns[_unrank(k, L, l), k] = 0
     return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, columns=columns)
 
 
@@ -129,23 +172,24 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
     """Classify an observed high/low energy pattern.
 
     All dimensions low means no UE transmitted; exactly l lows matching a
-    column identifies that UE; fewer than l lows can only arise from
-    overlapping transmissions, a collision.  Any other pattern (including
-    l lows matching no column) is reported invalid — with imperfect
-    detection the three clean outcomes are not exhaustive.
+    column identifies that UE, whose index is the rank of the low set;
+    fewer than l lows can only arise from overlapping transmissions, a
+    collision.  Any other pattern (including l lows matching no column) is
+    reported invalid — with imperfect detection the three clean outcomes
+    are not exhaustive.
     """
     observed = np.asarray(observed, dtype=np.uint8)
     if observed.shape != (book.dimension,):
         raise ValueError(
             f"observed vector has length {observed.size}, expected {book.dimension}"
         )
-    zeros = frozenset(np.flatnonzero(observed == 0).tolist())
+    zeros = np.flatnonzero(observed == 0).tolist()
     if len(zeros) == book.dimension:
         return DecodeOutcome(kind="empty")
     if len(zeros) == book.zeros_per_column:
-        for k in range(book.user_count):
-            if book.zero_set(k) == zeros:
-                return DecodeOutcome(kind="identified", ue_index=k)
+        k = _rank(zeros, book.dimension, book.zeros_per_column)
+        if k < book.user_count:
+            return DecodeOutcome(kind="identified", ue_index=k)
         return DecodeOutcome(kind="invalid")
     if len(zeros) < book.zeros_per_column:
         return DecodeOutcome(kind="collision")
@@ -170,7 +214,11 @@ def write_codebook(book: PilotCodebook, stream) -> None:
 
 
 def read_codebook(stream) -> PilotCodebook:
-    """Parse the `write_codebook` format, validating per-column weights."""
+    """Parse the `write_codebook` format.
+
+    Besides the header and the row alphabet, the columns must be the
+    canonical ones `build_codebook` makes (see `PilotCodebook`).
+    """
     header = stream.readline().split()
     if len(header) != 4:
         raise ValueError("codebook header must hold: L K L_prime l")
@@ -184,6 +232,4 @@ def read_codebook(stream) -> PilotCodebook:
             raise ValueError("codebook rows must be 0/1 strings of length K")
         rows.append([int(ch) for ch in line])
     columns = np.array(rows, dtype=np.uint8).reshape(L, K)
-    if K and not (columns.sum(axis=0) == L_prime).all():
-        raise ValueError("every column must carry exactly L_prime ones")
     return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, columns=columns)

@@ -1,13 +1,10 @@
-"""Dense tableau simplex solver for small linear programs.
+"""Dense tableau dual simplex for the nonnegative-cost LPs of the Dantzig selector.
 
-Solves ``min c @ x  subject to  A_ub @ x <= b_ub, x >= 0``.
-
-Two pivoting paths share one tableau core:
-
-* when ``c >= 0`` the all-slack basis is dual feasible, so a dual simplex
-  run starting from it reaches the optimum directly — this is the fast path
-  for l1-minimization embeddings, whose optima are sparse vertices;
-* otherwise a standard two-phase primal simplex is used.
+Solves ``min c @ x  subject to  A_ub @ x <= b_ub, x >= 0`` with ``c >= 0``,
+the only shape the l1-minimization embedding produces.  Nonnegative costs
+make the all-slack basis dual feasible, so a dual simplex run starting
+from it reaches the optimum directly, and the objective is bounded below
+by zero, so the LP is either optimal or infeasible.
 
 Anti-cycling: after an initial phase of steepest-decrease pivots the solver
 permanently switches to Bland's smallest-index rule, which cannot cycle.
@@ -27,7 +24,7 @@ _BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times (m+n) pi
 class LpResult:
     x: np.ndarray | None
     objective: float | None
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | iteration-limit
     iterations: int
 
 
@@ -41,7 +38,7 @@ def _pivot(T: np.ndarray, r: int, q: int) -> None:
     T[r, q] = 1.0
 
 
-def _dual_simplex(T, basis, n_total, tol, max_iter, bland_after):
+def _dual_simplex(T, basis, tol, max_iter, bland_after):
     """Dual simplex on a dual-feasible tableau; returns (status, iterations)."""
     it = 0
     while True:
@@ -69,40 +66,14 @@ def _dual_simplex(T, basis, n_total, tol, max_iter, bland_after):
         it += 1
 
 
-def _primal_simplex(T, basis, allowed, tol, max_iter, bland_after, it0=0):
-    """Primal simplex on a primal-feasible tableau; returns (status, iterations)."""
-    it = it0
-    while True:
-        red = T[-1, :-1]
-        candidates = np.flatnonzero((red < -tol) & allowed)
-        if candidates.size == 0:
-            return "optimal", it
-        if it >= max_iter:
-            return "iteration-limit", it
-        if it >= bland_after:
-            q = int(candidates[0])
-        else:
-            q = int(candidates[np.argmin(red[candidates])])
-        col = T[:-1, q]
-        pos = col > tol
-        if not pos.any():
-            return "unbounded", it
-        ratios = np.where(pos, T[:-1, -1] / np.where(pos, col, 1.0), np.inf)
-        rmin = ratios.min()
-        tied = np.flatnonzero(ratios <= rmin + tol)
-        r = int(tied[np.argmin(basis[tied])])
-        _pivot(T, r, q)
-        basis[r] = q
-        it += 1
-
-
 def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub`` and ``x >= 0``.
 
     Parameters
     ----------
     c, A_ub, b_ub : array_like
-        Dense problem data; `A_ub` has shape (m, n).
+        Dense, finite problem data; `A_ub` has shape (m, n) and every cost
+        in `c` must be nonnegative.
     tol : float
         Feasibility/optimality tolerance.
     max_iter : int, optional
@@ -113,6 +84,11 @@ def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -
     LpResult
         ``x`` holds the n structural variables when status is ``optimal``,
         otherwise None.
+
+    Raises
+    ------
+    ValueError
+        On inconsistent dimensions, a non-finite entry, or a negative cost.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
@@ -120,71 +96,24 @@ def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
+    if (c < 0).any():
+        raise ValueError("costs must be nonnegative")
     if max_iter is None:
         max_iter = 50 * (n + m)
     bland_after = _BLAND_AFTER_FACTOR * (n + m)
 
-    if (c >= 0).all():
-        # slack basis is dual feasible: run dual simplex straight away
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n : n + m] = np.eye(m)
-        T[:m, -1] = b
-        T[-1, :n] = c
-        basis = np.arange(n, n + m)
-        status, it = _dual_simplex(T, basis, n + m, tol, max_iter, bland_after)
-        if status != "optimal":
-            return LpResult(x=None, objective=None, status=status, iterations=it)
-        x = np.zeros(n + m)
-        x[basis] = T[:-1, -1]
-        xs = x[:n]
-        return LpResult(x=xs, objective=float(c @ xs), status="optimal", iterations=it)
-
-    # General costs: two-phase primal with artificials on rows that start infeasible.
-    neg = b < 0
-    A1 = np.where(neg[:, None], -A, A)
-    b1 = np.where(neg, -b, b)
-    slack_sign = np.where(neg, -1.0, 1.0)
-    n_art = int(neg.sum())
-    width = n + m + n_art + 1
-    T = np.zeros((m + 1, width))
-    T[:m, :n] = A1
-    T[:m, n : n + m] = np.diag(slack_sign)
-    art_cols = n + m + np.arange(n_art)
-    T[np.flatnonzero(neg), art_cols] = 1.0
-    T[:m, -1] = b1
-    basis = np.arange(n, n + m)
-    basis[neg] = art_cols
-    # phase-1 objective: sum of artificials, expressed in reduced-cost form
-    T[-1] = -T[np.flatnonzero(neg)].sum(axis=0) if n_art else 0.0
-    T[-1, art_cols] = 0.0
-    allowed = np.ones(width - 1, dtype=bool)
-    status, it = _primal_simplex(T, basis, allowed, tol, max_iter, bland_after)
-    if status != "optimal":
-        return LpResult(x=None, objective=None, status=status, iterations=it)
-    if T[-1, -1] < -tol * max(1.0, abs(b).max()):
-        return LpResult(x=None, objective=None, status="infeasible", iterations=it)
-
-    # drive any residual (degenerate) artificials out of the basis
-    for r in range(m):
-        if basis[r] >= n + m:
-            pivot_cols = np.flatnonzero(np.abs(T[r, : n + m]) > tol)
-            if pivot_cols.size:
-                _pivot(T, r, int(pivot_cols[0]))
-                basis[r] = int(pivot_cols[0])
-            # else: redundant row; harmless to leave, artificial stays at zero
-
-    # phase 2: rebuild the cost row for the true objective
-    allowed[n + m :] = False
-    T[-1, :] = 0.0
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
     T[-1, :n] = c
-    for r in range(m):
-        if basis[r] < n and c[basis[r]] != 0.0:
-            T[-1] -= c[basis[r]] * T[r]
-    status, it = _primal_simplex(T, basis, allowed, tol, max_iter, bland_after, it0=it)
+    basis = np.arange(n, n + m)
+    status, it = _dual_simplex(T, basis, tol, max_iter, bland_after)
     if status != "optimal":
         return LpResult(x=None, objective=None, status=status, iterations=it)
-    x = np.zeros(width - 1)
+    x = np.zeros(n + m)
     x[basis] = T[:-1, -1]
     xs = x[:n]
     return LpResult(x=xs, objective=float(c @ xs), status="optimal", iterations=it)

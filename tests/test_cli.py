@@ -1,6 +1,11 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cspilot import cli
@@ -113,6 +118,47 @@ def test_detect_sweep_blind_point(tmp_path):
     m, gp, threshold, pe, stderr = rows[0]
     assert float(threshold) == 1.5
     assert abs(float(pe) - 0.5) < 3 * math.sqrt(0.25 / 4000)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "2,nan"])
+def test_detect_sweep_non_finite_power_is_config_error(tmp_path, capsys, bad):
+    code, out = run(
+        tmp_path, "d.csv", "detect-sweep",
+        "--set", "antenna_counts=16",
+        "--set", f"pathloss_powers={bad}",
+        "--set", "trials=100",
+    )
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recover_bench_zero_trials_is_config_error(tmp_path, capsys):
+    code, out = run(
+        tmp_path, "r.csv", "recover-bench",
+        "--set", "trials=0", "--set", "snr_dbs=inf", "--set", "tap_count=25",
+    )
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numpy_scalars_written_as_plain_numbers(tmp_path):
+    out = tmp_path / "np.csv"
+    row = [np.float64(1.6479184330021646), np.int64(3), 0.1]
+    cli._write_csv(out, "fig3", 0, {}, ["a", "b", "c"], [row])
+    _, _, rows = parse(out)
+    assert rows == [["1.6479184330021646", "3", "0.1"]]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, cspilot.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_recover_bench_noiseless(tmp_path):

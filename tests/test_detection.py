@@ -29,6 +29,16 @@ def test_config_validation():
         DetectionConfig(antenna_count=8, pathloss_power=10.0, threshold=11.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        DetectionConfig(antenna_count=8, pathloss_power=bad)
+    with pytest.raises(ValueError):
+        DetectionConfig(antenna_count=8, pathloss_power=0.0, threshold=bad)
+    with pytest.raises(ValueError):
+        DetectionConfig(antenna_count=8, pathloss_power=10.0, threshold=bad)
+
+
 def test_energy_metric_basics():
     assert energy_metric(np.zeros(16, dtype=complex)) == 0.0
     assert energy_metric(np.ones(7)) == 1.0
@@ -70,11 +80,12 @@ def test_optimal_threshold_closed_form():
         expected = (1.0 + gp) * np.log(1.0 + gp) / gp
         for m in (16, 64, 128):
             got = optimal_threshold(DetectionConfig(antenna_count=m, pathloss_power=gp))
-            assert got == pytest.approx(expected, abs=1e-6)
+            assert type(got) is float
+            assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_optimal_threshold_matches_error_grid():
-    # bisection answer vs a two-stage grid argmin of the analytic P_e
+    # closed form vs a two-stage grid argmin of the analytic P_e
     config = DetectionConfig(antenna_count=64, pathloss_power=10.0)
     found = optimal_threshold(config)
     coarse = np.linspace(1.001, 10.999, 2001)
@@ -97,6 +108,18 @@ def test_optimal_threshold_containment_and_monotonicity():
 def test_optimal_threshold_degenerate():
     with pytest.raises(ValueError):
         optimal_threshold(DetectionConfig(antenna_count=16, pathloss_power=0.0))
+    # the crossing rounds to 1.0 in double precision
+    for gp in (1e-16, 1e-17):
+        with pytest.raises(ValueError):
+            optimal_threshold(DetectionConfig(antenna_count=16, pathloss_power=gp))
+
+
+@pytest.mark.parametrize("gp", [1e-8, 1e-10, 1e-12, 1e-15])
+def test_optimal_threshold_small_power(gp):
+    # the crossing is 1 + gP/2 + O(gP^2): still strictly inside (1, 1 + gP)
+    t = optimal_threshold(DetectionConfig(antenna_count=16, pathloss_power=gp))
+    assert 1.0 < t < 1.0 + gp
+    assert t == pytest.approx(1.0 + gp / 2, abs=2.3e-16)
 
 
 def test_detect_rule():
@@ -159,6 +182,9 @@ def test_min_threshold_for_network():
         min_threshold_for_network([], 64)
     with pytest.raises(ValueError):
         min_threshold_for_network([0.0, 2.0], 64)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            min_threshold_for_network([2.0, bad], 64)
 
 
 def test_min_threshold_qualification_cap():

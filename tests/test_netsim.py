@@ -22,8 +22,8 @@ P_16_16_1 = 1.0 - (15.0 / 16.0) ** 15  # 0.6201875941847543
 EX_16_12_07 = 0.7 * 12 * (1 - 0.7 / 16) ** 11  # 5.135292858496829
 
 
-def model(n=16, alpha=1.0, kg=16, **kw):
-    return NetworkModel(cell_count=n, coverage_prob=alpha, group_size=kg, **kw)
+def model(n=16, alpha=1.0, kg=16):
+    return NetworkModel(cell_count=n, coverage_prob=alpha, group_size=kg)
 
 
 @pytest.mark.parametrize(
@@ -33,7 +33,6 @@ def model(n=16, alpha=1.0, kg=16, **kw):
         dict(cell_count=4, coverage_prob=0.0, group_size=1),
         dict(cell_count=4, coverage_prob=1.2, group_size=1),
         dict(cell_count=4, coverage_prob=1.0, group_size=0),
-        dict(cell_count=4, coverage_prob=1.0, group_size=2, groups=0),
     ],
 )
 def test_model_validation(kwargs):

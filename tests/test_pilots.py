@@ -77,6 +77,21 @@ def test_codebook_matches_anti_diagonal_pattern():
     assert book.dimension == 4 and book.user_count == 4
 
 
+@pytest.mark.parametrize(
+    "l_prime, l", [(1, 1), (3, 1), (2, 2), (5, 2), (4, 3), (6, 3), (3, 4), (20, 2), (8, 5)]
+)
+def test_codebook_matches_reverse_colex_enumeration(l_prime, l):
+    # reference order: every l-subset of the rows, compared by its largest
+    # element first, descending
+    reference = sorted(
+        combinations(range(l_prime + l), l), key=lambda s: s[::-1], reverse=True
+    )
+    book = build_codebook(len(reference), l_prime, l)
+    assert [book.zero_set(k) for k in range(book.user_count)] == [
+        frozenset(s) for s in reference
+    ]
+
+
 def test_codebook_single_column():
     book = build_codebook(1, 3, 1)
     assert book.columns.shape == (4, 1)
@@ -179,6 +194,19 @@ def test_read_codebook_rejects_malformed():
     bad_rows = "4 2 2 2\n11\n10\n01\nxx\n"
     with pytest.raises(ValueError):
         read_codebook(io.StringIO(bad_rows))
+    wrong_weight = "4 1 2 2\n1\n1\n1\n0\n"
+    with pytest.raises(ValueError):
+        read_codebook(io.StringIO(wrong_weight))
+
+
+def test_read_codebook_rejects_swapped_columns():
+    # a permuted book would decode UE 0's pattern to UE 1; it must not load
+    book = build_codebook(6, 2, 2)
+    book.columns[:, [0, 1]] = book.columns[:, [1, 0]]
+    buf = io.StringIO()
+    write_codebook(book, buf)
+    with pytest.raises(ValueError):
+        read_codebook(io.StringIO(buf.getvalue()))
 
 
 @settings(max_examples=40, deadline=None)

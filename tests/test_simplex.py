@@ -6,19 +6,23 @@ from scipy.optimize import linprog
 
 from cspilot.simplex import solve_lp
 
-_SCIPY_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+_SCIPY_STATUS = {0: "optimal", 2: "infeasible"}
+
+# LP dual of the textbook "max 3x + 5y with x <= 4, 2y <= 12, 3x + 2y <= 18":
+# min 4u + 12v + 18w with u + 3w >= 3, 2v + 2w >= 5 -> 36 at (0, 1.5, 1)
+TEXTBOOK_DUAL = (
+    [4.0, 12.0, 18.0],
+    [[-1.0, 0.0, -3.0], [0.0, -2.0, -2.0]],
+    [-3.0, -5.0],
+)
 
 
 def test_known_textbook_optimum():
-    # max 3x + 5y with x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2, 6)
-    res = solve_lp(
-        [-3.0, -5.0],
-        [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-        [4.0, 12.0, 18.0],
-    )
+    res = solve_lp(*TEXTBOOK_DUAL)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-36.0, abs=1e-9)
-    assert res.x == pytest.approx([2.0, 6.0], abs=1e-9)
+    assert res.objective == pytest.approx(36.0, abs=1e-9)
+    assert res.x == pytest.approx([0.0, 1.5, 1.0], abs=1e-9)
+    assert res.iterations == 2
 
 
 def test_dual_simplex_path_negative_rhs():
@@ -44,25 +48,10 @@ def test_infeasible_detected_by_dual():
     assert res.x is None
 
 
-def test_infeasible_detected_by_phase_one():
-    # x <= 1 and x >= 2 with a cost that forces the primal route
-    res = solve_lp([-1.0], [[1.0], [-1.0]], [1.0, -2.0])
-    assert res.status == "infeasible"
-
-
-def test_unbounded():
-    res = solve_lp([-1.0, 0.0], [[-1.0, 1.0]], [0.0])
-    assert res.status == "unbounded"
-
-
 def test_iteration_cap_reported():
-    res = solve_lp(
-        [-3.0, -5.0],
-        [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-        [4.0, 12.0, 18.0],
-        max_iter=1,
-    )
+    res = solve_lp(*TEXTBOOK_DUAL, max_iter=1)
     assert res.status == "iteration-limit"
+    assert res.x is None
 
 
 def test_dimension_validation():
@@ -70,26 +59,44 @@ def test_dimension_validation():
         solve_lp([1.0, 2.0], [[1.0]], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "A_ub", "b_ub"])
+def test_non_finite_data_rejected(where, bad):
+    data = {key: np.array(value) for key, value in zip(("c", "A_ub", "b_ub"), TEXTBOOK_DUAL)}
+    data[where].flat[0] = bad
+    with pytest.raises(ValueError):
+        solve_lp(data["c"], data["A_ub"], data["b_ub"])
+
+
+def test_negative_cost_rejected():
+    with pytest.raises(ValueError):
+        solve_lp([-3.0, 5.0], [[1.0, 0.0]], [4.0])
+
+
 def test_beale_degenerate_cycle_terminates():
-    # Beale's example cycles under the classic most-negative rule; the
-    # Bland fallback must still reach the optimum, -1/20
-    c = [-0.75, 150.0, -0.02, 6.0]
-    A = [
-        [0.25, -60.0, -0.04, 9.0],
-        [0.5, -90.0, -0.02, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-    b = [0.0, 0.0, 1.0]
-    res = solve_lp(c, A, b)
+    # LP dual of Beale's example, which cycles under the classic
+    # most-negative rule: min b @ y with -A^T y <= c, optimum 1/20.  Its 42
+    # pivots pass the switch to Bland's rule at 5 * (3 + 4) = 35.
+    c = np.array([-0.75, 150.0, -0.02, 6.0])
+    A = np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    b = np.array([0.0, 0.0, 1.0])
+    res = solve_lp(b, -A.T, c)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-0.05, abs=1e-9)
+    assert res.objective == pytest.approx(0.05, abs=1e-9)
+    assert res.iterations == 42
 
 
 def _random_instance(rng):
     m = int(rng.integers(2, 11))
     n = int(rng.integers(2, 9))
     A = rng.normal(size=(m, n))
-    c = rng.normal(size=n)
+    c = np.abs(rng.normal(size=n))
     if rng.random() < 0.5:
         # anchored at a feasible nonnegative point
         x0 = rng.uniform(0.0, 2.0, size=n)
@@ -101,11 +108,9 @@ def _random_instance(rng):
 
 def test_agrees_with_scipy_linprog():
     rng = np.random.default_rng(20240817)
-    checked = 0
+    checked = infeasible = 0
     for _ in range(60):
         c, A, b = _random_instance(rng)
-        # presolve off: with it on, HiGHS can label a feasible-but-unbounded
-        # instance plain "infeasible"
         ref = linprog(
             c,
             A_ub=A,
@@ -126,7 +131,10 @@ def test_agrees_with_scipy_linprog():
             assert np.all(res.x >= -1e-9)
             assert np.all(A @ res.x <= b + 1e-7)
             checked += 1
+        else:
+            infeasible += 1
     assert checked >= 20
+    assert infeasible >= 1
 
 
 def test_objective_consistent_with_solution(rng):

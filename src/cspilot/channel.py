@@ -9,6 +9,7 @@ noisy measurements ``y = sqrt(E) X h + z``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class OfdmParams:
             raise ValueError("pilot_count must be at least sparsity")
         if self.pilot_count > self.bandwidth_time_product:
             raise ValueError("pilot_count cannot exceed the number of subcarriers")
-        if self.symbol_energy <= 0:
-            raise ValueError("symbol_energy must be positive")
+        if not (math.isfinite(self.symbol_energy) and self.symbol_energy > 0):
+            raise ValueError("symbol_energy must be finite and positive")
 
 
 def default_params(**overrides) -> OfdmParams:
@@ -155,8 +156,8 @@ def synthesize_measurement(
             f"sensing matrix has {X.rows.shape[1]} delay columns, channel has "
             f"{h.taps.shape[0]} taps"
         )
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be nonnegative")
+    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+        raise ValueError("noise_variance must be finite and nonnegative")
     y = np.sqrt(params.symbol_energy) * (X.rows @ h.taps)
     if noise_variance > 0:
         m = X.rows.shape[0]

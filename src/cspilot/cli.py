@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -153,6 +154,22 @@ def _bench_tones(params: OfdmParams, policy: str, rng) -> np.ndarray:
     return select_pilot_tones(params, rng)
 
 
+def _noise_variance(symbol_energy: float, snr_db: float) -> float:
+    """Per-tone noise variance at `snr_db`; only +inf dB means noiseless."""
+    if snr_db == math.inf:
+        return 0.0
+    try:
+        noise_var = symbol_energy / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # the power left the float range
+        noise_var = math.nan
+    if not (math.isfinite(noise_var) and noise_var > 0):
+        raise ConfigError(
+            f"snr_dbs entry {snr_db!r} dB has no finite, positive noise variance "
+            "(only inf means noiseless)"
+        )
+    return noise_var
+
+
 def _run_recover_bench(cfg, seed, workers):
     params = _ofdm_from(cfg)
     trials = int(cfg["trials"])
@@ -162,16 +179,16 @@ def _run_recover_bench(cfg, seed, workers):
     if policy not in ("designed", "random"):
         raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
     snrs = [float(v) for v in cfg["snr_dbs"].split(",") if v.strip()]
+    noise_vars = [_noise_variance(params.symbol_energy, snr_db) for snr_db in snrs]
     comb = build_sensing_matrix(comb_tone_set(params), params)
     methods = ["dantzig", "dantzig+debias", "omp", "fde_ls"]
 
     def work(item):
         si, snr_db = item
-        if np.isinf(snr_db):
-            noise_var = 0.0
+        noise_var = noise_vars[si]
+        if noise_var == 0.0:
             dcfg = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit", debias=True)
         else:
-            noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
             dcfg = DantzigConfig(
                 epsilon_rule="scaled",
                 noise_variance=noise_var,

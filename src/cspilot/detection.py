@@ -42,12 +42,16 @@ class DetectionConfig:
         if not math.isfinite(self.pathloss_power) or self.pathloss_power < 0:
             raise ValueError("pathloss_power must be finite and nonnegative")
         if self.threshold is not None:
-            if not math.isfinite(self.threshold):
-                raise ValueError("threshold must be finite")
-            if self.threshold <= 1:
-                raise ValueError("threshold must exceed 1")
-            if self.pathloss_power > 0 and self.threshold >= 1 + self.pathloss_power:
-                raise ValueError("threshold must be below 1 + pathloss_power")
+            _check_threshold(self.threshold, self.pathloss_power)
+
+
+def _check_threshold(threshold: float, pathloss_power: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
+    if threshold <= 1:
+        raise ValueError("threshold must exceed 1")
+    if pathloss_power > 0 and threshold >= 1 + pathloss_power:
+        raise ValueError("threshold must be below 1 + pathloss_power")
 
 
 def energy_metric(received: np.ndarray) -> float:
@@ -95,8 +99,14 @@ def detect(energy: float, threshold: float) -> int:
 
 
 def error_probability(config: DetectionConfig, threshold: float | None = None) -> float:
-    """Analytic equal-prior error probability at the given (or optimal) threshold."""
-    if threshold is None:
+    """Analytic equal-prior error probability at the given (or optimal) threshold.
+
+    An explicit `threshold` must pass the rule of a preset one (see
+    `DetectionConfig`), else ``ValueError``.
+    """
+    if threshold is not None:
+        _check_threshold(threshold, config.pathloss_power)
+    else:
         threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)

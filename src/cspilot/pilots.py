@@ -100,7 +100,8 @@ class PilotCodebook:
     The columns must be the first K zero patterns in reverse
     colexicographic order, as `build_codebook` makes them: decoding finds a
     UE from the rank of its zero set, so any other matrix is rejected with
-    ``ValueError`` rather than decoded to the wrong UE.
+    ``ValueError`` rather than decoded to the wrong UE.  `columns` is kept
+    as a read-only copy, so it cannot be edited after that check.
     """
 
     ones_per_column: int
@@ -111,7 +112,7 @@ class PilotCodebook:
         L, l = self.dimension, self.zeros_per_column
         if self.ones_per_column < 1 or l < 1:
             raise ValueError("ones_per_column and zeros_per_column must be positive")
-        cols = self.columns
+        cols = np.array(self.columns)  # a private copy, read-only once validated
         if cols.ndim != 2 or cols.shape[0] != L or not np.isin(cols, (0, 1)).all():
             raise ValueError(f"columns must be a 0/1 matrix with {L} rows")
         for k in range(cols.shape[1]):
@@ -120,6 +121,8 @@ class PilotCodebook:
                 raise ValueError(
                     f"column {k} is not the {l}-zero pattern of reverse-colex rank {k}"
                 )
+        cols.flags.writeable = False
+        self.columns = cols
 
     @property
     def dimension(self) -> int:

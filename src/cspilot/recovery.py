@@ -13,6 +13,7 @@ Three estimators over the model ``y = sqrt(E) X h + z``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,12 @@ NMSE_FLOOR_DB = -200.0
 class RecoveryResult:
     """Channel estimate plus solver diagnostics.
 
-    ``objective_value`` is the split-variable l1 value delivered by the
-    solver (sum of |Re| + |Im| over taps) before any debias refit;
-    ``raw_estimate`` keeps the pre-debias solution so callers can score
-    both stages from one solve; ``nmse_db`` is filled in by benchmarks
-    that know the true channel.
+    ``objective_value`` is the l1 value delivered by the solver (sum of
+    |Re| + |Im| over taps) before any debias refit; ``raw_estimate`` keeps
+    the pre-debias solution so callers can score both stages from one
+    solve; ``lp_iterations`` is the pivot count of that solve (None for
+    estimators without an LP); ``nmse_db`` is filled in by benchmarks that
+    know the true channel.
     """
 
     estimate: np.ndarray
@@ -39,6 +41,7 @@ class RecoveryResult:
     solver_status: str
     objective_value: float
     raw_estimate: np.ndarray | None = None
+    lp_iterations: int | None = None
     nmse_db: float | None = None
 
 
@@ -59,6 +62,8 @@ class DantzigConfig:
     residual correlations when it lowers the residual energy by more than
     the same amount.  The final estimate is the least-squares refit on the
     surviving support.
+
+    Every float field must be finite (``ValueError`` otherwise).
     """
 
     epsilon: float | None = None
@@ -71,6 +76,10 @@ class DantzigConfig:
     selection_tau: float = 10.0
 
     def __post_init__(self):
+        for name in ("epsilon", "scale_c", "noise_variance", "magnitude_floor", "selection_tau"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.epsilon_rule not in ("explicit", "scaled"):
             raise ValueError(f"unknown epsilon_rule {self.epsilon_rule!r}")
         if self.epsilon_rule == "explicit":
@@ -98,21 +107,14 @@ def dantzig_epsilon(cfg: DantzigConfig, params: OfdmParams) -> float:
 
 
 def _embed_lp(y, X: SensingMatrix, energy: float, eps: float):
-    # Real split of min ||h||_1 s.t. ||X^H(y - sqrt(E) X h)||_inf <= eps:
-    # variables [Re+, Re-, Im+, Im-], per-entry bounds eps/sqrt(2) on the
-    # real and imaginary parts of the correlated residual.
+    # Real form of min ||h||_1 s.t. ||X^H(y - sqrt(E) X h)||_inf <= eps over
+    # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
+    # imaginary parts of the correlated residual, each as a pair of rows.
     G = np.sqrt(energy) * (X.rows.conj().T @ X.rows)
     v = X.rows.conj().T @ y
     R, Im = G.real, G.imag
     t = eps / np.sqrt(2.0)
-    A = np.block(
-        [
-            [-R, R, Im, -Im],
-            [R, -R, -Im, Im],
-            [-Im, Im, -R, R],
-            [Im, -Im, R, -R],
-        ]
-    )
+    A = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
     b = np.concatenate([t - v.real, t + v.real, t - v.imag, t + v.imag])
     c = np.ones(A.shape[1])
     return c, A, b
@@ -192,9 +194,9 @@ def dantzig_recover(
             solver_status=res.status,
             objective_value=np.nan,
             raw_estimate=zero,
+            lp_iterations=res.iterations,
         )
-    x = res.x
-    raw = (x[:d] - x[d : 2 * d]) + 1j * (x[2 * d : 3 * d] - x[3 * d : 4 * d])
+    raw = res.x[:d] + 1j * res.x[d:]
     support = threshold_support(raw, cfg.magnitude_floor)
     if not cfg.debias:
         return RecoveryResult(
@@ -203,6 +205,7 @@ def dantzig_recover(
             solver_status="optimal",
             objective_value=res.objective,
             raw_estimate=raw,
+            lp_iterations=res.iterations,
         )
     if support.size > cfg.candidate_cap:
         mags = np.abs(raw)
@@ -230,6 +233,7 @@ def dantzig_recover(
         solver_status="optimal",
         objective_value=res.objective,
         raw_estimate=raw,
+        lp_iterations=res.iterations,
     )
 
 

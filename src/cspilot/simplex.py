@@ -1,14 +1,32 @@
-"""Dense tableau dual simplex for the nonnegative-cost LPs of the Dantzig selector.
+"""Compact-tableau dual simplex for the weighted-l1 LP of the Dantzig selector.
 
-Solves ``min c @ x  subject to  A_ub @ x <= b_ub, x >= 0`` with ``c >= 0``,
-the only shape the l1-minimization embedding produces.  Nonnegative costs
-make the all-slack basis dual feasible, so a dual simplex run starting
-from it reaches the optimum directly, and the objective is bounded below
-by zero, so the LP is either optimal or infeasible.
+Solves ``min sum_j c_j |z_j|  subject to  A_ub @ z <= b_ub`` with z free and
+``c >= 0``, the LP the l1 embedding produces.  It is the dual simplex over
+the split ``z = z+ - z-`` (``z+, z- >= 0``, constraint matrix
+``[A_ub, -A_ub]``) from the all-slack basis: nonnegative costs make that
+basis dual feasible, so the run reaches the optimum directly, and the
+objective is bounded below by zero, so the LP is optimal or infeasible.
+
+The tableau is stored compactly, with every kept entry computed by the
+same rounded operations as on the dense ``(m+1) x (2p+m+1)`` tableau:
+
+* each z- column is the exact negation of its z+ column after any pivot
+  (negation commutes with every rounded step of a Gauss-Jordan update), so
+  only the z+ columns are stored, and each z- column keeps its reduced cost;
+* a slack column is the unit vector it started as until its row is a pivot
+  row, so only the slack columns of rows that have been pivot rows are
+  stored;
+* columns are stored as rows (the tableau is transposed), so the rank-1
+  update runs over one contiguous block.
+
+Variables are numbered as in the split LP: z+ as 0..p-1, z- as p..2p-1
+and the slack of row k as 2p+k.  Ties in the ratio test go to the smallest
+number, as on the dense tableau, so the pivot sequence is the same.
 
 Anti-cycling: after an initial phase of steepest-decrease pivots the solver
 permanently switches to Bland's smallest-index rule, which cannot cycle.
-The iteration cap defaults to ``50 *`` the total variable count.
+Both that switch and the default iteration cap count split variables:
+``5 *`` and ``50 * (2p + m)`` pivots.
 """
 
 from __future__ import annotations
@@ -17,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times (m+n) pivots
+_BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times (2p+m) pivots
 
 
 @dataclass
@@ -28,92 +46,125 @@ class LpResult:
     iterations: int
 
 
-def _pivot(T: np.ndarray, r: int, q: int) -> None:
-    # Gauss-Jordan step on the full tableau (cost row included as last row).
-    T[r] /= T[r, q]
-    col = T[:, q].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-    T[:, q] = 0.0
-    T[r, q] = 1.0
+def _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after):
+    """Dual simplex on the compact tableau; returns (status, iterations).
 
-
-def _dual_simplex(T, basis, tol, max_iter, bland_after):
-    """Dual simplex on a dual-feasible tableau; returns (status, iterations)."""
+    ``W[0]`` is the right-hand side, ``W[1:p+1]`` the z+ columns and the
+    rows after them the stored slack columns, in the order their rows were
+    first pivoted on.  `cost` holds the reduced costs in ratio-test order:
+    z+, z-, stored slacks.  `basis` holds split-LP variable numbers.
+    """
+    m = W.shape[1]
+    touched = np.zeros(m, dtype=bool)  # rows whose slack column is stored
+    slot_row = np.empty(m, dtype=int)  # row of each stored slack column
+    row_buf = np.empty(cost.size)
+    rhs = W[0]
+    stored = 0
     it = 0
     while True:
-        rhs = T[:-1, -1]
         if it >= bland_after:
             viol = np.flatnonzero(rhs < -tol)
             if viol.size == 0:
                 return "optimal", it
-            r = viol[np.argmin(basis[viol])]
+            r = int(viol[np.argmin(basis[viol])])
         else:
             r = int(np.argmin(rhs))
             if rhs[r] >= -tol:
                 return "optimal", it
         if it >= max_iter:
             return "iteration-limit", it
-        row = T[r, :-1]
+        if not touched[r]:
+            # the slack column of a first-time pivot row stops being e_r
+            touched[r] = True
+            slot_row[stored] = r
+            W[1 + p + stored, r] = 1.0
+            stored += 1
+        live = 1 + p + stored
+        n = 2 * p + stored
+        entries = W[1:live, r]
+        row = row_buf[:n]
+        row[:p] = entries[:p]
+        np.negative(entries[:p], out=row[p : 2 * p])
+        row[2 * p :] = entries[p:]
         eligible = row < -tol
         if not eligible.any():
             # row reads sum(nonneg terms) = negative: no feasible point
             return "infeasible", it
-        ratios = np.where(eligible, T[-1, :-1] / np.where(eligible, -row, 1.0), np.inf)
-        q = int(np.argmin(ratios))  # argmin takes the smallest index on ties
-        _pivot(T, r, q)
-        basis[r] = q
+        reduced = cost[:n]
+        ratios = np.where(eligible, reduced / np.where(eligible, -row, 1.0), np.inf)
+        q = int(np.argmin(ratios))  # argmin takes the smallest position on ties
+        if q >= 2 * p:
+            # stored slacks sit in first-pivot order: break ties by row instead
+            tied = np.flatnonzero(ratios[2 * p :] == ratios[q])
+            q = 2 * p + int(tied[np.argmin(slot_row[tied])])
+        # Gauss-Jordan step on the stored entries, the pivot row first
+        pivot = row[q]
+        W[:live, r] /= pivot
+        row /= pivot
+        w = 1 + q if q < p else 1 + q - p  # W row of column q (of its mirror for z-)
+        sign = -1.0 if p <= q < 2 * p else 1.0
+        col = sign * W[w]
+        col[r] = 0.0
+        W[:live] -= np.outer(W[:live, r], col)
+        reduced -= reduced[q] * row
+        reduced[q] = 0.0
+        W[w] = 0.0
+        W[w, r] = sign
+        basis[r] = q if q < 2 * p else 2 * p + slot_row[q - 2 * p]
         it += 1
 
 
 def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
-    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub`` and ``x >= 0``.
+    """Minimize ``sum_j c_j |z_j|`` subject to ``A_ub @ z <= b_ub``, z free.
 
     Parameters
     ----------
     c, A_ub, b_ub : array_like
-        Dense, finite problem data; `A_ub` has shape (m, n) and every cost
-        in `c` must be nonnegative.
+        Dense, finite problem data; `A_ub` is 2-D with shape (m, p) and
+        every weight in `c` must be nonnegative.
     tol : float
         Feasibility/optimality tolerance.
     max_iter : int, optional
-        Pivot cap; defaults to ``50 * (n + m)``.
+        Pivot cap; defaults to ``50 * (2p + m)``.
 
     Returns
     -------
     LpResult
-        ``x`` holds the n structural variables when status is ``optimal``,
-        otherwise None.
+        ``x`` holds the p free variables z when status is ``optimal``,
+        otherwise None; ``iterations`` counts pivots.
 
     Raises
     ------
     ValueError
-        On inconsistent dimensions, a non-finite entry, or a negative cost.
+        On inconsistent dimensions, a non-finite entry, or a negative weight.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
     b = np.asarray(b_ub, dtype=float)
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
+    if A.ndim != 2:
+        raise ValueError("A_ub must be 2-D")
+    m, p = A.shape
+    if c.shape != (p,) or b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
     if (c < 0).any():
         raise ValueError("costs must be nonnegative")
     if max_iter is None:
-        max_iter = 50 * (n + m)
-    bland_after = _BLAND_AFTER_FACTOR * (n + m)
+        max_iter = 50 * (2 * p + m)
+    bland_after = _BLAND_AFTER_FACTOR * (2 * p + m)
 
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[-1, :n] = c
-    basis = np.arange(n, n + m)
-    status, it = _dual_simplex(T, basis, tol, max_iter, bland_after)
+    W = np.zeros((1 + p + m, m))
+    W[0] = b
+    W[1 : p + 1] = A.T
+    cost = np.zeros(2 * p + m)
+    cost[:p] = c
+    cost[p : 2 * p] = c
+    basis = np.arange(2 * p, 2 * p + m)
+    status, it = _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after)
     if status != "optimal":
         return LpResult(x=None, objective=None, status=status, iterations=it)
-    x = np.zeros(n + m)
-    x[basis] = T[:-1, -1]
-    xs = x[:n]
-    return LpResult(x=xs, objective=float(c @ xs), status="optimal", iterations=it)
+    x = np.zeros(2 * p + m)
+    x[basis] = W[0]
+    z = x[:p] - x[p : 2 * p]
+    return LpResult(x=z, objective=float(c @ np.abs(z)), status="optimal", iterations=it)

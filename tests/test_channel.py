@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspilot.channel import (
     OfdmParams,
@@ -36,6 +38,23 @@ def test_default_params_working_point():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         default_params(**kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    good=st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_non_finite_energy_and_noise_rejected(bad, good):
+    with pytest.raises(ValueError, match="symbol_energy"):
+        default_params(symbol_energy=bad)
+    p = default_params(symbol_energy=good)
+    rng = np.random.default_rng(0)
+    h = sample_channel(p, rng)
+    X = build_sensing_matrix(range(p.pilot_count), p)
+    synthesize_measurement(X, h, p, good, rng)
+    with pytest.raises(ValueError, match="noise_variance"):
+        synthesize_measurement(X, h, p, bad, rng)
 
 
 def test_sample_channel_support_size():

@@ -143,6 +143,25 @@ def test_recover_bench_zero_trials_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["-inf", "-4000", "nan", "20,nan"])
+def test_recover_bench_snr_without_finite_noise_is_config_error(
+    tmp_path, capsys, monkeypatch, bad
+):
+    # only +inf dB means noiseless; an SNR whose noise variance is not finite
+    # and positive is refused before the first trial
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "sample_channel", no_trial)
+    code, out = run(
+        tmp_path, "r.csv", "recover-bench",
+        "--set", "trials=2", "--set", f"snr_dbs={bad}", "--set", "tap_count=25",
+    )
+    assert code == 2
+    assert "snr_dbs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numpy_scalars_written_as_plain_numbers(tmp_path):
     out = tmp_path / "np.csv"
     row = [np.float64(1.6479184330021646), np.int64(3), 0.1]

@@ -39,6 +39,24 @@ def test_config_rejects_non_finite(bad):
         DetectionConfig(antenna_count=8, pathloss_power=10.0, threshold=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, 1.0, 11.0, 12.0])
+def test_error_probability_rejects_bad_explicit_threshold(bad):
+    # the rule of a preset threshold: finite, above 1, below 1 + gP
+    config = DetectionConfig(antenna_count=8, pathloss_power=10.0)
+    with pytest.raises(ValueError):
+        error_probability(config, bad)
+    with pytest.raises(ValueError):
+        DetectionConfig(antenna_count=8, pathloss_power=10.0, threshold=bad)
+
+
+def test_error_probability_explicit_threshold_blind_point():
+    # with gP = 0 any threshold above 1 is allowed, and the error is 1/2
+    config = DetectionConfig(antenna_count=8, pathloss_power=0.0)
+    assert error_probability(config, 3.0) == pytest.approx(0.5, abs=1e-15)
+    with pytest.raises(ValueError):
+        error_probability(config, 0.5)
+
+
 def test_energy_metric_basics():
     assert energy_metric(np.zeros(16, dtype=complex)) == 0.0
     assert energy_metric(np.ones(7)) == 1.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cspilot.channel import default_params
 from cspilot.pilots import (
     CapacityExceededError,
+    PilotCodebook,
     allocate_orthogonal,
     build_codebook,
     capacity,
@@ -202,11 +203,25 @@ def test_read_codebook_rejects_malformed():
 def test_read_codebook_rejects_swapped_columns():
     # a permuted book would decode UE 0's pattern to UE 1; it must not load
     book = build_codebook(6, 2, 2)
-    book.columns[:, [0, 1]] = book.columns[:, [1, 0]]
     buf = io.StringIO()
     write_codebook(book, buf)
+    header, *rows = buf.getvalue().splitlines()
+    swapped = [row[1] + row[0] + row[2:] for row in rows]
     with pytest.raises(ValueError):
-        read_codebook(io.StringIO(buf.getvalue()))
+        read_codebook(io.StringIO("\n".join([header, *swapped]) + "\n"))
+
+
+def test_codebook_columns_are_read_only():
+    # an in-place swap after validation would decode UE 0 as UE 1
+    book = build_codebook(6, 2, 2)
+    with pytest.raises(ValueError):
+        book.columns[:, [0, 1]] = book.columns[:, [1, 0]]
+    source = np.ones((4, 1), dtype=np.uint8)
+    source[[2, 3], 0] = 0
+    copied = PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=source)
+    source[:, 0] = [0, 0, 1, 1]  # the caller's array stays theirs
+    assert copied.columns[:, 0].tolist() == [1, 1, 0, 0]
+    assert decode_energy_vector(superpose([0], copied), copied).ue_index == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspilot.channel import (
     SparseChannel,
@@ -11,6 +13,7 @@ from cspilot.channel import (
 )
 from cspilot.recovery import (
     DantzigConfig,
+    _embed_lp,
     comb_tone_set,
     dantzig_epsilon,
     dantzig_recover,
@@ -19,6 +22,7 @@ from cspilot.recovery import (
     omp_recover,
     threshold_support,
 )
+from cspilot.simplex import solve_lp
 from cspilot.tones import DESIGNED_TONES_100
 
 
@@ -39,6 +43,30 @@ def test_config_validation():
         DantzigConfig(epsilon=1.0, epsilon_rule="banana")
     with pytest.raises(ValueError):
         DantzigConfig(epsilon=1.0, candidate_cap=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(
+        ["epsilon", "scale_c", "noise_variance", "magnitude_floor", "selection_tau"]
+    ),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    rule=st.sampled_from(["explicit", "scaled"]),
+    good=st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_config_rejects_non_finite_fields(field, bad, rule, good):
+    fields = dict(
+        epsilon=good,
+        epsilon_rule=rule,
+        scale_c=good,
+        noise_variance=good,
+        magnitude_floor=good,
+        selection_tau=good,
+    )
+    DantzigConfig(**fields)
+    fields[field] = bad
+    with pytest.raises(ValueError, match=field):
+        DantzigConfig(**fields)
 
 
 def test_scaled_epsilon_rule():
@@ -137,6 +165,18 @@ def test_debias_refit_never_raises_residual(rng):
         assert r_refit <= r_trunc + 1e-9
         improved += int(nmse(h.taps, deb.estimate) < nmse(h.taps, raw))
     assert improved >= 12  # debias helps on the vast majority of trials
+
+
+def test_lp_iterations_reported(rng):
+    p = default_params(tap_count=25)
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    h = sample_channel(p, rng)
+    y = synthesize_measurement(X, h, p, 0.01, rng)
+    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01)
+    c, A, b = _embed_lp(y, X, p.symbol_energy, dantzig_epsilon(cfg, p))
+    res = dantzig_recover(y, X, p, cfg)
+    assert res.lp_iterations == solve_lp(c, A, b).iterations > 0
+    assert omp_recover(y, X, p, p.sparsity).lp_iterations is None
 
 
 def test_raw_estimate_matches_debias_off(rng):

@@ -1,20 +1,53 @@
-"""Solver checks against closed-form optima and scipy's HiGHS-backed linprog."""
+"""Solver checks against the dense-tableau oracle, closed-form optima and HiGHS.
+
+`solve_lp` solves ``min c @ |z|`` s.t. ``A_ub @ z <= b_ub`` with z free.  An
+``x >= 0`` LP is posed for it by appending the rows ``-z <= 0``.
+"""
 
 import numpy as np
 import pytest
+from lp_oracle import dense_solve_l1
 from scipy.optimize import linprog
 
+import cspilot.simplex as simplex
+from cspilot.channel import (
+    build_sensing_matrix,
+    default_params,
+    sample_channel,
+    select_pilot_tones,
+    synthesize_measurement,
+)
+from cspilot.recovery import DantzigConfig, _embed_lp, dantzig_epsilon
 from cspilot.simplex import solve_lp
+from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
 _SCIPY_STATUS = {0: "optimal", 2: "infeasible"}
 
+
+def _nonnegative(c, A, b):
+    """The l1 LP whose extra rows ``-z <= 0`` make it ``min c @ x, A x <= b, x >= 0``."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    return c, np.vstack([A, -np.eye(c.size)]), np.concatenate([b, np.zeros(c.size)])
+
+
 # LP dual of the textbook "max 3x + 5y with x <= 4, 2y <= 12, 3x + 2y <= 18":
 # min 4u + 12v + 18w with u + 3w >= 3, 2v + 2w >= 5 -> 36 at (0, 1.5, 1)
-TEXTBOOK_DUAL = (
+TEXTBOOK_DUAL = _nonnegative(
     [4.0, 12.0, 18.0],
     [[-1.0, 0.0, -3.0], [0.0, -2.0, -2.0]],
     [-3.0, -5.0],
 )
+
+
+def _assert_same_as_oracle(c, A, b):
+    res, ref = solve_lp(c, A, b), dense_solve_l1(c, A, b)
+    assert res.status == ref.status
+    assert res.iterations == ref.iterations
+    if ref.x is None:
+        assert res.x is None
+    else:
+        assert np.array_equal(res.x, ref.x)
+    return res
 
 
 def test_known_textbook_optimum():
@@ -27,36 +60,46 @@ def test_known_textbook_optimum():
 
 def test_dual_simplex_path_negative_rhs():
     # nonnegative costs with infeasible slack basis: min x1 + x2, x1 + x2 >= 4
-    res = solve_lp(
-        [1.0, 1.0],
-        [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
-        [-4.0, 3.0, 3.0],
-    )
+    res = solve_lp(*_nonnegative([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-4.0, 3.0, 3.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0, abs=1e-9)
+    assert res.iterations == 2
+
+
+def test_free_variables_take_negative_values():
+    # min |z1| + 2|z2| with z1 + z2 <= -3: the cheaper z1 goes negative
+    res = solve_lp([1.0, 2.0], [[1.0, 1.0]], [-3.0])
+    assert res.status == "optimal"
+    assert np.array_equal(res.x, [-3.0, 0.0])
+    assert res.objective == 3.0
 
 
 def test_zero_objective_feasibility_only():
-    res = solve_lp([0.0, 0.0], [[1.0, 1.0]], [1.0])
+    res = solve_lp(*_nonnegative([0.0, 0.0], [[1.0, 1.0]], [1.0]))
     assert res.status == "optimal"
     assert res.objective == 0.0
 
 
 def test_infeasible_detected_by_dual():
-    res = solve_lp([1.0], [[1.0]], [-1.0])
+    # z <= -1 and -z <= 0
+    res = solve_lp(*_nonnegative([1.0], [[1.0]], [-1.0]))
     assert res.status == "infeasible"
     assert res.x is None
+    assert res.iterations == 1
 
 
 def test_iteration_cap_reported():
     res = solve_lp(*TEXTBOOK_DUAL, max_iter=1)
     assert res.status == "iteration-limit"
     assert res.x is None
+    assert res.iterations == 1
 
 
 def test_dimension_validation():
     with pytest.raises(ValueError):
         solve_lp([1.0, 2.0], [[1.0]], [1.0])
+    with pytest.raises(ValueError):
+        solve_lp([1.0], [1.0], [1.0])  # A_ub must be 2-D
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -73,47 +116,113 @@ def test_negative_cost_rejected():
         solve_lp([-3.0, 5.0], [[1.0, 0.0]], [4.0])
 
 
+# LP dual of Beale's example, which cycles under the classic most-negative
+# rule: min b @ y with -A^T y <= c, y >= 0, optimum 1/20 at (0, 1.5, 0.05)
+_BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0])
+_BEALE_A = np.array(
+    [
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+)
+BEALE_DUAL = _nonnegative([0.0, 0.0, 1.0], -_BEALE_A.T, _BEALE_C)
+
+
 def test_beale_degenerate_cycle_terminates():
-    # LP dual of Beale's example, which cycles under the classic
-    # most-negative rule: min b @ y with -A^T y <= c, optimum 1/20.  Its 42
-    # pivots pass the switch to Bland's rule at 5 * (3 + 4) = 35.
-    c = np.array([-0.75, 150.0, -0.02, 6.0])
-    A = np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    res = solve_lp(b, -A.T, c)
+    # 71 pivots pass the switch to Bland's rule at 5 * (2*3 + 7) = 65
+    res = _assert_same_as_oracle(*BEALE_DUAL)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.05, abs=1e-9)
-    assert res.iterations == 42
+    assert res.x == pytest.approx([0.0, 1.5, 0.05], abs=1e-9)
+    assert res.iterations == 71
 
 
-def _random_instance(rng):
-    m = int(rng.integers(2, 11))
-    n = int(rng.integers(2, 9))
-    A = rng.normal(size=(m, n))
-    c = np.abs(rng.normal(size=n))
+def test_beale_cycles_without_bland_rule(monkeypatch):
+    # the switch is what ends the run above: without it the pivots cycle
+    monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 10**6)
+    res = solve_lp(*BEALE_DUAL, max_iter=1000)
+    assert res.status == "iteration-limit"
+
+
+def _random_l1_instance(rng, integer):
+    m = int(rng.integers(1, 13))
+    p = int(rng.integers(1, 9))
+    if integer:
+        # small integers make exact ratio-test ties, which the solver must
+        # break by variable number exactly like the dense tableau
+        A = rng.integers(-2, 3, size=(m, p)).astype(float)
+        b = rng.integers(-4, 3, size=m).astype(float)
+        c = rng.integers(0, 3, size=p).astype(float)
+        return c, A, b
+    A = rng.normal(size=(m, p))
+    c = np.abs(rng.normal(size=p))
     if rng.random() < 0.5:
-        # anchored at a feasible nonnegative point
-        x0 = rng.uniform(0.0, 2.0, size=n)
-        b = A @ x0 + rng.uniform(0.0, 1.0, size=m)
+        # anchored at a feasible point
+        b = A @ rng.normal(size=p) + rng.uniform(0.0, 1.0, size=m)
     else:
         b = rng.normal(size=m)
     return c, A, b
+
+
+def test_matches_dense_oracle_on_random_l1_lps():
+    rng = np.random.default_rng(20261017)
+    statuses = []
+    for k in range(400):
+        c, A, b = _random_l1_instance(rng, integer=k % 2 == 0)
+        statuses.append(_assert_same_as_oracle(c, A, b).status)
+    assert statuses.count("optimal") >= 200
+    assert statuses.count("infeasible") >= 20
+
+
+_SNR_DBS = (0.0, 10.0, 20.0, np.inf)
+
+
+def _dantzig_lps(tap_count, tones, seed_tag, trials):
+    # criterion 4's frozen channel draws, with tones and SNR varied
+    params = default_params(tap_count=tap_count)
+    for snr_db in _SNR_DBS:
+        if np.isinf(snr_db):
+            noise_var = 0.0
+            cfg = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit")
+        else:
+            noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
+            cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=noise_var)
+        for t in range(trials):
+            rng = np.random.default_rng([2024, seed_tag, t])
+            h = sample_channel(params, rng)
+            tone_set = tones if tones is not None else select_pilot_tones(params, rng)
+            X = build_sensing_matrix(tone_set, params)
+            y = synthesize_measurement(X, h, params, noise_var, rng)
+            yield _embed_lp(y, X, params.symbol_energy, dantzig_epsilon(cfg, params))
+
+
+@pytest.mark.parametrize(
+    "tap_count, tones, seed_tag, trials",
+    [
+        (25, DESIGNED_TONES_25, 41, 6),
+        (25, None, 41, 6),
+        (100, DESIGNED_TONES_100, 42, 2),
+        (100, None, 42, 2),
+    ],
+    ids=["25-designed", "25-random", "100-designed", "100-random"],
+)
+def test_matches_dense_oracle_on_dantzig_lps(tap_count, tones, seed_tag, trials):
+    for c, A, b in _dantzig_lps(tap_count, tones, seed_tag, trials):
+        assert A.shape == (4 * tap_count, 2 * tap_count)
+        res = _assert_same_as_oracle(c, A, b)
+        assert res.status == "optimal"
 
 
 def test_agrees_with_scipy_linprog():
     rng = np.random.default_rng(20240817)
     checked = infeasible = 0
     for _ in range(60):
-        c, A, b = _random_instance(rng)
+        c, A, b = _random_l1_instance(rng, integer=False)
+        p = c.size
         ref = linprog(
-            c,
-            A_ub=A,
+            np.concatenate([c, c]),
+            A_ub=np.hstack([A, -A]),
             b_ub=b,
             bounds=(0, None),
             method="highs",
@@ -127,8 +236,10 @@ def test_agrees_with_scipy_linprog():
         if want == "optimal":
             scale = 1.0 + abs(ref.fun)
             assert abs(res.objective - ref.fun) < 1e-7 * scale
+            # HiGHS's split solution gives the same weighted l1 norm
+            z_ref = ref.x[:p] - ref.x[p:]
+            assert abs(c @ np.abs(z_ref) - ref.fun) < 1e-7 * scale
             # solution must be primal feasible
-            assert np.all(res.x >= -1e-9)
             assert np.all(A @ res.x <= b + 1e-7)
             checked += 1
         else:
@@ -139,8 +250,8 @@ def test_agrees_with_scipy_linprog():
 
 def test_objective_consistent_with_solution(rng):
     for _ in range(10):
-        c, A, b = _random_instance(rng)
+        c, A, b = _random_l1_instance(rng, integer=False)
         res = solve_lp(c, A, b)
         if res.status == "optimal":
-            assert res.objective == pytest.approx(float(c @ res.x), abs=1e-9)
-            assert res.iterations <= 50 * (len(c) + len(b))
+            assert res.objective == pytest.approx(float(c @ np.abs(res.x)), abs=1e-9)
+            assert res.iterations <= 50 * (2 * len(c) + len(b))

@@ -31,9 +31,10 @@ class RecoveryResult:
     ``objective_value`` is the l1 value delivered by the solver (sum of
     |Re| + |Im| over taps) before any debias refit; ``raw_estimate`` keeps
     the pre-debias solution so callers can score both stages from one
-    solve; ``lp_iterations`` is the pivot count of that solve (None for
-    estimators without an LP); ``nmse_db`` is filled in by benchmarks that
-    know the true channel.
+    solve; ``lp_iterations`` is the pivot count of that solve and
+    ``debias_passes`` the number of stepwise debias passes run (0 when the
+    stepwise step is skipped); both are None for estimators without an LP.
+    ``nmse_db`` is filled in by benchmarks that know the true channel.
     """
 
     estimate: np.ndarray
@@ -42,6 +43,7 @@ class RecoveryResult:
     objective_value: float
     raw_estimate: np.ndarray | None = None
     lp_iterations: int | None = None
+    debias_passes: int | None = None
     nmse_db: float | None = None
 
 
@@ -63,7 +65,8 @@ class DantzigConfig:
     the same amount.  The final estimate is the least-squares refit on the
     surviving support.
 
-    Every float field must be finite (``ValueError`` otherwise).
+    Every float field must be finite, ``scale_c`` positive and
+    ``noise_variance`` nonnegative (``ValueError`` otherwise).
     """
 
     epsilon: float | None = None
@@ -88,6 +91,12 @@ class DantzigConfig:
         else:
             if self.noise_variance <= 0:
                 raise ValueError("scaled rule requires noise_variance > 0")
+        if self.scale_c <= 0:
+            raise ValueError(f"scale_c must be positive, got {self.scale_c!r}")
+        if self.noise_variance < 0:
+            raise ValueError(
+                f"noise_variance must be nonnegative, got {self.noise_variance!r}"
+            )
         if self.magnitude_floor < 0 or self.selection_tau < 0:
             raise ValueError("magnitude_floor and selection_tau must be nonnegative")
         if self.candidate_cap < 1:
@@ -129,6 +138,13 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.flatnonzero(mags > max(floor, 0.01 * top))
 
 
+def _check_measurement(y: np.ndarray, X: SensingMatrix) -> None:
+    if y.shape[0] != X.rows.shape[0]:
+        raise ValueError("measurement length does not match the sensing matrix")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurement must be finite")
+
+
 def _ls_refit(y, Xs: np.ndarray, energy: float, support) -> tuple[float, np.ndarray | None]:
     """Residual energy and coefficients of the LS fit restricted to `support`."""
     idx = list(support)
@@ -141,35 +157,61 @@ def _ls_refit(y, Xs: np.ndarray, energy: float, support) -> tuple[float, np.ndar
 
 
 def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
-    """Prune/extend the candidate support by residual-energy significance."""
+    """Prune/extend the candidate support by residual-energy significance.
+
+    Each pass prunes the tap whose removal raises the residual energy least
+    while that rise is below ``tau * noise_var``, then adds the tap most
+    correlated with the residual when its addition lowers the residual
+    energy by more than the same amount; passes repeat (at most ``4 * cap``)
+    until neither step changes the support.  Both scores come from one thin
+    QR ``A_K = Q R`` of the weighted support columns: removing tap i raises
+    the residual energy by ``|coef_i|^2 / ||row i of R^-1||^2`` and adding
+    column a lowers it by ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a``
+    and r the residual.  A column in the span of the other support columns
+    (or beyond the row count) scores a zero rise.  Returns the sorted
+    support and the number of passes run.
+    """
     keep = list(candidates)
     threshold = tau * noise_var
-    for _ in range(4 * cap):
+    A = np.sqrt(energy) * Xs
+    m = A.shape[0]
+    for passes in range(1, 4 * cap + 1):
         changed = False
-        while keep:
-            base, _ = _ls_refit(y, Xs, energy, keep)
-            rises = [
-                _ls_refit(y, Xs, energy, keep[:i] + keep[i + 1 :])[0] - base
-                for i in range(len(keep))
-            ]
-            weakest = int(np.argmin(rises))
-            if rises[weakest] < threshold:
+        while True:
+            Q, R = np.linalg.qr(A[:, keep])
+            qy = Q.conj().T @ y
+            resid = y - Q @ qy
+            if not keep:
+                break
+            diag = np.abs(np.diagonal(R))
+            tol = max(m, len(keep)) * np.finfo(float).eps * diag.max()
+            dependent = np.flatnonzero(diag <= tol)
+            if dependent.size or len(keep) > m:
+                # in the span of the other columns: removing it costs nothing
+                weakest = int(dependent[0]) if dependent.size else m
+                rise = 0.0
+            else:
+                R_inv = np.linalg.inv(R)
+                rises = np.abs(R_inv @ qy) ** 2 / np.sum(np.abs(R_inv) ** 2, axis=1)
+                weakest = int(np.argmin(rises))
+                rise = rises[weakest]
+            if rise < threshold:
                 keep.pop(weakest)
                 changed = True
             else:
                 break
-        base, coef = _ls_refit(y, Xs, energy, keep)
-        resid = y - (np.sqrt(energy) * Xs[:, keep] @ coef if keep else 0.0)
         corr = np.abs(Xs.conj().T @ resid)
         if keep:
             corr[keep] = 0.0
         best = int(np.argmax(corr))
-        if len(keep) < cap and base - _ls_refit(y, Xs, energy, keep + [best])[0] > threshold:
-            keep.append(best)
-            changed = True
+        if len(keep) < cap:
+            u = A[:, best] - Q @ (Q.conj().T @ A[:, best])
+            if abs(np.vdot(u, resid)) ** 2 > threshold * np.vdot(u, u).real:
+                keep.append(best)
+                changed = True
         if not changed:
             break
-    return sorted(keep)
+    return sorted(keep), passes
 
 
 def dantzig_recover(
@@ -180,8 +222,7 @@ def dantzig_recover(
     Returns the raw program solution when ``cfg.debias`` is off; otherwise
     the least-squares refit on the selected support (see `DantzigConfig`).
     """
-    if y.shape[0] != X.rows.shape[0]:
-        raise ValueError("measurement length does not match the sensing matrix")
+    _check_measurement(y, X)
     d = X.rows.shape[1]
     eps = dantzig_epsilon(cfg, params)
     c, A, b = _embed_lp(y, X, params.symbol_energy, eps)
@@ -195,6 +236,7 @@ def dantzig_recover(
             objective_value=np.nan,
             raw_estimate=zero,
             lp_iterations=res.iterations,
+            debias_passes=0,
         )
     raw = res.x[:d] + 1j * res.x[d:]
     support = threshold_support(raw, cfg.magnitude_floor)
@@ -206,23 +248,23 @@ def dantzig_recover(
             objective_value=res.objective,
             raw_estimate=raw,
             lp_iterations=res.iterations,
+            debias_passes=0,
         )
     if support.size > cfg.candidate_cap:
         mags = np.abs(raw)
         support = np.sort(support[np.argsort(mags[support])[-cfg.candidate_cap :]])
+    passes = 0
     if cfg.noise_variance > 0:
-        support = np.asarray(
-            _stepwise_select(
-                y,
-                X.rows,
-                params.symbol_energy,
-                list(support),
-                cfg.candidate_cap,
-                cfg.selection_tau,
-                cfg.noise_variance,
-            ),
-            dtype=int,
+        selected, passes = _stepwise_select(
+            y,
+            X.rows,
+            params.symbol_energy,
+            list(support),
+            cfg.candidate_cap,
+            cfg.selection_tau,
+            cfg.noise_variance,
         )
+        support = np.asarray(selected, dtype=int)
     estimate = np.zeros(d, dtype=complex)
     if support.size:
         _, coef = _ls_refit(y, X.rows, params.symbol_energy, list(support))
@@ -234,6 +276,7 @@ def dantzig_recover(
         objective_value=res.objective,
         raw_estimate=raw,
         lp_iterations=res.iterations,
+        debias_passes=passes,
     )
 
 
@@ -247,6 +290,7 @@ def omp_recover(
     """
     if sparsity > X.rows.shape[0]:
         raise ValueError("sparsity cannot exceed the number of measurements")
+    _check_measurement(y, X)
     d = X.rows.shape[1]
     A = np.sqrt(params.symbol_energy) * X.rows
     selected: list[int] = []
@@ -285,18 +329,23 @@ def comb_tone_set(params: OfdmParams) -> np.ndarray:
 def fde_ls_recover(
     y_full: np.ndarray, X_full: SensingMatrix, params: OfdmParams
 ) -> RecoveryResult:
-    """Dense least-squares estimate using tap_count (or more) pilot tones."""
+    """Dense least-squares estimate using tap_count (or more) pilot tones.
+
+    Raises ``LinAlgError`` when the sensing columns are numerically
+    dependent, by the rank `numpy.linalg.lstsq` reports for the solve.
+    """
     m, d = X_full.rows.shape
     if m < params.tap_count:
         raise ValueError(
             f"dense estimation needs at least {params.tap_count} tones, got {m}"
         )
-    if y_full.shape[0] != m:
-        raise ValueError("measurement length does not match the sensing matrix")
+    _check_measurement(y_full, X_full)
     A = np.sqrt(params.symbol_energy) * X_full.rows
-    if np.linalg.matrix_rank(A) < d:
+    # lstsq counts singular values above max(m, d) * eps * largest, the
+    # matrix_rank rule, so its rank is the full-column-rank check
+    estimate, _, rank, _ = np.linalg.lstsq(A, y_full, rcond=None)
+    if rank < d:
         raise np.linalg.LinAlgError("sensing matrix is rank deficient")
-    estimate, *_ = np.linalg.lstsq(A, y_full, rcond=None)
     return RecoveryResult(
         estimate=estimate,
         recovered_support=threshold_support(estimate),

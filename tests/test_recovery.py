@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from debias_oracle import stepwise_select_lstsq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspilot.channel import (
+    SensingMatrix,
     SparseChannel,
     build_sensing_matrix,
     default_params,
@@ -14,8 +16,10 @@ from cspilot.channel import (
 from cspilot.recovery import (
     DantzigConfig,
     _embed_lp,
+    _ls_refit,
     comb_tone_set,
     dantzig_epsilon,
+    _stepwise_select,
     dantzig_recover,
     fde_ls_recover,
     nmse,
@@ -24,6 +28,8 @@ from cspilot.recovery import (
 )
 from cspilot.simplex import solve_lp
 from cspilot.tones import DESIGNED_TONES_100
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def _single_tap_channel(params, delay=0, gain=1.0):
@@ -43,6 +49,11 @@ def test_config_validation():
         DantzigConfig(epsilon=1.0, epsilon_rule="banana")
     with pytest.raises(ValueError):
         DantzigConfig(epsilon=1.0, candidate_cap=0)
+    for scale_c in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="scale_c"):
+            DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, scale_c=scale_c)
+    with pytest.raises(ValueError, match="noise_variance"):
+        DantzigConfig(epsilon=1.0, epsilon_rule="explicit", noise_variance=-1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +190,95 @@ def test_lp_iterations_reported(rng):
     assert omp_recover(y, X, p, p.sparsity).lp_iterations is None
 
 
+def test_debias_passes_reported(rng):
+    p = default_params()
+    h = sample_channel(p, rng)
+    X = build_sensing_matrix(DESIGNED_TONES_100, p)
+    y = synthesize_measurement(X, h, p, 0.01, rng)
+    noisy = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, magnitude_floor=0.01)
+    assert dantzig_recover(y, X, p, noisy).debias_passes >= 1
+    off = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, debias=False)
+    assert dantzig_recover(y, X, p, off).debias_passes == 0
+    noiseless = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit")
+    assert dantzig_recover(y, X, p, noiseless).debias_passes == 0
+    assert omp_recover(y, X, p, p.sparsity).debias_passes is None
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    yf = synthesize_measurement(comb, h, p, 0.01, rng)
+    assert fde_ls_recover(yf, comb, p).debias_passes is None
+
+
+def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
+    # criterion 4's frozen channel draws, with tones and SNR varied
+    params = default_params(tap_count=tap_count)
+    for snr_db in snr_dbs:
+        noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
+        cfg = DantzigConfig(
+            epsilon_rule="scaled", noise_variance=noise_var, magnitude_floor=0.01
+        )
+        for t in range(trials):
+            rng = np.random.default_rng([2024, seed_tag, t])
+            h = sample_channel(params, rng)
+            tone_set = tones if tones is not None else select_pilot_tones(params, rng)
+            X = build_sensing_matrix(tone_set, params)
+            y = synthesize_measurement(X, h, params, noise_var, rng)
+            yield y, X, params, cfg
+
+
+@pytest.mark.parametrize(
+    "tap_count, tones, seed_tag, snr_dbs, trials",
+    [
+        (100, DESIGNED_TONES_100, 42, (20.0,), 200),
+        (25, None, 41, (0.0, 10.0, 20.0), 100),
+        (100, DESIGNED_TONES_100, 42, (0.0, 10.0), 75),
+    ],
+    ids=["criterion4-20dB", "25-random", "100-designed-low-snr"],
+)
+def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr_dbs, trials):
+    # the QR-scored selection must pick the support the per-candidate lstsq
+    # reference picks; the final refit is shared, so estimates are equal too
+    pruned = added = 0
+    for y, X, p, cfg in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
+        res = dantzig_recover(y, X, p, cfg)
+        candidates = threshold_support(res.raw_estimate, cfg.magnitude_floor)
+        if candidates.size > cfg.candidate_cap:
+            mags = np.abs(res.raw_estimate[candidates])
+            candidates = np.sort(candidates[np.argsort(mags)[-cfg.candidate_cap :]])
+        want = stepwise_select_lstsq(
+            y,
+            X.rows,
+            p.symbol_energy,
+            list(candidates),
+            cfg.candidate_cap,
+            cfg.selection_tau,
+            cfg.noise_variance,
+        )
+        assert res.recovered_support.tolist() == want
+        expected = np.zeros(p.tap_count, dtype=complex)
+        if want:
+            expected[want] = _ls_refit(y, X.rows, p.symbol_energy, want)[1]
+        assert np.array_equal(res.estimate, expected)
+        pruned += bool(set(candidates.tolist()) - set(want))
+        added += bool(set(want) - set(candidates.tolist()))
+    assert pruned > 0
+    assert added > 0
+
+
+def test_stepwise_select_prunes_dependent_columns(rng):
+    # a column in the span of the others leaves at zero rise, and a support
+    # wider than the measurement count is cut back to at most that count
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    h = sample_channel(p, rng)
+    rows = X.rows.copy()
+    rows[:, [1, 2]] = rows[:, [0, 0]]
+    y = synthesize_measurement(SensingMatrix(rows, X.tone_set), h, p, 0.01, rng)
+    support, _ = _stepwise_select(y, rows, p.symbol_energy, [0, 1, 2], 12, 10.0, 0.01)
+    assert len(set(support) & {0, 1, 2}) <= 1
+    y = synthesize_measurement(X, h, p, 1.0, rng)
+    support, _ = _stepwise_select(y, X.rows, p.symbol_energy, list(range(30)), 40, 0.01, 1.0)
+    assert len(support) <= X.rows.shape[0]
+
+
 def test_raw_estimate_matches_debias_off(rng):
     p = default_params()
     h = sample_channel(p, rng)
@@ -255,6 +355,29 @@ def test_fde_requires_enough_tones(rng):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)  # only 20 tones
     with pytest.raises(ValueError):
         fde_ls_recover(np.zeros(20, dtype=complex), X, p)
+
+
+def test_fde_rank_deficient_raises():
+    p = default_params()
+    X = SensingMatrix(rows=np.ones((100, 100), dtype=complex), tone_set=np.arange(100))
+    with pytest.raises(np.linalg.LinAlgError):
+        fde_ls_recover(np.ones(100, dtype=complex), X, p)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_estimators_reject_non_finite_measurement(rng, bad):
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    y, yf = np.ones(20, dtype=complex), np.ones(100, dtype=complex)
+    y[3] = yf[3] = bad
+    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01)
+    with pytest.raises(ValueError, match="measurement"):
+        dantzig_recover(y, X, p, cfg)
+    with pytest.raises(ValueError, match="measurement"):
+        omp_recover(y, X, p, p.sparsity)
+    with pytest.raises(ValueError, match="measurement"):
+        fde_ls_recover(yf, comb, p)
 
 
 def test_fde_comparable_at_20db(rng):

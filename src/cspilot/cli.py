@@ -187,14 +187,9 @@ def _run_recover_bench(cfg, seed, workers):
         si, snr_db = item
         noise_var = noise_vars[si]
         if noise_var == 0.0:
-            dcfg = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit", debias=True)
+            dcfg = DantzigConfig(epsilon=1e-6)
         else:
-            dcfg = DantzigConfig(
-                epsilon_rule="scaled",
-                noise_variance=noise_var,
-                debias=True,
-                magnitude_floor=0.01,
-            )
+            dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
         sums = {m: 0.0 for m in methods}
         hits = {m: 0 for m in methods}
         for t in range(trials):

@@ -4,7 +4,7 @@ Three estimators over the model ``y = sqrt(E) X h + z``:
 
 * `dantzig_recover` — l1 minimization subject to an sup-norm bound on the
   correlated residual ``X^H (y - sqrt(E) X h)``, solved as a real linear
-  program, with an optional least-squares debias stage;
+  program, followed by a least-squares debias stage;
 * `omp_recover` — greedy correlation matching, used as an independent
   cross-validation oracle;
 * `fde_ls_recover` — the dense least-squares baseline that spends one pilot
@@ -22,6 +22,8 @@ from .channel import OfdmParams, SensingMatrix
 from .simplex import solve_lp
 
 NMSE_FLOOR_DB = -200.0
+CANDIDATE_CAP = 12  # debias candidates kept, the largest raw taps first
+SELECTION_TAU = 10.0  # stepwise significance level, in units of the noise variance
 
 
 @dataclass
@@ -29,12 +31,12 @@ class RecoveryResult:
     """Channel estimate plus solver diagnostics.
 
     ``objective_value`` is the l1 value delivered by the solver (sum of
-    |Re| + |Im| over taps) before any debias refit; ``raw_estimate`` keeps
-    the pre-debias solution so callers can score both stages from one
-    solve; ``lp_iterations`` is the pivot count of that solve and
+    |Re| + |Im| over taps) before the debias refit; ``raw_estimate`` keeps
+    the program solution so callers can score both stages from one solve;
+    ``lp_iterations`` is the pivot count of that solve and
     ``debias_passes`` the number of stepwise debias passes run (0 when the
-    stepwise step is skipped); both are None for estimators without an LP.
-    ``nmse_db`` is filled in by benchmarks that know the true channel.
+    stepwise step is skipped); all three are None for estimators without an
+    LP.
     """
 
     estimate: np.ndarray
@@ -44,73 +46,62 @@ class RecoveryResult:
     raw_estimate: np.ndarray | None = None
     lp_iterations: int | None = None
     debias_passes: int | None = None
-    nmse_db: float | None = None
 
 
 @dataclass(frozen=True)
 class DantzigConfig:
-    """Constraint level and debias policy for the l1 program.
+    """Constraint level and debias floor for the l1 program.
 
-    epsilon_rule "scaled" sets
-    ``epsilon = scale_c * sigma * sqrt(E * M) * sqrt(2 * ln(tap_count))``
-    with sigma^2 = ``noise_variance``; "explicit" uses `epsilon` as given.
+    A given `epsilon` is used as is.  Unset, it is scaled to the noise:
+    ``epsilon = sigma * sqrt(M) * sqrt(2 * ln(tap_count))`` with
+    sigma^2 = ``noise_variance`` (which must then be positive), the
+    deviation of one entry of the correlated noise ``X^H z`` times the
+    Gaussian sup-norm factor over the taps.
 
     Debias: taps whose raw magnitude clears
     ``max(magnitude_floor, 0.01 * largest)`` become candidates (at most
-    ``candidate_cap``, keeping the largest).  With ``noise_variance > 0``
+    `CANDIDATE_CAP`, keeping the largest).  With ``noise_variance > 0``
     the candidate set is then refined by stepwise least squares: a tap is
     pruned when removing it raises the residual energy by less than
-    ``selection_tau * noise_variance``, and a tap is added back from the
+    ``SELECTION_TAU * noise_variance``, and a tap is added back from the
     residual correlations when it lowers the residual energy by more than
     the same amount.  The final estimate is the least-squares refit on the
     surviving support.
 
-    Every float field must be finite, ``scale_c`` positive and
-    ``noise_variance`` nonnegative (``ValueError`` otherwise).
+    Every field must be finite, a given `epsilon` positive and the other two
+    nonnegative (``ValueError`` otherwise).
     """
 
     epsilon: float | None = None
-    epsilon_rule: str = "explicit"
-    scale_c: float = 1.0
     noise_variance: float = 0.0
-    debias: bool = True
     magnitude_floor: float = 0.0
-    candidate_cap: int = 12
-    selection_tau: float = 10.0
 
     def __post_init__(self):
-        for name in ("epsilon", "scale_c", "noise_variance", "magnitude_floor", "selection_tau"):
+        for name in ("epsilon", "noise_variance", "magnitude_floor"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.epsilon_rule not in ("explicit", "scaled"):
-            raise ValueError(f"unknown epsilon_rule {self.epsilon_rule!r}")
-        if self.epsilon_rule == "explicit":
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError("explicit rule requires epsilon > 0")
-        else:
-            if self.noise_variance <= 0:
-                raise ValueError("scaled rule requires noise_variance > 0")
-        if self.scale_c <= 0:
-            raise ValueError(f"scale_c must be positive, got {self.scale_c!r}")
+        if self.epsilon is not None and self.epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.noise_variance < 0:
             raise ValueError(
                 f"noise_variance must be nonnegative, got {self.noise_variance!r}"
             )
-        if self.magnitude_floor < 0 or self.selection_tau < 0:
-            raise ValueError("magnitude_floor and selection_tau must be nonnegative")
-        if self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be positive")
+        if self.epsilon is None and self.noise_variance == 0:
+            raise ValueError("an unset epsilon requires noise_variance > 0")
+        if self.magnitude_floor < 0:
+            raise ValueError(
+                f"magnitude_floor must be nonnegative, got {self.magnitude_floor!r}"
+            )
 
 
 def dantzig_epsilon(cfg: DantzigConfig, params: OfdmParams) -> float:
     """Resolve the constraint level for the given configuration."""
-    if cfg.epsilon_rule == "explicit":
+    if cfg.epsilon is not None:
         return float(cfg.epsilon)
     return float(
-        cfg.scale_c
-        * np.sqrt(cfg.noise_variance)
-        * np.sqrt(params.symbol_energy * params.pilot_count)
+        np.sqrt(cfg.noise_variance)
+        * np.sqrt(params.pilot_count)
         * np.sqrt(2.0 * np.log(params.tap_count))
     )
 
@@ -217,10 +208,10 @@ def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
 def dantzig_recover(
     y: np.ndarray, X: SensingMatrix, params: OfdmParams, cfg: DantzigConfig
 ) -> RecoveryResult:
-    """Solve the l1 residual-correlation program and optionally debias.
+    """Solve the l1 residual-correlation program and debias its solution.
 
-    Returns the raw program solution when ``cfg.debias`` is off; otherwise
-    the least-squares refit on the selected support (see `DantzigConfig`).
+    The estimate is the least-squares refit on the selected support (see
+    `DantzigConfig`); ``raw_estimate`` is the program solution.
     """
     _check_measurement(y, X)
     d = X.rows.shape[1]
@@ -240,19 +231,9 @@ def dantzig_recover(
         )
     raw = res.x[:d] + 1j * res.x[d:]
     support = threshold_support(raw, cfg.magnitude_floor)
-    if not cfg.debias:
-        return RecoveryResult(
-            estimate=raw,
-            recovered_support=support,
-            solver_status="optimal",
-            objective_value=res.objective,
-            raw_estimate=raw,
-            lp_iterations=res.iterations,
-            debias_passes=0,
-        )
-    if support.size > cfg.candidate_cap:
+    if support.size > CANDIDATE_CAP:
         mags = np.abs(raw)
-        support = np.sort(support[np.argsort(mags[support])[-cfg.candidate_cap :]])
+        support = np.sort(support[np.argsort(mags[support])[-CANDIDATE_CAP:]])
     passes = 0
     if cfg.noise_variance > 0:
         selected, passes = _stepwise_select(
@@ -260,8 +241,8 @@ def dantzig_recover(
             X.rows,
             params.symbol_energy,
             list(support),
-            cfg.candidate_cap,
-            cfg.selection_tau,
+            CANDIDATE_CAP,
+            SELECTION_TAU,
             cfg.noise_variance,
         )
         support = np.asarray(selected, dtype=int)
@@ -288,8 +269,11 @@ def omp_recover(
     Runs exactly `sparsity` iterations and is deterministic given its
     inputs (argmax ties resolve to the lowest index).
     """
-    if sparsity > X.rows.shape[0]:
-        raise ValueError("sparsity cannot exceed the number of measurements")
+    if not 0 <= sparsity <= X.rows.shape[0]:
+        raise ValueError(
+            f"sparsity must be between 0 and the {X.rows.shape[0]} measurements, "
+            f"got {sparsity!r}"
+        )
     _check_measurement(y, X)
     d = X.rows.shape[1]
     A = np.sqrt(params.symbol_energy) * X.rows

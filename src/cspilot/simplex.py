@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times (2p+m) pivots
+_TOL = 1e-9  # feasibility/optimality tolerance
 
 
 @dataclass
@@ -46,7 +47,7 @@ class LpResult:
     iterations: int
 
 
-def _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after):
+def _dual_simplex(W, cost, basis, p, max_iter, bland_after):
     """Dual simplex on the compact tableau; returns (status, iterations).
 
     ``W[0]`` is the right-hand side, ``W[1:p+1]`` the z+ columns and the
@@ -63,13 +64,13 @@ def _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after):
     it = 0
     while True:
         if it >= bland_after:
-            viol = np.flatnonzero(rhs < -tol)
+            viol = np.flatnonzero(rhs < -_TOL)
             if viol.size == 0:
                 return "optimal", it
             r = int(viol[np.argmin(basis[viol])])
         else:
             r = int(np.argmin(rhs))
-            if rhs[r] >= -tol:
+            if rhs[r] >= -_TOL:
                 return "optimal", it
         if it >= max_iter:
             return "iteration-limit", it
@@ -86,7 +87,7 @@ def _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after):
         row[:p] = entries[:p]
         np.negative(entries[:p], out=row[p : 2 * p])
         row[2 * p :] = entries[p:]
-        eligible = row < -tol
+        eligible = row < -_TOL
         if not eligible.any():
             # row reads sum(nonneg terms) = negative: no feasible point
             return "infeasible", it
@@ -114,7 +115,7 @@ def _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after):
         it += 1
 
 
-def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -> LpResult:
+def solve_lp(c, A_ub, b_ub, *, max_iter: int | None = None) -> LpResult:
     """Minimize ``sum_j c_j |z_j|`` subject to ``A_ub @ z <= b_ub``, z free.
 
     Parameters
@@ -122,8 +123,6 @@ def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -
     c, A_ub, b_ub : array_like
         Dense, finite problem data; `A_ub` is 2-D with shape (m, p) and
         every weight in `c` must be nonnegative.
-    tol : float
-        Feasibility/optimality tolerance.
     max_iter : int, optional
         Pivot cap; defaults to ``50 * (2p + m)``.
 
@@ -161,7 +160,7 @@ def solve_lp(c, A_ub, b_ub, *, tol: float = 1e-9, max_iter: int | None = None) -
     cost[:p] = c
     cost[p : 2 * p] = c
     basis = np.arange(2 * p, 2 * p + m)
-    status, it = _dual_simplex(W, cost, basis, p, tol, max_iter, bland_after)
+    status, it = _dual_simplex(W, cost, basis, p, max_iter, bland_after)
     if status != "optimal":
         return LpResult(x=None, objective=None, status=status, iterations=it)
     x = np.zeros(2 * p + m)

@@ -43,6 +43,7 @@ from cspilot.recovery import (
     fde_ls_recover,
     nmse,
     omp_recover,
+    threshold_support,
 )
 from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
@@ -141,7 +142,7 @@ def test_criterion_4_sparse_recovery_benchmarks():
     # noiseless: 25 taps, low-coherence tones, 500 frozen trials
     p25 = default_params(tap_count=25)
     X25 = build_sensing_matrix(DESIGNED_TONES_25, p25)
-    cfg_nl = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit", debias=False)
+    cfg_nl = DantzigConfig(epsilon=1e-6)
     omp_hits = agree = 0
     for t in range(500):
         rng = np.random.default_rng([2024, 41, t])
@@ -150,16 +151,14 @@ def test_criterion_4_sparse_recovery_benchmarks():
         o = omp_recover(y, X25, p25, p25.sparsity)
         d = dantzig_recover(y, X25, p25, cfg_nl)
         omp_hits += int(np.array_equal(o.recovered_support, h.support))
-        agree += int(np.array_equal(np.sort(d.recovered_support), o.recovered_support))
+        agree += int(np.array_equal(threshold_support(d.raw_estimate), o.recovered_support))
 
     # 20 dB per-tone SNR: 100 taps, scaled residual bound, stepwise debias
     p100 = default_params()
     X100 = build_sensing_matrix(DESIGNED_TONES_100, p100)
     comb = build_sensing_matrix(comb_tone_set(p100), p100)
     nv = 0.01
-    cfg_db = DantzigConfig(
-        epsilon_rule="scaled", noise_variance=nv, debias=True, magnitude_floor=0.01
-    )
+    cfg_db = DantzigConfig(noise_variance=nv, magnitude_floor=0.01)
     hits = 0
     nm_cs = []
     nm_fde = []

@@ -14,6 +14,8 @@ from cspilot.channel import (
     synthesize_measurement,
 )
 from cspilot.recovery import (
+    CANDIDATE_CAP,
+    SELECTION_TAU,
     DantzigConfig,
     _embed_lp,
     _ls_refit,
@@ -39,40 +41,34 @@ def _single_tap_channel(params, delay=0, gain=1.0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DantzigConfig(epsilon_rule="explicit")  # missing epsilon
-    with pytest.raises(ValueError):
-        DantzigConfig(epsilon=-1.0, epsilon_rule="explicit")
-    with pytest.raises(ValueError):
-        DantzigConfig(epsilon_rule="scaled")  # missing noise variance
-    with pytest.raises(ValueError):
-        DantzigConfig(epsilon=1.0, epsilon_rule="banana")
-    with pytest.raises(ValueError):
-        DantzigConfig(epsilon=1.0, candidate_cap=0)
-    for scale_c in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="scale_c"):
-            DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, scale_c=scale_c)
+    with pytest.raises(ValueError, match="noise_variance > 0"):
+        DantzigConfig()  # neither epsilon nor a noise variance to scale it to
+    for eps in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            DantzigConfig(epsilon=eps)
     with pytest.raises(ValueError, match="noise_variance"):
-        DantzigConfig(epsilon=1.0, epsilon_rule="explicit", noise_variance=-1.0)
+        DantzigConfig(epsilon=1.0, noise_variance=-1.0)
+    with pytest.raises(ValueError, match="noise_variance"):
+        DantzigConfig(noise_variance=-1.0)
+    with pytest.raises(ValueError, match="magnitude_floor"):
+        DantzigConfig(epsilon=1.0, magnitude_floor=-0.01)
+    DantzigConfig(epsilon=1.0)
+    DantzigConfig(noise_variance=0.01)
+    DantzigConfig(epsilon=1.0, noise_variance=0.01, magnitude_floor=0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    field=st.sampled_from(
-        ["epsilon", "scale_c", "noise_variance", "magnitude_floor", "selection_tau"]
-    ),
+    field=st.sampled_from(["epsilon", "noise_variance", "magnitude_floor"]),
     bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-    rule=st.sampled_from(["explicit", "scaled"]),
+    scaled=st.booleans(),
     good=st.floats(min_value=1e-6, max_value=1e6),
 )
-def test_config_rejects_non_finite_fields(field, bad, rule, good):
+def test_config_rejects_non_finite_fields(field, bad, scaled, good):
     fields = dict(
-        epsilon=good,
-        epsilon_rule=rule,
-        scale_c=good,
+        epsilon=None if scaled else good,
         noise_variance=good,
         magnitude_floor=good,
-        selection_tau=good,
     )
     DantzigConfig(**fields)
     fields[field] = bad
@@ -82,13 +78,31 @@ def test_config_rejects_non_finite_fields(field, bad, rule, good):
 
 def test_scaled_epsilon_rule():
     p = default_params()
-    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01)
-    # sigma sqrt(E M) sqrt(2 ln D) = 0.1 * sqrt(20) * sqrt(2 ln 100)
+    cfg = DantzigConfig(noise_variance=0.01)
+    # sigma sqrt(M) sqrt(2 ln D) = 0.1 * sqrt(20) * sqrt(2 ln 100)
     assert dantzig_epsilon(cfg, p) == pytest.approx(1.3572280848830225, abs=1e-12)
-    double = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, scale_c=2.0)
-    assert dantzig_epsilon(double, p) == pytest.approx(2 * 1.3572280848830225, rel=1e-12)
-    explicit = DantzigConfig(epsilon=0.5, epsilon_rule="explicit")
+    # the correlated noise X^H z does not scale with the pilot energy
+    loud = default_params(symbol_energy=100.0)
+    assert dantzig_epsilon(cfg, loud) == dantzig_epsilon(cfg, p)
+    explicit = DantzigConfig(epsilon=0.5, noise_variance=0.01)
     assert dantzig_epsilon(explicit, p) == 0.5
+
+
+@pytest.mark.parametrize("energy, noise_var", [(100.0, 1.0), (0.25, 0.0025)])
+def test_raw_estimate_invariant_to_pilot_energy_at_fixed_snr(energy, noise_var):
+    # y scales by sqrt(E) at a fixed per-tone SNR, and so must the scaled
+    # constraint level, or the program solves a looser or tighter problem
+    for t in range(40):
+        raws = []
+        for e, nv in ((1.0, 0.01), (energy, noise_var)):
+            p = default_params(symbol_energy=e)
+            rng = np.random.default_rng([2024, 42, t])
+            h = sample_channel(p, rng)
+            X = build_sensing_matrix(DESIGNED_TONES_100, p)
+            y = synthesize_measurement(X, h, p, nv, rng)
+            cfg = DantzigConfig(noise_variance=nv, magnitude_floor=0.01)
+            raws.append(dantzig_recover(y, X, p, cfg).raw_estimate)
+        assert np.max(np.abs(raws[1] - raws[0])) <= 1e-9
 
 
 def test_dantzig_single_tap_noiseless(rng):
@@ -96,7 +110,7 @@ def test_dantzig_single_tap_noiseless(rng):
     h = _single_tap_channel(p, delay=0, gain=1.0)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     y = synthesize_measurement(X, h, p, 0.0, rng)
-    res = dantzig_recover(y, X, p, DantzigConfig(epsilon=1e-9, epsilon_rule="explicit"))
+    res = dantzig_recover(y, X, p, DantzigConfig(epsilon=1e-9))
     assert res.solver_status == "optimal"
     assert np.array_equal(res.recovered_support, [0])
     assert abs(res.estimate[0] - 1.0) < 1e-6
@@ -107,7 +121,7 @@ def test_dantzig_zero_measurement(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     res = dantzig_recover(
-        np.zeros(20, dtype=complex), X, p, DantzigConfig(epsilon=0.1, epsilon_rule="explicit")
+        np.zeros(20, dtype=complex), X, p, DantzigConfig(epsilon=0.1)
     )
     assert res.objective_value == pytest.approx(0.0, abs=1e-12)
     assert np.all(res.estimate == 0)
@@ -117,14 +131,14 @@ def test_dantzig_zero_measurement(rng):
 def test_dantzig_epsilon_constraint_satisfied(rng):
     # raw program output must respect the per-component residual bound
     p = default_params()
-    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, debias=False)
+    cfg = DantzigConfig(noise_variance=0.01)
     for _ in range(5):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(select_pilot_tones(p, rng), p)
         y = synthesize_measurement(X, h, p, 0.01, rng)
         res = dantzig_recover(y, X, p, cfg)
         assert res.solver_status == "optimal"
-        corr = X.rows.conj().T @ (y - np.sqrt(p.symbol_energy) * X.rows @ res.estimate)
+        corr = X.rows.conj().T @ (y - np.sqrt(p.symbol_energy) * X.rows @ res.raw_estimate)
         bound = dantzig_epsilon(cfg, p) / np.sqrt(2.0)
         assert np.max(np.abs(corr.real)) <= bound + 1e-7
         assert np.max(np.abs(corr.imag)) <= bound + 1e-7
@@ -141,9 +155,7 @@ def test_dantzig_truth_feasible_objective_bound(rng):
         y = synthesize_measurement(X, h, p, noise_var, rng)
         z_corr = X.rows.conj().T @ (y - np.sqrt(p.symbol_energy) * X.rows @ h.taps)
         eps = np.sqrt(2.0) * float(np.max(np.abs(z_corr)))
-        res = dantzig_recover(
-            y, X, p, DantzigConfig(epsilon=eps, epsilon_rule="explicit", debias=False)
-        )
+        res = dantzig_recover(y, X, p, DantzigConfig(epsilon=eps))
         assert res.solver_status == "optimal"
         truth_l1 = float(np.abs(h.taps.real).sum() + np.abs(h.taps.imag).sum())
         assert res.objective_value <= truth_l1 + 1e-7
@@ -153,9 +165,7 @@ def test_debias_refit_never_raises_residual(rng):
     # on the support it selects from the raw solution, the LS refit is the
     # residual minimizer, so it cannot do worse than the truncated raw taps
     p = default_params()
-    cfg = DantzigConfig(
-        epsilon_rule="scaled", noise_variance=0.01, debias=True, magnitude_floor=0.01
-    )
+    cfg = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
     A = np.sqrt(p.symbol_energy) * X.rows
     improved = 0
@@ -183,7 +193,7 @@ def test_lp_iterations_reported(rng):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     h = sample_channel(p, rng)
     y = synthesize_measurement(X, h, p, 0.01, rng)
-    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01)
+    cfg = DantzigConfig(noise_variance=0.01)
     c, A, b = _embed_lp(y, X, p.symbol_energy, dantzig_epsilon(cfg, p))
     res = dantzig_recover(y, X, p, cfg)
     assert res.lp_iterations == solve_lp(c, A, b).iterations > 0
@@ -195,11 +205,9 @@ def test_debias_passes_reported(rng):
     h = sample_channel(p, rng)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
     y = synthesize_measurement(X, h, p, 0.01, rng)
-    noisy = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, magnitude_floor=0.01)
+    noisy = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     assert dantzig_recover(y, X, p, noisy).debias_passes >= 1
-    off = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, debias=False)
-    assert dantzig_recover(y, X, p, off).debias_passes == 0
-    noiseless = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit")
+    noiseless = DantzigConfig(epsilon=1e-6)
     assert dantzig_recover(y, X, p, noiseless).debias_passes == 0
     assert omp_recover(y, X, p, p.sparsity).debias_passes is None
     comb = build_sensing_matrix(comb_tone_set(p), p)
@@ -212,9 +220,7 @@ def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
     params = default_params(tap_count=tap_count)
     for snr_db in snr_dbs:
         noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
-        cfg = DantzigConfig(
-            epsilon_rule="scaled", noise_variance=noise_var, magnitude_floor=0.01
-        )
+        cfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)
@@ -240,16 +246,16 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
     for y, X, p, cfg in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
         res = dantzig_recover(y, X, p, cfg)
         candidates = threshold_support(res.raw_estimate, cfg.magnitude_floor)
-        if candidates.size > cfg.candidate_cap:
+        if candidates.size > CANDIDATE_CAP:
             mags = np.abs(res.raw_estimate[candidates])
-            candidates = np.sort(candidates[np.argsort(mags)[-cfg.candidate_cap :]])
+            candidates = np.sort(candidates[np.argsort(mags)[-CANDIDATE_CAP:]])
         want = stepwise_select_lstsq(
             y,
             X.rows,
             p.symbol_energy,
             list(candidates),
-            cfg.candidate_cap,
-            cfg.selection_tau,
+            CANDIDATE_CAP,
+            SELECTION_TAU,
             cfg.noise_variance,
         )
         assert res.recovered_support.tolist() == want
@@ -277,20 +283,6 @@ def test_stepwise_select_prunes_dependent_columns(rng):
     y = synthesize_measurement(X, h, p, 1.0, rng)
     support, _ = _stepwise_select(y, X.rows, p.symbol_energy, list(range(30)), 40, 0.01, 1.0)
     assert len(support) <= X.rows.shape[0]
-
-
-def test_raw_estimate_matches_debias_off(rng):
-    p = default_params()
-    h = sample_channel(p, rng)
-    X = build_sensing_matrix(DESIGNED_TONES_100, p)
-    y = synthesize_measurement(X, h, p, 0.01, rng)
-    on = dantzig_recover(
-        y, X, p, DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, debias=True)
-    )
-    off = dantzig_recover(
-        y, X, p, DantzigConfig(epsilon_rule="scaled", noise_variance=0.01, debias=False)
-    )
-    assert np.array_equal(on.raw_estimate, off.estimate)
 
 
 def test_omp_noiseless_exact(rng):
@@ -328,8 +320,9 @@ def test_omp_deterministic(rng):
 def test_omp_sparsity_cap(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    with pytest.raises(ValueError):
-        omp_recover(np.zeros(20, dtype=complex), X, p, 21)
+    for sparsity in (21, -1, -3):
+        with pytest.raises(ValueError, match="sparsity"):
+            omp_recover(np.zeros(20, dtype=complex), X, p, sparsity)
 
 
 def test_fde_noiseless_exact_dense(rng):
@@ -371,7 +364,7 @@ def test_estimators_reject_non_finite_measurement(rng, bad):
     comb = build_sensing_matrix(comb_tone_set(p), p)
     y, yf = np.ones(20, dtype=complex), np.ones(100, dtype=complex)
     y[3] = yf[3] = bad
-    cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=0.01)
+    cfg = DantzigConfig(noise_variance=0.01)
     with pytest.raises(ValueError, match="measurement"):
         dantzig_recover(y, X, p, cfg)
     with pytest.raises(ValueError, match="measurement"):
@@ -381,17 +374,10 @@ def test_estimators_reject_non_finite_measurement(rng, bad):
 
 
 def test_fde_comparable_at_20db(rng):
-    # unit noise with the pilot energy raised to keep 20 dB per tone; the
-    # explicit constraint level is the scaled rule made SNR-covariant
+    # unit noise with the pilot energy raised to keep 20 dB per tone
     p = default_params(symbol_energy=100.0)
     comb = build_sensing_matrix(comb_tone_set(p), p)
-    cfg = DantzigConfig(
-        epsilon=13.572280848830225,
-        epsilon_rule="explicit",
-        noise_variance=1.0,
-        debias=True,
-        magnitude_floor=0.01,
-    )
+    cfg = DantzigConfig(noise_variance=1.0, magnitude_floor=0.01)
     cs, fde = [], []
     for _ in range(100):
         h = sample_channel(p, rng)

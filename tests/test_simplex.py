@@ -184,10 +184,10 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
     for snr_db in _SNR_DBS:
         if np.isinf(snr_db):
             noise_var = 0.0
-            cfg = DantzigConfig(epsilon=1e-6, epsilon_rule="explicit")
+            cfg = DantzigConfig(epsilon=1e-6)
         else:
             noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
-            cfg = DantzigConfig(epsilon_rule="scaled", noise_variance=noise_var)
+            cfg = DantzigConfig(noise_variance=noise_var)
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)

@@ -1,0 +1,24 @@
+import numpy as np
+import pytest
+
+from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100, mutual_coherence
+
+
+@pytest.mark.parametrize(
+    "tones, tap_count, mu",
+    [(DESIGNED_TONES_25, 25, 0.1618), (DESIGNED_TONES_100, 100, 0.3043)],
+    ids=["25-taps", "100-taps"],
+)
+def test_designed_sets_have_stated_coherence(tones, tap_count, mu):
+    assert tones.size == 20
+    assert np.unique(tones).size == 20
+    assert mutual_coherence(tones, tap_count, 1000) == pytest.approx(mu, abs=5e-5)
+
+
+def test_mutual_coherence_matches_gram_matrix(rng):
+    # the lag sum equals the largest off-diagonal entry of the normalized Gram
+    tones = np.sort(rng.choice(1000, size=20, replace=False))
+    cols = np.exp(-2j * np.pi * np.outer(tones, np.arange(25)) / 1000)
+    gram = np.abs(cols.conj().T @ cols) / tones.size
+    np.fill_diagonal(gram, 0.0)
+    assert mutual_coherence(tones, 25, 1000) == pytest.approx(gram.max(), rel=1e-12)

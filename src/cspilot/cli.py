@@ -7,20 +7,31 @@ Config files are flat ``key=value`` lines (``#`` comments allowed);
 ``--set`` overrides win over the file, which wins over defaults.  Unknown
 keys are rejected.  Output is RFC-4180-style CSV (UTF-8, LF) preceded by
 ``#``-prefixed provenance lines: tool version, seed, and a SHA-256 digest
-of the resolved configuration.  Randomness is derived per work item from
-``(seed, experiment tag, item index)``, so output bytes are identical for
-any ``--workers`` value.
+of the resolved configuration.
+
+Randomness is derived per grid point from ``(seed, experiment tag, item
+index)``, and per recover-bench trial from ``(seed, tag, SNR index, trial
+index)``.  recover-bench splits each SNR into chunks of trials, each chunk
+returns its per-trial NMSE and support hits, and the means add them in
+trial order.  ``--workers N`` runs the work items on N forked processes;
+``main`` runs every experiment with one BLAS thread and restores the count
+it found.  Output bytes are therefore identical for any ``--workers`` value
+and any BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import hashlib
 import math
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +66,11 @@ _TAG_NETSIM = 4
 # with g*P = 0 the two hypotheses coincide and no threshold is better than
 # any other; the sweep pins this arbitrary value so rows stay well defined
 _GP_ZERO_THRESHOLD = 1.5
+
+# trials per recover-bench work item: small enough that the slow noiseless
+# SNR spreads over the workers, large enough that a trial's cost dwarfs the
+# cost of shipping the item
+_TRIAL_CHUNK = 10
 
 _DESIGNED = {
     (1000, 25, 20): DESIGNED_TONES_25,
@@ -123,25 +139,26 @@ def _run_fig3(cfg, seed, workers):
     return ["k_g", "p_out", "rho_fq", "rho_ag_fq", "rho_cs", "rho_ag_cs"], rows, 0
 
 
+def _detect_point(item):
+    seed, trials, index, m, gp = item
+    rng = np.random.default_rng([seed, _TAG_DETECT, index])
+    if gp > 0:
+        threshold = optimal_threshold(DetectionConfig(antenna_count=m, pathloss_power=gp))
+    else:
+        threshold = _GP_ZERO_THRESHOLD
+    config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=threshold)
+    pe = error_probability_mc(config, trials, rng)
+    stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
+    return [m, gp, threshold, pe, stderr]
+
+
 def _run_detect_sweep(cfg, seed, workers):
     antenna_counts = _ints(cfg["antenna_counts"])
     powers = _floats(cfg["pathloss_powers"])
     trials = int(cfg["trials"])
     grid = [(m, gp) for m in antenna_counts for gp in powers]
-
-    def work(item):
-        index, (m, gp) = item
-        rng = np.random.default_rng([seed, _TAG_DETECT, index])
-        if gp > 0:
-            threshold = optimal_threshold(DetectionConfig(antenna_count=m, pathloss_power=gp))
-        else:
-            threshold = _GP_ZERO_THRESHOLD
-        config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=threshold)
-        pe = error_probability_mc(config, trials, rng)
-        stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
-        return [m, gp, threshold, pe, stderr]
-
-    rows = _fan_out(work, list(enumerate(grid)), workers)
+    items = [(seed, trials, index, m, gp) for index, (m, gp) in enumerate(grid)]
+    rows = _fan_out(_detect_point, items, workers)
     return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
 
 
@@ -170,6 +187,43 @@ def _noise_variance(symbol_energy: float, snr_db: float) -> float:
     return noise_var
 
 
+# the order in which _recover_chunk lists each trial's outcomes
+_RECOVER_METHODS = ("dantzig", "dantzig+debias", "omp", "fde_ls")
+
+
+def _recover_chunk(item):
+    """Per-trial ``(nmse, hit)`` of every method, for trials ``t0 <= t < t1`` at one SNR."""
+    seed, params, policy, si, noise_var, t0, t1 = item
+    if noise_var == 0.0:
+        dcfg = DantzigConfig(epsilon=1e-6)
+    else:
+        dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
+    comb = build_sensing_matrix(comb_tone_set(params), params)
+    trials = []
+    for t in range(t0, t1):
+        rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
+        h = sample_channel(params, rng)
+        X = build_sensing_matrix(_bench_tones(params, policy, rng), params)
+        y = synthesize_measurement(X, h, params, noise_var, rng)
+        res = dantzig_recover(y, X, params, dcfg)
+        raw = res.raw_estimate
+        raw_support = threshold_support(raw, dcfg.magnitude_floor)
+        omp_res = omp_recover(y, X, params, params.sparsity)
+        y_full = synthesize_measurement(comb, h, params, noise_var, rng)
+        fde_res = fde_ls_recover(y_full, comb, params)
+        outcomes = [
+            (raw, raw_support),
+            (res.estimate, res.recovered_support),
+            (omp_res.estimate, omp_res.recovered_support),
+            (fde_res.estimate, fde_res.recovered_support),
+        ]
+        trials.append([
+            (nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support)))
+            for estimate, support in outcomes
+        ])
+    return trials
+
+
 def _run_recover_bench(cfg, seed, workers):
     params = _ofdm_from(cfg)
     trials = int(cfg["trials"])
@@ -180,46 +234,26 @@ def _run_recover_bench(cfg, seed, workers):
         raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
     snrs = [float(v) for v in cfg["snr_dbs"].split(",") if v.strip()]
     noise_vars = [_noise_variance(params.symbol_energy, snr_db) for snr_db in snrs]
-    comb = build_sensing_matrix(comb_tone_set(params), params)
-    methods = ["dantzig", "dantzig+debias", "omp", "fde_ls"]
-
-    def work(item):
-        si, snr_db = item
-        noise_var = noise_vars[si]
-        if noise_var == 0.0:
-            dcfg = DantzigConfig(epsilon=1e-6)
-        else:
-            dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
-        sums = {m: 0.0 for m in methods}
-        hits = {m: 0 for m in methods}
-        for t in range(trials):
-            rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
-            h = sample_channel(params, rng)
-            X = build_sensing_matrix(_bench_tones(params, policy, rng), params)
-            y = synthesize_measurement(X, h, params, noise_var, rng)
-            res = dantzig_recover(y, X, params, dcfg)
-            raw = res.raw_estimate
-            raw_support = threshold_support(raw, dcfg.magnitude_floor)
-            omp_res = omp_recover(y, X, params, params.sparsity)
-            y_full = synthesize_measurement(comb, h, params, noise_var, rng)
-            fde_res = fde_ls_recover(y_full, comb, params)
-            outcomes = {
-                "dantzig": (raw, raw_support),
-                "dantzig+debias": (res.estimate, res.recovered_support),
-                "omp": (omp_res.estimate, omp_res.recovered_support),
-                "fde_ls": (fde_res.estimate, fde_res.recovered_support),
-            }
-            for name, (estimate, support) in outcomes.items():
-                sums[name] += nmse(h.taps, estimate)
-                hits[name] += int(np.array_equal(np.sort(support), h.support))
-        rows = []
-        for name in methods:
+    items = [
+        (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
+        for si, noise_var in enumerate(noise_vars)
+        for t0 in range(0, trials, _TRIAL_CHUNK)
+    ]
+    chunks = _fan_out(_recover_chunk, items, workers)
+    per_trial = [trial for chunk in chunks for trial in chunk]
+    rows = []
+    for si, snr_db in enumerate(snrs):
+        outcomes = per_trial[si * trials : (si + 1) * trials]
+        for mi, name in enumerate(_RECOVER_METHODS):
+            # add in t order, one float at a time, so the mean is the same
+            # for every chunking (sum() compensates from Python 3.12 on)
+            total, hits = 0.0, 0
+            for trial in outcomes:
+                value, hit = trial[mi]
+                total += value
+                hits += hit
             used = params.tap_count if name == "fde_ls" else params.pilot_count
-            rows.append([snr_db, name, sums[name] / trials, hits[name] / trials, used])
-        return rows
-
-    per_snr = _fan_out(work, list(enumerate(snrs)), workers)
-    rows = [row for group in per_snr for row in group]
+            rows.append([snr_db, name, total / trials, hits / trials, used])
     return (
         ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"],
         rows,
@@ -268,21 +302,22 @@ def _run_codebook_verify(cfg, seed, workers):
     return ["check", "cases", "failures"], rows, failures
 
 
+def _netsim_point(item):
+    seed, trials, index, n, k, a = item
+    model = NetworkModel(cell_count=n, coverage_prob=a, group_size=k)
+    rng = np.random.default_rng([seed, _TAG_NETSIM, index])
+    estimate, stderr = collision_probability_mc(model, trials, rng)
+    return [n, k, a, trials, collision_probability(model), estimate, stderr]
+
+
 def _run_netsim(cfg, seed, workers):
     cells = _ints(cfg["cells"])
     group_sizes = _ints(cfg["group_sizes"])
     alphas = _floats(cfg["alphas"])
     trials = int(cfg["trials"])
     grid = [(n, k, a) for n in cells for k in group_sizes for a in alphas]
-
-    def work(item):
-        index, (n, k, a) = item
-        model = NetworkModel(cell_count=n, coverage_prob=a, group_size=k)
-        rng = np.random.default_rng([seed, _TAG_NETSIM, index])
-        estimate, stderr = collision_probability_mc(model, trials, rng)
-        return [n, k, a, trials, collision_probability(model), estimate, stderr]
-
-    rows = _fan_out(work, list(enumerate(grid)), workers)
+    items = [(seed, trials, index, *point) for index, point in enumerate(grid)]
+    rows = _fan_out(_netsim_point, items, workers)
     return (
         ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"],
         rows,
@@ -291,9 +326,18 @@ def _run_netsim(cfg, seed, workers):
 
 
 def _fan_out(work, items, workers):
-    if workers <= 1 or len(items) <= 1:
+    """``[work(item) for item in items]``, on up to `workers` forked processes.
+
+    `work` is a module-level function and each item and result pickles.  The
+    pool is shut down, and its children joined, before this returns.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # fork by name: the children inherit the loaded modules and the one BLAS
+    # thread set in main, and Python 3.14 makes another method the default
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(work, items))
 
 
@@ -390,6 +434,42 @@ def _write_csv(path, experiment, seed, config, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _openblas_threads():
+    """Getter and setter of the OpenBLAS thread count bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(str(paths[0]))  # the copy numpy already loaded
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put = lib.scipy_openblas_set_num_threads64_
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one BLAS thread, then restore the count it found.
+
+    The matrices here are small, so BLAS threads cost CPU without saving
+    time, and LAPACK rounds differently with another thread count; one
+    thread keeps the CSV bytes the same on every machine.  Without the
+    bundled OpenBLAS this does nothing.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cspilot",
@@ -418,7 +498,8 @@ def main(argv=None) -> int:
 
     runner = EXPERIMENTS[args.experiment].runner
     try:
-        header, rows, failures = runner(config, args.seed, max(1, args.workers))
+        with _one_blas_thread():
+            header, rows, failures = runner(config, args.seed, max(1, args.workers))
     except (ConfigError, ValueError) as exc:
         # covers malformed numeric values and capacity-exceeded codebooks
         print(f"cspilot: config error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ gain; Monte-Carlo placement cross-validates them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +72,15 @@ def collision_probability(model: NetworkModel) -> float:
 def optimal_group_size(model: NetworkModel) -> int:
     """Integer group size maximizing the expected singleton count.
 
-    Scans K_G from 1 to ceil(10 N / alpha), which safely brackets the peak
-    near N / alpha.  Exact ties resolve to the larger group size.
+    ``k (1 - q)^(k-1)`` with ``q = alpha / N`` peaks at ``x = -1 / ln(1 - q)``,
+    so the best integer is ``f = floor(x)`` or ``f + 1``; the ratio of their
+    values is ``(f + 1)(1 - q) / f``.  Ties resolve to the larger size.
     """
-    a, n = model.coverage_prob, model.cell_count
-    upper = int(np.ceil(10.0 * n / a))
-    sizes = np.arange(1, upper + 1, dtype=float)
-    values = a * sizes * (1.0 - a / n) ** (sizes - 1.0)
-    best = 0
-    for k in range(1, len(values)):
-        if values[k] >= values[best]:
-            best = k
-    return int(sizes[best])
+    q = model.coverage_prob / model.cell_count
+    if q == 1.0:  # one cell, full coverage: any second member collides
+        return 1
+    f = math.floor(-1.0 / math.log1p(-q))
+    return f + 1 if (f + 1) * (1.0 - q) >= f else f
 
 
 @dataclass(frozen=True)

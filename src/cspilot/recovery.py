@@ -121,7 +121,15 @@ def _embed_lp(y, X: SensingMatrix, energy: float, eps: float):
 
 
 def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Indices whose magnitude clears ``max(floor, 0.01 * largest)``."""
+    """Indices whose magnitude clears ``max(floor, 0.01 * largest)``.
+
+    Raises ValueError for a non-finite or negative `floor` and for a
+    non-finite entry of `estimate`, which no threshold can rank.
+    """
+    if not (math.isfinite(floor) and floor >= 0):
+        raise ValueError("floor must be finite and non-negative")
+    if not np.all(np.isfinite(estimate)):
+        raise ValueError("estimate must be finite")
     mags = np.abs(estimate)
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
@@ -339,7 +347,13 @@ def fde_ls_recover(
 
 
 def nmse(true_h: np.ndarray, estimate: np.ndarray, floor_db: float = NMSE_FLOOR_DB) -> float:
-    """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `floor_db`."""
+    """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `floor_db`.
+
+    Raises ValueError when either argument holds a non-finite entry, so a
+    broken estimate is never scored as a number.
+    """
+    if not (np.all(np.isfinite(true_h)) and np.all(np.isfinite(estimate))):
+        raise ValueError("true channel and estimate must be finite")
     signal = float(np.sum(np.abs(true_h) ** 2))
     if signal == 0.0:
         raise ValueError("true channel has zero norm")

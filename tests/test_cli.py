@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -224,6 +225,75 @@ def test_workers_do_not_change_output(tmp_path):
     _, c = run(tmp_path, "c.csv", "recover-bench", *RECOVER_TINY)
     _, d = run(tmp_path, "d.csv", "recover-bench", "--workers", "2", *RECOVER_TINY)
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
+    # several chunks with a short last one; the per-trial values are summed
+    # in trial order, so neither the chunk size nor the worker count moves a byte
+    args = [
+        "--set", f"trials={2 * cli._TRIAL_CHUNK + 3}",
+        "--set", "snr_dbs=10,inf",
+        "--set", "tap_count=25",
+    ]
+    _, first = run(tmp_path, "w1.csv", "recover-bench", *args)
+    for workers in ("2", "3"):
+        _, out = run(tmp_path, f"w{workers}.csv", "recover-bench", "--workers", workers, *args)
+        assert out.read_bytes() == first.read_bytes()
+        assert not multiprocessing.active_children()  # the pool was joined in main
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
+        _, out = run(tmp_path, f"c{chunk}.csv", "recover-bench", "--workers", "2", *args)
+        assert out.read_bytes() == first.read_bytes()
+
+
+def test_blas_threads_do_not_change_output(tmp_path):
+    # fde_ls rounds its 100x100 least squares differently under two BLAS
+    # threads; main pins one, in its own process and in the workers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    args = ["recover-bench", "--seed", "1", "--set", "trials=5", "--set", "snr_dbs=10,20"]
+    outputs = []
+    for threads, workers in (("1", "1"), ("2", "1"), ("2", "2")):
+        out = tmp_path / f"b{threads}w{workers}.csv"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "cspilot.cli", *args, "--workers", workers, "--out", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    get, put = threads
+    seen = []
+    real_sample = cli.sample_channel
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_channel", spy)
+    original = get()
+    put(2)
+    try:
+        code, _ = run(tmp_path, "ok.csv", "recover-bench", *RECOVER_TINY)
+        assert code == 0
+        assert get() == 2
+
+        def broken(*args, **kwargs):
+            seen.append(get())
+            raise ValueError("broken channel")
+
+        monkeypatch.setattr(cli, "sample_channel", broken)
+        code, _ = run(tmp_path, "bad.csv", "recover-bench", *RECOVER_TINY)
+        assert code == 2
+        assert get() == 2
+    finally:
+        put(original)
+    assert seen and set(seen) == {1}
 
 
 def test_seed_changes_monte_carlo_output(tmp_path):

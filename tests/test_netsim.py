@@ -87,6 +87,34 @@ def test_optimal_group_size_values():
     assert optimal_group_size(model(n=1, alpha=1.0, kg=1)) == 1
 
 
+def scan_group_size(n, alpha):
+    """The scan the closed form replaced: sizes 1..ceil(10 N / alpha), ties to the larger."""
+    sizes = np.arange(1, int(np.ceil(10.0 * n / alpha)) + 1, dtype=float)
+    values = alpha * sizes * (1.0 - alpha / n) ** (sizes - 1.0)
+    best = 0
+    for k in range(1, len(values)):
+        if values[k] >= values[best]:
+            best = k
+    return int(sizes[best])
+
+
+def test_optimal_group_size_matches_scan():
+    for n in (1, 2, 3, 4, 7, 16, 64, 100, 257):
+        for alpha in (0.01, 0.05, 0.1, 0.3, 0.5, 0.6321, 0.7, 0.9, 0.99, 1.0):
+            closed = optimal_group_size(model(n=n, alpha=alpha, kg=1))
+            scanned = scan_group_size(n, alpha)
+            if closed == scanned:
+                continue
+            # the scan breaks exact ties by rounding; the closed form must
+            # return the larger of two sizes of equal value
+            value = lambda k: expected_singletons(model(n=n, alpha=alpha, kg=k))
+            assert abs(value(closed) - value(scanned)) <= 1e-12 * value(scanned)
+            assert closed == max(closed, scanned)
+    # 1 - alpha/N = 319/320 and 63/64: sizes 319/320 and 63/64 tie
+    assert optimal_group_size(model(n=16, alpha=0.05, kg=1)) == 320
+    assert optimal_group_size(model(n=64, alpha=1.0, kg=1)) == 64
+
+
 def test_expected_singletons_unimodal_in_group_size():
     vals = [expected_singletons(model(kg=k)) for k in range(1, 161)]
     peak = int(np.argmax(vals))

@@ -399,8 +399,32 @@ def test_nmse_values():
         nmse(np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_nmse_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        nmse(np.ones(3), np.array([bad, 0, 0]))
+    with pytest.raises(ValueError):
+        nmse(np.array([bad, 1, 1]), np.zeros(3))
+
+
 def test_threshold_support_rule():
     est = np.array([1.0, 0.02, 0.005, 0.0])
     assert np.array_equal(threshold_support(est), [0, 1])  # 1% of max
     assert np.array_equal(threshold_support(est, floor=0.05), [0])
     assert threshold_support(np.zeros(4)).size == 0
+
+
+@pytest.mark.parametrize(
+    "estimate, floor",
+    [
+        ([1.0, 0.5], np.nan),
+        ([1.0, 0.5], np.inf),
+        ([1.0, 0.5], -1.0),
+        ([np.nan, 0.5], 0.0),
+        ([np.inf, 0.5], 0.0),
+        ([1.0, complex(np.nan, 0.0)], 0.01),
+    ],
+)
+def test_threshold_support_rejects_bad_input(estimate, floor):
+    with pytest.raises(ValueError):
+        threshold_support(np.array(estimate), floor)

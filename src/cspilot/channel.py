@@ -10,7 +10,7 @@ noisy measurements ``y = sqrt(E) X h + z``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,40 @@ class SparseChannel:
             raise ValueError("support must be exactly the nonzero tap indices")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensingMatrix:
     """Partial-DFT pilot observation matrix.
 
     ``rows[m, d] = exp(-2j*pi*n_m*d / WT)`` for the m-th selected tone n_m and
     delay column d; every entry has unit magnitude.
+
+    `rows` is kept as a read-only complex copy, so an operator derived from
+    it and stored by `cached` (the Dantzig LP's constraint block, the dense
+    LS pseudo-inverse) stays valid for the life of the matrix.
     """
 
     rows: np.ndarray
     tone_set: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=complex)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __reduce__(self):
+        # unpickle through __init__, so the copy is read-only again; the
+        # cache is left behind and rebuilt on use
+        return SensingMatrix, (self.rows, self.tone_set)
+
+    def cached(self, key, build):
+        """``build(self)`` on the first call with `key`; the stored result after.
+
+        A `build` that raises stores nothing, so it raises again next call.
+        """
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
 
 def sample_channel(params: OfdmParams, rng: np.random.Generator) -> SparseChannel:

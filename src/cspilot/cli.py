@@ -162,13 +162,11 @@ def _run_detect_sweep(cfg, seed, workers):
     return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
 
 
-def _bench_tones(params: OfdmParams, policy: str, rng) -> np.ndarray:
-    if policy == "designed":
-        key = (params.bandwidth_time_product, params.tap_count, params.pilot_count)
-        designed = _DESIGNED.get(key)
-        if designed is not None:
-            return designed
-    return select_pilot_tones(params, rng)
+def _designed_tones(params: OfdmParams, policy: str) -> np.ndarray | None:
+    """The designed tone set for `params`, or None where trials draw random tones."""
+    if policy != "designed":
+        return None
+    return _DESIGNED.get((params.bandwidth_time_product, params.tap_count, params.pilot_count))
 
 
 def _noise_variance(symbol_energy: float, snr_db: float) -> float:
@@ -192,18 +190,29 @@ _RECOVER_METHODS = ("dantzig", "dantzig+debias", "omp", "fde_ls")
 
 
 def _recover_chunk(item):
-    """Per-trial ``(nmse, hit)`` of every method, for trials ``t0 <= t < t1`` at one SNR."""
+    """Per-trial outcomes of every method, for trials ``t0 <= t < t1`` at one SNR.
+
+    Each trial lists one ``(nmse, hit)`` per method, in `_RECOVER_METHODS`
+    order; both Dantzig entries are None when the LP solve was not optimal,
+    so a failed solve is never scored.  The comb matrix and a designed tone
+    set are built once per chunk, so the operators they cache serve every
+    trial; random tones are drawn, and built, per trial.
+    """
     seed, params, policy, si, noise_var, t0, t1 = item
     if noise_var == 0.0:
         dcfg = DantzigConfig(epsilon=1e-6)
     else:
         dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
     comb = build_sensing_matrix(comb_tone_set(params), params)
+    tones = _designed_tones(params, policy)
+    designed = None if tones is None else build_sensing_matrix(tones, params)
     trials = []
     for t in range(t0, t1):
         rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
         h = sample_channel(params, rng)
-        X = build_sensing_matrix(_bench_tones(params, policy, rng), params)
+        X = designed
+        if X is None:
+            X = build_sensing_matrix(select_pilot_tones(params, rng), params)
         y = synthesize_measurement(X, h, params, noise_var, rng)
         res = dantzig_recover(y, X, params, dcfg)
         raw = res.raw_estimate
@@ -217,10 +226,13 @@ def _recover_chunk(item):
             (omp_res.estimate, omp_res.recovered_support),
             (fde_res.estimate, fde_res.recovered_support),
         ]
-        trials.append([
+        scores = [
             (nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support)))
             for estimate, support in outcomes
-        ])
+        ]
+        if res.solver_status != "optimal":
+            scores[0] = scores[1] = None
+        trials.append(scores)
     return trials
 
 
@@ -241,23 +253,29 @@ def _run_recover_bench(cfg, seed, workers):
     ]
     chunks = _fan_out(_recover_chunk, items, workers)
     per_trial = [trial for chunk in chunks for trial in chunk]
+    # one failure per failed LP solve; its trial is left out of both Dantzig rows
+    failures = sum(trial[0] is None for trial in per_trial)
     rows = []
     for si, snr_db in enumerate(snrs):
         outcomes = per_trial[si * trials : (si + 1) * trials]
         for mi, name in enumerate(_RECOVER_METHODS):
             # add in t order, one float at a time, so the mean is the same
             # for every chunking (sum() compensates from Python 3.12 on)
-            total, hits = 0.0, 0
+            total, hits, scored = 0.0, 0, 0
             for trial in outcomes:
+                if trial[mi] is None:
+                    continue
                 value, hit = trial[mi]
                 total += value
                 hits += hit
+                scored += 1
+            mean, rate = (total / scored, hits / scored) if scored else (math.nan, math.nan)
             used = params.tap_count if name == "fde_ls" else params.pilot_count
-            rows.append([snr_db, name, total / trials, hits / trials, used])
+            rows.append([snr_db, name, mean, rate, used])
     return (
         ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"],
         rows,
-        0,
+        failures,
     )
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 _MC_CHUNK = 4096
 
@@ -77,7 +76,11 @@ def _crossing(gp):
 
 def _error_probability(m: int, gp, threshold):
     # silent survival plus active CDF of the Gamma(m, 1/m) and
-    # Gamma(m, (1+gP)/m) energies, elementwise for arrays
+    # Gamma(m, (1+gP)/m) energies, elementwise for arrays; scipy.special is
+    # imported here, as it is most of the package's import time and no
+    # other function needs it
+    from scipy.special import gammainc, gammaincc
+
     return 0.5 * (gammaincc(m, m * threshold) + gammainc(m, m * threshold / (1.0 + gp)))
 
 

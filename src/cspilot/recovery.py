@@ -106,15 +106,32 @@ def dantzig_epsilon(cfg: DantzigConfig, params: OfdmParams) -> float:
     )
 
 
+def _lp_block(X: SensingMatrix, energy: float) -> np.ndarray:
+    """``[[-R, Im], [R, -Im], [-Im, -R], [Im, R]]`` for ``sqrt(E) X^H X = R + j Im``.
+
+    Read-only; each odd block row is the exact negation of the next one.
+    """
+    G = np.sqrt(energy) * (X.rows.conj().T @ X.rows)
+    d = G.shape[0]
+    A = np.empty((4 * d, 2 * d))
+    A[d : 2 * d, :d] = G.real
+    A[d : 2 * d, d:] = -G.imag
+    A[3 * d :, :d] = G.imag
+    A[3 * d :, d:] = G.real
+    np.negative(A[d : 2 * d], out=A[:d])
+    np.negative(A[3 * d :], out=A[2 * d : 3 * d])
+    A.flags.writeable = False
+    return A
+
+
 def _embed_lp(y, X: SensingMatrix, energy: float, eps: float):
     # Real form of min ||h||_1 s.t. ||X^H(y - sqrt(E) X h)||_inf <= eps over
     # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
     # imaginary parts of the correlated residual, each as a pair of rows.
-    G = np.sqrt(energy) * (X.rows.conj().T @ X.rows)
+    # The constraint block depends on the tones only, so X keeps it.
+    A = X.cached(("lp_block", energy), lambda X: _lp_block(X, energy))
     v = X.rows.conj().T @ y
-    R, Im = G.real, G.imag
     t = eps / np.sqrt(2.0)
-    A = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
     b = np.concatenate([t - v.real, t + v.real, t - v.imag, t + v.imag])
     c = np.ones(A.shape[1])
     return c, A, b
@@ -318,26 +335,40 @@ def comb_tone_set(params: OfdmParams) -> np.ndarray:
     return np.arange(params.tap_count) * stride
 
 
+def _ls_pinv(X: SensingMatrix, energy: float) -> np.ndarray:
+    """Pseudo-inverse of ``sqrt(E) X`` from one SVD; ``LinAlgError`` below full column rank.
+
+    Full rank means every singular value clears ``max(m, d) * eps *
+    largest``, the `numpy.linalg.matrix_rank` rule.
+    """
+    A = np.sqrt(energy) * X.rows
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    if s[-1] <= max(A.shape) * np.finfo(float).eps * s[0]:
+        raise np.linalg.LinAlgError("sensing matrix is rank deficient")
+    pinv = (Vh.conj().T / s) @ U.conj().T
+    pinv.flags.writeable = False
+    return pinv
+
+
 def fde_ls_recover(
     y_full: np.ndarray, X_full: SensingMatrix, params: OfdmParams
 ) -> RecoveryResult:
     """Dense least-squares estimate using tap_count (or more) pilot tones.
 
-    Raises ``LinAlgError`` when the sensing columns are numerically
-    dependent, by the rank `numpy.linalg.lstsq` reports for the solve.
+    The estimate is ``pinv(sqrt(E) X) y``; the pseudo-inverse is computed
+    once per matrix and energy and kept on `X_full`.  Raises
+    ``LinAlgError`` on every call when the sensing columns are numerically
+    dependent (see `_ls_pinv`).
     """
-    m, d = X_full.rows.shape
+    m = X_full.rows.shape[0]
     if m < params.tap_count:
         raise ValueError(
             f"dense estimation needs at least {params.tap_count} tones, got {m}"
         )
     _check_measurement(y_full, X_full)
-    A = np.sqrt(params.symbol_energy) * X_full.rows
-    # lstsq counts singular values above max(m, d) * eps * largest, the
-    # matrix_rank rule, so its rank is the full-column-rank check
-    estimate, _, rank, _ = np.linalg.lstsq(A, y_full, rcond=None)
-    if rank < d:
-        raise np.linalg.LinAlgError("sensing matrix is rank deficient")
+    energy = params.symbol_energy
+    pinv = X_full.cached(("ls_pinv", energy), lambda X: _ls_pinv(X, energy))
+    estimate = pinv @ y_full
     return RecoveryResult(
         estimate=estimate,
         recovered_support=threshold_support(estimate),

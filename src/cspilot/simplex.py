@@ -19,6 +19,13 @@ same rounded operations as on the dense ``(m+1) x (2p+m+1)`` tableau:
 * columns are stored as rows (the tableau is transposed), so the rank-1
   update runs over one contiguous block.
 
+The rank-1 products of that update are formed by ``np.einsum`` rather than
+``np.outer``, whose broadcast multiply is about twice as slow on this
+shape.  Both round each entry as one multiply; they can differ only in the
+sign of an exact zero, which moves no comparison, tie-break or pivot.  The
+subtraction stays a separate in-place step: a fused BLAS ``ger`` would
+round product and difference once (FMA) and change the pivots.
+
 Variables are numbered as in the split LP: z+ as 0..p-1, z- as p..2p-1
 and the slack of row k as 2p+k.  Ties in the ratio test go to the smallest
 number, as on the dense tableau, so the pivot sequence is the same.
@@ -106,7 +113,7 @@ def _dual_simplex(W, cost, basis, p, max_iter, bland_after):
         sign = -1.0 if p <= q < 2 * p else 1.0
         col = sign * W[w]
         col[r] = 0.0
-        W[:live] -= np.outer(W[:live, r], col)
+        W[:live] -= np.einsum("i,j->ij", W[:live, r], col)
         reduced -= reduced[q] * row
         reduced[q] = 0.0
         W[w] = 0.0

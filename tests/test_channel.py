@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from cspilot.channel import (
     OfdmParams,
+    SensingMatrix,
     build_sensing_matrix,
     default_params,
     sample_channel,
@@ -129,6 +132,28 @@ def test_sensing_matrix_sorted_rows_and_validation():
         build_sensing_matrix([0, 1000], p)
     with pytest.raises(ValueError):
         build_sensing_matrix([5, 5], p)
+
+
+def test_sensing_matrix_rows_are_read_only():
+    # estimators cache operators derived from rows on the matrix itself
+    p = default_params()
+    source = np.ones((20, 100), dtype=complex)
+    X = SensingMatrix(rows=source, tone_set=np.arange(20))
+    with pytest.raises(ValueError):
+        X.rows[0, 0] = 2.0
+    source[0, 0] = 2.0  # the matrix keeps its own copy
+    assert X.rows[0, 0] == 1.0
+    with pytest.raises(AttributeError):
+        X.rows = source
+    X = build_sensing_matrix(select_pilot_tones(p, np.random.default_rng(0)), p)
+    with pytest.raises(ValueError):
+        X.rows[:, [0, 1]] = X.rows[:, [1, 0]]
+    X.cached("probe", lambda X: 1)
+    copy = pickle.loads(pickle.dumps(X))
+    assert np.array_equal(copy.rows, X.rows) and np.array_equal(copy.tone_set, X.tone_set)
+    with pytest.raises(ValueError):
+        copy.rows[0, 0] = 2.0
+    assert copy.cached("probe", lambda X: 2) == 2
 
 
 def test_measurement_zero_channel():

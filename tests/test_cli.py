@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cspilot import cli
+from cspilot import cli, recovery, simplex
 
 
 def run(tmp_path, name, experiment, *args):
@@ -171,14 +172,67 @@ def test_numpy_scalars_written_as_plain_numbers(tmp_path):
     assert rows == [["1.6479184330021646", "3", "0.1"]]
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # scipy.special is imported by the one detection function that needs it,
+    # which recover-bench never calls
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, cspilot.cli; print('scipy.stats' in sys.modules)"
+    out = tmp_path / "r.csv"
+    probe = (
+        "import sys, cspilot.cli\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.stats', 'scipy.special')]\n"
+        "print(loaded())\n"
+        f"cspilot.cli.main(['recover-bench', '--out', {str(out)!r}, *{RECOVER_TINY!r}])\n"
+        "print(loaded())\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["[False, False]", "[False, False]"]
+    assert out.exists()
+
+
+def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypatch):
+    # a solve cut off after one pivot is counted as a failure and left out of
+    # both Dantzig rows; the other methods still score every trial
+    args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
+    args += ["--set", "tap_count=25"]
+    params = cli._ofdm_from({**cli.EXPERIMENTS["recover-bench"].defaults, "tap_count": "25"})
+    item = (0, params, "designed", 0, cli._noise_variance(1.0, 10.0), 0, 4)
+    with cli._one_blas_thread():  # the BLAS setting main runs the trials with
+        clean = cli._recover_chunk(item)
+
+    def means(trials, mi):
+        total, hits = 0.0, 0
+        for trial in trials:
+            total += trial[mi][0]
+            hits += trial[mi][1]
+        return [repr(total / len(trials)), repr(hits / len(trials))]
+
+    calls = []
+
+    def second_solve_cut(*args, **kwargs):
+        calls.append(None)
+        return simplex.solve_lp(*args, **kwargs, max_iter=1 if len(calls) == 2 else None)
+
+    monkeypatch.setattr(recovery, "solve_lp", second_solve_cut)
+    code, out = run(tmp_path, "f.csv", "recover-bench", *args)
+    assert code == 1
+    assert "1 check(s) failed" in capsys.readouterr().err
+    rows = {r[1]: r[2:4] for r in parse(out)[2]}
+    kept = [clean[t] for t in (0, 2, 3)]
+    assert rows["dantzig"] == means(kept, 0)
+    assert rows["dantzig+debias"] == means(kept, 1)
+    assert rows["omp"] == means(clean, 2)
+    assert rows["fde_ls"] == means(clean, 3)
+
+    monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
+    code, out = run(tmp_path, "g.csv", "recover-bench", *args)
+    assert code == 1
+    assert "4 check(s) failed" in capsys.readouterr().err
+    rows = {r[1]: r[2:4] for r in parse(out)[2]}
+    assert rows["dantzig"] == rows["dantzig+debias"] == ["nan", "nan"]
+    assert rows["omp"] == means(clean, 2)
 
 
 def test_recover_bench_noiseless(tmp_path):
@@ -194,6 +248,40 @@ def test_recover_bench_noiseless(tmp_path):
     assert float(by_method["omp"][2]) < -100.0
     assert by_method["omp"][4] == "20"
     assert by_method["fde_ls"][4] == "25"
+
+
+_GOLDEN_RECOVER = {
+    ("tap_count=100", "tone_policy=designed"): [
+        "10.0,dantzig,-8.698525696212487,0.0,20",
+        "10.0,dantzig+debias,-22.635991810700972,0.9,20",
+        "10.0,omp,-22.309011042918254,0.9,20",
+        "inf,dantzig,-138.77555906412863,1.0,20",
+        "inf,dantzig+debias,-200.0,1.0,20",
+        "inf,omp,-200.0,1.0,20",
+    ],
+    ("tap_count=25", "tone_policy=random"): [
+        "10.0,dantzig,-11.97456033652055,0.4,20",
+        "10.0,dantzig+debias,-22.255773267762855,0.9,20",
+        "10.0,omp,-22.58859362643621,1.0,20",
+        "inf,dantzig,-140.52943908749472,1.0,20",
+        "inf,dantzig+debias,-200.0,1.0,20",
+        "inf,omp,-200.0,1.0,20",
+    ],
+}
+
+
+@pytest.mark.parametrize("sets", sorted(_GOLDEN_RECOVER))
+def test_recover_bench_golden_rows(tmp_path, sets):
+    # exact strings: a faster solver or debias must keep every byte of the
+    # dantzig, dantzig+debias and omp rows
+    args = ["--seed", "1", "--set", "trials=10", "--set", "snr_dbs=10,inf"]
+    for item in sets:
+        args += ["--set", item]
+    code, out = run(tmp_path, "g.csv", "recover-bench", *args)
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    kept = [ln for ln in lines[5:] if ln.split(",")[1] != "fde_ls"]
+    assert kept == _GOLDEN_RECOVER[sets]
 
 
 def test_codebook_verify_defaults(tmp_path):
@@ -247,8 +335,8 @@ def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
 
 
 def test_blas_threads_do_not_change_output(tmp_path):
-    # fde_ls rounds its 100x100 least squares differently under two BLAS
-    # threads; main pins one, in its own process and in the workers
+    # LAPACK may round fde_ls's 100x100 pseudo-inverse differently under two
+    # BLAS threads; main pins one, in its own process and in the workers
     src = str(Path(cli.__file__).resolve().parents[1])
     args = ["recover-bench", "--seed", "1", "--set", "trials=5", "--set", "snr_dbs=10,20"]
     outputs = []

@@ -350,6 +350,61 @@ def test_fde_requires_enough_tones(rng):
         fde_ls_recover(np.zeros(20, dtype=complex), X, p)
 
 
+def test_fde_matches_lstsq():
+    # the cached pseudo-inverse against a fresh least-squares solve, on the
+    # DFT comb and on random tone sets with at least tap_count tones
+    rng = np.random.default_rng(7)
+    p = default_params(symbol_energy=2.5)
+    tone_sets = [comb_tone_set(p)]
+    for m in (100, 130, 400):
+        tone_sets.append(select_pilot_tones(default_params(pilot_count=m), rng))
+    for tones in tone_sets:
+        X = build_sensing_matrix(tones, p)
+        A = np.sqrt(p.symbol_energy) * X.rows
+        for _ in range(3):
+            y = A @ (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+            y += 0.3 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
+            want = np.linalg.lstsq(A, y, rcond=None)[0]
+            got = fde_ls_recover(y, X, p).estimate
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fde_rank_deficient_raises_on_every_call():
+    p = default_params()
+    rows = build_sensing_matrix(comb_tone_set(p), p).rows.copy()
+    rows[:, 7] = rows[:, 3]
+    X = SensingMatrix(rows=rows, tone_set=comb_tone_set(p))
+    for _ in range(3):
+        with pytest.raises(np.linalg.LinAlgError):
+            fde_ls_recover(np.ones(100, dtype=complex), X, p)
+
+
+def test_embed_lp_cached_block_matches_fresh_matrix(rng):
+    # the block a matrix keeps is bitwise the one a fresh matrix of the same
+    # tones builds, and the one of the four-block formula
+    p = default_params(symbol_energy=3.0)
+    eps = 0.4
+    X = build_sensing_matrix(DESIGNED_TONES_100, p)
+    for _ in range(3):
+        y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        cached = _embed_lp(y, X, p.symbol_energy, eps)
+        fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), p.symbol_energy, eps)
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()
+    G = np.sqrt(p.symbol_energy) * (X.rows.conj().T @ X.rows)
+    R, Im = G.real, G.imag
+    formula = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
+    assert cached[1].tobytes() == formula.tobytes()
+    # another tone set, or another energy, gets its own block
+    other = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    A_other = _embed_lp(y, other, p.symbol_energy, eps)[1]
+    assert A_other is not cached[1]
+    assert not np.array_equal(A_other, cached[1])
+    A_unit = _embed_lp(y, X, 1.0, eps)[1]
+    assert np.array_equal(np.sqrt(3.0) * A_unit, cached[1])
+    assert _embed_lp(y, X, p.symbol_energy, eps)[1] is cached[1]
+
+
 def test_fde_rank_deficient_raises():
     p = default_params()
     X = SensingMatrix(rows=np.ones((100, 100), dtype=complex), tone_set=np.arange(100))

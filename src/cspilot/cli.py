@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -158,7 +159,11 @@ def _run_detect_sweep(cfg, seed, workers):
     trials = int(cfg["trials"])
     grid = [(m, gp) for m in antenna_counts for gp in powers]
     items = [(seed, trials, index, m, gp) for index, (m, gp) in enumerate(grid)]
-    rows = _fan_out(_detect_point, items, workers)
+    # a point costs in proportion to its antenna count: start the largest
+    # first so the pool does not end on one long item, then restore grid order
+    order = sorted(range(len(items)), key=lambda index: -grid[index][0])
+    results = _fan_out(_detect_point, [items[index] for index in order], workers)
+    rows = [row for _, row in sorted(zip(order, results))]
     return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
 
 
@@ -167,6 +172,18 @@ def _designed_tones(params: OfdmParams, policy: str) -> np.ndarray | None:
     if policy != "designed":
         return None
     return _DESIGNED.get((params.bandwidth_time_product, params.tap_count, params.pilot_count))
+
+
+@functools.lru_cache(maxsize=4)
+def _bench_matrices(params: OfdmParams, policy: str):
+    """The comb matrix and the designed-tone matrix (None for random tones), once per process.
+
+    Both are read-only and so are the operators they cache, so every chunk a
+    process runs shares them.
+    """
+    tones = _designed_tones(params, policy)
+    designed = None if tones is None else build_sensing_matrix(tones, params)
+    return build_sensing_matrix(comb_tone_set(params), params), designed
 
 
 def _noise_variance(symbol_energy: float, snr_db: float) -> float:
@@ -189,13 +206,18 @@ def _noise_variance(symbol_energy: float, snr_db: float) -> float:
 _RECOVER_METHODS = ("dantzig", "dantzig+debias", "omp", "fde_ls")
 
 
+def _score(h, estimate, support):
+    """``(nmse, hit)`` of one estimate of `h`; a hit is the exact support."""
+    return nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support))
+
+
 def _recover_chunk(item):
     """Per-trial outcomes of every method, for trials ``t0 <= t < t1`` at one SNR.
 
     Each trial lists one ``(nmse, hit)`` per method, in `_RECOVER_METHODS`
     order; both Dantzig entries are None when the LP solve was not optimal,
     so a failed solve is never scored.  The comb matrix and a designed tone
-    set are built once per chunk, so the operators they cache serve every
+    set come from `_bench_matrices`, so the operators they cache serve every
     trial; random tones are drawn, and built, per trial.
     """
     seed, params, policy, si, noise_var, t0, t1 = item
@@ -203,9 +225,7 @@ def _recover_chunk(item):
         dcfg = DantzigConfig(epsilon=1e-6)
     else:
         dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
-    comb = build_sensing_matrix(comb_tone_set(params), params)
-    tones = _designed_tones(params, policy)
-    designed = None if tones is None else build_sensing_matrix(tones, params)
+    comb, designed = _bench_matrices(params, policy)
     trials = []
     for t in range(t0, t1):
         rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
@@ -215,23 +235,17 @@ def _recover_chunk(item):
             X = build_sensing_matrix(select_pilot_tones(params, rng), params)
         y = synthesize_measurement(X, h, params, noise_var, rng)
         res = dantzig_recover(y, X, params, dcfg)
-        raw = res.raw_estimate
-        raw_support = threshold_support(raw, dcfg.magnitude_floor)
         omp_res = omp_recover(y, X, params, params.sparsity)
         y_full = synthesize_measurement(comb, h, params, noise_var, rng)
         fde_res = fde_ls_recover(y_full, comb, params)
-        outcomes = [
-            (raw, raw_support),
-            (res.estimate, res.recovered_support),
-            (omp_res.estimate, omp_res.recovered_support),
-            (fde_res.estimate, fde_res.recovered_support),
-        ]
-        scores = [
-            (nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support)))
-            for estimate, support in outcomes
-        ]
-        if res.solver_status != "optimal":
-            scores[0] = scores[1] = None
+        scores = [None, None]  # a failed solve's NaN estimates are not scored
+        if res.solver_status == "optimal":
+            raw = res.raw_estimate
+            scores = [
+                _score(h, raw, threshold_support(raw, dcfg.magnitude_floor)),
+                _score(h, res.estimate, res.recovered_support),
+            ]
+        scores += [_score(h, r.estimate, r.recovered_support) for r in (omp_res, fde_res)]
         trials.append(scores)
     return trials
 

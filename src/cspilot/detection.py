@@ -15,11 +15,22 @@ threshold and the error probability are closed forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+# trials per Monte-Carlo chunk; it decides which normals become h and which
+# become z, so changing it changes every pe_mc
 _MC_CHUNK = 4096
+
+
+def _as_count(value, name: str) -> int:
+    """`value` as an int via `operator.index` (numpy integers pass); else ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -36,7 +47,7 @@ class DetectionConfig:
     threshold: float | None = None
 
     def __post_init__(self):
-        if self.antenna_count < 1:
+        if _as_count(self.antenna_count, "antenna_count") < 1:
             raise ValueError("antenna_count must be at least 1")
         if not math.isfinite(self.pathloss_power) or self.pathloss_power < 0:
             raise ValueError("pathloss_power must be finite and nonnegative")
@@ -122,28 +133,46 @@ def error_probability_mc(
     """Monte-Carlo equal-prior error probability with explicit h, z draws.
 
     Activity alternates deterministically between trials (exact equal
-    priors); each trial draws a fresh i.i.d. complex Gaussian channel and
-    noise vector, so the active-case energy reflects the full signal model
-    rather than the Gamma shorthand.
+    priors; even trial indices transmit); each trial draws a fresh i.i.d.
+    complex Gaussian channel and noise vector, so the active-case energy
+    reflects the full signal model rather than the Gamma shorthand.
+
+    Draw order: per chunk of `_MC_CHUNK` trials (the last one shorter), an
+    (n, M_BS) block of standard normals each for the real part of h, the
+    imaginary part of h, the real part of z and the imaginary part of z, in
+    that order, silent trials included.  The chunk size thus decides which
+    normals become h and which z, so it is fixed.  The parts are filled in
+    place into one reused buffer and the energy is summed there:
+    ``(||sqrt(gP) Re h + Re z||^2 + ||sqrt(gP) Im h + Im z||^2) / (2 M_BS)``,
+    the ``1/sqrt(2)`` of each part folded into the divisor.
+
+    `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
-    if trials < 1:
+    if _as_count(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
     threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
-    amp = np.sqrt(config.pathloss_power)
+    amp = math.sqrt(config.pathloss_power)
+    buffer = np.empty((4, min(_MC_CHUNK, trials), m))
     errors = 0
     done = 0
     while done < trials:
         n = min(_MC_CHUNK, trials - done)
-        sent = ((np.arange(done, done + n) % 2) == 0).astype(float)
-        h = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-        z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
-        y = amp * h * sent[:, None] + z
-        energies = np.mean(np.abs(y) ** 2, axis=1)
-        decisions = (energies > threshold).astype(float)
-        errors += int(np.sum(decisions != sent))
+        hr, hi, zr, zi = buffer[:, :n]
+        for part in (hr, hi, zr, zi):
+            rng.standard_normal(out=part)
+        active = slice(done % 2, n, 2)  # the trials with an even global index
+        hr[active] *= amp
+        hi[active] *= amp
+        zr[active] += hr[active]
+        zi[active] += hi[active]
+        energies = (np.einsum("ij,ij->i", zr, zr) + np.einsum("ij,ij->i", zi, zi)) / (2 * m)
+        detected = energies > threshold
+        hits = np.count_nonzero(detected[active])
+        # misses among the active trials plus false alarms among the silent
+        errors += (detected[active].size - hits) + (np.count_nonzero(detected) - hits)
         done += n
     return errors / trials
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OfdmParams
+from .detection import _as_count
 
 _MC_CHUNK = 8192
 
@@ -30,11 +31,11 @@ class NetworkModel:
     group_size: int
 
     def __post_init__(self):
-        if self.cell_count < 1:
+        if _as_count(self.cell_count, "cell_count") < 1:
             raise ValueError("cell_count must be positive")
         if not (0 < self.coverage_prob <= 1):
             raise ValueError("coverage_prob must lie in (0, 1]")
-        if self.group_size < 1:
+        if _as_count(self.group_size, "group_size") < 1:
             raise ValueError("group_size must be positive")
 
 
@@ -134,9 +135,10 @@ def collision_probability_mc(
     Each trial places a full group and scores 1 - singletons/K_G, the
     fraction of the group that failed to train.  Placement is vectorized
     in fixed-size chunks; the chunk layout does not affect the stream of
-    draws for a given generator.
+    draws for a given generator.  `trials` must be an integer of at least 1
+    (``ValueError`` otherwise).
     """
-    if trials < 1:
+    if _as_count(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
     n, k = model.cell_count, model.group_size
     total = 0.0

@@ -236,7 +236,8 @@ def dantzig_recover(
     """Solve the l1 residual-correlation program and debias its solution.
 
     The estimate is the least-squares refit on the selected support (see
-    `DantzigConfig`); ``raw_estimate`` is the program solution.
+    `DantzigConfig`); ``raw_estimate`` is the program solution.  When the
+    solve is not optimal, `solver_status` says so and both hold NaN.
     """
     _check_measurement(y, X)
     d = X.rows.shape[1]
@@ -244,13 +245,15 @@ def dantzig_recover(
     c, A, b = _embed_lp(y, X, params.symbol_energy, eps)
     res = solve_lp(c, A, b)
     if res.status != "optimal":
-        zero = np.zeros(d, dtype=complex)
+        # NaN entries, which nmse and threshold_support reject, so a failed
+        # solve cannot be scored as an estimate
+        failed = np.full(d, np.nan, dtype=complex)
         return RecoveryResult(
-            estimate=zero,
+            estimate=failed,
             recovered_support=np.array([], dtype=int),
             solver_status=res.status,
             objective_value=np.nan,
-            raw_estimate=zero,
+            raw_estimate=failed,
             lp_iterations=res.iterations,
             debias_passes=0,
         )

@@ -33,6 +33,11 @@ NETSIM_TINY = [
     "--set", "group_sizes=1,4",
     "--set", "alphas=0.5,1.0",
 ]
+DETECT_TINY = [
+    "--set", "trials=300",
+    "--set", "antenna_counts=4,16,8",
+    "--set", "pathloss_powers=0,2",
+]
 RECOVER_TINY = [
     "--set", "trials=2",
     "--set", "snr_dbs=10,inf",
@@ -120,6 +125,25 @@ def test_detect_sweep_blind_point(tmp_path):
     m, gp, threshold, pe, stderr = rows[0]
     assert float(threshold) == 1.5
     assert abs(float(pe) - 0.5) < 3 * math.sqrt(0.25 / 4000)
+
+
+def test_detect_sweep_golden_rows(tmp_path):
+    # exact strings, captured before the Monte-Carlo kernel was rewritten in
+    # place: two chunks per point, so the draw order across chunks is pinned
+    code, out = run(
+        tmp_path, "g.csv", "detect-sweep",
+        "--seed", "1", "--set", "trials=5000", "--set", "antenna_counts=8,32",
+    )
+    assert code == 0
+    assert out.read_text(encoding="utf-8").splitlines()[4:] == [
+        "m_bs,g_p,threshold,pe_mc,pe_stderr",
+        "8,0.0,1.5,0.4986,0.007071040093225324",
+        "8,2.0,1.6479184330021646,0.0596,0.0033480692943844517",
+        "8,10.0,2.6376848000782074,0.001,0.0004469899327725402",
+        "32,0.0,1.5,0.4988,0.007071047447160852",
+        "32,2.0,1.6479184330021646,0.0012,0.0004896039215529222",
+        "32,10.0,2.6376848000782074,0.0,0.0",
+    ]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "2,nan"])
@@ -313,6 +337,11 @@ def test_workers_do_not_change_output(tmp_path):
     _, c = run(tmp_path, "c.csv", "recover-bench", *RECOVER_TINY)
     _, d = run(tmp_path, "d.csv", "recover-bench", "--workers", "2", *RECOVER_TINY)
     assert c.read_bytes() == d.read_bytes()
+    # detect-sweep starts the largest antenna count first and writes grid order
+    _, e = run(tmp_path, "e.csv", "detect-sweep", *DETECT_TINY)
+    _, f = run(tmp_path, "f.csv", "detect-sweep", "--workers", "3", *DETECT_TINY)
+    assert e.read_bytes() == f.read_bytes()
+    assert [row[0] for row in parse(e)[2]] == ["4", "4", "16", "16", "8", "8"]
 
 
 def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
@@ -332,6 +361,30 @@ def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
         _, out = run(tmp_path, f"c{chunk}.csv", "recover-bench", "--workers", "2", *args)
         assert out.read_bytes() == first.read_bytes()
+
+
+def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch):
+    # the comb and the designed-tone matrix are built on the first chunk and
+    # shared by every later one, and by later runs with the same params
+    builds = []
+    build = cli.build_sensing_matrix
+
+    def counting_build(tones, params):
+        builds.append(len(tones))
+        return build(tones, params)
+
+    monkeypatch.setattr(cli, "build_sensing_matrix", counting_build)
+    cli._bench_matrices.cache_clear()
+    args = ["--workers", "1", "--set", f"trials={2 * cli._TRIAL_CHUNK + 1}"]
+    args += ["--set", "snr_dbs=10,inf"]
+    try:
+        for name in ("a.csv", "b.csv"):
+            code, _ = run(tmp_path, name, "recover-bench", *args)
+            assert code == 0
+            assert sorted(builds) == [20, 100]  # designed tones, then the comb
+    finally:
+        cli._bench_matrices.cache_clear()  # drop the matrices built here
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_blas_threads_do_not_change_output(tmp_path):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from detection_oracle import error_probability_mc_complex
 
 from cspilot.detection import (
     DetectionConfig,
@@ -10,6 +13,7 @@ from cspilot.detection import (
     min_threshold_for_network,
     optimal_threshold,
 )
+from cspilot.netsim import NetworkModel, collision_probability_mc
 
 
 def _noise(rng, shape):
@@ -185,6 +189,48 @@ def test_error_probability_mc_antenna_scaling(rng):
 def test_error_probability_mc_validates_trials(rng):
     with pytest.raises(ValueError):
         error_probability_mc(DetectionConfig(antenna_count=8, pathloss_power=1.0), 0, rng)
+
+
+@pytest.mark.parametrize("m,gp", itertools.product((1, 2, 7, 32), (0.0, 0.3, 1.0, 4.0)))
+def test_error_probability_mc_matches_complex_oracle(m, gp):
+    # the in-place real kernel consumes the generator as the complex loop does
+    # and sums the same energies up to rounding: every pe must be identical,
+    # across one and several chunks and a short last one
+    config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=1.5 if gp == 0 else None)
+    for trials, seed in itertools.product((1, 2, 4095, 4097, 10001), (0, 1, 2)):
+        got = error_probability_mc(config, trials, np.random.default_rng(seed))
+        want = error_probability_mc_complex(config, trials, np.random.default_rng(seed))
+        assert got == want, (trials, seed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DetectionConfig(antenna_count=2.5, pathloss_power=1.0),
+        lambda: NetworkModel(cell_count=4.5, coverage_prob=0.5, group_size=4),
+        lambda: error_probability_mc(
+            DetectionConfig(antenna_count=8, pathloss_power=1.0), 100.5, np.random.default_rng(0)
+        ),
+        lambda: collision_probability_mc(
+            NetworkModel(cell_count=4, coverage_prob=0.5, group_size=4),
+            100.5,
+            np.random.default_rng(0),
+        ),
+    ],
+    ids=["antenna_count", "cell_count", "detection_trials", "netsim_trials"],
+)
+def test_counts_must_be_integral(call):
+    # a fractional count is a ValueError up front, not a TypeError deep inside
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_counts_accept_numpy_integers():
+    config = DetectionConfig(antenna_count=np.int64(8), pathloss_power=1.0)
+    assert 0.0 <= error_probability_mc(config, np.int32(10), np.random.default_rng(0)) <= 1.0
+    model = NetworkModel(cell_count=np.int64(4), coverage_prob=0.5, group_size=np.int16(4))
+    mean, _ = collision_probability_mc(model, np.int64(10), np.random.default_rng(0))
+    assert 0.0 <= mean <= 1.0
 
 
 def test_min_threshold_for_network():

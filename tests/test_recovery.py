@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from debias_oracle import stepwise_select_lstsq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspilot import recovery, simplex
 from cspilot.channel import (
     SensingMatrix,
     SparseChannel,
@@ -115,6 +118,27 @@ def test_dantzig_single_tap_noiseless(rng):
     assert np.array_equal(res.recovered_support, [0])
     assert abs(res.estimate[0] - 1.0) < 1e-6
     assert np.max(np.abs(np.delete(res.estimate, 0))) < 1e-6
+
+
+def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
+    # a solve cut off after one pivot hands back NaN, which nmse and
+    # threshold_support refuse, rather than an all-zero estimate
+    p = default_params()
+    h = sample_channel(p, rng)
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    y = synthesize_measurement(X, h, p, 0.1, rng)
+    monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
+    res = dantzig_recover(y, X, p, DantzigConfig(noise_variance=0.1, magnitude_floor=0.01))
+    assert res.solver_status != "optimal"
+    assert res.recovered_support.size == 0
+    for estimate in (res.estimate, res.raw_estimate):
+        assert estimate.shape == (p.tap_count,) and np.isnan(estimate).all()
+        with pytest.raises(ValueError):
+            threshold_support(estimate)
+    with pytest.raises(ValueError):
+        nmse(h.taps, res.estimate)
+    with pytest.raises(ValueError):
+        nmse(h.taps, res.raw_estimate)
 
 
 def test_dantzig_zero_measurement(rng):

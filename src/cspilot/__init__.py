@@ -2,11 +2,13 @@
 
 Library layout:
 
-* `cspilot.channel` — OFDM parameters, sparse channels, sensing matrices
-* `cspilot.recovery` — Dantzig-selector LP, OMP oracle, dense LS baseline
+* `cspilot.channel` — OFDM parameters, sparse channels, sensing matrices,
+  unit-energy pilot measurements ``y = X h + z``
+* `cspilot.recovery` — Dantzig-selector LP, OMP oracle, dense LS baseline,
+  each sized by its sensing matrix alone
 * `cspilot.simplex` — self-contained compact-tableau dual simplex for weighted l1 LPs
 * `cspilot.detection` — massive-MIMO energy detection
-* `cspilot.pilots` — orthogonal allocation and binary pilot codebooks
+* `cspilot.pilots` — binary pilot codebooks
 * `cspilot.netsim` — collision analysis and multiplexing metrics
 * `cspilot.cli` — seeded batch experiments emitting CSV
 """
@@ -25,8 +27,6 @@ from .channel import (
 )
 from .detection import (
     DetectionConfig,
-    detect,
-    energy_metric,
     error_probability,
     error_probability_mc,
     min_threshold_for_network,
@@ -39,16 +39,13 @@ from .netsim import (
     collision_probability_mc,
     expected_singletons,
     optimal_group_size,
-    place_ues,
     reuse_gain,
     rho_metrics,
 )
 from .pilots import (
     CapacityExceededError,
     DecodeOutcome,
-    PilotAllocation,
     PilotCodebook,
-    allocate_orthogonal,
     build_codebook,
     capacity,
     choose_l,

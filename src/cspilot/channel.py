@@ -4,20 +4,30 @@ A wideband channel of delay spread tau_max sampled at bandwidth W has
 ``W*tau_max`` resolvable taps, of which only ``S`` are significant.  Pilot
 symbols on a subset of the ``W*T`` subcarriers observe the channel through a
 partial-DFT sensing matrix; this module builds those objects and synthesizes
-noisy measurements ``y = sqrt(E) X h + z``.
+noisy measurements ``y = X h + z``.  Pilots have unit energy, so the SNR of
+a tone is ``1 / sigma^2`` for noise variance sigma^2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
+def _as_count(value, name: str) -> int:
+    """`value` as an int via `operator.index` (numpy integers pass); else ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class OfdmParams:
-    """Dimensions and energy of the pilot training problem.
+    """Dimensions of the pilot training problem; every count must be an integer.
 
     Parameters
     ----------
@@ -29,17 +39,16 @@ class OfdmParams:
         Number of significant taps S.
     pilot_count : int
         Pilot tones per UE; the usual working point is ``5 * sparsity``.
-    symbol_energy : float
-        Per-tone pilot symbol energy E.
     """
 
     bandwidth_time_product: int
     tap_count: int
     sparsity: int
     pilot_count: int
-    symbol_energy: float = 1.0
 
     def __post_init__(self):
+        for name in ("bandwidth_time_product", "tap_count", "sparsity", "pilot_count"):
+            _as_count(getattr(self, name), name)
         if not (1 <= self.sparsity <= self.tap_count <= self.bandwidth_time_product):
             raise ValueError(
                 "need 1 <= sparsity <= tap_count <= bandwidth_time_product, got "
@@ -49,18 +58,15 @@ class OfdmParams:
             raise ValueError("pilot_count must be at least sparsity")
         if self.pilot_count > self.bandwidth_time_product:
             raise ValueError("pilot_count cannot exceed the number of subcarriers")
-        if not (math.isfinite(self.symbol_energy) and self.symbol_energy > 0):
-            raise ValueError("symbol_energy must be finite and positive")
 
 
 def default_params(**overrides) -> OfdmParams:
-    """Standard working point: WT=1000, 100 taps, S=4, M=20, unit energy."""
+    """Standard working point: WT=1000, 100 taps, S=4, M=20."""
     base = dict(
         bandwidth_time_product=1000,
         tap_count=100,
         sparsity=4,
         pilot_count=20,
-        symbol_energy=1.0,
     )
     base.update(overrides)
     return OfdmParams(**base)
@@ -163,13 +169,9 @@ def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
 
 
 def synthesize_measurement(
-    X: SensingMatrix,
-    h: SparseChannel,
-    params: OfdmParams,
-    noise_variance: float,
-    rng: np.random.Generator,
+    X: SensingMatrix, h: SparseChannel, noise_variance: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Noisy matched-filter outputs ``y = sqrt(E) X h + z``.
+    """Noisy matched-filter outputs ``y = X h + z``.
 
     ``z`` is i.i.d. circularly-symmetric complex Gaussian with per-entry
     variance ``noise_variance``; variance 0 yields an exact noiseless
@@ -182,7 +184,7 @@ def synthesize_measurement(
         )
     if not (math.isfinite(noise_variance) and noise_variance >= 0):
         raise ValueError("noise_variance must be finite and nonnegative")
-    y = np.sqrt(params.symbol_energy) * (X.rows @ h.taps)
+    y = X.rows @ h.taps
     if noise_variance > 0:
         m = X.rows.shape[0]
         z = np.sqrt(noise_variance / 2.0) * (

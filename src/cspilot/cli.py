@@ -118,7 +118,6 @@ def _ofdm_from(cfg: dict[str, str]) -> OfdmParams:
         tap_count=int(cfg["tap_count"]),
         sparsity=int(cfg["sparsity"]),
         pilot_count=int(cfg["pilot_count"]),
-        symbol_energy=float(cfg["symbol_energy"]),
     )
 
 
@@ -186,12 +185,12 @@ def _bench_matrices(params: OfdmParams, policy: str):
     return build_sensing_matrix(comb_tone_set(params), params), designed
 
 
-def _noise_variance(symbol_energy: float, snr_db: float) -> float:
-    """Per-tone noise variance at `snr_db`; only +inf dB means noiseless."""
+def _noise_variance(snr_db: float) -> float:
+    """Per-tone noise variance at `snr_db` for unit-energy pilots; only +inf dB means noiseless."""
     if snr_db == math.inf:
         return 0.0
     try:
-        noise_var = symbol_energy / 10.0 ** (snr_db / 10.0)
+        noise_var = 1.0 / 10.0 ** (snr_db / 10.0)
     except (OverflowError, ZeroDivisionError):  # the power left the float range
         noise_var = math.nan
     if not (math.isfinite(noise_var) and noise_var > 0):
@@ -233,11 +232,11 @@ def _recover_chunk(item):
         X = designed
         if X is None:
             X = build_sensing_matrix(select_pilot_tones(params, rng), params)
-        y = synthesize_measurement(X, h, params, noise_var, rng)
-        res = dantzig_recover(y, X, params, dcfg)
-        omp_res = omp_recover(y, X, params, params.sparsity)
-        y_full = synthesize_measurement(comb, h, params, noise_var, rng)
-        fde_res = fde_ls_recover(y_full, comb, params)
+        y = synthesize_measurement(X, h, noise_var, rng)
+        res = dantzig_recover(y, X, dcfg)
+        omp_res = omp_recover(y, X, params.sparsity)
+        y_full = synthesize_measurement(comb, h, noise_var, rng)
+        fde_res = fde_ls_recover(y_full, comb)
         scores = [None, None]  # a failed solve's NaN estimates are not scored
         if res.solver_status == "optimal":
             raw = res.raw_estimate
@@ -259,7 +258,7 @@ def _run_recover_bench(cfg, seed, workers):
     if policy not in ("designed", "random"):
         raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
     snrs = [float(v) for v in cfg["snr_dbs"].split(",") if v.strip()]
-    noise_vars = [_noise_variance(params.symbol_energy, snr_db) for snr_db in snrs]
+    noise_vars = [_noise_variance(snr_db) for snr_db in snrs]
     items = [
         (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
         for si, noise_var in enumerate(noise_vars)
@@ -384,7 +383,6 @@ _OFDM_DEFAULTS = {
     "tap_count": "100",
     "sparsity": "4",
     "pilot_count": "20",
-    "symbol_energy": "1.0",
 }
 
 EXPERIMENTS = {

@@ -15,22 +15,15 @@ threshold and the error probability are closed forms.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _as_count
+
 # trials per Monte-Carlo chunk; it decides which normals become h and which
 # become z, so changing it changes every pe_mc
 _MC_CHUNK = 4096
-
-
-def _as_count(value, name: str) -> int:
-    """`value` as an int via `operator.index` (numpy integers pass); else ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -51,25 +44,14 @@ class DetectionConfig:
             raise ValueError("antenna_count must be at least 1")
         if not math.isfinite(self.pathloss_power) or self.pathloss_power < 0:
             raise ValueError("pathloss_power must be finite and nonnegative")
-        if self.threshold is not None:
-            _check_threshold(self.threshold, self.pathloss_power)
-
-
-def _check_threshold(threshold: float, pathloss_power: float) -> None:
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    if threshold <= 1:
-        raise ValueError("threshold must exceed 1")
-    if pathloss_power > 0 and threshold >= 1 + pathloss_power:
-        raise ValueError("threshold must be below 1 + pathloss_power")
-
-
-def energy_metric(received: np.ndarray) -> float:
-    """Average per-antenna energy ``(1/M_BS) ||y||^2``."""
-    received = np.asarray(received)
-    if received.size == 0:
-        raise ValueError("received vector is empty")
-    return float(np.mean(np.abs(received) ** 2))
+        if self.threshold is None:
+            return
+        if not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
+        if self.threshold <= 1:
+            raise ValueError("threshold must exceed 1")
+        if self.pathloss_power > 0 and self.threshold >= 1 + self.pathloss_power:
+            raise ValueError("threshold must be below 1 + pathloss_power")
 
 
 def _crossing(gp):
@@ -107,21 +89,9 @@ def optimal_threshold(config: DetectionConfig) -> float:
     return float(_crossing(config.pathloss_power))
 
 
-def detect(energy: float, threshold: float) -> int:
-    """1 when the energy strictly exceeds the threshold, else 0."""
-    return int(energy > threshold)
-
-
-def error_probability(config: DetectionConfig, threshold: float | None = None) -> float:
-    """Analytic equal-prior error probability at the given (or optimal) threshold.
-
-    An explicit `threshold` must pass the rule of a preset one (see
-    `DetectionConfig`), else ``ValueError``.
-    """
-    if threshold is not None:
-        _check_threshold(threshold, config.pathloss_power)
-    else:
-        threshold = config.threshold
+def error_probability(config: DetectionConfig) -> float:
+    """Analytic equal-prior error probability at the preset (or optimal) threshold."""
+    threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)
     return float(_error_probability(config.antenna_count, config.pathloss_power, threshold))
@@ -197,7 +167,7 @@ def min_threshold_for_network(
         raise ValueError("all pathloss powers must be finite")
     if (powers <= 0).any():
         raise ValueError("all pathloss powers must be positive")
-    if antenna_count < 1:
+    if _as_count(antenna_count, "antenna_count") < 1:
         raise ValueError("antenna_count must be at least 1")
     thresholds = _crossing(powers)
     if max_error_probability is not None:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams
-from .detection import _as_count
+from .channel import OfdmParams, _as_count
 
 _MC_CHUNK = 8192
 
@@ -37,25 +36,6 @@ class NetworkModel:
             raise ValueError("coverage_prob must lie in (0, 1]")
         if _as_count(self.group_size, "group_size") < 1:
             raise ValueError("group_size must be positive")
-
-
-@dataclass
-class PlacementOutcome:
-    """Per-UE cell assignment (-1 marks outage) and the singleton-cell count."""
-
-    cell_of_ue: np.ndarray
-    singleton_count: int
-
-
-def place_ues(model: NetworkModel, rng: np.random.Generator) -> PlacementOutcome:
-    """Drop each group member independently: outage w.p. 1-alpha, else uniform cell."""
-    covered = rng.random(model.group_size) < model.coverage_prob
-    cells = rng.integers(0, model.cell_count, size=model.group_size)
-    assignment = np.where(covered, cells, -1)
-    occupancy = np.bincount(assignment[covered], minlength=model.cell_count)
-    return PlacementOutcome(
-        cell_of_ue=assignment, singleton_count=int((occupancy == 1).sum())
-    )
 
 
 def expected_singletons(model: NetworkModel) -> float:

@@ -1,6 +1,6 @@
-"""Multi-user pilot machinery: orthogonal tone allocation and binary codebooks.
+"""Binary pilot codebooks for aggressive pilot reuse.
 
-Orthogonal pre-allocation hands each of K UEs a disjoint set of M tones.
+Orthogonal pre-allocation would hand each of K UEs a disjoint set of M tones.
 Aggressive reuse instead assigns every UE in a group the same L pilot
 dimensions together with a binary on/off column: each column carries
 ``L'`` ones (transmit) and ``l`` zeros (keep silent).  A base station
@@ -23,40 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import OfdmParams
-
 
 class CapacityExceededError(ValueError):
-    """More users requested than the code or tone budget supports."""
-
-
-@dataclass
-class PilotAllocation:
-    """Disjoint per-UE tone sets."""
-
-    sequences: list
-
-
-def allocate_orthogonal(
-    K: int, params: OfdmParams, rng: np.random.Generator
-) -> PilotAllocation:
-    """Sequentially draw K disjoint M-tone sets from the WT subcarriers.
-
-    Each UE picks its tones uniformly from whatever remains, mirroring a
-    decentralized pseudo-random assignment.
-    """
-    wt, m = params.bandwidth_time_product, params.pilot_count
-    if K * m > wt:
-        raise CapacityExceededError(
-            f"{K} users x {m} tones exceed the {wt} available subcarriers"
-        )
-    remaining = np.arange(wt)
-    sequences = []
-    for _ in range(K):
-        picked = rng.choice(remaining.size, size=m, replace=False)
-        sequences.append(np.sort(remaining[picked]))
-        remaining = np.delete(remaining, picked)
-    return PilotAllocation(sequences=sequences)
+    """More users requested than the code supports."""
 
 
 def capacity(L_prime: int, l: int) -> int:

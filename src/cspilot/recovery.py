@@ -1,14 +1,17 @@
 """Sparse channel estimation from pilot measurements.
 
-Three estimators over the model ``y = sqrt(E) X h + z``:
+Three estimators over the unit-energy pilot model ``y = X h + z``:
 
 * `dantzig_recover` — l1 minimization subject to an sup-norm bound on the
-  correlated residual ``X^H (y - sqrt(E) X h)``, solved as a real linear
-  program, followed by a least-squares debias stage;
+  correlated residual ``X^H (y - X h)``, solved as a real linear program,
+  followed by a least-squares debias stage;
 * `omp_recover` — greedy correlation matching, used as an independent
   cross-validation oracle;
 * `fde_ls_recover` — the dense least-squares baseline that spends one pilot
   tone per coherence band (tap_count tones in total).
+
+Each estimator reads the pilot count M and the tap count D from the shape
+of the sensing matrix, ``X.rows.shape == (M, D)``, and from nothing else.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ class DantzigConfig:
     """Constraint level and debias floor for the l1 program.
 
     A given `epsilon` is used as is.  Unset, it is scaled to the noise:
-    ``epsilon = sigma * sqrt(M) * sqrt(2 * ln(tap_count))`` with
-    sigma^2 = ``noise_variance`` (which must then be positive), the
+    ``epsilon = sigma * sqrt(M) * sqrt(2 * ln(D))`` for an M x D sensing
+    matrix, with sigma^2 = ``noise_variance`` (which must then be positive), the
     deviation of one entry of the correlated noise ``X^H z`` times the
     Gaussian sup-norm factor over the taps.
 
@@ -95,23 +98,20 @@ class DantzigConfig:
             )
 
 
-def dantzig_epsilon(cfg: DantzigConfig, params: OfdmParams) -> float:
-    """Resolve the constraint level for the given configuration."""
+def dantzig_epsilon(cfg: DantzigConfig, X: SensingMatrix) -> float:
+    """Resolve the constraint level for the given configuration and M x D matrix."""
     if cfg.epsilon is not None:
         return float(cfg.epsilon)
-    return float(
-        np.sqrt(cfg.noise_variance)
-        * np.sqrt(params.pilot_count)
-        * np.sqrt(2.0 * np.log(params.tap_count))
-    )
+    m, d = X.rows.shape
+    return float(np.sqrt(cfg.noise_variance) * np.sqrt(m) * np.sqrt(2.0 * np.log(d)))
 
 
-def _lp_block(X: SensingMatrix, energy: float) -> np.ndarray:
-    """``[[-R, Im], [R, -Im], [-Im, -R], [Im, R]]`` for ``sqrt(E) X^H X = R + j Im``.
+def _lp_block(X: SensingMatrix) -> np.ndarray:
+    """``[[-R, Im], [R, -Im], [-Im, -R], [Im, R]]`` for ``X^H X = R + j Im``.
 
     Read-only; each odd block row is the exact negation of the next one.
     """
-    G = np.sqrt(energy) * (X.rows.conj().T @ X.rows)
+    G = X.rows.conj().T @ X.rows
     d = G.shape[0]
     A = np.empty((4 * d, 2 * d))
     A[d : 2 * d, :d] = G.real
@@ -124,12 +124,12 @@ def _lp_block(X: SensingMatrix, energy: float) -> np.ndarray:
     return A
 
 
-def _embed_lp(y, X: SensingMatrix, energy: float, eps: float):
-    # Real form of min ||h||_1 s.t. ||X^H(y - sqrt(E) X h)||_inf <= eps over
+def _embed_lp(y, X: SensingMatrix, eps: float):
+    # Real form of min ||h||_1 s.t. ||X^H(y - X h)||_inf <= eps over
     # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
     # imaginary parts of the correlated residual, each as a pair of rows.
     # The constraint block depends on the tones only, so X keeps it.
-    A = X.cached(("lp_block", energy), lambda X: _lp_block(X, energy))
+    A = X.cached("lp_block", _lp_block)
     v = X.rows.conj().T @ y
     t = eps / np.sqrt(2.0)
     b = np.concatenate([t - v.real, t + v.real, t - v.imag, t + v.imag])
@@ -161,18 +161,18 @@ def _check_measurement(y: np.ndarray, X: SensingMatrix) -> None:
         raise ValueError("measurement must be finite")
 
 
-def _ls_refit(y, Xs: np.ndarray, energy: float, support) -> tuple[float, np.ndarray | None]:
+def _ls_refit(y, Xs: np.ndarray, support) -> tuple[float, np.ndarray | None]:
     """Residual energy and coefficients of the LS fit restricted to `support`."""
     idx = list(support)
     if not idx:
         return float(np.sum(np.abs(y) ** 2)), None
-    A = np.sqrt(energy) * Xs[:, idx]
+    A = Xs[:, idx]
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     return float(np.sum(np.abs(resid) ** 2)), coef
 
 
-def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
+def _stepwise_select(y, Xs, candidates, cap, tau, noise_var):
     """Prune/extend the candidate support by residual-energy significance.
 
     Each pass prunes the tap whose removal raises the residual energy least
@@ -180,7 +180,7 @@ def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
     correlated with the residual when its addition lowers the residual
     energy by more than the same amount; passes repeat (at most ``4 * cap``)
     until neither step changes the support.  Both scores come from one thin
-    QR ``A_K = Q R`` of the weighted support columns: removing tap i raises
+    QR ``Xs_K = Q R`` of the support columns: removing tap i raises
     the residual energy by ``|coef_i|^2 / ||row i of R^-1||^2`` and adding
     column a lowers it by ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a``
     and r the residual.  A column in the span of the other support columns
@@ -189,12 +189,11 @@ def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
     """
     keep = list(candidates)
     threshold = tau * noise_var
-    A = np.sqrt(energy) * Xs
-    m = A.shape[0]
+    m = Xs.shape[0]
     for passes in range(1, 4 * cap + 1):
         changed = False
         while True:
-            Q, R = np.linalg.qr(A[:, keep])
+            Q, R = np.linalg.qr(Xs[:, keep])
             qy = Q.conj().T @ y
             resid = y - Q @ qy
             if not keep:
@@ -221,7 +220,7 @@ def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
             corr[keep] = 0.0
         best = int(np.argmax(corr))
         if len(keep) < cap:
-            u = A[:, best] - Q @ (Q.conj().T @ A[:, best])
+            u = Xs[:, best] - Q @ (Q.conj().T @ Xs[:, best])
             if abs(np.vdot(u, resid)) ** 2 > threshold * np.vdot(u, u).real:
                 keep.append(best)
                 changed = True
@@ -230,9 +229,7 @@ def _stepwise_select(y, Xs, energy, candidates, cap, tau, noise_var):
     return sorted(keep), passes
 
 
-def dantzig_recover(
-    y: np.ndarray, X: SensingMatrix, params: OfdmParams, cfg: DantzigConfig
-) -> RecoveryResult:
+def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> RecoveryResult:
     """Solve the l1 residual-correlation program and debias its solution.
 
     The estimate is the least-squares refit on the selected support (see
@@ -241,8 +238,8 @@ def dantzig_recover(
     """
     _check_measurement(y, X)
     d = X.rows.shape[1]
-    eps = dantzig_epsilon(cfg, params)
-    c, A, b = _embed_lp(y, X, params.symbol_energy, eps)
+    eps = dantzig_epsilon(cfg, X)
+    c, A, b = _embed_lp(y, X, eps)
     res = solve_lp(c, A, b)
     if res.status != "optimal":
         # NaN entries, which nmse and threshold_support reject, so a failed
@@ -267,7 +264,6 @@ def dantzig_recover(
         selected, passes = _stepwise_select(
             y,
             X.rows,
-            params.symbol_energy,
             list(support),
             CANDIDATE_CAP,
             SELECTION_TAU,
@@ -276,7 +272,7 @@ def dantzig_recover(
         support = np.asarray(selected, dtype=int)
     estimate = np.zeros(d, dtype=complex)
     if support.size:
-        _, coef = _ls_refit(y, X.rows, params.symbol_energy, list(support))
+        _, coef = _ls_refit(y, X.rows, list(support))
         estimate[support] = coef
     return RecoveryResult(
         estimate=estimate,
@@ -289,9 +285,7 @@ def dantzig_recover(
     )
 
 
-def omp_recover(
-    y: np.ndarray, X: SensingMatrix, params: OfdmParams, sparsity: int
-) -> RecoveryResult:
+def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResult:
     """Greedy correlation matching with a per-iteration least-squares refit.
 
     Runs exactly `sparsity` iterations and is deterministic given its
@@ -304,7 +298,6 @@ def omp_recover(
         )
     _check_measurement(y, X)
     d = X.rows.shape[1]
-    A = np.sqrt(params.symbol_energy) * X.rows
     selected: list[int] = []
     coef = np.array([], dtype=complex)
     resid = y.astype(complex)
@@ -313,7 +306,7 @@ def omp_recover(
         if selected:
             corr[selected] = -1.0
         selected.append(int(np.argmax(corr)))
-        cols = A[:, selected]
+        cols = X.rows[:, selected]
         coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
         if rank < len(selected):
             raise np.linalg.LinAlgError(
@@ -338,39 +331,33 @@ def comb_tone_set(params: OfdmParams) -> np.ndarray:
     return np.arange(params.tap_count) * stride
 
 
-def _ls_pinv(X: SensingMatrix, energy: float) -> np.ndarray:
-    """Pseudo-inverse of ``sqrt(E) X`` from one SVD; ``LinAlgError`` below full column rank.
+def _ls_pinv(X: SensingMatrix) -> np.ndarray:
+    """Pseudo-inverse of ``X`` from one SVD; ``LinAlgError`` below full column rank.
 
     Full rank means every singular value clears ``max(m, d) * eps *
     largest``, the `numpy.linalg.matrix_rank` rule.
     """
-    A = np.sqrt(energy) * X.rows
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= max(A.shape) * np.finfo(float).eps * s[0]:
+    U, s, Vh = np.linalg.svd(X.rows, full_matrices=False)
+    if s[-1] <= max(X.rows.shape) * np.finfo(float).eps * s[0]:
         raise np.linalg.LinAlgError("sensing matrix is rank deficient")
     pinv = (Vh.conj().T / s) @ U.conj().T
     pinv.flags.writeable = False
     return pinv
 
 
-def fde_ls_recover(
-    y_full: np.ndarray, X_full: SensingMatrix, params: OfdmParams
-) -> RecoveryResult:
-    """Dense least-squares estimate using tap_count (or more) pilot tones.
+def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
+    """Dense least-squares estimate using at least as many pilot tones as taps.
 
-    The estimate is ``pinv(sqrt(E) X) y``; the pseudo-inverse is computed
-    once per matrix and energy and kept on `X_full`.  Raises
-    ``LinAlgError`` on every call when the sensing columns are numerically
-    dependent (see `_ls_pinv`).
+    The estimate is ``pinv(X) y``; the pseudo-inverse is computed once per
+    matrix and kept on `X_full`.  Raises ``ValueError`` when `X_full` has
+    fewer rows than columns, and ``LinAlgError`` on every call when the
+    sensing columns are numerically dependent (see `_ls_pinv`).
     """
-    m = X_full.rows.shape[0]
-    if m < params.tap_count:
-        raise ValueError(
-            f"dense estimation needs at least {params.tap_count} tones, got {m}"
-        )
+    m, d = X_full.rows.shape
+    if m < d:
+        raise ValueError(f"dense estimation needs at least {d} tones, got {m}")
     _check_measurement(y_full, X_full)
-    energy = params.symbol_energy
-    pinv = X_full.cached(("ls_pinv", energy), lambda X: _ls_pinv(X, energy))
+    pinv = X_full.cached("ls_pinv", _ls_pinv)
     estimate = pinv @ y_full
     return RecoveryResult(
         estimate=estimate,

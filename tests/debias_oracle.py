@@ -13,16 +13,16 @@ import numpy as np
 from cspilot.recovery import _ls_refit
 
 
-def stepwise_select_lstsq(y, Xs, energy, candidates, cap, tau, noise_var):
+def stepwise_select_lstsq(y, Xs, candidates, cap, tau, noise_var):
     """Prune/extend the candidate support by residual-energy significance."""
     keep = list(candidates)
     threshold = tau * noise_var
     for _ in range(4 * cap):
         changed = False
         while keep:
-            base, _ = _ls_refit(y, Xs, energy, keep)
+            base, _ = _ls_refit(y, Xs, keep)
             rises = [
-                _ls_refit(y, Xs, energy, keep[:i] + keep[i + 1 :])[0] - base
+                _ls_refit(y, Xs, keep[:i] + keep[i + 1 :])[0] - base
                 for i in range(len(keep))
             ]
             weakest = int(np.argmin(rises))
@@ -31,13 +31,13 @@ def stepwise_select_lstsq(y, Xs, energy, candidates, cap, tau, noise_var):
                 changed = True
             else:
                 break
-        base, coef = _ls_refit(y, Xs, energy, keep)
-        resid = y - (np.sqrt(energy) * Xs[:, keep] @ coef if keep else 0.0)
+        base, coef = _ls_refit(y, Xs, keep)
+        resid = y - (Xs[:, keep] @ coef if keep else 0.0)
         corr = np.abs(Xs.conj().T @ resid)
         if keep:
             corr[keep] = 0.0
         best = int(np.argmax(corr))
-        if len(keep) < cap and base - _ls_refit(y, Xs, energy, keep + [best])[0] > threshold:
+        if len(keep) < cap and base - _ls_refit(y, Xs, keep + [best])[0] > threshold:
             keep.append(best)
             changed = True
         if not changed:

@@ -147,9 +147,9 @@ def test_criterion_4_sparse_recovery_benchmarks():
     for t in range(500):
         rng = np.random.default_rng([2024, 41, t])
         h = sample_channel(p25, rng)
-        y = synthesize_measurement(X25, h, p25, 0.0, rng)
-        o = omp_recover(y, X25, p25, p25.sparsity)
-        d = dantzig_recover(y, X25, p25, cfg_nl)
+        y = synthesize_measurement(X25, h, 0.0, rng)
+        o = omp_recover(y, X25, p25.sparsity)
+        d = dantzig_recover(y, X25, cfg_nl)
         omp_hits += int(np.array_equal(o.recovered_support, h.support))
         agree += int(np.array_equal(threshold_support(d.raw_estimate), o.recovered_support))
 
@@ -165,12 +165,12 @@ def test_criterion_4_sparse_recovery_benchmarks():
     for t in range(200):
         rng = np.random.default_rng([2024, 42, t])
         h = sample_channel(p100, rng)
-        y = synthesize_measurement(X100, h, p100, nv, rng)
-        d = dantzig_recover(y, X100, p100, cfg_db)
+        y = synthesize_measurement(X100, h, nv, rng)
+        d = dantzig_recover(y, X100, cfg_db)
         hits += int(np.array_equal(np.sort(d.recovered_support), h.support))
         nm_cs.append(nmse(h.taps, d.estimate))
-        yf = synthesize_measurement(comb, h, p100, nv, rng)
-        nm_fde.append(nmse(h.taps, fde_ls_recover(yf, comb, p100).estimate))
+        yf = synthesize_measurement(comb, h, nv, rng)
+        nm_fde.append(nmse(h.taps, fde_ls_recover(yf, comb).estimate))
 
     cs_db, fde_db = float(np.mean(nm_cs)), float(np.mean(nm_fde))
     checks = [

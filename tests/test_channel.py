@@ -24,7 +24,6 @@ def test_default_params_working_point():
         4,
         20,
     )
-    assert p.symbol_energy == 1.0
 
 
 @pytest.mark.parametrize(
@@ -35,7 +34,7 @@ def test_default_params_working_point():
         dict(tap_count=2000),
         dict(pilot_count=2),
         dict(pilot_count=1001),
-        dict(symbol_energy=0.0),
+        dict(sparsity=4.5),
     ],
 )
 def test_params_validation(kwargs):
@@ -49,15 +48,13 @@ def test_params_validation(kwargs):
     good=st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_non_finite_energy_and_noise_rejected(bad, good):
-    with pytest.raises(ValueError, match="symbol_energy"):
-        default_params(symbol_energy=bad)
-    p = default_params(symbol_energy=good)
+    p = default_params()
     rng = np.random.default_rng(0)
     h = sample_channel(p, rng)
     X = build_sensing_matrix(range(p.pilot_count), p)
-    synthesize_measurement(X, h, p, good, rng)
+    synthesize_measurement(X, h, good, rng)
     with pytest.raises(ValueError, match="noise_variance"):
-        synthesize_measurement(X, h, p, bad, rng)
+        synthesize_measurement(X, h, bad, rng)
 
 
 def test_sample_channel_support_size():
@@ -161,33 +158,33 @@ def test_measurement_zero_channel():
     h = sample_channel(p, np.random.default_rng(0))
     silent = type(h)(taps=np.zeros(10, dtype=complex), support=np.array([], dtype=int))
     X = build_sensing_matrix(range(10), p)
-    y = synthesize_measurement(X, silent, p, 0.0, np.random.default_rng(0))
+    y = synthesize_measurement(X, silent, 0.0, np.random.default_rng(0))
     assert np.all(y == 0)
 
 
 def test_measurement_delay_zero_tap():
     from cspilot.channel import SparseChannel
 
-    p = default_params(symbol_energy=4.0)
+    p = default_params()
     taps = np.zeros(100, dtype=complex)
     taps[0] = 1.0
     h = SparseChannel(taps=taps, support=np.array([0]))
     X = build_sensing_matrix([3, 77, 512], p)
-    y = synthesize_measurement(X, h, p, 0.0, np.random.default_rng(0))
-    assert np.allclose(y, 2.0)  # sqrt(E) times the all-ones column
+    y = synthesize_measurement(X, h, 0.0, np.random.default_rng(0))
+    assert np.allclose(y, 1.0)  # the all-ones column
 
 
 def test_measurement_matches_dft_oracle(rng):
-    # sqrt(E) X h must equal the length-WT DFT of the zero-padded taps,
-    # subsampled at the selected tones
-    p = default_params(symbol_energy=2.5)
+    # X h must equal the length-WT DFT of the zero-padded taps, subsampled
+    # at the selected tones
+    p = default_params()
     h = sample_channel(p, rng)
     tones = select_pilot_tones(p, rng)
     X = build_sensing_matrix(tones, p)
-    y = synthesize_measurement(X, h, p, 0.0, rng)
+    y = synthesize_measurement(X, h, 0.0, rng)
     padded = np.zeros(p.bandwidth_time_product, dtype=complex)
     padded[: p.tap_count] = h.taps
-    oracle = np.sqrt(p.symbol_energy) * np.fft.fft(padded)[tones]
+    oracle = np.fft.fft(padded)[tones]
     assert np.max(np.abs(y - oracle)) < 1e-10
 
 
@@ -195,7 +192,7 @@ def test_measurement_energy_identity(rng):
     p = default_params()
     h = sample_channel(p, rng)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    y = synthesize_measurement(X, h, p, 0.0, rng)
+    y = synthesize_measurement(X, h, 0.0, rng)
     assert np.sum(np.abs(y) ** 2) == np.sum(np.abs(X.rows @ h.taps) ** 2)
 
 
@@ -203,12 +200,12 @@ def test_measurement_noise_variance():
     p = default_params()
     h = sample_channel(p, np.random.default_rng(5))
     X = build_sensing_matrix(select_pilot_tones(p, np.random.default_rng(5)), p)
-    clean = synthesize_measurement(X, h, p, 0.0, np.random.default_rng(9))
+    clean = synthesize_measurement(X, h, 0.0, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     noise_energy = 0.0
     n_draws = 2000
     for _ in range(n_draws):
-        y = synthesize_measurement(X, h, p, 0.25, rng)
+        y = synthesize_measurement(X, h, 0.25, rng)
         noise_energy += float(np.sum(np.abs(y - clean) ** 2))
     per_entry = noise_energy / (n_draws * X.rows.shape[0])
     assert abs(per_entry / 0.25 - 1.0) < 0.05
@@ -219,4 +216,4 @@ def test_measurement_dimension_mismatch(rng):
     h = sample_channel(p, rng)
     X = build_sensing_matrix(range(20), default_params(tap_count=50))
     with pytest.raises(ValueError):
-        synthesize_measurement(X, h, p, 0.0, rng)
+        synthesize_measurement(X, h, 0.0, rng)

@@ -222,7 +222,7 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
     params = cli._ofdm_from({**cli.EXPERIMENTS["recover-bench"].defaults, "tap_count": "25"})
-    item = (0, params, "designed", 0, cli._noise_variance(1.0, 10.0), 0, 4)
+    item = (0, params, "designed", 0, cli._noise_variance(10.0), 0, 4)
     with cli._one_blas_thread():  # the BLAS setting main runs the trials with
         clean = cli._recover_chunk(item)
 
@@ -462,6 +462,11 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("mystery=5\n", encoding="utf-8")
     code = cli.main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "b.csv")])
     assert code == 2
+    # pilots have unit energy: there is no energy key to set
+    capsys.readouterr()
+    code, _ = run(tmp_path, "c.csv", "recover-bench", "--set", "symbol_energy=1.0")
+    assert code == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

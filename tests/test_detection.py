@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from detection_oracle import error_probability_mc_complex
 
+from cspilot.channel import OfdmParams
 from cspilot.detection import (
     DetectionConfig,
-    detect,
-    energy_metric,
     error_probability,
     error_probability_mc,
     min_threshold_for_network,
@@ -46,26 +45,16 @@ def test_config_rejects_non_finite(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.5, 1.0, 11.0, 12.0])
 def test_error_probability_rejects_bad_explicit_threshold(bad):
     # the rule of a preset threshold: finite, above 1, below 1 + gP
-    config = DetectionConfig(antenna_count=8, pathloss_power=10.0)
-    with pytest.raises(ValueError):
-        error_probability(config, bad)
     with pytest.raises(ValueError):
         DetectionConfig(antenna_count=8, pathloss_power=10.0, threshold=bad)
 
 
 def test_error_probability_explicit_threshold_blind_point():
     # with gP = 0 any threshold above 1 is allowed, and the error is 1/2
-    config = DetectionConfig(antenna_count=8, pathloss_power=0.0)
-    assert error_probability(config, 3.0) == pytest.approx(0.5, abs=1e-15)
+    config = DetectionConfig(antenna_count=8, pathloss_power=0.0, threshold=3.0)
+    assert error_probability(config) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
-        error_probability(config, 0.5)
-
-
-def test_energy_metric_basics():
-    assert energy_metric(np.zeros(16, dtype=complex)) == 0.0
-    assert energy_metric(np.ones(7)) == 1.0
-    with pytest.raises(ValueError):
-        energy_metric(np.array([]))
+        DetectionConfig(antenna_count=8, pathloss_power=0.0, threshold=0.5)
 
 
 def test_energy_metric_noise_mean(rng):
@@ -108,12 +97,15 @@ def test_optimal_threshold_closed_form():
 
 def test_optimal_threshold_matches_error_grid():
     # closed form vs a two-stage grid argmin of the analytic P_e
-    config = DetectionConfig(antenna_count=64, pathloss_power=10.0)
-    found = optimal_threshold(config)
+    found = optimal_threshold(DetectionConfig(64, 10.0))
+
+    def pe(t):
+        return error_probability(DetectionConfig(64, 10.0, threshold=t))
+
     coarse = np.linspace(1.001, 10.999, 2001)
-    centre = coarse[int(np.argmin([error_probability(config, t) for t in coarse]))]
+    centre = coarse[int(np.argmin([pe(t) for t in coarse]))]
     fine = np.arange(centre - 5e-3, centre + 5e-3, 1e-6)
-    best = fine[int(np.argmin([error_probability(config, t) for t in fine]))]
+    best = fine[int(np.argmin([pe(t) for t in fine]))]
     assert abs(found - best) < 1e-5
 
 
@@ -142,15 +134,6 @@ def test_optimal_threshold_small_power(gp):
     t = optimal_threshold(DetectionConfig(antenna_count=16, pathloss_power=gp))
     assert 1.0 < t < 1.0 + gp
     assert t == pytest.approx(1.0 + gp / 2, abs=2.3e-16)
-
-
-def test_detect_rule():
-    assert detect(0.5, 2.0) == 0
-    assert detect(11.0, 2.0) == 1
-    assert detect(2.0, 2.0) == 0  # boundary maps to silent
-    energies = np.linspace(0, 5, 50)
-    bits = [detect(e, 2.5) for e in energies]
-    assert np.all(np.diff(bits) >= 0)
 
 
 def test_error_probability_analytic_vs_mc(rng):
@@ -216,8 +199,19 @@ def test_error_probability_mc_matches_complex_oracle(m, gp):
             100.5,
             np.random.default_rng(0),
         ),
+        lambda: OfdmParams(
+            bandwidth_time_product=1000, tap_count=100.5, sparsity=4, pilot_count=20
+        ),
+        lambda: min_threshold_for_network([1.0, 10.0], 8.5, max_error_probability=1e-3),
     ],
-    ids=["antenna_count", "cell_count", "detection_trials", "netsim_trials"],
+    ids=[
+        "antenna_count",
+        "cell_count",
+        "detection_trials",
+        "netsim_trials",
+        "ofdm_tap_count",
+        "network_antenna_count",
+    ],
 )
 def test_counts_must_be_integral(call):
     # a fractional count is a ValueError up front, not a TypeError deep inside

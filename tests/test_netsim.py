@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from cspilot.netsim import (
     collision_probability_mc,
     expected_singletons,
     optimal_group_size,
-    place_ues,
     reuse_gain,
     rho_metrics,
 )
@@ -38,27 +36,6 @@ def model(n=16, alpha=1.0, kg=16):
 def test_model_validation(kwargs):
     with pytest.raises(ValueError):
         NetworkModel(**kwargs)
-
-
-def test_place_ues_degenerate(rng):
-    out = place_ues(model(n=1, alpha=1.0, kg=1), rng)
-    assert out.cell_of_ue.tolist() == [0]
-    assert out.singleton_count == 1
-
-
-def test_place_ues_coverage_rate(rng):
-    m = model(alpha=0.01, kg=1)
-    draws = np.array([place_ues(m, rng).cell_of_ue[0] for _ in range(20000)])
-    rate = np.mean(draws >= 0)
-    sigma = math.sqrt(0.01 * 0.99 / 20000)
-    assert abs(rate - 0.01) < 3 * sigma + 1e-6
-
-
-def test_place_ues_outage_marker(rng):
-    m = model(alpha=0.5, kg=64)
-    out = place_ues(m, rng)
-    assert np.all((out.cell_of_ue >= -1) & (out.cell_of_ue < 16))
-    assert 0 < np.mean(out.cell_of_ue == -1) < 1  # some outages, not all
 
 
 def test_singleton_count_matches_mc_expectation(rng):

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspilot.channel import default_params
 from cspilot.pilots import (
     CapacityExceededError,
     PilotCodebook,
-    allocate_orthogonal,
     build_codebook,
     capacity,
     choose_l,
@@ -33,31 +31,6 @@ ANTI_DIAGONAL_4 = np.array(
     ],
     dtype=np.uint8,
 )
-
-
-def test_allocate_orthogonal_covers_band(rng):
-    p = default_params()
-    alloc = allocate_orthogonal(50, p, rng)
-    assert len(alloc.sequences) == 50
-    merged = np.concatenate(alloc.sequences)
-    assert merged.size == 1000
-    assert np.array_equal(np.sort(merged), np.arange(1000))  # disjoint cover
-
-
-def test_allocate_orthogonal_small_cases(rng):
-    p = default_params()
-    one = allocate_orthogonal(1, p, rng)
-    assert len(one.sequences) == 1 and one.sequences[0].size == 20
-    assert len(allocate_orthogonal(0, p, rng).sequences) == 0
-    with pytest.raises(CapacityExceededError):
-        allocate_orthogonal(51, p, rng)
-
-
-def test_allocate_orthogonal_deterministic():
-    p = default_params()
-    a = allocate_orthogonal(5, p, np.random.default_rng(33))
-    b = allocate_orthogonal(5, p, np.random.default_rng(33))
-    assert all(np.array_equal(x, y) for x, y in zip(a.sequences, b.sequences))
 
 
 def test_capacity_and_choose_l():

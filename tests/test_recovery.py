@@ -81,39 +81,39 @@ def test_config_rejects_non_finite_fields(field, bad, scaled, good):
 
 def test_scaled_epsilon_rule():
     p = default_params()
+    X = build_sensing_matrix(DESIGNED_TONES_100, p)
     cfg = DantzigConfig(noise_variance=0.01)
     # sigma sqrt(M) sqrt(2 ln D) = 0.1 * sqrt(20) * sqrt(2 ln 100)
-    assert dantzig_epsilon(cfg, p) == pytest.approx(1.3572280848830225, abs=1e-12)
-    # the correlated noise X^H z does not scale with the pilot energy
-    loud = default_params(symbol_energy=100.0)
-    assert dantzig_epsilon(cfg, loud) == dantzig_epsilon(cfg, p)
+    assert dantzig_epsilon(cfg, X) == pytest.approx(1.3572280848830225, abs=1e-12)
     explicit = DantzigConfig(epsilon=0.5, noise_variance=0.01)
-    assert dantzig_epsilon(explicit, p) == 0.5
+    assert dantzig_epsilon(explicit, X) == 0.5
 
 
-@pytest.mark.parametrize("energy, noise_var", [(100.0, 1.0), (0.25, 0.0025)])
-def test_raw_estimate_invariant_to_pilot_energy_at_fixed_snr(energy, noise_var):
-    # y scales by sqrt(E) at a fixed per-tone SNR, and so must the scaled
-    # constraint level, or the program solves a looser or tighter problem
-    for t in range(40):
-        raws = []
-        for e, nv in ((1.0, 0.01), (energy, noise_var)):
-            p = default_params(symbol_energy=e)
-            rng = np.random.default_rng([2024, 42, t])
-            h = sample_channel(p, rng)
-            X = build_sensing_matrix(DESIGNED_TONES_100, p)
-            y = synthesize_measurement(X, h, p, nv, rng)
-            cfg = DantzigConfig(noise_variance=nv, magnitude_floor=0.01)
-            raws.append(dantzig_recover(y, X, p, cfg).raw_estimate)
-        assert np.max(np.abs(raws[1] - raws[0])) <= 1e-9
+def test_epsilon_follows_the_matrix_shape():
+    # M and D come from the matrix: the 100-tone comb gets 0.1 sqrt(100)
+    # sqrt(2 ln 100), which the true channel meets in most 20 dB draws; the
+    # level of a 20-tone matrix would exclude it nearly always
+    p = default_params()
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    cfg = DantzigConfig(noise_variance=0.01)
+    eps = dantzig_epsilon(cfg, comb)
+    assert eps == pytest.approx(0.1 * np.sqrt(100) * np.sqrt(2 * np.log(100)), rel=1e-15)
+    rng = np.random.default_rng(2024)
+    feasible = 0
+    for _ in range(40):
+        h = sample_channel(p, rng)
+        y = synthesize_measurement(comb, h, 0.01, rng)
+        corr = comb.rows.conj().T @ (y - comb.rows @ h.taps)
+        feasible += max(np.abs(corr.real).max(), np.abs(corr.imag).max()) <= eps / np.sqrt(2)
+    assert feasible > 20
 
 
 def test_dantzig_single_tap_noiseless(rng):
     p = default_params()
     h = _single_tap_channel(p, delay=0, gain=1.0)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    y = synthesize_measurement(X, h, p, 0.0, rng)
-    res = dantzig_recover(y, X, p, DantzigConfig(epsilon=1e-9))
+    y = synthesize_measurement(X, h, 0.0, rng)
+    res = dantzig_recover(y, X, DantzigConfig(epsilon=1e-9))
     assert res.solver_status == "optimal"
     assert np.array_equal(res.recovered_support, [0])
     assert abs(res.estimate[0] - 1.0) < 1e-6
@@ -126,9 +126,9 @@ def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
     p = default_params()
     h = sample_channel(p, rng)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    y = synthesize_measurement(X, h, p, 0.1, rng)
+    y = synthesize_measurement(X, h, 0.1, rng)
     monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
-    res = dantzig_recover(y, X, p, DantzigConfig(noise_variance=0.1, magnitude_floor=0.01))
+    res = dantzig_recover(y, X, DantzigConfig(noise_variance=0.1, magnitude_floor=0.01))
     assert res.solver_status != "optimal"
     assert res.recovered_support.size == 0
     for estimate in (res.estimate, res.raw_estimate):
@@ -144,9 +144,7 @@ def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
 def test_dantzig_zero_measurement(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    res = dantzig_recover(
-        np.zeros(20, dtype=complex), X, p, DantzigConfig(epsilon=0.1)
-    )
+    res = dantzig_recover(np.zeros(20, dtype=complex), X, DantzigConfig(epsilon=0.1))
     assert res.objective_value == pytest.approx(0.0, abs=1e-12)
     assert np.all(res.estimate == 0)
     assert res.recovered_support.size == 0
@@ -159,11 +157,11 @@ def test_dantzig_epsilon_constraint_satisfied(rng):
     for _ in range(5):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-        y = synthesize_measurement(X, h, p, 0.01, rng)
-        res = dantzig_recover(y, X, p, cfg)
+        y = synthesize_measurement(X, h, 0.01, rng)
+        res = dantzig_recover(y, X, cfg)
         assert res.solver_status == "optimal"
-        corr = X.rows.conj().T @ (y - np.sqrt(p.symbol_energy) * X.rows @ res.raw_estimate)
-        bound = dantzig_epsilon(cfg, p) / np.sqrt(2.0)
+        corr = X.rows.conj().T @ (y - X.rows @ res.raw_estimate)
+        bound = dantzig_epsilon(cfg, X) / np.sqrt(2.0)
         assert np.max(np.abs(corr.real)) <= bound + 1e-7
         assert np.max(np.abs(corr.imag)) <= bound + 1e-7
 
@@ -176,10 +174,10 @@ def test_dantzig_truth_feasible_objective_bound(rng):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(select_pilot_tones(p, rng), p)
         noise_var = 0.01
-        y = synthesize_measurement(X, h, p, noise_var, rng)
-        z_corr = X.rows.conj().T @ (y - np.sqrt(p.symbol_energy) * X.rows @ h.taps)
+        y = synthesize_measurement(X, h, noise_var, rng)
+        z_corr = X.rows.conj().T @ (y - X.rows @ h.taps)
         eps = np.sqrt(2.0) * float(np.max(np.abs(z_corr)))
-        res = dantzig_recover(y, X, p, DantzigConfig(epsilon=eps))
+        res = dantzig_recover(y, X, DantzigConfig(epsilon=eps))
         assert res.solver_status == "optimal"
         truth_l1 = float(np.abs(h.taps.real).sum() + np.abs(h.taps.imag).sum())
         assert res.objective_value <= truth_l1 + 1e-7
@@ -191,12 +189,12 @@ def test_debias_refit_never_raises_residual(rng):
     p = default_params()
     cfg = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
-    A = np.sqrt(p.symbol_energy) * X.rows
+    A = X.rows
     improved = 0
     for _ in range(15):
         h = sample_channel(p, rng)
-        y = synthesize_measurement(X, h, p, 0.01, rng)
-        deb = dantzig_recover(y, X, p, cfg)
+        y = synthesize_measurement(X, h, 0.01, rng)
+        deb = dantzig_recover(y, X, cfg)
         raw = deb.raw_estimate
         support = threshold_support(raw, 0.01)
         truncated = np.zeros_like(raw)
@@ -216,41 +214,41 @@ def test_lp_iterations_reported(rng):
     p = default_params(tap_count=25)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     h = sample_channel(p, rng)
-    y = synthesize_measurement(X, h, p, 0.01, rng)
+    y = synthesize_measurement(X, h, 0.01, rng)
     cfg = DantzigConfig(noise_variance=0.01)
-    c, A, b = _embed_lp(y, X, p.symbol_energy, dantzig_epsilon(cfg, p))
-    res = dantzig_recover(y, X, p, cfg)
+    c, A, b = _embed_lp(y, X, dantzig_epsilon(cfg, X))
+    res = dantzig_recover(y, X, cfg)
     assert res.lp_iterations == solve_lp(c, A, b).iterations > 0
-    assert omp_recover(y, X, p, p.sparsity).lp_iterations is None
+    assert omp_recover(y, X, p.sparsity).lp_iterations is None
 
 
 def test_debias_passes_reported(rng):
     p = default_params()
     h = sample_channel(p, rng)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
-    y = synthesize_measurement(X, h, p, 0.01, rng)
+    y = synthesize_measurement(X, h, 0.01, rng)
     noisy = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
-    assert dantzig_recover(y, X, p, noisy).debias_passes >= 1
+    assert dantzig_recover(y, X, noisy).debias_passes >= 1
     noiseless = DantzigConfig(epsilon=1e-6)
-    assert dantzig_recover(y, X, p, noiseless).debias_passes == 0
-    assert omp_recover(y, X, p, p.sparsity).debias_passes is None
+    assert dantzig_recover(y, X, noiseless).debias_passes == 0
+    assert omp_recover(y, X, p.sparsity).debias_passes is None
     comb = build_sensing_matrix(comb_tone_set(p), p)
-    yf = synthesize_measurement(comb, h, p, 0.01, rng)
-    assert fde_ls_recover(yf, comb, p).debias_passes is None
+    yf = synthesize_measurement(comb, h, 0.01, rng)
+    assert fde_ls_recover(yf, comb).debias_passes is None
 
 
 def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
     # criterion 4's frozen channel draws, with tones and SNR varied
     params = default_params(tap_count=tap_count)
     for snr_db in snr_dbs:
-        noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
+        noise_var = 1.0 / 10.0 ** (snr_db / 10.0)
         cfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)
             tone_set = tones if tones is not None else select_pilot_tones(params, rng)
             X = build_sensing_matrix(tone_set, params)
-            y = synthesize_measurement(X, h, params, noise_var, rng)
+            y = synthesize_measurement(X, h, noise_var, rng)
             yield y, X, params, cfg
 
 
@@ -268,7 +266,7 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
     # reference picks; the final refit is shared, so estimates are equal too
     pruned = added = 0
     for y, X, p, cfg in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
-        res = dantzig_recover(y, X, p, cfg)
+        res = dantzig_recover(y, X, cfg)
         candidates = threshold_support(res.raw_estimate, cfg.magnitude_floor)
         if candidates.size > CANDIDATE_CAP:
             mags = np.abs(res.raw_estimate[candidates])
@@ -276,7 +274,6 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
         want = stepwise_select_lstsq(
             y,
             X.rows,
-            p.symbol_energy,
             list(candidates),
             CANDIDATE_CAP,
             SELECTION_TAU,
@@ -285,7 +282,7 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
         assert res.recovered_support.tolist() == want
         expected = np.zeros(p.tap_count, dtype=complex)
         if want:
-            expected[want] = _ls_refit(y, X.rows, p.symbol_energy, want)[1]
+            expected[want] = _ls_refit(y, X.rows, want)[1]
         assert np.array_equal(res.estimate, expected)
         pruned += bool(set(candidates.tolist()) - set(want))
         added += bool(set(want) - set(candidates.tolist()))
@@ -301,11 +298,11 @@ def test_stepwise_select_prunes_dependent_columns(rng):
     h = sample_channel(p, rng)
     rows = X.rows.copy()
     rows[:, [1, 2]] = rows[:, [0, 0]]
-    y = synthesize_measurement(SensingMatrix(rows, X.tone_set), h, p, 0.01, rng)
-    support, _ = _stepwise_select(y, rows, p.symbol_energy, [0, 1, 2], 12, 10.0, 0.01)
+    y = synthesize_measurement(SensingMatrix(rows, X.tone_set), h, 0.01, rng)
+    support, _ = _stepwise_select(y, rows, [0, 1, 2], 12, 10.0, 0.01)
     assert len(set(support) & {0, 1, 2}) <= 1
-    y = synthesize_measurement(X, h, p, 1.0, rng)
-    support, _ = _stepwise_select(y, X.rows, p.symbol_energy, list(range(30)), 40, 0.01, 1.0)
+    y = synthesize_measurement(X, h, 1.0, rng)
+    support, _ = _stepwise_select(y, X.rows, list(range(30)), 40, 0.01, 1.0)
     assert len(support) <= X.rows.shape[0]
 
 
@@ -314,8 +311,8 @@ def test_omp_noiseless_exact(rng):
     for _ in range(10):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-        y = synthesize_measurement(X, h, p, 0.0, rng)
-        res = omp_recover(y, X, p, p.sparsity)
+        y = synthesize_measurement(X, h, 0.0, rng)
+        res = omp_recover(y, X, p.sparsity)
         assert np.array_equal(res.recovered_support, h.support)
         rel = np.linalg.norm(res.estimate - h.taps) / np.linalg.norm(h.taps)
         assert rel < 1e-8
@@ -325,7 +322,7 @@ def test_omp_zero_sparsity(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     y = np.ones(20, dtype=complex)
-    res = omp_recover(y, X, p, 0)
+    res = omp_recover(y, X, 0)
     assert np.all(res.estimate == 0)
     assert res.recovered_support.size == 0
 
@@ -334,9 +331,9 @@ def test_omp_deterministic(rng):
     p = default_params()
     h = sample_channel(p, rng)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    y = synthesize_measurement(X, h, p, 0.05, rng)
-    a = omp_recover(y, X, p, 4)
-    b = omp_recover(y, X, p, 4)
+    y = synthesize_measurement(X, h, 0.05, rng)
+    a = omp_recover(y, X, 4)
+    b = omp_recover(y, X, 4)
     assert np.array_equal(a.estimate, b.estimate)
     assert np.array_equal(a.recovered_support, b.recovered_support)
 
@@ -346,7 +343,7 @@ def test_omp_sparsity_cap(rng):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     for sparsity in (21, -1, -3):
         with pytest.raises(ValueError, match="sparsity"):
-            omp_recover(np.zeros(20, dtype=complex), X, p, sparsity)
+            omp_recover(np.zeros(20, dtype=complex), X, sparsity)
 
 
 def test_fde_noiseless_exact_dense(rng):
@@ -354,8 +351,8 @@ def test_fde_noiseless_exact_dense(rng):
     p = default_params(tap_count=100, sparsity=100, pilot_count=100)
     h = sample_channel(p, rng)
     X = build_sensing_matrix(comb_tone_set(p), p)
-    y = synthesize_measurement(X, h, p, 0.0, rng)
-    res = fde_ls_recover(y, X, p)
+    y = synthesize_measurement(X, h, 0.0, rng)
+    res = fde_ls_recover(y, X)
     rel = np.linalg.norm(res.estimate - h.taps) / np.linalg.norm(h.taps)
     assert rel < 1e-10
 
@@ -363,33 +360,36 @@ def test_fde_noiseless_exact_dense(rng):
 def test_fde_zero_measurement(rng):
     p = default_params()
     X = build_sensing_matrix(comb_tone_set(p), p)
-    res = fde_ls_recover(np.zeros(100, dtype=complex), X, p)
+    res = fde_ls_recover(np.zeros(100, dtype=complex), X)
     assert np.all(res.estimate == 0)
 
 
 def test_fde_requires_enough_tones(rng):
-    p = default_params()
-    X = build_sensing_matrix(select_pilot_tones(p, rng), p)  # only 20 tones
-    with pytest.raises(ValueError):
-        fde_ls_recover(np.zeros(20, dtype=complex), X, p)
+    # 20 or 60 tones cannot determine 100 taps: the count comes from the matrix
+    for m in (20, 60):
+        tones = select_pilot_tones(default_params(pilot_count=m), rng)
+        X = build_sensing_matrix(tones, default_params())
+        assert X.rows.shape == (m, 100)
+        with pytest.raises(ValueError, match="at least 100 tones"):
+            fde_ls_recover(np.ones(m, dtype=complex), X)
 
 
 def test_fde_matches_lstsq():
     # the cached pseudo-inverse against a fresh least-squares solve, on the
     # DFT comb and on random tone sets with at least tap_count tones
     rng = np.random.default_rng(7)
-    p = default_params(symbol_energy=2.5)
+    p = default_params()
     tone_sets = [comb_tone_set(p)]
     for m in (100, 130, 400):
         tone_sets.append(select_pilot_tones(default_params(pilot_count=m), rng))
     for tones in tone_sets:
         X = build_sensing_matrix(tones, p)
-        A = np.sqrt(p.symbol_energy) * X.rows
+        A = X.rows
         for _ in range(3):
             y = A @ (rng.standard_normal(100) + 1j * rng.standard_normal(100))
             y += 0.3 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
             want = np.linalg.lstsq(A, y, rcond=None)[0]
-            got = fde_ls_recover(y, X, p).estimate
+            got = fde_ls_recover(y, X).estimate
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -400,40 +400,37 @@ def test_fde_rank_deficient_raises_on_every_call():
     X = SensingMatrix(rows=rows, tone_set=comb_tone_set(p))
     for _ in range(3):
         with pytest.raises(np.linalg.LinAlgError):
-            fde_ls_recover(np.ones(100, dtype=complex), X, p)
+            fde_ls_recover(np.ones(100, dtype=complex), X)
 
 
 def test_embed_lp_cached_block_matches_fresh_matrix(rng):
     # the block a matrix keeps is bitwise the one a fresh matrix of the same
     # tones builds, and the one of the four-block formula
-    p = default_params(symbol_energy=3.0)
+    p = default_params()
     eps = 0.4
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
     for _ in range(3):
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        cached = _embed_lp(y, X, p.symbol_energy, eps)
-        fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), p.symbol_energy, eps)
+        cached = _embed_lp(y, X, eps)
+        fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), eps)
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
-    G = np.sqrt(p.symbol_energy) * (X.rows.conj().T @ X.rows)
+    G = X.rows.conj().T @ X.rows
     R, Im = G.real, G.imag
     formula = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
     assert cached[1].tobytes() == formula.tobytes()
-    # another tone set, or another energy, gets its own block
+    # another tone set gets its own block
     other = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    A_other = _embed_lp(y, other, p.symbol_energy, eps)[1]
+    A_other = _embed_lp(y, other, eps)[1]
     assert A_other is not cached[1]
     assert not np.array_equal(A_other, cached[1])
-    A_unit = _embed_lp(y, X, 1.0, eps)[1]
-    assert np.array_equal(np.sqrt(3.0) * A_unit, cached[1])
-    assert _embed_lp(y, X, p.symbol_energy, eps)[1] is cached[1]
+    assert _embed_lp(y, X, eps)[1] is cached[1]
 
 
 def test_fde_rank_deficient_raises():
-    p = default_params()
     X = SensingMatrix(rows=np.ones((100, 100), dtype=complex), tone_set=np.arange(100))
     with pytest.raises(np.linalg.LinAlgError):
-        fde_ls_recover(np.ones(100, dtype=complex), X, p)
+        fde_ls_recover(np.ones(100, dtype=complex), X)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)
@@ -445,26 +442,26 @@ def test_estimators_reject_non_finite_measurement(rng, bad):
     y[3] = yf[3] = bad
     cfg = DantzigConfig(noise_variance=0.01)
     with pytest.raises(ValueError, match="measurement"):
-        dantzig_recover(y, X, p, cfg)
+        dantzig_recover(y, X, cfg)
     with pytest.raises(ValueError, match="measurement"):
-        omp_recover(y, X, p, p.sparsity)
+        omp_recover(y, X, p.sparsity)
     with pytest.raises(ValueError, match="measurement"):
-        fde_ls_recover(yf, comb, p)
+        fde_ls_recover(yf, comb)
 
 
 def test_fde_comparable_at_20db(rng):
-    # unit noise with the pilot energy raised to keep 20 dB per tone
-    p = default_params(symbol_energy=100.0)
+    # 20 dB per tone: unit-energy pilots, noise variance 0.01
+    p = default_params()
     comb = build_sensing_matrix(comb_tone_set(p), p)
-    cfg = DantzigConfig(noise_variance=1.0, magnitude_floor=0.01)
+    cfg = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     cs, fde = [], []
     for _ in range(100):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(DESIGNED_TONES_100, p)
-        y = synthesize_measurement(X, h, p, 1.0, rng)
-        cs.append(nmse(h.taps, dantzig_recover(y, X, p, cfg).estimate))
-        yf = synthesize_measurement(comb, h, p, 1.0, rng)
-        fde.append(nmse(h.taps, fde_ls_recover(yf, comb, p).estimate))
+        y = synthesize_measurement(X, h, 0.01, rng)
+        cs.append(nmse(h.taps, dantzig_recover(y, X, cfg).estimate))
+        yf = synthesize_measurement(comb, h, 0.01, rng)
+        fde.append(nmse(h.taps, fde_ls_recover(yf, comb).estimate))
     assert np.mean(cs) <= np.mean(fde) + 3.0
 
 

@@ -186,15 +186,15 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
             noise_var = 0.0
             cfg = DantzigConfig(epsilon=1e-6)
         else:
-            noise_var = params.symbol_energy / 10.0 ** (snr_db / 10.0)
+            noise_var = 1.0 / 10.0 ** (snr_db / 10.0)
             cfg = DantzigConfig(noise_variance=noise_var)
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)
             tone_set = tones if tones is not None else select_pilot_tones(params, rng)
             X = build_sensing_matrix(tone_set, params)
-            y = synthesize_measurement(X, h, params, noise_var, rng)
-            yield _embed_lp(y, X, params.symbol_energy, dantzig_epsilon(cfg, params))
+            y = synthesize_measurement(X, h, noise_var, rng)
+            yield _embed_lp(y, X, dantzig_epsilon(cfg, X))
 
 
 @pytest.mark.parametrize(

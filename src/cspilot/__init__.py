@@ -6,7 +6,8 @@ Library layout:
   unit-energy pilot measurements ``y = X h + z``
 * `cspilot.recovery` — Dantzig-selector LP, OMP oracle, dense LS baseline,
   each sized by its sensing matrix alone
-* `cspilot.simplex` — self-contained compact-tableau dual simplex for weighted l1 LPs
+* `cspilot.simplex` — self-contained factored compact-tableau dual simplex
+  for weighted l1 LPs
 * `cspilot.detection` — massive-MIMO energy detection
 * `cspilot.pilots` — binary pilot codebooks
 * `cspilot.netsim` — collision analysis and multiplexing metrics
@@ -51,9 +52,7 @@ from .pilots import (
     choose_l,
     code_efficiency,
     decode_energy_vector,
-    read_codebook,
     superpose,
-    write_codebook,
 )
 from .recovery import (
     DantzigConfig,

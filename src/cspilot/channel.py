@@ -95,7 +95,7 @@ class SensingMatrix:
     delay column d; every entry has unit magnitude.
 
     `rows` is kept as a read-only complex copy, so an operator derived from
-    it and stored by `cached` (the Dantzig LP's constraint block, the dense
+    it and stored by `cached` (the Dantzig LP's constraint factors, the dense
     LS pseudo-inverse) stays valid for the life of the matrix.
     """
 
@@ -107,11 +107,6 @@ class SensingMatrix:
         rows = np.array(self.rows, dtype=complex)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-
-    def __reduce__(self):
-        # unpickle through __init__, so the copy is read-only again; the
-        # cache is left behind and rebuilt on use
-        return SensingMatrix, (self.rows, self.tone_set)
 
     def cached(self, key, build):
         """``build(self)`` on the first call with `key`; the stored result after.
@@ -140,11 +135,15 @@ def select_pilot_tones(
     """Pick ``pilot_count`` distinct tones uniformly from the non-excluded subcarriers.
 
     Returns the tone indices in ascending order.  Raises ``ValueError`` when
-    fewer than ``pilot_count`` tones remain available.
+    an excluded index is not a subcarrier (below 0 or at least
+    ``bandwidth_time_product``) and when fewer than ``pilot_count`` tones
+    remain available.
     """
     excluded = np.zeros(params.bandwidth_time_product, dtype=bool)
     excl = np.asarray(list(exclude), dtype=int)
     if excl.size:
+        if excl.min() < 0 or excl.max() >= excluded.size:
+            raise ValueError("excluded tone indices out of range")
         excluded[excl] = True
     available = np.flatnonzero(~excluded)
     if available.size < params.pilot_count:

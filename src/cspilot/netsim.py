@@ -122,7 +122,10 @@ def collision_probability_mc(
         raise ValueError("trials must be at least 1")
     n, k = model.cell_count, model.group_size
     total = 0.0
-    total_sq = 0.0
+    # running mean and sum of squared deviations, merged chunk by chunk
+    # (Chan et al.): E[x^2] - mean^2 cancels when the mean is near 1
+    run_mean = 0.0
+    m2 = 0.0
     done = 0
     while done < trials:
         batch = min(_MC_CHUNK, trials - done)
@@ -133,9 +136,12 @@ def collision_probability_mc(
         singles = (occupancy == 1).sum(axis=1)
         scores = 1.0 - singles / k
         total += float(scores.sum())
-        total_sq += float((scores**2).sum())
-        done += batch
+        chunk_mean = float(scores.mean())
+        delta = chunk_mean - run_mean
+        merged = done + batch
+        run_mean += delta * batch / merged
+        m2 += float(((scores - chunk_mean) ** 2).sum()) + delta**2 * done * batch / merged
+        done = merged
     mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    stderr = float(np.sqrt(var / trials))
+    stderr = float(np.sqrt(m2 / trials / trials))
     return mean, stderr

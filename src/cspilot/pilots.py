@@ -173,35 +173,3 @@ def code_efficiency(L_prime: int, l: int) -> Fraction:
     if L_prime < 1 or l < 1:
         raise ValueError("L_prime and l must be positive")
     return Fraction(L_prime, L_prime + l)
-
-
-def write_codebook(book: PilotCodebook, stream) -> None:
-    """Plain-text export: header ``L K L_prime l``, then one 0/1 row per line."""
-    stream.write(
-        f"{book.dimension} {book.user_count} {book.ones_per_column} "
-        f"{book.zeros_per_column}\n"
-    )
-    for row in book.columns:
-        stream.write("".join(str(int(v)) for v in row) + "\n")
-
-
-def read_codebook(stream) -> PilotCodebook:
-    """Parse the `write_codebook` format.
-
-    Besides the header and the row alphabet, the columns must be the
-    canonical ones `build_codebook` makes (see `PilotCodebook`).
-    """
-    header = stream.readline().split()
-    if len(header) != 4:
-        raise ValueError("codebook header must hold: L K L_prime l")
-    L, K, L_prime, l = (int(v) for v in header)
-    if L != L_prime + l:
-        raise ValueError("header dimension L does not equal L_prime + l")
-    rows = []
-    for _ in range(L):
-        line = stream.readline().strip()
-        if len(line) != K or set(line) - {"0", "1"}:
-            raise ValueError("codebook rows must be 0/1 strings of length K")
-        rows.append([int(ch) for ch in line])
-    columns = np.array(rows, dtype=np.uint8).reshape(L, K)
-    return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, columns=columns)

@@ -38,8 +38,7 @@ class RecoveryResult:
     the program solution so callers can score both stages from one solve;
     ``lp_iterations`` is the pivot count of that solve and
     ``debias_passes`` the number of stepwise debias passes run (0 when the
-    stepwise step is skipped); all three are None for estimators without an
-    LP.
+    solve failed); all three are None for estimators without an LP.
     """
 
     estimate: np.ndarray
@@ -63,13 +62,14 @@ class DantzigConfig:
 
     Debias: taps whose raw magnitude clears
     ``max(magnitude_floor, 0.01 * largest)`` become candidates (at most
-    `CANDIDATE_CAP`, keeping the largest).  With ``noise_variance > 0``
-    the candidate set is then refined by stepwise least squares: a tap is
-    pruned when removing it raises the residual energy by less than
-    ``SELECTION_TAU * noise_variance``, and a tap is added back from the
-    residual correlations when it lowers the residual energy by more than
-    the same amount.  The final estimate is the least-squares refit on the
-    surviving support.
+    `CANDIDATE_CAP`, keeping the largest).  The candidate set is then
+    refined by stepwise least squares: a tap is pruned when removing it
+    raises the residual energy by less than a threshold, and a tap is added
+    back from the residual correlations when it lowers the residual energy
+    by more than the same amount.  The threshold is
+    ``SELECTION_TAU * noise_variance``, or with ``noise_variance == 0`` the
+    rounding level ``M * eps * ||y||^2`` of an M-tone measurement y.  The
+    final estimate is the least-squares refit on the surviving support.
 
     Every field must be finite, a given `epsilon` positive and the other two
     nonnegative (``ValueError`` otherwise).
@@ -106,35 +106,41 @@ def dantzig_epsilon(cfg: DantzigConfig, X: SensingMatrix) -> float:
     return float(np.sqrt(cfg.noise_variance) * np.sqrt(m) * np.sqrt(2.0 * np.log(d)))
 
 
-def _lp_block(X: SensingMatrix) -> np.ndarray:
-    """``[[-R, Im], [R, -Im], [-Im, -R], [Im, R]]`` for ``X^H X = R + j Im``.
+def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``U, V`` of the LP block ``U @ V = [[-R, Im], [R, -Im], [-Im, -R], [Im, R]]``.
 
-    Read-only; each odd block row is the exact negation of the next one.
+    ``X^H X = R + j Im``; ``V = [[Re X, -Im X], [Im X, Re X]]`` is the real
+    form of X, and ``U = [-V1^T; V1^T; -V2^T; V2^T]`` for the column halves
+    ``V = [V1, V2]``, so each odd block row of U is the exact negation of
+    the next one.  Both are read-only.
     """
-    G = X.rows.conj().T @ X.rows
-    d = G.shape[0]
-    A = np.empty((4 * d, 2 * d))
-    A[d : 2 * d, :d] = G.real
-    A[d : 2 * d, d:] = -G.imag
-    A[3 * d :, :d] = G.imag
-    A[3 * d :, d:] = G.real
-    np.negative(A[d : 2 * d], out=A[:d])
-    np.negative(A[3 * d :], out=A[2 * d : 3 * d])
-    A.flags.writeable = False
-    return A
+    m, d = X.rows.shape
+    V = np.empty((2 * m, 2 * d))
+    V[:m, :d] = X.rows.real
+    np.negative(X.rows.imag, out=V[:m, d:])
+    V[m:, :d] = X.rows.imag
+    V[m:, d:] = X.rows.real
+    U = np.empty((4 * d, 2 * m))
+    U[d : 2 * d] = V[:, :d].T
+    U[3 * d :] = V[:, d:].T
+    np.negative(U[d : 2 * d], out=U[:d])
+    np.negative(U[3 * d :], out=U[2 * d : 3 * d])
+    U.flags.writeable = False
+    V.flags.writeable = False
+    return U, V
 
 
 def _embed_lp(y, X: SensingMatrix, eps: float):
     # Real form of min ||h||_1 s.t. ||X^H(y - X h)||_inf <= eps over
     # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
     # imaginary parts of the correlated residual, each as a pair of rows.
-    # The constraint block depends on the tones only, so X keeps it.
-    A = X.cached("lp_block", _lp_block)
+    # The constraint factors depend on the tones only, so X keeps them.
+    U, V = X.cached("lp_factors", _lp_factors)
     v = X.rows.conj().T @ y
     t = eps / np.sqrt(2.0)
     b = np.concatenate([t - v.real, t + v.real, t - v.imag, t + v.imag])
-    c = np.ones(A.shape[1])
-    return c, A, b
+    c = np.ones(V.shape[1])
+    return c, U, V, b
 
 
 def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -172,11 +178,11 @@ def _ls_refit(y, Xs: np.ndarray, support) -> tuple[float, np.ndarray | None]:
     return float(np.sum(np.abs(resid) ** 2)), coef
 
 
-def _stepwise_select(y, Xs, candidates, cap, tau, noise_var):
+def _stepwise_select(y, Xs, candidates, cap, threshold):
     """Prune/extend the candidate support by residual-energy significance.
 
     Each pass prunes the tap whose removal raises the residual energy least
-    while that rise is below ``tau * noise_var``, then adds the tap most
+    while that rise is below `threshold`, then adds the tap most
     correlated with the residual when its addition lowers the residual
     energy by more than the same amount; passes repeat (at most ``4 * cap``)
     until neither step changes the support.  Both scores come from one thin
@@ -188,7 +194,6 @@ def _stepwise_select(y, Xs, candidates, cap, tau, noise_var):
     support and the number of passes run.
     """
     keep = list(candidates)
-    threshold = tau * noise_var
     m = Xs.shape[0]
     for passes in range(1, 4 * cap + 1):
         changed = False
@@ -239,8 +244,8 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> Reco
     _check_measurement(y, X)
     d = X.rows.shape[1]
     eps = dantzig_epsilon(cfg, X)
-    c, A, b = _embed_lp(y, X, eps)
-    res = solve_lp(c, A, b)
+    c, U, V, b = _embed_lp(y, X, eps)
+    res = solve_lp(c, U, V, b)
     if res.status != "optimal":
         # NaN entries, which nmse and threshold_support reject, so a failed
         # solve cannot be scored as an estimate
@@ -259,17 +264,13 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> Reco
     if support.size > CANDIDATE_CAP:
         mags = np.abs(raw)
         support = np.sort(support[np.argsort(mags[support])[-CANDIDATE_CAP:]])
-    passes = 0
     if cfg.noise_variance > 0:
-        selected, passes = _stepwise_select(
-            y,
-            X.rows,
-            list(support),
-            CANDIDATE_CAP,
-            SELECTION_TAU,
-            cfg.noise_variance,
-        )
-        support = np.asarray(selected, dtype=int)
+        threshold = SELECTION_TAU * cfg.noise_variance
+    else:
+        # noiseless: only a tap the exact fit leaves at rounding level goes
+        threshold = y.size * np.finfo(float).eps * float(np.vdot(y, y).real)
+    selected, passes = _stepwise_select(y, X.rows, list(support), CANDIDATE_CAP, threshold)
+    support = np.asarray(selected, dtype=int)
     estimate = np.zeros(d, dtype=complex)
     if support.size:
         _, coef = _ls_refit(y, X.rows, list(support))

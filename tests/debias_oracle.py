@@ -13,10 +13,9 @@ import numpy as np
 from cspilot.recovery import _ls_refit
 
 
-def stepwise_select_lstsq(y, Xs, candidates, cap, tau, noise_var):
+def stepwise_select_lstsq(y, Xs, candidates, cap, threshold):
     """Prune/extend the candidate support by residual-energy significance."""
     keep = list(candidates)
-    threshold = tau * noise_var
     for _ in range(4 * cap):
         changed = False
         while keep:

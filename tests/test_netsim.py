@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cspilot import netsim
 from cspilot.channel import default_params
 from cspilot.netsim import (
     NetworkModel,
@@ -178,6 +179,30 @@ def test_collision_probability_mc_against_analytic(rng):
     m = model()
     est, stderr = collision_probability_mc(m, 100_000, rng)
     assert abs(est - P_16_16_1) < 3 * stderr
+
+
+def _placement_scores(m, trials, rng):
+    # reference: the same draws in the same chunks, scored one trial at a time
+    scores = []
+    for start in range(0, trials, netsim._MC_CHUNK):
+        batch = min(netsim._MC_CHUNK, trials - start)
+        covered = rng.random((batch, m.group_size)) < m.coverage_prob
+        cells = rng.integers(0, m.cell_count, size=(batch, m.group_size))
+        for on, placed in zip(covered, cells):
+            occupancy = np.bincount(placed[on], minlength=m.cell_count)
+            scores.append(1.0 - np.count_nonzero(occupancy == 1) / m.group_size)
+    return np.array(scores)
+
+
+def test_collision_probability_mc_stderr_matches_two_pass_variance():
+    # mean ~0.9987 over three chunks: E[x^2] - mean^2 loses ~12 digits here
+    m = model(n=1, alpha=0.002, kg=200)
+    trials = 2 * netsim._MC_CHUNK + 1000
+    scores = _placement_scores(m, trials, np.random.default_rng(7))
+    est, stderr = collision_probability_mc(m, trials, np.random.default_rng(7))
+    assert est == pytest.approx(scores.mean(), rel=1e-15, abs=0.0)
+    assert 0.99 < est < 1.0
+    assert stderr == pytest.approx(np.sqrt(np.var(scores) / trials), rel=1e-13, abs=0.0)
 
 
 def test_collision_probability_mc_rejects_bad_trials(rng):

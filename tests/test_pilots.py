@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,9 +14,7 @@ from cspilot.pilots import (
     choose_l,
     code_efficiency,
     decode_energy_vector,
-    read_codebook,
     superpose,
-    write_codebook,
 )
 
 # canonical single-zero book for three transmit dimensions:
@@ -149,39 +146,26 @@ def test_code_efficiency_values():
         code_efficiency(20, 0)
 
 
-def test_codebook_text_round_trip():
-    book = build_codebook(6, 2, 2)
-    buf = io.StringIO()
-    write_codebook(book, buf)
-    text = buf.getvalue()
-    assert text.splitlines()[0] == "4 6 2 2"
-    again = read_codebook(io.StringIO(text))
-    assert np.array_equal(again.columns, book.columns)
-    assert again.ones_per_column == 2 and again.zeros_per_column == 2
+def test_codebook_rejects_malformed_columns():
+    # a 0/1 matrix of L = L' + l rows with l zeros in every column
+    with pytest.raises(ValueError):
+        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=np.ones((5, 1)))
+    with pytest.raises(ValueError):
+        PilotCodebook(
+            ones_per_column=2, zeros_per_column=2, columns=[[1, 1], [1, 0], [0, 1], [2, 0]]
+        )
+    with pytest.raises(ValueError):
+        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=[[1], [1], [1], [0]])
+    with pytest.raises(ValueError):
+        PilotCodebook(ones_per_column=0, zeros_per_column=2, columns=np.zeros((2, 0)))
 
 
-def test_read_codebook_rejects_malformed():
-    with pytest.raises(ValueError):
-        read_codebook(io.StringIO("4 6 2\n"))
-    with pytest.raises(ValueError):
-        read_codebook(io.StringIO("5 1 2 2\n11\n11\n11\n11\n11\n"))
-    bad_rows = "4 2 2 2\n11\n10\n01\nxx\n"
-    with pytest.raises(ValueError):
-        read_codebook(io.StringIO(bad_rows))
-    wrong_weight = "4 1 2 2\n1\n1\n1\n0\n"
-    with pytest.raises(ValueError):
-        read_codebook(io.StringIO(wrong_weight))
-
-
-def test_read_codebook_rejects_swapped_columns():
+def test_codebook_rejects_swapped_columns():
     # a permuted book would decode UE 0's pattern to UE 1; it must not load
     book = build_codebook(6, 2, 2)
-    buf = io.StringIO()
-    write_codebook(book, buf)
-    header, *rows = buf.getvalue().splitlines()
-    swapped = [row[1] + row[0] + row[2:] for row in rows]
+    swapped = book.columns[:, [1, 0, 2, 3, 4, 5]]
     with pytest.raises(ValueError):
-        read_codebook(io.StringIO("\n".join([header, *swapped]) + "\n"))
+        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=swapped)
 
 
 def test_codebook_columns_are_read_only():
@@ -213,6 +197,3 @@ def test_codebook_properties(l_prime, l, data):
     for k in range(K):
         out = decode_energy_vector(superpose([k], book), book)
         assert out.kind == "identified" and out.ue_index == k
-    buf = io.StringIO()
-    write_codebook(book, buf)
-    assert np.array_equal(read_codebook(io.StringIO(buf.getvalue())).columns, book.columns)

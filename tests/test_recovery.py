@@ -216,9 +216,9 @@ def test_lp_iterations_reported(rng):
     h = sample_channel(p, rng)
     y = synthesize_measurement(X, h, 0.01, rng)
     cfg = DantzigConfig(noise_variance=0.01)
-    c, A, b = _embed_lp(y, X, dantzig_epsilon(cfg, X))
+    c, U, V, b = _embed_lp(y, X, dantzig_epsilon(cfg, X))
     res = dantzig_recover(y, X, cfg)
-    assert res.lp_iterations == solve_lp(c, A, b).iterations > 0
+    assert res.lp_iterations == solve_lp(c, U, V, b).iterations > 0
     assert omp_recover(y, X, p.sparsity).lp_iterations is None
 
 
@@ -230,11 +230,26 @@ def test_debias_passes_reported(rng):
     noisy = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     assert dantzig_recover(y, X, noisy).debias_passes >= 1
     noiseless = DantzigConfig(epsilon=1e-6)
-    assert dantzig_recover(y, X, noiseless).debias_passes == 0
+    assert dantzig_recover(y, X, noiseless).debias_passes >= 1
     assert omp_recover(y, X, p.sparsity).debias_passes is None
     comb = build_sensing_matrix(comb_tone_set(p), p)
     yf = synthesize_measurement(comb, h, 0.01, rng)
     assert fde_ls_recover(yf, comb).debias_passes is None
+
+
+def test_noiseless_debias_reports_the_refit_support():
+    # recover-bench's noiseless stream [0, 2, 0, 8]: the raw solution keeps
+    # 26 taps above 1% of its peak, and the exact refit on the largest 12
+    # leaves all but the 4 true taps at rounding level
+    p = default_params()
+    X = build_sensing_matrix(DESIGNED_TONES_100, p)
+    rng = np.random.default_rng([0, 2, 0, 8])
+    h = sample_channel(p, rng)
+    y = synthesize_measurement(X, h, 0.0, rng)
+    res = dantzig_recover(y, X, DantzigConfig(epsilon=1e-6))
+    assert threshold_support(res.raw_estimate).size > CANDIDATE_CAP
+    assert res.recovered_support.tolist() == h.support.tolist()
+    assert nmse(h.taps, res.estimate) < -150.0
 
 
 def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
@@ -276,8 +291,7 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
             X.rows,
             list(candidates),
             CANDIDATE_CAP,
-            SELECTION_TAU,
-            cfg.noise_variance,
+            SELECTION_TAU * cfg.noise_variance,
         )
         assert res.recovered_support.tolist() == want
         expected = np.zeros(p.tap_count, dtype=complex)
@@ -299,10 +313,10 @@ def test_stepwise_select_prunes_dependent_columns(rng):
     rows = X.rows.copy()
     rows[:, [1, 2]] = rows[:, [0, 0]]
     y = synthesize_measurement(SensingMatrix(rows, X.tone_set), h, 0.01, rng)
-    support, _ = _stepwise_select(y, rows, [0, 1, 2], 12, 10.0, 0.01)
+    support, _ = _stepwise_select(y, rows, [0, 1, 2], 12, 10.0 * 0.01)
     assert len(set(support) & {0, 1, 2}) <= 1
     y = synthesize_measurement(X, h, 1.0, rng)
-    support, _ = _stepwise_select(y, X.rows, list(range(30)), 40, 0.01, 1.0)
+    support, _ = _stepwise_select(y, X.rows, list(range(30)), 40, 0.01 * 1.0)
     assert len(support) <= X.rows.shape[0]
 
 
@@ -404,8 +418,9 @@ def test_fde_rank_deficient_raises_on_every_call():
 
 
 def test_embed_lp_cached_block_matches_fresh_matrix(rng):
-    # the block a matrix keeps is bitwise the one a fresh matrix of the same
-    # tones builds, and the one of the four-block formula
+    # the factors a matrix keeps are bitwise the ones a fresh matrix of the
+    # same tones builds, and their product is the four-block formula's
+    # block from X^H X to rounding
     p = default_params()
     eps = 0.4
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
@@ -415,16 +430,21 @@ def test_embed_lp_cached_block_matches_fresh_matrix(rng):
         fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), eps)
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
+    c, U, V, b = cached
+    assert U.shape == (400, 40) and V.shape == (40, 200)
+    assert not (U.flags.writeable or V.flags.writeable)
+    kept = X.cached("lp_factors", None)
+    assert kept[0] is U and kept[1] is V
     G = X.rows.conj().T @ X.rows
     R, Im = G.real, G.imag
     formula = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
-    assert cached[1].tobytes() == formula.tobytes()
-    # another tone set gets its own block
+    assert np.max(np.abs(U @ V - formula)) <= 1e-12
+    # another tone set gets its own factors
     other = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    A_other = _embed_lp(y, other, eps)[1]
-    assert A_other is not cached[1]
-    assert not np.array_equal(A_other, cached[1])
-    assert _embed_lp(y, X, eps)[1] is cached[1]
+    V_other = _embed_lp(y, other, eps)[2]
+    assert V_other is not V
+    assert not np.array_equal(V_other, V)
+    assert _embed_lp(y, X, eps)[2] is V
 
 
 def test_fde_rank_deficient_raises():

@@ -1,7 +1,9 @@
 """Solver checks against the dense-tableau oracle, closed-form optima and HiGHS.
 
-`solve_lp` solves ``min c @ |z|`` s.t. ``A_ub @ z <= b_ub`` with z free.  An
-``x >= 0`` LP is posed for it by appending the rows ``-z <= 0``.
+`solve_lp` solves ``min c @ |z|`` s.t. ``U @ (V @ z) <= b_ub`` with z free.
+A constraint matrix ``A`` is posed with the identity factor, ``(A, I)``,
+under which the solver's arithmetic is the dense tableau's.  An ``x >= 0``
+LP is posed for it by appending the rows ``-z <= 0``.
 """
 
 import numpy as np
@@ -39,8 +41,13 @@ TEXTBOOK_DUAL = _nonnegative(
 )
 
 
+def _solve(c, A, b, **kw):
+    """`solve_lp` on the constraint matrix A, given as ``A @ I``."""
+    return solve_lp(c, A, np.eye(np.shape(A)[1]), b, **kw)
+
+
 def _assert_same_as_oracle(c, A, b):
-    res, ref = solve_lp(c, A, b), dense_solve_l1(c, A, b)
+    res, ref = _solve(c, A, b), dense_solve_l1(c, A, b)
     assert res.status == ref.status
     assert res.iterations == ref.iterations
     if ref.x is None:
@@ -51,7 +58,7 @@ def _assert_same_as_oracle(c, A, b):
 
 
 def test_known_textbook_optimum():
-    res = solve_lp(*TEXTBOOK_DUAL)
+    res = _solve(*TEXTBOOK_DUAL)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(36.0, abs=1e-9)
     assert res.x == pytest.approx([0.0, 1.5, 1.0], abs=1e-9)
@@ -60,7 +67,7 @@ def test_known_textbook_optimum():
 
 def test_dual_simplex_path_negative_rhs():
     # nonnegative costs with infeasible slack basis: min x1 + x2, x1 + x2 >= 4
-    res = solve_lp(*_nonnegative([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-4.0, 3.0, 3.0]))
+    res = _solve(*_nonnegative([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-4.0, 3.0, 3.0]))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0, abs=1e-9)
     assert res.iterations == 2
@@ -68,52 +75,61 @@ def test_dual_simplex_path_negative_rhs():
 
 def test_free_variables_take_negative_values():
     # min |z1| + 2|z2| with z1 + z2 <= -3: the cheaper z1 goes negative
-    res = solve_lp([1.0, 2.0], [[1.0, 1.0]], [-3.0])
+    res = _solve([1.0, 2.0], [[1.0, 1.0]], [-3.0])
     assert res.status == "optimal"
     assert np.array_equal(res.x, [-3.0, 0.0])
     assert res.objective == 3.0
 
 
 def test_zero_objective_feasibility_only():
-    res = solve_lp(*_nonnegative([0.0, 0.0], [[1.0, 1.0]], [1.0]))
+    res = _solve(*_nonnegative([0.0, 0.0], [[1.0, 1.0]], [1.0]))
     assert res.status == "optimal"
     assert res.objective == 0.0
 
 
 def test_infeasible_detected_by_dual():
     # z <= -1 and -z <= 0
-    res = solve_lp(*_nonnegative([1.0], [[1.0]], [-1.0]))
+    res = _solve(*_nonnegative([1.0], [[1.0]], [-1.0]))
     assert res.status == "infeasible"
     assert res.x is None
     assert res.iterations == 1
 
 
 def test_iteration_cap_reported():
-    res = solve_lp(*TEXTBOOK_DUAL, max_iter=1)
+    res = _solve(*TEXTBOOK_DUAL, max_iter=1)
     assert res.status == "iteration-limit"
     assert res.x is None
     assert res.iterations == 1
 
 
 def test_dimension_validation():
+    one = [[1.0]]
     with pytest.raises(ValueError):
-        solve_lp([1.0, 2.0], [[1.0]], [1.0])
+        solve_lp([1.0, 2.0], one, one, [1.0])  # c does not match V's columns
     with pytest.raises(ValueError):
-        solve_lp([1.0], [1.0], [1.0])  # A_ub must be 2-D
+        solve_lp([1.0], one, one, [1.0, 2.0])  # b_ub does not match U's rows
+    with pytest.raises(ValueError):
+        solve_lp([1.0], [[1.0, 2.0]], one, [1.0])  # U's columns are not V's rows
+    with pytest.raises(ValueError):
+        solve_lp([1.0], [1.0], one, [1.0])  # U must be 2-D
+    with pytest.raises(ValueError):
+        solve_lp([1.0], one, [1.0], [1.0])  # V must be 2-D
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["c", "A_ub", "b_ub"])
+@pytest.mark.parametrize("where", ["c", "A_ub", "V", "b_ub"])
 def test_non_finite_data_rejected(where, bad):
-    data = {key: np.array(value) for key, value in zip(("c", "A_ub", "b_ub"), TEXTBOOK_DUAL)}
+    # the constraint matrix A_ub is posed as the factor U, with V = I
+    c, A, b = TEXTBOOK_DUAL
+    data = {"c": c.copy(), "A_ub": A.copy(), "V": np.eye(c.size), "b_ub": b.copy()}
     data[where].flat[0] = bad
     with pytest.raises(ValueError):
-        solve_lp(data["c"], data["A_ub"], data["b_ub"])
+        solve_lp(data["c"], data["A_ub"], data["V"], data["b_ub"])
 
 
 def test_negative_cost_rejected():
     with pytest.raises(ValueError):
-        solve_lp([-3.0, 5.0], [[1.0, 0.0]], [4.0])
+        solve_lp([-3.0, 5.0], [[1.0, 0.0]], np.eye(2), [4.0])
 
 
 # LP dual of Beale's example, which cycles under the classic most-negative
@@ -141,7 +157,7 @@ def test_beale_degenerate_cycle_terminates():
 def test_beale_cycles_without_bland_rule(monkeypatch):
     # the switch is what ends the run above: without it the pivots cycle
     monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 10**6)
-    res = solve_lp(*BEALE_DUAL, max_iter=1000)
+    res = _solve(*BEALE_DUAL, max_iter=1000)
     assert res.status == "iteration-limit"
 
 
@@ -208,10 +224,53 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
     ids=["25-designed", "25-random", "100-designed", "100-random"],
 )
 def test_matches_dense_oracle_on_dantzig_lps(tap_count, tones, seed_tag, trials):
-    for c, A, b in _dantzig_lps(tap_count, tones, seed_tag, trials):
-        assert A.shape == (4 * tap_count, 2 * tap_count)
-        res = _assert_same_as_oracle(c, A, b)
-        assert res.status == "optimal"
+    # the factored solve takes the dense tableau's pivots on U @ V; its
+    # entries agree with the tableau's to rounding, not bit for bit
+    for c, U, V, b in _dantzig_lps(tap_count, tones, seed_tag, trials):
+        assert U.shape == (4 * tap_count, 40) and V.shape == (40, 2 * tap_count)
+        res, ref = solve_lp(c, U, V, b), dense_solve_l1(c, U @ V, b)
+        assert res.status == ref.status == "optimal"
+        assert res.iterations == ref.iterations
+        assert np.max(np.abs(res.x - ref.x)) <= 1e-9
+
+
+def _criterion_4_lps(step):
+    # every step-th of criterion 4's frozen draws: 500 noiseless at 25 taps
+    # and 200 at 20 dB and 100 taps, each on its designed tones
+    for tap_count, tones, seed_tag, trials, noise_var in (
+        (25, DESIGNED_TONES_25, 41, 500, 0.0),
+        (100, DESIGNED_TONES_100, 42, 200, 0.01),
+    ):
+        params = default_params(tap_count=tap_count)
+        X = build_sensing_matrix(tones, params)
+        if noise_var == 0.0:
+            cfg = DantzigConfig(epsilon=1e-6)
+        else:
+            cfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
+        eps = dantzig_epsilon(cfg, X)
+        for t in range(0, trials, step):
+            rng = np.random.default_rng([2024, seed_tag, t])
+            h = sample_channel(params, rng)
+            yield _embed_lp(y=synthesize_measurement(X, h, noise_var, rng), X=X, eps=eps)
+
+
+def test_objective_matches_highs_on_criterion_4_draws():
+    checked = 0
+    for c, U, V, b in _criterion_4_lps(step=12):
+        res = solve_lp(c, U, V, b)
+        A = U @ V
+        ref = linprog(
+            np.concatenate([c, c]),
+            A_ub=np.hstack([A, -A]),
+            b_ub=b,
+            bounds=(0, None),
+            method="highs",
+            options={"presolve": False},
+        )
+        assert res.status == "optimal" and ref.status == 0
+        assert abs(res.objective - ref.fun) <= 1e-7
+        checked += 1
+    assert checked == 42 + 17
 
 
 def test_agrees_with_scipy_linprog():
@@ -231,7 +290,7 @@ def test_agrees_with_scipy_linprog():
         want = _SCIPY_STATUS.get(ref.status)
         if want is None:
             continue
-        res = solve_lp(c, A, b)
+        res = _solve(c, A, b)
         assert res.status == want, f"status mismatch: {res.status} vs {want}"
         if want == "optimal":
             scale = 1.0 + abs(ref.fun)
@@ -251,7 +310,7 @@ def test_agrees_with_scipy_linprog():
 def test_objective_consistent_with_solution(rng):
     for _ in range(10):
         c, A, b = _random_l1_instance(rng, integer=False)
-        res = solve_lp(c, A, b)
+        res = _solve(c, A, b)
         if res.status == "optimal":
             assert res.objective == pytest.approx(float(c @ np.abs(res.x)), abs=1e-9)
             assert res.iterations <= 50 * (2 * len(c) + len(b))

@@ -25,6 +25,14 @@ def _as_count(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _as_indices(values, name: str) -> np.ndarray:
+    """`values` as an int array; ``ValueError`` unless every entry is an integer."""
+    indices = np.asarray(values)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {indices!r}")
+    return indices.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """Dimensions of the pilot training problem; every count must be an integer.
@@ -81,7 +89,7 @@ class SparseChannel:
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=complex)
-        self.support = np.asarray(self.support, dtype=int)
+        self.support = _as_indices(self.support, "support")
         nz = np.flatnonzero(self.taps)
         if not np.array_equal(np.sort(self.support), nz):
             raise ValueError("support must be exactly the nonzero tap indices")
@@ -140,7 +148,7 @@ def select_pilot_tones(
     remain available.
     """
     excluded = np.zeros(params.bandwidth_time_product, dtype=bool)
-    excl = np.asarray(list(exclude), dtype=int)
+    excl = _as_indices(list(exclude), "exclude")
     if excl.size:
         if excl.min() < 0 or excl.max() >= excluded.size:
             raise ValueError("excluded tone indices out of range")
@@ -156,7 +164,7 @@ def select_pilot_tones(
 
 def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
     """Assemble the partial-DFT matrix for the given tones, rows in ascending tone order."""
-    tones = np.sort(np.asarray(list(tone_set), dtype=int))
+    tones = np.sort(_as_indices(list(tone_set), "tone_set"))
     if tones.size and (tones[0] < 0 or tones[-1] >= params.bandwidth_time_product):
         raise ValueError("tone indices out of range")
     if np.unique(tones).size != tones.size:

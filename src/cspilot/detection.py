@@ -21,8 +21,9 @@ import numpy as np
 
 from .channel import _as_count
 
-# trials per Monte-Carlo chunk; it decides which normals become h and which
-# become z, so changing it changes every pe_mc
+# trials per Monte-Carlo chunk; it sizes the reused draw buffer only: blocks
+# are filled row by row, so trial i takes normals 2*M_BS*i .. 2*M_BS*(i+1)
+# of the stream whatever the chunk, and pe_mc does not depend on it
 _MC_CHUNK = 4096
 
 
@@ -100,21 +101,23 @@ def error_probability(config: DetectionConfig) -> float:
 def error_probability_mc(
     config: DetectionConfig, trials: int, rng: np.random.Generator
 ) -> float:
-    """Monte-Carlo equal-prior error probability with explicit h, z draws.
+    """Monte-Carlo equal-prior error probability from explicit Gaussian draws.
 
     Activity alternates deterministically between trials (exact equal
-    priors; even trial indices transmit); each trial draws a fresh i.i.d.
-    complex Gaussian channel and noise vector, so the active-case energy
-    reflects the full signal model rather than the Gamma shorthand.
+    priors; even trial indices transmit).  Each trial draws a fresh received
+    sample per antenna, ``CN(0, 1 + gP)`` when active and ``CN(0, 1)`` when
+    silent, and sums its 2 M_BS squared real parts; it never draws the Gamma
+    law it checks.  The only step taken on trust is that the channel and
+    noise add up to one Gaussian, ``CN(0, gP) + CN(0, 1) = CN(0, 1 + gP)``.
 
-    Draw order: per chunk of `_MC_CHUNK` trials (the last one shorter), an
-    (n, M_BS) block of standard normals each for the real part of h, the
-    imaginary part of h, the real part of z and the imaginary part of z, in
-    that order, silent trials included.  The chunk size thus decides which
-    normals become h and which z, so it is fixed.  The parts are filled in
-    place into one reused buffer and the energy is summed there:
-    ``(||sqrt(gP) Re h + Re z||^2 + ||sqrt(gP) Im h + Im z||^2) / (2 M_BS)``,
-    the ``1/sqrt(2)`` of each part folded into the divisor.
+    Draw order: per chunk of `_MC_CHUNK` trials (the last one shorter), one
+    (n, 2 M_BS) block of standard normals, row i holding trial i's real
+    parts then its imaginary parts; the call draws exactly
+    ``2 M_BS * trials`` normals and nothing else.  The energy of a row is
+    ``||w||^2 / (2 M_BS)``, the ``1/sqrt(2)`` of each part folded into the
+    divisor.  On active trials it is multiplied by ``1 + gP``, which gives
+    the energy of ``sqrt(1 + gP) (Re + j Im) / sqrt(2)`` with one multiply
+    per trial in place of one per sample.
 
     `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
@@ -124,21 +127,15 @@ def error_probability_mc(
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
-    amp = math.sqrt(config.pathloss_power)
-    buffer = np.empty((4, min(_MC_CHUNK, trials), m))
+    buffer = np.empty((min(_MC_CHUNK, trials), 2 * m))
     errors = 0
     done = 0
     while done < trials:
         n = min(_MC_CHUNK, trials - done)
-        hr, hi, zr, zi = buffer[:, :n]
-        for part in (hr, hi, zr, zi):
-            rng.standard_normal(out=part)
+        w = rng.standard_normal(out=buffer[:n])
+        energies = np.einsum("ij,ij->i", w, w) / (2 * m)
         active = slice(done % 2, n, 2)  # the trials with an even global index
-        hr[active] *= amp
-        hi[active] *= amp
-        zr[active] += hr[active]
-        zi[active] += hi[active]
-        energies = (np.einsum("ij,ij->i", zr, zr) + np.einsum("ij,ij->i", zi, zi)) / (2 * m)
+        energies[active] *= 1.0 + config.pathloss_power
         detected = energies > threshold
         hits = np.count_nonzero(detected[active])
         # misses among the active trials plus false alarms among the silent

@@ -116,6 +116,16 @@ def test_select_tones_rejects_out_of_range_exclude(rng):
     assert select_pilot_tones(p, rng, exclude=[0, 5]).tolist() == [1, 2, 3, 4]
 
 
+def test_select_tones_rejects_fractional_exclude(rng):
+    # a cast would truncate 4.7 and 5.2 to tones 4 and 5
+    p = OfdmParams(bandwidth_time_product=6, tap_count=6, sparsity=1, pilot_count=4)
+    with pytest.raises(ValueError, match="exclude must be integers"):
+        select_pilot_tones(p, rng, exclude=[4.7, 5.2])
+    assert select_pilot_tones(p, rng, exclude=np.array([4, 5], dtype=np.int32)).tolist() == [
+        0, 1, 2, 3,
+    ]
+
+
 def test_select_tones_insufficient(rng):
     p = OfdmParams(bandwidth_time_product=40, tap_count=40, sparsity=4, pilot_count=20)
     with pytest.raises(ValueError):
@@ -138,6 +148,25 @@ def test_sensing_matrix_sorted_rows_and_validation():
         build_sensing_matrix([0, 1000], p)
     with pytest.raises(ValueError):
         build_sensing_matrix([5, 5], p)
+
+
+def test_sensing_matrix_rejects_fractional_tones():
+    # a cast would build the matrix of tones 0 and 1
+    p = default_params()
+    with pytest.raises(ValueError, match="tone_set must be integers"):
+        build_sensing_matrix([0.5, 1.9], p)
+    X = build_sensing_matrix(np.array([1, 0], dtype=np.uint16), p)
+    assert X.tone_set.tolist() == [0, 1]
+    assert np.array_equal(X.rows, build_sensing_matrix([0, 1], p).rows)
+
+
+def test_sparse_channel_rejects_fractional_support():
+    from cspilot.channel import SparseChannel
+
+    taps = np.array([0.0, 1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="support must be integers"):
+        SparseChannel(taps=taps, support=[1.2])
+    assert SparseChannel(taps=taps, support=np.array([1], dtype=np.int8)).support.tolist() == [1]
 
 
 def test_sensing_matrix_rows_are_read_only():

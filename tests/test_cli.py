@@ -128,8 +128,9 @@ def test_detect_sweep_blind_point(tmp_path):
 
 
 def test_detect_sweep_golden_rows(tmp_path):
-    # exact strings, captured before the Monte-Carlo kernel was rewritten in
-    # place: two chunks per point, so the draw order across chunks is pinned
+    # exact strings, captured when the Monte-Carlo kernel moved to one
+    # received-sample block per chunk: two chunks per point, so the draw
+    # order across chunks is pinned
     code, out = run(
         tmp_path, "g.csv", "detect-sweep",
         "--seed", "1", "--set", "trials=5000", "--set", "antenna_counts=8,32",
@@ -137,11 +138,11 @@ def test_detect_sweep_golden_rows(tmp_path):
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines()[4:] == [
         "m_bs,g_p,threshold,pe_mc,pe_stderr",
-        "8,0.0,1.5,0.4986,0.007071040093225324",
-        "8,2.0,1.6479184330021646,0.0596,0.0033480692943844517",
-        "8,10.0,2.6376848000782074,0.001,0.0004469899327725402",
-        "32,0.0,1.5,0.4988,0.007071047447160852",
-        "32,2.0,1.6479184330021646,0.0012,0.0004896039215529222",
+        "8,0.0,1.5,0.499,0.00707105366971571",
+        "8,2.0,1.6479184330021646,0.0634,0.003446170048038837",
+        "8,10.0,2.6376848000782074,0.0002,0.00019997999899989998",
+        "32,0.0,1.5,0.4982,0.007071021991197595",
+        "32,2.0,1.6479184330021646,0.001,0.0004469899327725402",
         "32,10.0,2.6376848000782074,0.0,0.0",
     ]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from detection_oracle import error_probability_mc_complex
 
+from cspilot import detection
 from cspilot.channel import OfdmParams
 from cspilot.detection import (
     DetectionConfig,
@@ -184,6 +185,25 @@ def test_error_probability_mc_matches_complex_oracle(m, gp):
         got = error_probability_mc(config, trials, np.random.default_rng(seed))
         want = error_probability_mc_complex(config, trials, np.random.default_rng(seed))
         assert got == want, (trials, seed)
+
+
+@pytest.mark.parametrize("m,trials", [(1, 1), (7, 4097), (32, 10001), (128, 9000)])
+def test_error_probability_mc_draws_two_normals_per_antenna(m, trials):
+    # one received sample per antenna and trial: 2 M normals, not the 4 M of
+    # separate channel and noise draws, over one chunk, several and a short last
+    rng = np.random.default_rng(5)
+    error_probability_mc(DetectionConfig(antenna_count=m, pathloss_power=1.0), trials, rng)
+    fresh = np.random.default_rng(5)
+    fresh.standard_normal(2 * m * trials)
+    assert rng.random() == fresh.random()
+
+
+def test_error_probability_mc_does_not_depend_on_chunk(monkeypatch):
+    # blocks are filled row by row, so the chunk sizes the buffer only
+    config = DetectionConfig(antenna_count=3, pathloss_power=1.0)
+    want = error_probability_mc(config, 1001, np.random.default_rng(3))
+    monkeypatch.setattr(detection, "_MC_CHUNK", 7)
+    assert error_probability_mc(config, 1001, np.random.default_rng(3)) == want
 
 
 @pytest.mark.parametrize(

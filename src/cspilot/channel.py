@@ -137,29 +137,11 @@ def sample_channel(params: OfdmParams, rng: np.random.Generator) -> SparseChanne
     return SparseChannel(taps=taps, support=support)
 
 
-def select_pilot_tones(
-    params: OfdmParams, rng: np.random.Generator, exclude=()
-) -> np.ndarray:
-    """Pick ``pilot_count`` distinct tones uniformly from the non-excluded subcarriers.
-
-    Returns the tone indices in ascending order.  Raises ``ValueError`` when
-    an excluded index is not a subcarrier (below 0 or at least
-    ``bandwidth_time_product``) and when fewer than ``pilot_count`` tones
-    remain available.
-    """
-    excluded = np.zeros(params.bandwidth_time_product, dtype=bool)
-    excl = _as_indices(list(exclude), "exclude")
-    if excl.size:
-        if excl.min() < 0 or excl.max() >= excluded.size:
-            raise ValueError("excluded tone indices out of range")
-        excluded[excl] = True
-    available = np.flatnonzero(~excluded)
-    if available.size < params.pilot_count:
-        raise ValueError(
-            f"only {available.size} tones available, need {params.pilot_count}"
-        )
-    chosen = rng.choice(available, size=params.pilot_count, replace=False)
-    return np.sort(chosen)
+def select_pilot_tones(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
+    """Pick ``pilot_count`` distinct tones uniformly from all subcarriers, ascending."""
+    return np.sort(
+        rng.choice(params.bandwidth_time_product, size=params.pilot_count, replace=False)
+    )
 
 
 def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:

@@ -257,7 +257,7 @@ def _run_recover_bench(cfg, seed, workers):
     policy = cfg["tone_policy"]
     if policy not in ("designed", "random"):
         raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
-    snrs = [float(v) for v in cfg["snr_dbs"].split(",") if v.strip()]
+    snrs = _floats(cfg["snr_dbs"])
     noise_vars = [_noise_variance(snr_db) for snr_db in snrs]
     items = [
         (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))

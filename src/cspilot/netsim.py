@@ -93,18 +93,16 @@ def rho_metrics(model: NetworkModel, params: OfdmParams) -> RhoMetrics:
     )
 
 
-def reuse_gain(p_out: float, model: NetworkModel, params: OfdmParams) -> float:
-    """Aggressive-over-orthogonal ratio rho_ag_cs / rho_cs at outage p_out.
+def reuse_gain(model: NetworkModel, params: OfdmParams) -> float:
+    """Aggressive-over-orthogonal ratio rho_ag_cs / rho_cs of `rho_metrics`.
 
-    Equals ``(M K_G / (M+1)) (1 - (1-p_out)/N)^(K_G-1)``; increasing in
-    p_out because emptier cells leave more singletons per group.
+    Equals ``(M K_G / (M+1)) (1 - alpha/N)^(K_G-1)`` with alpha the model's
+    coverage probability; decreasing in alpha (increasing in the outage
+    ``1 - alpha``) because emptier cells leave more singletons per group.
     """
-    if not (0 <= p_out < 1):
-        raise ValueError("p_out must lie in [0, 1)")
     m = params.pilot_count
-    n, k = model.cell_count, model.group_size
-    alpha = 1.0 - p_out
-    return (m * k / (m + 1.0)) * (1.0 - alpha / n) ** (k - 1)
+    a, n, k = model.coverage_prob, model.cell_count, model.group_size
+    return (m * k / (m + 1.0)) * (1.0 - a / n) ** (k - 1)
 
 
 def collision_probability_mc(
@@ -121,27 +119,19 @@ def collision_probability_mc(
     if _as_count(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
     n, k = model.cell_count, model.group_size
-    total = 0.0
-    # running mean and sum of squared deviations, merged chunk by chunk
-    # (Chan et al.): E[x^2] - mean^2 cancels when the mean is near 1
-    run_mean = 0.0
-    m2 = 0.0
-    done = 0
-    while done < trials:
+    # how many trials left s singletons, for s = 0..K_G
+    tally = np.zeros(k + 1, dtype=np.int64)
+    for done in range(0, trials, _MC_CHUNK):
         batch = min(_MC_CHUNK, trials - done)
         covered = rng.random((batch, k)) < model.coverage_prob
         cells = rng.integers(0, n, size=(batch, k))
         flat = (np.arange(batch)[:, None] * n + cells)[covered]
         occupancy = np.bincount(flat, minlength=batch * n).reshape(batch, n)
-        singles = (occupancy == 1).sum(axis=1)
-        scores = 1.0 - singles / k
-        total += float(scores.sum())
-        chunk_mean = float(scores.mean())
-        delta = chunk_mean - run_mean
-        merged = done + batch
-        run_mean += delta * batch / merged
-        m2 += float(((scores - chunk_mean) ** 2).sum()) + delta**2 * done * batch / merged
-        done = merged
-    mean = total / trials
-    stderr = float(np.sqrt(m2 / trials / trials))
+        tally += np.bincount((occupancy == 1).sum(axis=1), minlength=k + 1)
+    # exact integer moments of the singleton count, so the mean and the
+    # variance are each rounded once, whatever the mean
+    s1 = sum(s * int(c) for s, c in enumerate(tally))
+    s2 = sum(s * s * int(c) for s, c in enumerate(tally))
+    mean = (k * trials - s1) / (k * trials)
+    stderr = math.sqrt((trials * s2 - s1 * s1) / (trials**3 * k * k))
     return mean, stderr

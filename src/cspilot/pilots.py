@@ -101,9 +101,6 @@ class PilotCodebook:
     def user_count(self) -> int:
         return self.columns.shape[1]
 
-    def zero_set(self, k: int) -> frozenset:
-        return frozenset(np.flatnonzero(self.columns[:, k] == 0).tolist())
-
 
 def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
     """First K zero-patterns in reverse colexicographic order.
@@ -133,9 +130,14 @@ class DecodeOutcome:
 
 
 def superpose(active_ues, book: PilotCodebook) -> np.ndarray:
-    """Componentwise OR of the active columns (ideal energy detection)."""
+    """Componentwise OR of the active columns (ideal energy detection).
+
+    Raises ``ValueError`` for a UE index that is not a column of `book`.
+    """
     pattern = np.zeros(book.dimension, dtype=np.uint8)
     for k in active_ues:
+        if not 0 <= k < book.user_count:
+            raise ValueError(f"UE index {k!r} is not in [0, {book.user_count})")
         pattern |= book.columns[:, k]
     return pattern
 
@@ -148,14 +150,17 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
     fewer than l lows can only arise from overlapping transmissions, a
     collision.  Any other pattern (including l lows matching no column) is
     reported invalid — with imperfect detection the three clean outcomes
-    are not exhaustive.
+    are not exhaustive.  Raises ``ValueError`` unless `observed` holds
+    exactly one 0 or 1 per pilot dimension.
     """
-    observed = np.asarray(observed, dtype=np.uint8)
+    observed = np.asarray(observed)
     if observed.shape != (book.dimension,):
         raise ValueError(
             f"observed vector has length {observed.size}, expected {book.dimension}"
         )
     zeros = np.flatnonzero(observed == 0).tolist()
+    if len(zeros) + np.count_nonzero(observed == 1) != book.dimension:
+        raise ValueError(f"observed entries must be 0 or 1, got {observed!r}")
     if len(zeros) == book.dimension:
         return DecodeOutcome(kind="empty")
     if len(zeros) == book.zeros_per_column:

@@ -33,18 +33,15 @@ SELECTION_TAU = 10.0  # stepwise significance level, in units of the noise varia
 class RecoveryResult:
     """Channel estimate plus solver diagnostics.
 
-    ``objective_value`` is the l1 value delivered by the solver (sum of
-    |Re| + |Im| over taps) before the debias refit; ``raw_estimate`` keeps
-    the program solution so callers can score both stages from one solve;
-    ``lp_iterations`` is the pivot count of that solve and
-    ``debias_passes`` the number of stepwise debias passes run (0 when the
-    solve failed); all three are None for estimators without an LP.
+    ``raw_estimate`` keeps the program solution so callers can score both
+    stages from one solve; ``lp_iterations`` is the pivot count of that
+    solve and ``debias_passes`` the number of stepwise debias passes run (0
+    when the solve failed); all three are None for estimators without an LP.
     """
 
     estimate: np.ndarray
     recovered_support: np.ndarray
     solver_status: str
-    objective_value: float
     raw_estimate: np.ndarray | None = None
     lp_iterations: int | None = None
     debias_passes: int | None = None
@@ -254,7 +251,6 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> Reco
             estimate=failed,
             recovered_support=np.array([], dtype=int),
             solver_status=res.status,
-            objective_value=np.nan,
             raw_estimate=failed,
             lp_iterations=res.iterations,
             debias_passes=0,
@@ -279,7 +275,6 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> Reco
         estimate=estimate,
         recovered_support=support,
         solver_status="optimal",
-        objective_value=res.objective,
         raw_estimate=raw,
         lp_iterations=res.iterations,
         debias_passes=passes,
@@ -322,7 +317,6 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
         estimate=estimate,
         recovered_support=support,
         solver_status="optimal",
-        objective_value=float(np.abs(estimate.real).sum() + np.abs(estimate.imag).sum()),
     )
 
 
@@ -364,16 +358,19 @@ def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
         estimate=estimate,
         recovered_support=threshold_support(estimate),
         solver_status="optimal",
-        objective_value=float(np.abs(estimate.real).sum() + np.abs(estimate.imag).sum()),
     )
 
 
-def nmse(true_h: np.ndarray, estimate: np.ndarray, floor_db: float = NMSE_FLOOR_DB) -> float:
-    """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `floor_db`.
+def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
+    """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `NMSE_FLOOR_DB`.
 
-    Raises ValueError when either argument holds a non-finite entry, so a
-    broken estimate is never scored as a number.
+    Raises ValueError when the two shapes differ or either argument holds a
+    non-finite entry, so a broken estimate is never scored as a number.
     """
+    if np.shape(estimate) != np.shape(true_h):
+        raise ValueError(
+            f"estimate has shape {np.shape(estimate)}, true channel {np.shape(true_h)}"
+        )
     if not (np.all(np.isfinite(true_h)) and np.all(np.isfinite(estimate))):
         raise ValueError("true channel and estimate must be finite")
     signal = float(np.sum(np.abs(true_h) ** 2))
@@ -381,6 +378,6 @@ def nmse(true_h: np.ndarray, estimate: np.ndarray, floor_db: float = NMSE_FLOOR_
         raise ValueError("true channel has zero norm")
     err = float(np.sum(np.abs(estimate - true_h) ** 2))
     ratio = err / signal
-    if ratio <= 10.0 ** (floor_db / 10.0):
-        return floor_db
+    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
+        return NMSE_FLOOR_DB
     return float(10.0 * np.log10(ratio))

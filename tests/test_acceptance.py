@@ -230,9 +230,8 @@ def test_criterion_5_codebook_family():
 
 
 def test_criterion_6_reuse_gain_curve():
-    model = NetworkModel(16, 1.0, 16)
     p = default_params()
-    gains = [reuse_gain(q, model, p) for q in (0.0, 0.1, 0.2, 0.3)]
+    gains = [reuse_gain(NetworkModel(16, 1.0 - q, 16), p) for q in (0.0, 0.1, 0.2, 0.3)]
     direct = (20.0 * 16.0 / 21.0) * (15.0 / 16.0) ** 15
     checks = [
         all(b > a for a, b in zip(gains, gains[1:])),

@@ -100,38 +100,6 @@ def test_select_tones_forced_full_set(rng):
     assert np.array_equal(select_pilot_tones(p, rng), np.arange(20))
 
 
-def test_select_tones_forced_complement(rng):
-    p = OfdmParams(bandwidth_time_product=40, tap_count=40, sparsity=4, pilot_count=20)
-    tones = select_pilot_tones(p, rng, exclude=range(20))
-    assert np.array_equal(tones, np.arange(20, 40))
-
-
-def test_select_tones_rejects_out_of_range_exclude(rng):
-    # a negative index would wrap to the top tones, one past the end would
-    # raise IndexError
-    p = OfdmParams(bandwidth_time_product=6, tap_count=6, sparsity=1, pilot_count=4)
-    for bad in ([-1, -2], [12], [6]):
-        with pytest.raises(ValueError):
-            select_pilot_tones(p, rng, exclude=bad)
-    assert select_pilot_tones(p, rng, exclude=[0, 5]).tolist() == [1, 2, 3, 4]
-
-
-def test_select_tones_rejects_fractional_exclude(rng):
-    # a cast would truncate 4.7 and 5.2 to tones 4 and 5
-    p = OfdmParams(bandwidth_time_product=6, tap_count=6, sparsity=1, pilot_count=4)
-    with pytest.raises(ValueError, match="exclude must be integers"):
-        select_pilot_tones(p, rng, exclude=[4.7, 5.2])
-    assert select_pilot_tones(p, rng, exclude=np.array([4, 5], dtype=np.int32)).tolist() == [
-        0, 1, 2, 3,
-    ]
-
-
-def test_select_tones_insufficient(rng):
-    p = OfdmParams(bandwidth_time_product=40, tap_count=40, sparsity=4, pilot_count=20)
-    with pytest.raises(ValueError):
-        select_pilot_tones(p, rng, exclude=range(30))
-
-
 def test_sensing_matrix_entries():
     p = OfdmParams(bandwidth_time_product=4, tap_count=2, sparsity=1, pilot_count=2)
     X = build_sensing_matrix([0, 1], p)

@@ -147,6 +147,27 @@ def test_detect_sweep_golden_rows(tmp_path):
     ]
 
 
+def test_netsim_golden_rows(tmp_path):
+    # exact strings, captured when the standard error moved to exact
+    # integer moments of the singleton count: two chunks per point, and the
+    # two one-UE rows (same mean) now read the same standard error
+    code, out = run(
+        tmp_path, "n.csv", "netsim",
+        "--seed", "1", "--set", "trials=10000", "--set", "cells=4,64",
+        "--set", "group_sizes=1,4,64", "--set", "alphas=0.7",
+    )
+    assert code == 0
+    assert out.read_text(encoding="utf-8").splitlines()[4:] == [
+        "cells,group_size,alpha,trials,p_analytic,p_mc,p_stderr",
+        "4,1,0.7,10000,0.30000000000000004,0.3001,0.004583012000857078",
+        "4,4,0.7,10000,0.6069390625000001,0.606,0.002457671662366639",
+        "4,64,0.7,10000,0.9999961832228931,0.9999953125,2.7059234069675736e-06",
+        "64,1,0.7,10000,0.30000000000000004,0.3001,0.004583012000857078",
+        "64,4,0.7,10000,0.3227184452056886,0.3239,0.002385923091803254",
+        "64,64,0.7,10000,0.6498989525406581,0.6492203125,0.0005877179198148415",
+    ]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "2,nan"])
 def test_detect_sweep_non_finite_power_is_config_error(tmp_path, capsys, bad):
     code, out = run(

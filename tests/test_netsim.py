@@ -137,31 +137,38 @@ def test_rho_peak_is_optimal_group_size():
 
 
 def test_reuse_gain_values():
-    m = model()
     p = default_params()
-    g0 = reuse_gain(0.0, m, p)
+    g0 = reuse_gain(model(), p)
     assert g0 == pytest.approx((320 / 21) * (15 / 16) ** 15, abs=1e-9)
     assert g0 == pytest.approx(5.787617612422791, abs=1e-9)
-    gains = [reuse_gain(q, m, p) for q in (0.0, 0.1, 0.2, 0.3)]
+    gains = [reuse_gain(NetworkModel(16, 1.0 - q, 16), p) for q in (0.0, 0.1, 0.2, 0.3)]
     assert all(b > a for a, b in zip(gains, gains[1:]))
 
 
 def test_reuse_gain_ratio_consistency():
     # G(p_out) relates to G(0) by ((1 - (1-p_out)/N)/(1 - 1/N))**(K_G-1)
-    m = model()
     p = default_params()
-    ratio = reuse_gain(0.3, m, p) / reuse_gain(0.0, m, p)
+    ratio = reuse_gain(NetworkModel(16, 1.0 - 0.3, 16), p) / reuse_gain(model(), p)
     expected = ((1 - 0.7 / 16) / (1 - 1 / 16)) ** 15
     assert ratio == pytest.approx(expected, rel=1e-12)
 
 
-def test_reuse_gain_domain():
-    m = model()
+def test_reuse_gain_reads_the_model_coverage():
+    # the gain is rho_ag_cs / rho_cs of the same model, so alpha = 0.5 and
+    # alpha = 1 must give different values
     p = default_params()
-    with pytest.raises(ValueError):
-        reuse_gain(-0.1, m, p)
-    with pytest.raises(ValueError):
-        reuse_gain(1.0, m, p)
+    half = NetworkModel(16, 0.5, 16)
+    rho = rho_metrics(half, p)
+    assert reuse_gain(half, p) != reuse_gain(model(), p)
+    assert reuse_gain(half, p) == pytest.approx(rho.ag_cs / rho.cs, rel=0.0, abs=1e-12)
+
+
+def test_reuse_gain_domain():
+    # an outage outside [0, 1) is a coverage outside (0, 1], which the
+    # model rejects before any gain is computed
+    for q in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            reuse_gain(NetworkModel(16, 1.0 - q, 16), default_params())
 
 
 def test_collision_probability_mc_exact_case(rng):

@@ -30,6 +30,10 @@ ANTI_DIAGONAL_4 = np.array(
 )
 
 
+def zero_set(book, k):
+    return frozenset(np.flatnonzero(book.columns[:, k] == 0).tolist())
+
+
 def test_capacity_and_choose_l():
     assert capacity(20, 1) == 21
     assert capacity(20, 2) == 231
@@ -58,7 +62,7 @@ def test_codebook_matches_reverse_colex_enumeration(l_prime, l):
         combinations(range(l_prime + l), l), key=lambda s: s[::-1], reverse=True
     )
     book = build_codebook(len(reference), l_prime, l)
-    assert [book.zero_set(k) for k in range(book.user_count)] == [
+    assert [zero_set(book, k) for k in range(book.user_count)] == [
         frozenset(s) for s in reference
     ]
 
@@ -73,7 +77,7 @@ def test_codebook_two_zero_enumeration():
     book = build_codebook(6, 2, 2)
     assert book.columns.shape == (4, 6)
     assert np.all(book.columns.sum(axis=0) == 2)
-    zero_sets = {book.zero_set(k) for k in range(6)}
+    zero_sets = {zero_set(book, k) for k in range(6)}
     assert zero_sets == {frozenset(s) for s in combinations(range(4), 2)}
 
 
@@ -91,6 +95,9 @@ def test_superpose_basics():
     for i in range(4):
         assert np.array_equal(superpose([i], book), book.columns[:, i])
     assert np.array_equal(superpose([0, 3], book), np.ones(4, dtype=np.uint8))
+    for bad in ([-1], [4], [0, 7]):  # -1 would wrap to the last column
+        with pytest.raises(ValueError):
+            superpose(bad, book)
 
 
 def test_decode_basic_outcomes():
@@ -112,6 +119,16 @@ def test_decode_invalid_patterns():
     assert decode_energy_vector(two, book).kind == "invalid"
     with pytest.raises(ValueError):
         decode_energy_vector(np.ones(5, dtype=np.uint8), book)
+
+
+@pytest.mark.parametrize(
+    "observed", [[1, 1, 0.5, 1], [1, 1, 2, 0], [1, -1, 1, 1], [1, np.nan, 1, 0], [1, 1, 1, 256]]
+)
+def test_decode_rejects_non_binary_entries(observed):
+    # a uint8 cast would read 0.5 as 0 and 256 as 0, and 2 as a high
+    # energy, each decoding to a plausible outcome
+    with pytest.raises(ValueError, match="0 or 1"):
+        decode_energy_vector(np.array(observed), build_codebook(4, 3, 1))
 
 
 def test_single_ue_round_trip_exhaustive():
@@ -193,7 +210,7 @@ def test_codebook_properties(l_prime, l, data):
     book = build_codebook(K, l_prime, l)
     assert book.columns.shape == (l_prime + l, K)
     assert np.all(book.columns.sum(axis=0) == l_prime)
-    assert len({book.zero_set(k) for k in range(K)}) == K  # distinct columns
+    assert len({zero_set(book, k) for k in range(K)}) == K  # distinct columns
     for k in range(K):
         out = decode_energy_vector(superpose([k], book), book)
         assert out.kind == "identified" and out.ue_index == k

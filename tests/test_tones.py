@@ -22,3 +22,19 @@ def test_mutual_coherence_matches_gram_matrix(rng):
     gram = np.abs(cols.conj().T @ cols) / tones.size
     np.fill_diagonal(gram, 0.0)
     assert mutual_coherence(tones, 25, 1000) == pytest.approx(gram.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tones, tap_count, wt",
+    [
+        ([0.5, 1.9], 25, 1000),  # fractional tones read 0.99999
+        ([-3, 2000], 25, 1000),  # out of range tones read 0.99996
+        ([], 25, 1000),  # no tones: nan
+        ([21, 53], 1, 1000),  # one tap has no column pair
+        ([21, 53], 2.5, 1000),
+        ([21, 53], 25, 1000.5),
+    ],
+)
+def test_mutual_coherence_rejects_bad_input(tones, tap_count, wt):
+    with pytest.raises(ValueError):
+        mutual_coherence(tones, tap_count, wt)

@@ -18,7 +18,11 @@ import numpy as np
 
 from .channel import OfdmParams, _as_count
 
-_MC_CHUNK = 8192
+# trials per Monte-Carlo chunk; it sizes the reused buffers only: blocks are
+# filled row by row, so trial i takes doubles K_G*i .. K_G*(i+1) of the
+# stream whatever the chunk, and p_mc does not depend on it.  At 2048 the
+# default netsim grid runs ~20% faster than at 8192 (smaller working set)
+_MC_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -111,23 +115,31 @@ def collision_probability_mc(
     """Monte-Carlo collision probability with its standard error.
 
     Each trial places a full group and scores 1 - singletons/K_G, the
-    fraction of the group that failed to train.  Placement is vectorized
-    in fixed-size chunks; the chunk layout does not affect the stream of
-    draws for a given generator.  `trials` must be an integer of at least 1
-    (``ValueError`` otherwise).
+    fraction of the group that failed to train.  A UE draws one uniform u
+    and lands in bin ``min(floor(u N / alpha), N)`` (bin N is outage), the
+    inverse CDF of its (N+1)-way law; trial i takes doubles K_G i .. K_G (i+1)
+    of the stream, whatever `_MC_CHUNK`.  `trials` must be an integer of at
+    least 1 (``ValueError`` otherwise).
     """
     if _as_count(trials, "trials") < 1:
         raise ValueError("trials must be at least 1")
     n, k = model.cell_count, model.group_size
+    u = np.empty((min(_MC_CHUNK, trials), k))
+    cells = np.empty(u.shape, dtype=np.intp)
+    offsets = np.arange(len(u))[:, None] * (n + 1)  # each trial's row of N+1 bins
+    # finite for subnormal alpha (0 * scale is 0, not nan); u >= 2^-53 still maps to outage
+    scale = min(n / model.coverage_prob, n * 2.0**53)
     # how many trials left s singletons, for s = 0..K_G
     tally = np.zeros(k + 1, dtype=np.int64)
     for done in range(0, trials, _MC_CHUNK):
-        batch = min(_MC_CHUNK, trials - done)
-        covered = rng.random((batch, k)) < model.coverage_prob
-        cells = rng.integers(0, n, size=(batch, k))
-        flat = (np.arange(batch)[:, None] * n + cells)[covered]
-        occupancy = np.bincount(flat, minlength=batch * n).reshape(batch, n)
-        tally += np.bincount((occupancy == 1).sum(axis=1), minlength=k + 1)
+        b = min(_MC_CHUNK, trials - done)
+        x = rng.random(out=u[:b])
+        np.minimum(np.multiply(x, scale, out=x), n, out=x)  # u >= alpha: outage
+        cells[:b] = x  # the cast truncates, which is floor as x >= 0
+        cells[:b] += offsets[:b]
+        # bins holding one UE, per trial, less the outage bin N when it holds one
+        ones = (np.bincount(cells[:b].ravel(), minlength=b * (n + 1)) == 1).reshape(b, n + 1)
+        tally += np.bincount(np.count_nonzero(ones, axis=1) - ones[:, n], minlength=k + 1)
     # exact integer moments of the singleton count, so the mean and the
     # variance are each rounded once, whatever the mean
     s1 = sum(s * int(c) for s, c in enumerate(tally))

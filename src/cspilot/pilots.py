@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .channel import _as_count
+
 
 class CapacityExceededError(ValueError):
     """More users requested than the code supports."""
@@ -30,12 +32,12 @@ class CapacityExceededError(ValueError):
 
 def capacity(L_prime: int, l: int) -> int:
     """Largest user count a code with L' ones and l zeros per column can host."""
-    return math.comb(L_prime + l, l)
+    return math.comb(_as_count(L_prime, "L_prime") + _as_count(l, "l"), l)
 
 
 def choose_l(K: int, L_prime: int) -> int:
     """Smallest zero count l >= 1 whose capacity C(L'+l, l) reaches K users."""
-    if K < 1 or L_prime < 1:
+    if _as_count(K, "K") < 1 or _as_count(L_prime, "L_prime") < 1:
         raise ValueError("K and L_prime must be positive")
     l = 1
     while capacity(L_prime, l) < K:
@@ -109,9 +111,9 @@ def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
     the anti-diagonal pattern; larger l extends the same ordering over all
     l-subsets of rows.  Only the K requested columns are unranked.
     """
-    if L_prime < 1 or l < 1:
+    if _as_count(L_prime, "L_prime") < 1 or _as_count(l, "l") < 1:
         raise ValueError("L_prime and l must be positive")
-    if K < 0:
+    if _as_count(K, "K") < 0:
         raise ValueError("K must be nonnegative")
     cap = capacity(L_prime, l)
     if K > cap:
@@ -136,7 +138,7 @@ def superpose(active_ues, book: PilotCodebook) -> np.ndarray:
     """
     pattern = np.zeros(book.dimension, dtype=np.uint8)
     for k in active_ues:
-        if not 0 <= k < book.user_count:
+        if not 0 <= _as_count(k, "UE index") < book.user_count:
             raise ValueError(f"UE index {k!r} is not in [0, {book.user_count})")
         pattern |= book.columns[:, k]
     return pattern
@@ -175,6 +177,6 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
 
 def code_efficiency(L_prime: int, l: int) -> Fraction:
     """Fraction of pilot dimensions actually used for training: L'/(L'+l)."""
-    if L_prime < 1 or l < 1:
+    if _as_count(L_prime, "L_prime") < 1 or _as_count(l, "l") < 1:
         raise ValueError("L_prime and l must be positive")
     return Fraction(L_prime, L_prime + l)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, SensingMatrix
+from .channel import OfdmParams, SensingMatrix, _as_count
 from .simplex import solve_lp
 
 NMSE_FLOOR_DB = -200.0
@@ -287,7 +287,7 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
     Runs exactly `sparsity` iterations and is deterministic given its
     inputs (argmax ties resolve to the lowest index).
     """
-    if not 0 <= sparsity <= X.rows.shape[0]:
+    if not 0 <= _as_count(sparsity, "sparsity") <= X.rows.shape[0]:
         raise ValueError(
             f"sparsity must be between 0 and the {X.rows.shape[0]} measurements, "
             f"got {sparsity!r}"

@@ -148,9 +148,8 @@ def test_detect_sweep_golden_rows(tmp_path):
 
 
 def test_netsim_golden_rows(tmp_path):
-    # exact strings, captured when the standard error moved to exact
-    # integer moments of the singleton count: two chunks per point, and the
-    # two one-UE rows (same mean) now read the same standard error
+    # exact strings, captured when placement moved to one uniform per UE;
+    # 10 000 trials span several chunks, so the draw order across them is pinned
     code, out = run(
         tmp_path, "n.csv", "netsim",
         "--seed", "1", "--set", "trials=10000", "--set", "cells=4,64",
@@ -159,13 +158,28 @@ def test_netsim_golden_rows(tmp_path):
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines()[4:] == [
         "cells,group_size,alpha,trials,p_analytic,p_mc,p_stderr",
-        "4,1,0.7,10000,0.30000000000000004,0.3001,0.004583012000857078",
-        "4,4,0.7,10000,0.6069390625000001,0.606,0.002457671662366639",
+        "4,1,0.7,10000,0.30000000000000004,0.3012,0.004587794241244914",
+        "4,4,0.7,10000,0.6069390625000001,0.611575,0.0024270819799710104",
         "4,64,0.7,10000,0.9999961832228931,0.9999953125,2.7059234069675736e-06",
-        "64,1,0.7,10000,0.30000000000000004,0.3001,0.004583012000857078",
-        "64,4,0.7,10000,0.3227184452056886,0.3239,0.002385923091803254",
-        "64,64,0.7,10000,0.6498989525406581,0.6492203125,0.0005877179198148415",
+        "64,1,0.7,10000,0.30000000000000004,0.2999,0.004582139129271393",
+        "64,4,0.7,10000,0.3227184452056886,0.322275,0.002371867921596816",
+        "64,64,0.7,10000,0.6498989525406581,0.6499421875,0.0005731399583567999",
     ]
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_netsim_default_grid_agrees_with_closed_form(tmp_path, seed):
+    # the default 36-point grid: every Monte-Carlo estimate within 4 standard
+    # errors plus one singleton's worth, 1/(K trials), of the closed form
+    code, out = run(tmp_path, "n.csv", "netsim", "--seed", seed, "--set", "trials=20000")
+    assert code == 0
+    _, _, rows = parse(out)
+    assert len(rows) == 36
+    for row in rows:
+        n, k, a, trials = int(row[0]), int(row[1]), float(row[2]), int(row[3])
+        p_analytic, p_mc, p_stderr = map(float, row[4:])
+        assert p_analytic == pytest.approx(1.0 - a * (1.0 - a / n) ** (k - 1), rel=1e-12)
+        assert abs(p_mc - p_analytic) <= 4.0 * p_stderr + 1.0 / (k * trials), row
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "2,nan"])

@@ -1,4 +1,8 @@
 
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -188,28 +192,72 @@ def test_collision_probability_mc_against_analytic(rng):
     assert abs(est - P_16_16_1) < 3 * stderr
 
 
-def _placement_scores(m, trials, rng):
-    # reference: the same draws in the same chunks, scored one trial at a time
-    scores = []
-    for start in range(0, trials, netsim._MC_CHUNK):
-        batch = min(netsim._MC_CHUNK, trials - start)
-        covered = rng.random((batch, m.group_size)) < m.coverage_prob
-        cells = rng.integers(0, m.cell_count, size=(batch, m.group_size))
-        for on, placed in zip(covered, cells):
-            occupancy = np.bincount(placed[on], minlength=m.cell_count)
-            scores.append(1.0 - np.count_nonzero(occupancy == 1) / m.group_size)
-    return np.array(scores)
+def _placement_moments(m, trials, rng):
+    """Reference: the documented draw order, scored one trial at a time.
+
+    Trial i reads row i of ``u = rng.random((trials, K))``; UE j lands in bin
+    ``min(floor(u N / alpha), N)``, bin N being outage.  The mean and the
+    standard error of the scores are taken exactly (two passes over
+    fractions) and rounded once, as the kernel's integer moments are.
+    """
+    n, a, k = m.cell_count, m.coverage_prob, m.group_size
+    u = rng.random((trials, k))
+    singles = Counter()
+    for row in u:
+        bins = np.minimum(np.floor(row * (n / a)), n).astype(int)
+        singles[int(np.count_nonzero(np.bincount(bins, minlength=n + 1)[:n] == 1))] += 1
+    scores = {Fraction(k - s, k): c for s, c in singles.items()}
+    mean = sum(x * c for x, c in scores.items()) / trials
+    var = sum((x - mean) ** 2 * c for x, c in scores.items()) / trials
+    return float(mean), math.sqrt(float(var / trials))
+
+
+def _check_against_reference(m, seed):
+    trials = 2 * netsim._MC_CHUNK + 1000  # two full chunks and a partial one
+    got = collision_probability_mc(m, trials, np.random.default_rng(seed))
+    assert got == _placement_moments(m, trials, np.random.default_rng(seed))
+    return got
 
 
 def test_collision_probability_mc_stderr_matches_two_pass_variance():
-    # mean ~0.9987 over three chunks: E[x^2] - mean^2 loses ~12 digits here
-    m = model(n=1, alpha=0.002, kg=200)
-    trials = 2 * netsim._MC_CHUNK + 1000
-    scores = _placement_scores(m, trials, np.random.default_rng(7))
-    est, stderr = collision_probability_mc(m, trials, np.random.default_rng(7))
-    assert est == pytest.approx(scores.mean(), rel=1e-15, abs=0.0)
+    # mean ~0.9987, where E[x^2] - mean^2 would lose ~12 digits.  With N = 1
+    # this case cannot tell the one-uniform kernel from a two-draw one:
+    # rng.integers(0, 1) draws nothing, so both read the same stream
+    est, _ = _check_against_reference(model(n=1, alpha=0.002, kg=200), 7)
     assert 0.99 < est < 1.0
-    assert stderr == pytest.approx(np.sqrt(np.var(scores) / trials), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, alpha, kg, seed", [(16, 0.7, 16, 3), (4, 0.5, 64, 11), (64, 1.0, 4, 5)]
+)
+def test_collision_probability_mc_matches_per_trial_reference(n, alpha, kg, seed):
+    _check_against_reference(model(n=n, alpha=alpha, kg=kg), seed)
+
+
+def test_collision_probability_mc_does_not_depend_on_chunk(monkeypatch):
+    m = model(n=16, alpha=0.7, kg=16)
+    results = set()
+    for chunk in (1, 7, 8192):
+        monkeypatch.setattr(netsim, "_MC_CHUNK", chunk)
+        results.add(collision_probability_mc(m, 3000, np.random.default_rng(3)))
+    assert len(results) == 1
+
+
+def test_collision_probability_mc_draws_one_uniform_per_ue():
+    m = model(n=16, alpha=0.7, kg=5)
+    trials = netsim._MC_CHUNK + 3
+    rng = np.random.default_rng(9)
+    collision_probability_mc(m, trials, rng)
+    reference = np.random.default_rng(9)
+    reference.random(m.group_size * trials)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_collision_probability_mc_subnormal_coverage(rng):
+    # N / alpha overflows to inf here; no nan or out-of-range float may
+    # reach the index cast, and every UE is in outage
+    est, stderr = collision_probability_mc(model(alpha=5e-324), 20_000, rng)
+    assert est == 1.0 and stderr == 0.0
 
 
 def test_collision_probability_mc_rejects_bad_trials(rng):

@@ -46,6 +46,24 @@ def test_capacity_and_choose_l():
         choose_l(0, 20)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: choose_l(5, 2.5),
+        lambda: build_codebook(2.5, 3, 1),
+        lambda: capacity(2.5, 1),
+        lambda: code_efficiency(2.5, 1),
+        lambda: superpose([1.0], build_codebook(3, 2, 1)),
+    ],
+    ids=["choose_l", "build_codebook", "capacity", "code_efficiency", "superpose"],
+)
+def test_fractional_counts_raise_value_error(call):
+    # a float count or UE index is refused, not truncated, wrapped or left to
+    # math.comb / Fraction / numpy indexing to fail with another type
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
 def test_codebook_matches_anti_diagonal_pattern():
     book = build_codebook(4, 3, 1)
     assert np.array_equal(book.columns, ANTI_DIAGONAL_4)

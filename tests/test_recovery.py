@@ -356,7 +356,7 @@ def test_omp_deterministic(rng):
 def test_omp_sparsity_cap(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    for sparsity in (21, -1, -3):
+    for sparsity in (21, -1, -3, 2.5):  # 2.5 raised TypeError from range()
         with pytest.raises(ValueError, match="sparsity"):
             omp_recover(np.zeros(20, dtype=complex), X, sparsity)
 

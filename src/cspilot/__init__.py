@@ -55,7 +55,6 @@ from .pilots import (
     superpose,
 )
 from .recovery import (
-    DantzigConfig,
     RecoveryResult,
     comb_tone_set,
     dantzig_epsilon,

@@ -82,13 +82,15 @@ def default_params(**overrides) -> OfdmParams:
 
 @dataclass
 class SparseChannel:
-    """S-sparse complex tap vector with its support set."""
+    """S-sparse complex tap vector with its support set; ``ValueError`` on a non-finite tap."""
 
     taps: np.ndarray
     support: np.ndarray
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=complex)
+        if not np.all(np.isfinite(self.taps)):
+            raise ValueError("taps must be finite")
         self.support = _as_indices(self.support, "support")
         nz = np.flatnonzero(self.taps)
         if not np.array_equal(np.sort(self.support), nz):

@@ -48,13 +48,11 @@ from .detection import DetectionConfig, error_probability_mc, optimal_threshold
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
 from .pilots import build_codebook, choose_l, decode_energy_vector, superpose
 from .recovery import (
-    DantzigConfig,
     comb_tone_set,
     dantzig_recover,
     fde_ls_recover,
     nmse,
     omp_recover,
-    threshold_support,
 )
 from .tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
@@ -220,10 +218,6 @@ def _recover_chunk(item):
     trial; random tones are drawn, and built, per trial.
     """
     seed, params, policy, si, noise_var, t0, t1 = item
-    if noise_var == 0.0:
-        dcfg = DantzigConfig(epsilon=1e-6)
-    else:
-        dcfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
     comb, designed = _bench_matrices(params, policy)
     trials = []
     for t in range(t0, t1):
@@ -233,15 +227,14 @@ def _recover_chunk(item):
         if X is None:
             X = build_sensing_matrix(select_pilot_tones(params, rng), params)
         y = synthesize_measurement(X, h, noise_var, rng)
-        res = dantzig_recover(y, X, dcfg)
+        res = dantzig_recover(y, X, noise_var)
         omp_res = omp_recover(y, X, params.sparsity)
         y_full = synthesize_measurement(comb, h, noise_var, rng)
         fde_res = fde_ls_recover(y_full, comb)
         scores = [None, None]  # a failed solve's NaN estimates are not scored
         if res.solver_status == "optimal":
-            raw = res.raw_estimate
             scores = [
-                _score(h, raw, threshold_support(raw, dcfg.magnitude_floor)),
+                _score(h, res.raw_estimate, res.raw_support),
                 _score(h, res.estimate, res.recovered_support),
             ]
         scores += [_score(h, r.estimate, r.recovered_support) for r in (omp_res, fde_res)]

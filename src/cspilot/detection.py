@@ -155,7 +155,7 @@ def min_threshold_for_network(
     exceed ``max_error_probability`` (all UEs qualify when the cap is
     None).  Thresholds and error probabilities are evaluated for all UEs
     at once.  Raises ``ValueError`` on an empty list, on a non-finite or
-    non-positive power, or when no UE qualifies.
+    non-positive power, on a non-finite cap, or when no UE qualifies.
     """
     powers = np.asarray(list(pathloss_powers), dtype=float)
     if powers.size == 0:
@@ -166,6 +166,10 @@ def min_threshold_for_network(
         raise ValueError("all pathloss powers must be positive")
     if _as_count(antenna_count, "antenna_count") < 1:
         raise ValueError("antenna_count must be at least 1")
+    if max_error_probability is not None and not math.isfinite(max_error_probability):
+        raise ValueError(
+            f"max_error_probability must be finite or None, got {max_error_probability!r}"
+        )
     thresholds = _crossing(powers)
     if max_error_probability is not None:
         pe = _error_probability(antenna_count, powers, thresholds)

@@ -80,9 +80,10 @@ class PilotCodebook:
     columns: np.ndarray
 
     def __post_init__(self):
+        for name in ("ones_per_column", "zeros_per_column"):
+            if _as_count(getattr(self, name), name) < 1:
+                raise ValueError("ones_per_column and zeros_per_column must be positive")
         L, l = self.dimension, self.zeros_per_column
-        if self.ones_per_column < 1 or l < 1:
-            raise ValueError("ones_per_column and zeros_per_column must be positive")
         cols = np.array(self.columns)  # a private copy, read-only once validated
         if cols.ndim != 2 or cols.shape[0] != L or not np.isin(cols, (0, 1)).all():
             raise ValueError(f"columns must be a 0/1 matrix with {L} rows")

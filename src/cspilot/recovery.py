@@ -12,6 +12,9 @@ Three estimators over the unit-energy pilot model ``y = X h + z``:
 
 Each estimator reads the pilot count M and the tap count D from the shape
 of the sensing matrix, ``X.rows.shape == (M, D)``, and from nothing else.
+The Dantzig selector's one further input is the per-tone noise variance:
+it fixes the constraint level, the debias candidate floor and the stepwise
+threshold, with ``noise_variance == 0`` meaning a noiseless measurement.
 """
 
 from __future__ import annotations
@@ -27,80 +30,46 @@ from .simplex import solve_lp
 NMSE_FLOOR_DB = -200.0
 CANDIDATE_CAP = 12  # debias candidates kept, the largest raw taps first
 SELECTION_TAU = 10.0  # stepwise significance level, in units of the noise variance
+NOISELESS_EPSILON = 1e-6  # constraint level at noise variance 0
+MAGNITUDE_FLOOR = 0.01  # smallest raw tap magnitude kept as a candidate under noise
 
 
 @dataclass
 class RecoveryResult:
     """Channel estimate plus solver diagnostics.
 
-    ``raw_estimate`` keeps the program solution so callers can score both
-    stages from one solve; ``lp_iterations`` is the pivot count of that
-    solve and ``debias_passes`` the number of stepwise debias passes run (0
-    when the solve failed); all three are None for estimators without an LP.
+    ``raw_estimate`` keeps the program solution and ``raw_support`` its
+    thresholded support before the candidate cap (empty when the solve
+    failed), so callers can score both stages from one solve;
+    ``lp_iterations`` is the pivot count of that solve and
+    ``debias_passes`` the number of stepwise debias passes run (0 when the
+    solve failed); all four are None for estimators without an LP.
     """
 
     estimate: np.ndarray
     recovered_support: np.ndarray
     solver_status: str
     raw_estimate: np.ndarray | None = None
+    raw_support: np.ndarray | None = None
     lp_iterations: int | None = None
     debias_passes: int | None = None
 
 
-@dataclass(frozen=True)
-class DantzigConfig:
-    """Constraint level and debias floor for the l1 program.
+def dantzig_epsilon(noise_variance: float, X: SensingMatrix) -> float:
+    """Constraint level of the l1 program for an M x D matrix `X`.
 
-    A given `epsilon` is used as is.  Unset, it is scaled to the noise:
-    ``epsilon = sigma * sqrt(M) * sqrt(2 * ln(D))`` for an M x D sensing
-    matrix, with sigma^2 = ``noise_variance`` (which must then be positive), the
-    deviation of one entry of the correlated noise ``X^H z`` times the
-    Gaussian sup-norm factor over the taps.
-
-    Debias: taps whose raw magnitude clears
-    ``max(magnitude_floor, 0.01 * largest)`` become candidates (at most
-    `CANDIDATE_CAP`, keeping the largest).  The candidate set is then
-    refined by stepwise least squares: a tap is pruned when removing it
-    raises the residual energy by less than a threshold, and a tap is added
-    back from the residual correlations when it lowers the residual energy
-    by more than the same amount.  The threshold is
-    ``SELECTION_TAU * noise_variance``, or with ``noise_variance == 0`` the
-    rounding level ``M * eps * ||y||^2`` of an M-tone measurement y.  The
-    final estimate is the least-squares refit on the surviving support.
-
-    Every field must be finite, a given `epsilon` positive and the other two
-    nonnegative (``ValueError`` otherwise).
+    `NOISELESS_EPSILON` when ``noise_variance == 0``; otherwise
+    ``sigma * sqrt(M) * sqrt(2 * ln(D))`` with sigma^2 = `noise_variance`,
+    the deviation of one entry of the correlated noise ``X^H z`` times the
+    Gaussian sup-norm factor over the taps.  Raises ``ValueError`` for a
+    non-finite or negative `noise_variance`.
     """
-
-    epsilon: float | None = None
-    noise_variance: float = 0.0
-    magnitude_floor: float = 0.0
-
-    def __post_init__(self):
-        for name in ("epsilon", "noise_variance", "magnitude_floor"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.noise_variance < 0:
-            raise ValueError(
-                f"noise_variance must be nonnegative, got {self.noise_variance!r}"
-            )
-        if self.epsilon is None and self.noise_variance == 0:
-            raise ValueError("an unset epsilon requires noise_variance > 0")
-        if self.magnitude_floor < 0:
-            raise ValueError(
-                f"magnitude_floor must be nonnegative, got {self.magnitude_floor!r}"
-            )
-
-
-def dantzig_epsilon(cfg: DantzigConfig, X: SensingMatrix) -> float:
-    """Resolve the constraint level for the given configuration and M x D matrix."""
-    if cfg.epsilon is not None:
-        return float(cfg.epsilon)
+    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+        raise ValueError(f"noise_variance must be finite and nonnegative, got {noise_variance!r}")
+    if noise_variance == 0:
+        return NOISELESS_EPSILON
     m, d = X.rows.shape
-    return float(np.sqrt(cfg.noise_variance) * np.sqrt(m) * np.sqrt(2.0 * np.log(d)))
+    return float(np.sqrt(noise_variance) * np.sqrt(m) * np.sqrt(2.0 * np.log(d)))
 
 
 def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -231,40 +200,58 @@ def _stepwise_select(y, Xs, candidates, cap, threshold):
     return sorted(keep), passes
 
 
-def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> RecoveryResult:
+def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> RecoveryResult:
     """Solve the l1 residual-correlation program and debias its solution.
 
-    The estimate is the least-squares refit on the selected support (see
-    `DantzigConfig`); ``raw_estimate`` is the program solution.  When the
-    solve is not optimal, `solver_status` says so and both hold NaN.
+    The constraint level is `dantzig_epsilon`.  Debias: taps whose raw
+    magnitude clears ``max(floor, 0.01 * largest)`` become candidates (at
+    most `CANDIDATE_CAP`, keeping the largest), with the floor
+    `MAGNITUDE_FLOOR` under noise and 0 without.  The candidate set is then
+    refined by stepwise least squares: a tap is pruned when removing it
+    raises the residual energy by less than a threshold, and a tap is added
+    back from the residual correlations when it lowers the residual energy
+    by more than the same amount.  The threshold is
+    ``SELECTION_TAU * noise_variance``, or with ``noise_variance == 0`` the
+    rounding level ``M * eps * ||y||^2`` of an M-tone measurement y.  The
+    estimate is the least-squares refit on the surviving support.
+
+    ``raw_estimate`` is the program solution and ``raw_support`` its
+    candidates before the cap.  When the solve is not optimal,
+    `solver_status` says so, both estimates hold NaN and both supports are
+    empty.  Raises ``ValueError`` for a non-finite or negative
+    `noise_variance`.
     """
     _check_measurement(y, X)
     d = X.rows.shape[1]
-    eps = dantzig_epsilon(cfg, X)
+    eps = dantzig_epsilon(noise_variance, X)
     c, U, V, b = _embed_lp(y, X, eps)
     res = solve_lp(c, U, V, b)
     if res.status != "optimal":
         # NaN entries, which nmse and threshold_support reject, so a failed
         # solve cannot be scored as an estimate
         failed = np.full(d, np.nan, dtype=complex)
+        empty = np.array([], dtype=int)
         return RecoveryResult(
             estimate=failed,
-            recovered_support=np.array([], dtype=int),
+            recovered_support=empty,
             solver_status=res.status,
             raw_estimate=failed,
+            raw_support=empty,
             lp_iterations=res.iterations,
             debias_passes=0,
         )
     raw = res.x[:d] + 1j * res.x[d:]
-    support = threshold_support(raw, cfg.magnitude_floor)
+    if noise_variance > 0:
+        floor, threshold = MAGNITUDE_FLOOR, SELECTION_TAU * noise_variance
+    else:
+        # noiseless: only a tap the exact fit leaves at rounding level goes
+        floor = 0.0
+        threshold = y.size * np.finfo(float).eps * float(np.vdot(y, y).real)
+    raw_support = threshold_support(raw, floor)
+    support = raw_support
     if support.size > CANDIDATE_CAP:
         mags = np.abs(raw)
         support = np.sort(support[np.argsort(mags[support])[-CANDIDATE_CAP:]])
-    if cfg.noise_variance > 0:
-        threshold = SELECTION_TAU * cfg.noise_variance
-    else:
-        # noiseless: only a tap the exact fit leaves at rounding level goes
-        threshold = y.size * np.finfo(float).eps * float(np.vdot(y, y).real)
     selected, passes = _stepwise_select(y, X.rows, list(support), CANDIDATE_CAP, threshold)
     support = np.asarray(selected, dtype=int)
     estimate = np.zeros(d, dtype=complex)
@@ -276,6 +263,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, cfg: DantzigConfig) -> Reco
         recovered_support=support,
         solver_status="optimal",
         raw_estimate=raw,
+        raw_support=raw_support,
         lp_iterations=res.iterations,
         debias_passes=passes,
     )

@@ -2,7 +2,7 @@
 
 Scores every drop-one and add-one candidate by a fresh least-squares solve
 (``len(K) + 2`` `numpy.linalg.lstsq` calls per pass), the direct reading of
-the selection rule in `cspilot.recovery.DantzigConfig`.  The QR-scored
+the selection rule in `cspilot.recovery.dantzig_recover`.  The QR-scored
 `cspilot.recovery._stepwise_select` must return the same support.
 """
 

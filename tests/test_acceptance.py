@@ -37,13 +37,11 @@ from cspilot.pilots import (
     superpose,
 )
 from cspilot.recovery import (
-    DantzigConfig,
     comb_tone_set,
     dantzig_recover,
     fde_ls_recover,
     nmse,
     omp_recover,
-    threshold_support,
 )
 from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
@@ -142,23 +140,21 @@ def test_criterion_4_sparse_recovery_benchmarks():
     # noiseless: 25 taps, low-coherence tones, 500 frozen trials
     p25 = default_params(tap_count=25)
     X25 = build_sensing_matrix(DESIGNED_TONES_25, p25)
-    cfg_nl = DantzigConfig(epsilon=1e-6)
     omp_hits = agree = 0
     for t in range(500):
         rng = np.random.default_rng([2024, 41, t])
         h = sample_channel(p25, rng)
         y = synthesize_measurement(X25, h, 0.0, rng)
         o = omp_recover(y, X25, p25.sparsity)
-        d = dantzig_recover(y, X25, cfg_nl)
+        d = dantzig_recover(y, X25, 0.0)
         omp_hits += int(np.array_equal(o.recovered_support, h.support))
-        agree += int(np.array_equal(threshold_support(d.raw_estimate), o.recovered_support))
+        agree += int(np.array_equal(d.raw_support, o.recovered_support))
 
     # 20 dB per-tone SNR: 100 taps, scaled residual bound, stepwise debias
     p100 = default_params()
     X100 = build_sensing_matrix(DESIGNED_TONES_100, p100)
     comb = build_sensing_matrix(comb_tone_set(p100), p100)
     nv = 0.01
-    cfg_db = DantzigConfig(noise_variance=nv, magnitude_floor=0.01)
     hits = 0
     nm_cs = []
     nm_fde = []
@@ -166,7 +162,7 @@ def test_criterion_4_sparse_recovery_benchmarks():
         rng = np.random.default_rng([2024, 42, t])
         h = sample_channel(p100, rng)
         y = synthesize_measurement(X100, h, nv, rng)
-        d = dantzig_recover(y, X100, cfg_db)
+        d = dantzig_recover(y, X100, nv)
         hits += int(np.array_equal(np.sort(d.recovered_support), h.support))
         nm_cs.append(nmse(h.taps, d.estimate))
         yf = synthesize_measurement(comb, h, nv, rng)

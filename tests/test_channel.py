@@ -137,6 +137,16 @@ def test_sparse_channel_rejects_fractional_support():
     assert SparseChannel(taps=taps, support=np.array([1], dtype=np.int8)).support.tolist() == [1]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_channel_rejects_non_finite_taps(bad):
+    from cspilot.channel import SparseChannel
+
+    with pytest.raises(ValueError, match="taps must be finite"):
+        SparseChannel(taps=[bad, 0, 0], support=[0])
+    with pytest.raises(ValueError, match="taps must be finite"):
+        SparseChannel(taps=[1.0, complex(0.0, bad), 0], support=[0, 1])
+
+
 def test_sensing_matrix_rows_are_read_only():
     # estimators cache operators derived from rows on the matrix itself
     p = default_params()

@@ -274,3 +274,10 @@ def test_min_threshold_qualification_cap():
     assert strict == pytest.approx(t10)
     with pytest.raises(ValueError):
         min_threshold_for_network([1.0], 8, max_error_probability=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_threshold_rejects_non_finite_cap(bad):
+    # a NaN cap used to fail every UE and blame them for it
+    with pytest.raises(ValueError, match="max_error_probability"):
+        min_threshold_for_network([1.0, 10.0], 8, max_error_probability=bad)

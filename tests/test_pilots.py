@@ -195,6 +195,15 @@ def test_codebook_rejects_malformed_columns():
         PilotCodebook(ones_per_column=0, zeros_per_column=2, columns=np.zeros((2, 0)))
 
 
+@pytest.mark.parametrize("ones, zeros", [(2.0, 1), (2, 1.0), (np.float64(2), 1)])
+def test_codebook_rejects_fractional_counts(ones, zeros):
+    # math.comb raised TypeError on these from the rank check
+    cols = build_codebook(3, 2, 1).columns
+    with pytest.raises(ValueError, match="must be an integer"):
+        PilotCodebook(ones, zeros, cols)
+    assert PilotCodebook(np.int64(2), np.int8(1), cols).user_count == 3
+
+
 def test_codebook_rejects_swapped_columns():
     # a permuted book would decode UE 0's pattern to UE 1; it must not load
     book = build_codebook(6, 2, 2)

@@ -3,8 +3,6 @@ import functools
 import numpy as np
 import pytest
 from debias_oracle import stepwise_select_lstsq
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cspilot import recovery, simplex
 from cspilot.channel import (
@@ -18,8 +16,9 @@ from cspilot.channel import (
 )
 from cspilot.recovery import (
     CANDIDATE_CAP,
+    MAGNITUDE_FLOOR,
+    NOISELESS_EPSILON,
     SELECTION_TAU,
-    DantzigConfig,
     _embed_lp,
     _ls_refit,
     comb_tone_set,
@@ -43,50 +42,22 @@ def _single_tap_channel(params, delay=0, gain=1.0):
     return SparseChannel(taps=taps, support=np.array([delay]))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="noise_variance > 0"):
-        DantzigConfig()  # neither epsilon nor a noise variance to scale it to
-    for eps in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="epsilon"):
-            DantzigConfig(epsilon=eps)
+@pytest.mark.parametrize("bad", [*_NON_FINITE, -1.0])
+def test_noise_variance_rejected(rng, bad):
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     with pytest.raises(ValueError, match="noise_variance"):
-        DantzigConfig(epsilon=1.0, noise_variance=-1.0)
+        dantzig_epsilon(bad, X)
     with pytest.raises(ValueError, match="noise_variance"):
-        DantzigConfig(noise_variance=-1.0)
-    with pytest.raises(ValueError, match="magnitude_floor"):
-        DantzigConfig(epsilon=1.0, magnitude_floor=-0.01)
-    DantzigConfig(epsilon=1.0)
-    DantzigConfig(noise_variance=0.01)
-    DantzigConfig(epsilon=1.0, noise_variance=0.01, magnitude_floor=0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    field=st.sampled_from(["epsilon", "noise_variance", "magnitude_floor"]),
-    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-    scaled=st.booleans(),
-    good=st.floats(min_value=1e-6, max_value=1e6),
-)
-def test_config_rejects_non_finite_fields(field, bad, scaled, good):
-    fields = dict(
-        epsilon=None if scaled else good,
-        noise_variance=good,
-        magnitude_floor=good,
-    )
-    DantzigConfig(**fields)
-    fields[field] = bad
-    with pytest.raises(ValueError, match=field):
-        DantzigConfig(**fields)
+        dantzig_recover(np.ones(20, dtype=complex), X, bad)
 
 
 def test_scaled_epsilon_rule():
     p = default_params()
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
-    cfg = DantzigConfig(noise_variance=0.01)
     # sigma sqrt(M) sqrt(2 ln D) = 0.1 * sqrt(20) * sqrt(2 ln 100)
-    assert dantzig_epsilon(cfg, X) == pytest.approx(1.3572280848830225, abs=1e-12)
-    explicit = DantzigConfig(epsilon=0.5, noise_variance=0.01)
-    assert dantzig_epsilon(explicit, X) == 0.5
+    assert dantzig_epsilon(0.01, X) == pytest.approx(1.3572280848830225, abs=1e-12)
+    assert dantzig_epsilon(0.0, X) == NOISELESS_EPSILON == 1e-6
 
 
 def test_epsilon_follows_the_matrix_shape():
@@ -95,8 +66,7 @@ def test_epsilon_follows_the_matrix_shape():
     # level of a 20-tone matrix would exclude it nearly always
     p = default_params()
     comb = build_sensing_matrix(comb_tone_set(p), p)
-    cfg = DantzigConfig(noise_variance=0.01)
-    eps = dantzig_epsilon(cfg, comb)
+    eps = dantzig_epsilon(0.01, comb)
     assert eps == pytest.approx(0.1 * np.sqrt(100) * np.sqrt(2 * np.log(100)), rel=1e-15)
     rng = np.random.default_rng(2024)
     feasible = 0
@@ -113,9 +83,10 @@ def test_dantzig_single_tap_noiseless(rng):
     h = _single_tap_channel(p, delay=0, gain=1.0)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     y = synthesize_measurement(X, h, 0.0, rng)
-    res = dantzig_recover(y, X, DantzigConfig(epsilon=1e-9))
+    res = dantzig_recover(y, X, 0.0)
     assert res.solver_status == "optimal"
     assert np.array_equal(res.recovered_support, [0])
+    assert np.array_equal(res.raw_support, [0])
     assert abs(res.estimate[0] - 1.0) < 1e-6
     assert np.max(np.abs(np.delete(res.estimate, 0))) < 1e-6
 
@@ -128,9 +99,10 @@ def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     y = synthesize_measurement(X, h, 0.1, rng)
     monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
-    res = dantzig_recover(y, X, DantzigConfig(noise_variance=0.1, magnitude_floor=0.01))
+    res = dantzig_recover(y, X, 0.1)
     assert res.solver_status != "optimal"
     assert res.recovered_support.size == 0
+    assert res.raw_support.size == 0
     for estimate in (res.estimate, res.raw_estimate):
         assert estimate.shape == (p.tap_count,) and np.isnan(estimate).all()
         with pytest.raises(ValueError):
@@ -144,24 +116,30 @@ def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
 def test_dantzig_zero_measurement(rng):
     p = default_params()
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    res = dantzig_recover(np.zeros(20, dtype=complex), X, DantzigConfig(epsilon=0.1))
-    assert np.all(res.raw_estimate == 0)
-    assert np.all(res.estimate == 0)
-    assert res.recovered_support.size == 0
+    y = np.zeros(20, dtype=complex)
+    for noise_variance in (0.0, 0.01):
+        res = dantzig_recover(y, X, noise_variance)
+        assert np.all(res.raw_estimate == 0)
+        assert np.all(res.estimate == 0)
+        assert res.recovered_support.size == 0
+        assert res.raw_support.size == 0
+    # any constraint level admits h = 0, so the l1 optimum is zero
+    for eps in (1e-9, 0.1, 10.0):
+        lp = solve_lp(*_embed_lp(y, X, eps))
+        assert lp.status == "optimal" and np.all(lp.x == 0)
 
 
 def test_dantzig_epsilon_constraint_satisfied(rng):
     # raw program output must respect the per-component residual bound
     p = default_params()
-    cfg = DantzigConfig(noise_variance=0.01)
     for _ in range(5):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(select_pilot_tones(p, rng), p)
         y = synthesize_measurement(X, h, 0.01, rng)
-        res = dantzig_recover(y, X, cfg)
+        res = dantzig_recover(y, X, 0.01)
         assert res.solver_status == "optimal"
         corr = X.rows.conj().T @ (y - X.rows @ res.raw_estimate)
-        bound = dantzig_epsilon(cfg, X) / np.sqrt(2.0)
+        bound = dantzig_epsilon(0.01, X) / np.sqrt(2.0)
         assert np.max(np.abs(corr.real)) <= bound + 1e-7
         assert np.max(np.abs(corr.imag)) <= bound + 1e-7
 
@@ -177,9 +155,9 @@ def test_dantzig_truth_feasible_objective_bound(rng):
         y = synthesize_measurement(X, h, noise_var, rng)
         z_corr = X.rows.conj().T @ (y - X.rows @ h.taps)
         eps = np.sqrt(2.0) * float(np.max(np.abs(z_corr)))
-        res = dantzig_recover(y, X, DantzigConfig(epsilon=eps))
-        assert res.solver_status == "optimal"
-        raw = res.raw_estimate
+        res = solve_lp(*_embed_lp(y, X, eps))
+        assert res.status == "optimal"
+        raw = res.x[: p.tap_count] + 1j * res.x[p.tap_count :]
         truth_l1 = float(np.abs(h.taps.real).sum() + np.abs(h.taps.imag).sum())
         assert np.abs(raw.real).sum() + np.abs(raw.imag).sum() <= truth_l1 + 1e-7
 
@@ -188,16 +166,16 @@ def test_debias_refit_never_raises_residual(rng):
     # on the support it selects from the raw solution, the LS refit is the
     # residual minimizer, so it cannot do worse than the truncated raw taps
     p = default_params()
-    cfg = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
     A = X.rows
     improved = 0
     for _ in range(15):
         h = sample_channel(p, rng)
         y = synthesize_measurement(X, h, 0.01, rng)
-        deb = dantzig_recover(y, X, cfg)
+        deb = dantzig_recover(y, X, 0.01)
         raw = deb.raw_estimate
-        support = threshold_support(raw, 0.01)
+        support = threshold_support(raw, MAGNITUDE_FLOOR)
+        assert np.array_equal(deb.raw_support, support)
         truncated = np.zeros_like(raw)
         truncated[support] = raw[support]
         refit = np.zeros_like(raw)
@@ -216,9 +194,8 @@ def test_lp_iterations_reported(rng):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     h = sample_channel(p, rng)
     y = synthesize_measurement(X, h, 0.01, rng)
-    cfg = DantzigConfig(noise_variance=0.01)
-    c, U, V, b = _embed_lp(y, X, dantzig_epsilon(cfg, X))
-    res = dantzig_recover(y, X, cfg)
+    c, U, V, b = _embed_lp(y, X, dantzig_epsilon(0.01, X))
+    res = dantzig_recover(y, X, 0.01)
     assert res.lp_iterations == solve_lp(c, U, V, b).iterations > 0
     assert omp_recover(y, X, p.sparsity).lp_iterations is None
 
@@ -228,11 +205,10 @@ def test_debias_passes_reported(rng):
     h = sample_channel(p, rng)
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
     y = synthesize_measurement(X, h, 0.01, rng)
-    noisy = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
-    assert dantzig_recover(y, X, noisy).debias_passes >= 1
-    noiseless = DantzigConfig(epsilon=1e-6)
-    assert dantzig_recover(y, X, noiseless).debias_passes >= 1
+    assert dantzig_recover(y, X, 0.01).debias_passes >= 1
+    assert dantzig_recover(y, X, 0.0).debias_passes >= 1
     assert omp_recover(y, X, p.sparsity).debias_passes is None
+    assert omp_recover(y, X, p.sparsity).raw_support is None
     comb = build_sensing_matrix(comb_tone_set(p), p)
     yf = synthesize_measurement(comb, h, 0.01, rng)
     assert fde_ls_recover(yf, comb).debias_passes is None
@@ -247,8 +223,9 @@ def test_noiseless_debias_reports_the_refit_support():
     rng = np.random.default_rng([0, 2, 0, 8])
     h = sample_channel(p, rng)
     y = synthesize_measurement(X, h, 0.0, rng)
-    res = dantzig_recover(y, X, DantzigConfig(epsilon=1e-6))
-    assert threshold_support(res.raw_estimate).size > CANDIDATE_CAP
+    res = dantzig_recover(y, X, 0.0)
+    assert np.array_equal(res.raw_support, threshold_support(res.raw_estimate))
+    assert res.raw_support.size > CANDIDATE_CAP
     assert res.recovered_support.tolist() == h.support.tolist()
     assert nmse(h.taps, res.estimate) < -150.0
 
@@ -258,14 +235,13 @@ def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
     params = default_params(tap_count=tap_count)
     for snr_db in snr_dbs:
         noise_var = 1.0 / 10.0 ** (snr_db / 10.0)
-        cfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)
             tone_set = tones if tones is not None else select_pilot_tones(params, rng)
             X = build_sensing_matrix(tone_set, params)
             y = synthesize_measurement(X, h, noise_var, rng)
-            yield y, X, params, cfg
+            yield y, X, params, noise_var
 
 
 @pytest.mark.parametrize(
@@ -281,9 +257,10 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
     # the QR-scored selection must pick the support the per-candidate lstsq
     # reference picks; the final refit is shared, so estimates are equal too
     pruned = added = 0
-    for y, X, p, cfg in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
-        res = dantzig_recover(y, X, cfg)
-        candidates = threshold_support(res.raw_estimate, cfg.magnitude_floor)
+    for y, X, p, noise_var in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
+        res = dantzig_recover(y, X, noise_var)
+        candidates = threshold_support(res.raw_estimate, MAGNITUDE_FLOOR)
+        assert np.array_equal(res.raw_support, candidates)
         if candidates.size > CANDIDATE_CAP:
             mags = np.abs(res.raw_estimate[candidates])
             candidates = np.sort(candidates[np.argsort(mags)[-CANDIDATE_CAP:]])
@@ -292,7 +269,7 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
             X.rows,
             list(candidates),
             CANDIDATE_CAP,
-            SELECTION_TAU * cfg.noise_variance,
+            SELECTION_TAU * noise_var,
         )
         assert res.recovered_support.tolist() == want
         expected = np.zeros(p.tap_count, dtype=complex)
@@ -461,9 +438,8 @@ def test_estimators_reject_non_finite_measurement(rng, bad):
     comb = build_sensing_matrix(comb_tone_set(p), p)
     y, yf = np.ones(20, dtype=complex), np.ones(100, dtype=complex)
     y[3] = yf[3] = bad
-    cfg = DantzigConfig(noise_variance=0.01)
     with pytest.raises(ValueError, match="measurement"):
-        dantzig_recover(y, X, cfg)
+        dantzig_recover(y, X, 0.01)
     with pytest.raises(ValueError, match="measurement"):
         omp_recover(y, X, p.sparsity)
     with pytest.raises(ValueError, match="measurement"):
@@ -474,13 +450,12 @@ def test_fde_comparable_at_20db(rng):
     # 20 dB per tone: unit-energy pilots, noise variance 0.01
     p = default_params()
     comb = build_sensing_matrix(comb_tone_set(p), p)
-    cfg = DantzigConfig(noise_variance=0.01, magnitude_floor=0.01)
     cs, fde = [], []
     for _ in range(100):
         h = sample_channel(p, rng)
         X = build_sensing_matrix(DESIGNED_TONES_100, p)
         y = synthesize_measurement(X, h, 0.01, rng)
-        cs.append(nmse(h.taps, dantzig_recover(y, X, cfg).estimate))
+        cs.append(nmse(h.taps, dantzig_recover(y, X, 0.01).estimate))
         yf = synthesize_measurement(comb, h, 0.01, rng)
         fde.append(nmse(h.taps, fde_ls_recover(yf, comb).estimate))
     assert np.mean(cs) <= np.mean(fde) + 3.0

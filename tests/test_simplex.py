@@ -19,7 +19,7 @@ from cspilot.channel import (
     select_pilot_tones,
     synthesize_measurement,
 )
-from cspilot.recovery import DantzigConfig, _embed_lp, dantzig_epsilon
+from cspilot.recovery import _embed_lp, dantzig_epsilon
 from cspilot.simplex import solve_lp
 from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
@@ -198,19 +198,14 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
     # criterion 4's frozen channel draws, with tones and SNR varied
     params = default_params(tap_count=tap_count)
     for snr_db in _SNR_DBS:
-        if np.isinf(snr_db):
-            noise_var = 0.0
-            cfg = DantzigConfig(epsilon=1e-6)
-        else:
-            noise_var = 1.0 / 10.0 ** (snr_db / 10.0)
-            cfg = DantzigConfig(noise_variance=noise_var)
+        noise_var = 1.0 / 10.0 ** (snr_db / 10.0)  # 0.0 at inf dB: noiseless
         for t in range(trials):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)
             tone_set = tones if tones is not None else select_pilot_tones(params, rng)
             X = build_sensing_matrix(tone_set, params)
             y = synthesize_measurement(X, h, noise_var, rng)
-            yield _embed_lp(y, X, dantzig_epsilon(cfg, X))
+            yield _embed_lp(y, X, dantzig_epsilon(noise_var, X))
 
 
 @pytest.mark.parametrize(
@@ -243,11 +238,7 @@ def _criterion_4_lps(step):
     ):
         params = default_params(tap_count=tap_count)
         X = build_sensing_matrix(tones, params)
-        if noise_var == 0.0:
-            cfg = DantzigConfig(epsilon=1e-6)
-        else:
-            cfg = DantzigConfig(noise_variance=noise_var, magnitude_floor=0.01)
-        eps = dantzig_epsilon(cfg, X)
+        eps = dantzig_epsilon(noise_var, X)
         for t in range(0, trials, step):
             rng = np.random.default_rng([2024, seed_tag, t])
             h = sample_channel(params, rng)

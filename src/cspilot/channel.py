@@ -18,11 +18,16 @@ import numpy as np
 
 
 def _as_count(value, name: str) -> int:
-    """`value` as an int via `operator.index` (numpy integers pass); else ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int via `operator.index` (numpy integers pass); else ``ValueError``.
+
+    A bool is refused: `operator.index` would read True as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_indices(values, name: str) -> np.ndarray:
@@ -106,7 +111,9 @@ class SensingMatrix:
 
     `rows` is kept as a read-only complex copy, so an operator derived from
     it and stored by `cached` (the Dantzig LP's constraint factors, the dense
-    LS pseudo-inverse) stays valid for the life of the matrix.
+    LS pseudo-inverse) stays valid for the life of the matrix.  Raises
+    ``ValueError`` unless `rows` is 2-D and finite with one row per entry of
+    `tone_set`.
     """
 
     rows: np.ndarray
@@ -115,6 +122,13 @@ class SensingMatrix:
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=complex)
+        if rows.ndim != 2 or not np.all(np.isfinite(rows)):
+            raise ValueError("rows must be a finite 2-D array")
+        if np.shape(self.tone_set) != rows.shape[:1]:
+            raise ValueError(
+                f"tone_set has shape {np.shape(self.tone_set)}, rows {rows.shape}: "
+                "need one tone per row"
+            )
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

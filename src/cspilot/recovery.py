@@ -73,12 +73,10 @@ def dantzig_epsilon(noise_variance: float, X: SensingMatrix) -> float:
 
 
 def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``U, V`` of the LP block ``U @ V = [[-R, Im], [R, -Im], [-Im, -R], [Im, R]]``.
+    """Factors ``U, V`` of the LP rows ``U @ V = [[R, -Im], [Im, R]]``.
 
     ``X^H X = R + j Im``; ``V = [[Re X, -Im X], [Im X, Re X]]`` is the real
-    form of X, and ``U = [-V1^T; V1^T; -V2^T; V2^T]`` for the column halves
-    ``V = [V1, V2]``, so each odd block row of U is the exact negation of
-    the next one.  Both are read-only.
+    form of X and ``U = V^T``.  Both are read-only.
     """
     m, d = X.rows.shape
     V = np.empty((2 * m, 2 * d))
@@ -86,37 +84,34 @@ def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
     np.negative(X.rows.imag, out=V[:m, d:])
     V[m:, :d] = X.rows.imag
     V[m:, d:] = X.rows.real
-    U = np.empty((4 * d, 2 * m))
-    U[d : 2 * d] = V[:, :d].T
-    U[3 * d :] = V[:, d:].T
-    np.negative(U[d : 2 * d], out=U[:d])
-    np.negative(U[3 * d :], out=U[2 * d : 3 * d])
-    U.flags.writeable = False
     V.flags.writeable = False
-    return U, V
+    return V.T, V
 
 
 def _embed_lp(y, X: SensingMatrix, eps: float):
     # Real form of min ||h||_1 s.t. ||X^H(y - X h)||_inf <= eps over
     # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
-    # imaginary parts of the correlated residual, each as a pair of rows.
+    # imaginary parts of the correlated residual, one range row each.
     # The constraint factors depend on the tones only, so X keeps them.
     U, V = X.cached("lp_factors", _lp_factors)
     v = X.rows.conj().T @ y
     t = eps / np.sqrt(2.0)
-    b = np.concatenate([t - v.real, t + v.real, t - v.imag, t + v.imag])
+    v_r = np.concatenate([v.real, v.imag])
     c = np.ones(V.shape[1])
-    return c, U, V, b
+    return c, U, V, v_r - t, v_r + t
 
 
 def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Indices whose magnitude clears ``max(floor, 0.01 * largest)``.
 
-    Raises ValueError for a non-finite or negative `floor` and for a
-    non-finite entry of `estimate`, which no threshold can rank.
+    Raises ValueError for a non-finite or negative `floor`, for an
+    `estimate` that is not 1-D and for a non-finite entry of `estimate`,
+    which no threshold can rank.
     """
     if not (math.isfinite(floor) and floor >= 0):
         raise ValueError("floor must be finite and non-negative")
+    if np.ndim(estimate) != 1:
+        raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
     if not np.all(np.isfinite(estimate)):
         raise ValueError("estimate must be finite")
     mags = np.abs(estimate)
@@ -127,8 +122,11 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 def _check_measurement(y: np.ndarray, X: SensingMatrix) -> None:
-    if y.shape[0] != X.rows.shape[0]:
-        raise ValueError("measurement length does not match the sensing matrix")
+    if np.shape(y) != X.rows.shape[:1]:
+        raise ValueError(
+            f"measurement has shape {np.shape(y)}, need ({X.rows.shape[0]},) "
+            "for the sensing matrix"
+        )
     if not np.all(np.isfinite(y)):
         raise ValueError("measurement must be finite")
 
@@ -224,8 +222,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     _check_measurement(y, X)
     d = X.rows.shape[1]
     eps = dantzig_epsilon(noise_variance, X)
-    c, U, V, b = _embed_lp(y, X, eps)
-    res = solve_lp(c, U, V, b)
+    res = solve_lp(*_embed_lp(y, X, eps))
     if res.status != "optimal":
         # NaN entries, which nmse and threshold_support reject, so a failed
         # solve cannot be scored as an estimate

@@ -1,10 +1,18 @@
-"""Reference dense-tableau dual simplex, used by tests only.
+"""Reference dense-tableau dual simplex on range rows, used by tests only.
 
-The dual simplex for ``min c @ x  s.t.  A_ub @ x <= b_ub, x >= 0``
-(``c >= 0``) from the all-slack basis, on the full ``(m+1) x (n+m+1)``
-tableau.  Run on the split form ``[A, -A]`` with costs ``[c, c]`` it takes
-the same pivots as the compact `cspilot.simplex.solve_lp` on ``(c, A, b)``,
-so status, pivot count and solution can be compared with ``np.array_equal``.
+The dual simplex for ``min c @ x  s.t.  lo <= A_ub @ x <= hi, x >= 0``
+(``c >= 0``, an entry of `lo` may be -inf) from the all-slack basis, on the
+full ``(m+1) x (n+m+1)`` tableau.  Row k has one slack
+``s_k = hi_k - (A x)_k`` in ``[0, hi_k - lo_k]``; a basic slack above that
+range is replaced by its twin ``hi_k - lo_k - s_k`` by negating its row.
+The leaving row maximizes ``viol^2 / w`` (dual steepest edge), with
+``viol = min(x, room - x)`` below -tol and w the squared norm of the row of
+``B^-1``, summed over the slack columns of the rows pivoted on so far in
+first-pivot order, plus 1 for a row not pivoted on yet; after
+``5 * (n + m)`` pivots Bland's rule takes over.  Run on the split form
+``[A, -A]`` with costs ``[c, c]`` it prices and pivots as the compact
+`cspilot.simplex.solve_lp` does on ``(c, A, I, lo, hi)``, so status, pivot
+count and solution can be compared with ``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -25,21 +33,37 @@ def _pivot(T, r, q):
     T[r, q] = 1.0
 
 
-def _dual_simplex(T, basis, tol, max_iter, bland_after):
+def _dual_simplex(T, basis, room, tol, max_iter, bland_after):
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1 - m
+    upper = room.copy()  # upper bound of each row's basic variable
+    order = []  # rows in the order they were first pivoted on
     it = 0
     while True:
         rhs = T[:-1, -1]
-        if it >= bland_after:
-            viol = np.flatnonzero(rhs < -tol)
-            if viol.size == 0:
-                return "optimal", it
-            r = viol[np.argmin(basis[viol])]
-        else:
-            r = int(np.argmin(rhs))
-            if rhs[r] >= -tol:
-                return "optimal", it
+        viol = np.minimum(rhs, upper - rhs)
+        cand = np.flatnonzero(viol < -tol)
+        if cand.size == 0:
+            return "optimal", it
         if it >= max_iter:
             return "iteration-limit", it
+        if it >= bland_after:
+            r = int(cand[np.argmin(basis[cand])])
+        else:
+            slacks = np.ascontiguousarray(T[:m, n + np.array(order, dtype=int)].T)
+            w = np.einsum("ij,ij->j", slacks, slacks)
+            w[np.setdiff1d(np.arange(m), order)] += 1.0
+            score = np.zeros(m)
+            score[cand] = viol[cand] ** 2 / w[cand]
+            r = int(np.argmax(score))
+        if rhs[r] > 0.0:
+            # above its range: the twin takes the row, below 0
+            x = T[r, -1]
+            T[r, :-1] *= -1.0
+            T[r, -1] = upper[r] - x
+            T[r, basis[r]] = 1.0
+        if r not in order:
+            order.append(r)
         row = T[r, :-1]
         eligible = row < -tol
         if not eligible.any():
@@ -48,24 +72,26 @@ def _dual_simplex(T, basis, tol, max_iter, bland_after):
         q = int(np.argmin(ratios))
         _pivot(T, r, q)
         basis[r] = q
+        upper[r] = np.inf if q < n else room[q - n]
         it += 1
 
 
-def dense_solve(c, A_ub, b_ub, *, tol=1e-9, max_iter=None) -> LpResult:
-    """Minimize ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``x >= 0`` on the dense tableau."""
+def dense_solve(c, A_ub, lo, hi, *, tol=1e-9, max_iter=None) -> LpResult:
+    """Minimize ``c @ x`` s.t. ``lo <= A_ub @ x <= hi``, ``x >= 0`` on the dense tableau."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     m, n = A.shape
     if max_iter is None:
         max_iter = 50 * (n + m)
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
     T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
+    T[:m, -1] = hi
     T[-1, :n] = c
     basis = np.arange(n, n + m)
-    status, it = _dual_simplex(T, basis, tol, max_iter, _BLAND_AFTER_FACTOR * (n + m))
+    status, it = _dual_simplex(T, basis, hi - lo, tol, max_iter, _BLAND_AFTER_FACTOR * (n + m))
     if status != "optimal":
         return LpResult(x=None, objective=None, status=status, iterations=it)
     x = np.zeros(n + m)
@@ -73,11 +99,11 @@ def dense_solve(c, A_ub, b_ub, *, tol=1e-9, max_iter=None) -> LpResult:
     return LpResult(x=x[:n], objective=float(c @ x[:n]), status="optimal", iterations=it)
 
 
-def dense_solve_l1(c, A_ub, b_ub, **kw) -> LpResult:
+def dense_solve_l1(c, A_ub, lo, hi, **kw) -> LpResult:
     """`dense_solve` on the split form of the weighted-l1 LP; ``x`` is z = z+ - z-."""
     c = np.asarray(c, dtype=float)
     A = np.asarray(A_ub, dtype=float)
-    res = dense_solve(np.concatenate([c, c]), np.hstack([A, -A]), b_ub, **kw)
+    res = dense_solve(np.concatenate([c, c]), np.hstack([A, -A]), lo, hi, **kw)
     if res.x is not None:
         p = c.size
         res.x = res.x[:p] - res.x[p:]

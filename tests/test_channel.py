@@ -118,6 +118,25 @@ def test_sensing_matrix_sorted_rows_and_validation():
         build_sensing_matrix([5, 5], p)
 
 
+@pytest.mark.parametrize(
+    "rows, tones",
+    [
+        (np.array([[1.0, np.nan], [1.0, 1.0]]), [0, 1]),
+        (np.array([[1.0, complex(0.0, np.inf)], [1.0, 1.0]]), [0, 1]),
+        (np.ones(3), [0, 1, 2]),
+        (np.ones((2, 2, 2)), [0, 1]),
+        (np.ones((3, 2)), [0, 1]),
+        (np.ones((2, 2)), [[0, 1]]),
+    ],
+    ids=["nan", "inf", "1-D", "3-D", "short tone_set", "2-D tone_set"],
+)
+def test_sensing_matrix_rejects_malformed_rows(rows, tones):
+    # estimators would turn a NaN entry into a NaN measurement or a LAPACK
+    # error, and a row without its tone into a misread measurement
+    with pytest.raises(ValueError):
+        SensingMatrix(rows=rows, tone_set=np.array(tones))
+
+
 def test_sensing_matrix_rejects_fractional_tones():
     # a cast would build the matrix of tones 0 and 1
     p = default_params()

@@ -223,6 +223,14 @@ def test_error_probability_mc_does_not_depend_on_chunk(monkeypatch):
             bandwidth_time_product=1000, tap_count=100.5, sparsity=4, pilot_count=20
         ),
         lambda: min_threshold_for_network([1.0, 10.0], 8.5, max_error_probability=1e-3),
+        lambda: error_probability_mc(
+            DetectionConfig(antenna_count=8, pathloss_power=1.0), True, np.random.default_rng(0)
+        ),
+        lambda: collision_probability_mc(
+            NetworkModel(cell_count=4, coverage_prob=0.5, group_size=4),
+            True,
+            np.random.default_rng(0),
+        ),
     ],
     ids=[
         "antenna_count",
@@ -231,10 +239,13 @@ def test_error_probability_mc_does_not_depend_on_chunk(monkeypatch):
         "netsim_trials",
         "ofdm_tap_count",
         "network_antenna_count",
+        "detection_trials_bool",
+        "netsim_trials_bool",
     ],
 )
 def test_counts_must_be_integral(call):
-    # a fractional count is a ValueError up front, not a TypeError deep inside
+    # a fractional or bool count is a ValueError up front, not a TypeError
+    # deep inside
     with pytest.raises(ValueError, match="must be an integer"):
         call()
 

@@ -194,9 +194,9 @@ def test_lp_iterations_reported(rng):
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     h = sample_channel(p, rng)
     y = synthesize_measurement(X, h, 0.01, rng)
-    c, U, V, b = _embed_lp(y, X, dantzig_epsilon(0.01, X))
+    lp = _embed_lp(y, X, dantzig_epsilon(0.01, X))
     res = dantzig_recover(y, X, 0.01)
-    assert res.lp_iterations == solve_lp(c, U, V, b).iterations > 0
+    assert res.lp_iterations == solve_lp(*lp).iterations > 0
     assert omp_recover(y, X, p.sparsity).lp_iterations is None
 
 
@@ -397,8 +397,8 @@ def test_fde_rank_deficient_raises_on_every_call():
 
 def test_embed_lp_cached_block_matches_fresh_matrix(rng):
     # the factors a matrix keeps are bitwise the ones a fresh matrix of the
-    # same tones builds, and their product is the four-block formula's
-    # block from X^H X to rounding
+    # same tones builds, and their product is the real form of X^H X to
+    # rounding
     p = default_params()
     eps = 0.4
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
@@ -408,14 +408,14 @@ def test_embed_lp_cached_block_matches_fresh_matrix(rng):
         fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), eps)
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
-    c, U, V, b = cached
-    assert U.shape == (400, 40) and V.shape == (40, 200)
+    c, U, V, lo, hi = cached
+    assert U.shape == (200, 40) and V.shape == (40, 200)
     assert not (U.flags.writeable or V.flags.writeable)
     kept = X.cached("lp_factors", None)
     assert kept[0] is U and kept[1] is V
     G = X.rows.conj().T @ X.rows
     R, Im = G.real, G.imag
-    formula = np.block([[-R, Im], [R, -Im], [-Im, -R], [Im, R]])
+    formula = np.block([[R, -Im], [Im, R]])
     assert np.max(np.abs(U @ V - formula)) <= 1e-12
     # another tone set gets its own factors
     other = build_sensing_matrix(select_pilot_tones(p, rng), p)
@@ -444,6 +444,21 @@ def test_estimators_reject_non_finite_measurement(rng, bad):
         omp_recover(y, X, p.sparsity)
     with pytest.raises(ValueError, match="measurement"):
         fde_ls_recover(yf, comb)
+
+
+def test_estimators_reject_two_dimensional_measurement(rng):
+    # each row of y would be fit as its own measurement, or fail deep inside
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    with pytest.raises(ValueError, match="measurement has shape"):
+        dantzig_recover(np.ones((20, 2), dtype=complex), X, 0.01)
+    with pytest.raises(ValueError, match="measurement has shape"):
+        omp_recover(np.ones((20, 2), dtype=complex), X, p.sparsity)
+    with pytest.raises(ValueError, match="measurement has shape"):
+        fde_ls_recover(np.ones((100, 2), dtype=complex), comb)
+    with pytest.raises(ValueError, match="measurement has shape"):
+        fde_ls_recover(np.ones((1, 100), dtype=complex), comb)
 
 
 def test_fde_comparable_at_20db(rng):
@@ -501,6 +516,8 @@ def test_threshold_support_rule():
         ([np.nan, 0.5], 0.0),
         ([np.inf, 0.5], 0.0),
         ([1.0, complex(np.nan, 0.0)], 0.01),
+        ([[1.0, 0.5], [0.5, 1.0]], 0.0),  # flat indices into a matrix are no support
+        (1.0, 0.0),
     ],
 )
 def test_threshold_support_rejects_bad_input(estimate, floor):

@@ -1,11 +1,13 @@
 """Solver checks against the dense-tableau oracle, closed-form optima and HiGHS.
 
-`solve_lp` solves ``min c @ |z|`` s.t. ``U @ (V @ z) <= b_ub`` with z free.
-A constraint matrix ``A`` is posed with the identity factor, ``(A, I)``,
-under which the solver's arithmetic is the dense tableau's.  An ``x >= 0``
-LP is posed for it by appending the rows ``-z <= 0``.
+`solve_lp` solves ``min c @ |z|`` s.t. ``lo <= U @ (V @ z) <= hi`` with z
+free.  A constraint matrix ``A`` is posed with the identity factor,
+``(A, I)``, under which the solver's arithmetic is the dense tableau's, and
+``A z <= b`` as the one-sided rows ``lo = -inf``.  An ``x >= 0`` LP is
+posed for it by appending the rows ``-z <= 0``.
 """
 
+import lp_oracle
 import numpy as np
 import pytest
 from lp_oracle import dense_solve_l1
@@ -42,12 +44,17 @@ TEXTBOOK_DUAL = _nonnegative(
 
 
 def _solve(c, A, b, **kw):
-    """`solve_lp` on the constraint matrix A, given as ``A @ I``."""
-    return solve_lp(c, A, np.eye(np.shape(A)[1]), b, **kw)
+    """`solve_lp` on ``A z <= b``, the constraint matrix given as ``A @ I``."""
+    return _solve_range(c, A, np.full(len(b), -np.inf), b, **kw)
 
 
-def _assert_same_as_oracle(c, A, b):
-    res, ref = _solve(c, A, b), dense_solve_l1(c, A, b)
+def _solve_range(c, A, lo, hi, **kw):
+    """`solve_lp` on ``lo <= A z <= hi``, the constraint matrix given as ``A @ I``."""
+    return solve_lp(c, A, np.eye(np.shape(A)[1]), lo, hi, **kw)
+
+
+def _assert_same_as_oracle(c, A, lo, hi):
+    res, ref = _solve_range(c, A, lo, hi), dense_solve_l1(c, A, lo, hi)
     assert res.status == ref.status
     assert res.iterations == ref.iterations
     if ref.x is None:
@@ -105,35 +112,90 @@ def test_iteration_cap_reported():
 def test_dimension_validation():
     one = [[1.0]]
     with pytest.raises(ValueError):
-        solve_lp([1.0, 2.0], one, one, [1.0])  # c does not match V's columns
+        solve_lp([1.0, 2.0], one, one, [0.0], [1.0])  # c does not match V's columns
     with pytest.raises(ValueError):
-        solve_lp([1.0], one, one, [1.0, 2.0])  # b_ub does not match U's rows
+        solve_lp([1.0], one, one, [0.0], [1.0, 2.0])  # hi does not match U's rows
     with pytest.raises(ValueError):
-        solve_lp([1.0], [[1.0, 2.0]], one, [1.0])  # U's columns are not V's rows
+        solve_lp([1.0], one, one, [0.0, 0.0], [1.0])  # lo does not match U's rows
     with pytest.raises(ValueError):
-        solve_lp([1.0], [1.0], one, [1.0])  # U must be 2-D
+        solve_lp([1.0], [[1.0, 2.0]], one, [0.0], [1.0])  # U's columns are not V's rows
     with pytest.raises(ValueError):
-        solve_lp([1.0], one, [1.0], [1.0])  # V must be 2-D
+        solve_lp([1.0], [1.0], one, [0.0], [1.0])  # U must be 2-D
+    with pytest.raises(ValueError):
+        solve_lp([1.0], one, [1.0], [0.0], [1.0])  # V must be 2-D
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["c", "A_ub", "V", "b_ub"])
-def test_non_finite_data_rejected(where, bad):
-    # the constraint matrix A_ub is posed as the factor U, with V = I
+def _textbook_data():
+    # the constraint matrix A_ub is posed as the factor U, with V = I, and
+    # its right-hand side b_ub as the upper bounds of range rows
     c, A, b = TEXTBOOK_DUAL
-    data = {"c": c.copy(), "A_ub": A.copy(), "V": np.eye(c.size), "b_ub": b.copy()}
+    return {"c": c.copy(), "A_ub": A.copy(), "V": np.eye(c.size), "lo": b - 1.0, "b_ub": b.copy()}
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [(w, v) for w in ("c", "A_ub", "V", "b_ub") for v in (np.nan, np.inf, -np.inf)]
+    + [("lo", np.nan), ("lo", np.inf)],
+)
+def test_non_finite_data_rejected(where, bad):
+    data = _textbook_data()
     data[where].flat[0] = bad
     with pytest.raises(ValueError):
-        solve_lp(data["c"], data["A_ub"], data["V"], data["b_ub"])
+        solve_lp(*data.values())
+
+
+def test_lower_bound_above_upper_rejected():
+    data = _textbook_data()
+    data["lo"][0] = data["b_ub"][0] + 1e-12
+    with pytest.raises(ValueError, match="lower bounds"):
+        solve_lp(*data.values())
 
 
 def test_negative_cost_rejected():
     with pytest.raises(ValueError):
-        solve_lp([-3.0, 5.0], [[1.0, 0.0]], np.eye(2), [4.0])
+        solve_lp([-3.0, 5.0], [[1.0, 0.0]], np.eye(2), [-np.inf], [4.0])
+
+
+def test_upper_side_violation_pivots_on_the_twin():
+    # min |z| with 2 <= z <= 3: the slack 3 - z starts at 3, above its range
+    # of 1, so the row is flipped and its twin z - 2 leaves at 0
+    res = _solve_range([1.0], [[1.0]], [2.0], [3.0])
+    assert res.status == "optimal"
+    assert np.array_equal(res.x, [2.0])
+    assert res.iterations == 1
+    # -5 <= z1 + z2 <= -4: the cheaper z1 goes negative to the nearer bound
+    res = _solve_range([1.0, 3.0], [[1.0, 1.0]], [-5.0], [-4.0])
+    assert np.array_equal(res.x, [-4.0, 0.0])
+    assert res.iterations == 1
+
+
+def test_one_sided_and_range_rows_mixed():
+    # min |z1| + 2|z2| with 1 <= z1 - z2 <= 2, z2 >= 1/2 (one-sided) and
+    # -1 <= z1 + z2 <= 4: z2 = 1/2 and z1 = 3/2
+    res = _solve_range(
+        [1.0, 2.0], [[1.0, -1.0], [0.0, -1.0], [1.0, 1.0]], [1.0, -np.inf, -1.0], [2.0, -0.5, 4.0]
+    )
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([1.5, 0.5], abs=1e-12)
+    assert res.objective == pytest.approx(2.5, abs=1e-12)
+
+
+def test_equality_row_has_zero_range():
+    # lo == hi: the row's slack is fixed at 0
+    res = _solve_range([1.0, 1.0], [[1.0, 2.0]], [3.0], [3.0])
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([0.0, 1.5], abs=1e-12)
+    res = _solve_range([1.0, 1.0], [[1.0, 2.0], [1.0, 0.0]], [3.0, -np.inf], [3.0, -4.0])
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([-4.0, 3.5], abs=1e-12)
+    # z = 1 and z = 2 at once
+    res = _solve_range([1.0], [[1.0], [1.0]], [1.0, 2.0], [1.0, 2.0])
+    assert res.status == "infeasible"
 
 
 # LP dual of Beale's example, which cycles under the classic most-negative
-# rule: min b @ y with -A^T y <= c, y >= 0, optimum 1/20 at (0, 1.5, 0.05)
+# rule but not under steepest-edge pricing: min b @ y with -A^T y <= c,
+# y >= 0, optimum 1/20 at (0, 1.5, 0.05)
 _BEALE_C = np.array([-0.75, 150.0, -0.02, 6.0])
 _BEALE_A = np.array(
     [
@@ -145,50 +207,101 @@ _BEALE_A = np.array(
 BEALE_DUAL = _nonnegative([0.0, 0.0, 1.0], -_BEALE_A.T, _BEALE_C)
 
 
-def test_beale_degenerate_cycle_terminates():
-    # 71 pivots pass the switch to Bland's rule at 5 * (2*3 + 7) = 65
-    res = _assert_same_as_oracle(*BEALE_DUAL)
+def _one_sided(c, A, b):
+    return c, A, np.full(len(b), -np.inf), b
+
+
+def test_beale_dual_optimum():
+    res = _assert_same_as_oracle(*_one_sided(*BEALE_DUAL))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.05, abs=1e-9)
     assert res.x == pytest.approx([0.0, 1.5, 0.05], abs=1e-9)
-    assert res.iterations == 71
+    assert res.iterations == 4
 
 
-def test_beale_cycles_without_bland_rule(monkeypatch):
+def _circulant(first):
+    return np.array([np.roll(first, k) for k in range(len(first))])
+
+
+# A degenerate LP on which steepest-edge pricing cycles: zero costs and five
+# equality rows A z = -1, A = [circ(a), circ(b)] with each block row the
+# one above rotated right by one place.  From pivot 6 on the bases repeat
+# every 10 pivots.
+CYCLING_LP = (
+    np.zeros(10),
+    np.hstack([_circulant([1.5, 1.0, -1.0, 0.5, -1.0]), _circulant([0.5, -0.5, -1.0, -1.5, 2.5])]),
+    np.full(5, -1.0),
+    np.full(5, -1.0),
+)
+
+
+def test_degenerate_cycle_terminates():
+    # the switch to Bland's rule at 5 * (2*10 + 5) = 125 pivots ends the cycle
+    res = _assert_same_as_oracle(*CYCLING_LP)
+    assert res.status == "optimal"
+    assert np.max(np.abs(CYCLING_LP[1] @ res.x + 1.0)) <= 1e-12
+    assert res.iterations == 128
+
+
+def test_cycles_without_bland_rule(monkeypatch):
     # the switch is what ends the run above: without it the pivots cycle
     monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 10**6)
-    res = _solve(*BEALE_DUAL, max_iter=1000)
+    res = _solve_range(*CYCLING_LP, max_iter=1000)
     assert res.status == "iteration-limit"
 
 
+def test_bland_rule_matches_dense_oracle(monkeypatch):
+    # Bland's rule from the first pivot, on both sides
+    monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 0)
+    monkeypatch.setattr(lp_oracle, "_BLAND_AFTER_FACTOR", 0)
+    res = _assert_same_as_oracle(*_one_sided(*BEALE_DUAL))
+    assert res.objective == pytest.approx(0.05, abs=1e-9)
+    assert _assert_same_as_oracle(*CYCLING_LP).status == "optimal"
+    rng = np.random.default_rng(20261019)
+    for k in range(100):
+        _assert_same_as_oracle(*_random_l1_instance(rng, integer=k % 2 == 0))
+
 def _random_l1_instance(rng, integer):
+    """``(c, A, lo, hi)``: about a third of the rows one-sided, the rest ranges."""
     m = int(rng.integers(1, 13))
     p = int(rng.integers(1, 9))
     if integer:
         # small integers make exact ratio-test ties, which the solver must
-        # break by variable number exactly like the dense tableau
+        # break by variable number exactly like the dense tableau; a width
+        # of 0 makes an equality row
         A = rng.integers(-2, 3, size=(m, p)).astype(float)
-        b = rng.integers(-4, 3, size=m).astype(float)
+        hi = rng.integers(-4, 3, size=m).astype(float)
         c = rng.integers(0, 3, size=p).astype(float)
-        return c, A, b
-    A = rng.normal(size=(m, p))
-    c = np.abs(rng.normal(size=p))
-    if rng.random() < 0.5:
-        # anchored at a feasible point
-        b = A @ rng.normal(size=p) + rng.uniform(0.0, 1.0, size=m)
+        lo = hi - rng.integers(0, 4, size=m)
     else:
-        b = rng.normal(size=m)
-    return c, A, b
+        A = rng.normal(size=(m, p))
+        c = np.abs(rng.normal(size=p))
+        if rng.random() < 0.5:
+            # anchored at a feasible point
+            center = A @ rng.normal(size=p)
+            lo = center - rng.uniform(0.0, 1.0, size=m)
+            hi = center + rng.uniform(0.0, 1.0, size=m)
+        else:
+            hi = rng.normal(size=m)
+            lo = hi - rng.uniform(0.0, 2.0, size=m)
+    lo[rng.random(m) < 0.3] = -np.inf
+    return c, A, lo, hi
 
 
 def test_matches_dense_oracle_on_random_l1_lps():
     rng = np.random.default_rng(20261017)
     statuses = []
+    at_lower = 0
     for k in range(400):
-        c, A, b = _random_l1_instance(rng, integer=k % 2 == 0)
-        statuses.append(_assert_same_as_oracle(c, A, b).status)
+        c, A, lo, hi = _random_l1_instance(rng, integer=k % 2 == 0)
+        res = _assert_same_as_oracle(c, A, lo, hi)
+        statuses.append(res.status)
+        if res.status == "optimal":
+            # a row held at its lower bound: the twin of its slack left there
+            at_lower += bool(np.any((A @ res.x <= lo + 1e-9) & (lo < hi - 1e-9)))
     assert statuses.count("optimal") >= 200
     assert statuses.count("infeasible") >= 20
+    assert at_lower >= 50
 
 
 _SNR_DBS = (0.0, 10.0, 20.0, np.inf)
@@ -221,9 +334,9 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
 def test_matches_dense_oracle_on_dantzig_lps(tap_count, tones, seed_tag, trials):
     # the factored solve takes the dense tableau's pivots on U @ V; its
     # entries agree with the tableau's to rounding, not bit for bit
-    for c, U, V, b in _dantzig_lps(tap_count, tones, seed_tag, trials):
-        assert U.shape == (4 * tap_count, 40) and V.shape == (40, 2 * tap_count)
-        res, ref = solve_lp(c, U, V, b), dense_solve_l1(c, U @ V, b)
+    for c, U, V, lo, hi in _dantzig_lps(tap_count, tones, seed_tag, trials):
+        assert U.shape == (2 * tap_count, 40) and V.shape == (40, 2 * tap_count)
+        res, ref = solve_lp(c, U, V, lo, hi), dense_solve_l1(c, U @ V, lo, hi)
         assert res.status == ref.status == "optimal"
         assert res.iterations == ref.iterations
         assert np.max(np.abs(res.x - ref.x)) <= 1e-9
@@ -245,19 +358,25 @@ def _criterion_4_lps(step):
             yield _embed_lp(y=synthesize_measurement(X, h, noise_var, rng), X=X, eps=eps)
 
 
+def _highs_l1(c, A, lo, hi):
+    """HiGHS on the split form, a range row posed as two inequality rows."""
+    split = np.hstack([A, -A])
+    two = np.isfinite(lo)
+    return linprog(
+        np.concatenate([c, c]),
+        A_ub=np.vstack([split, -split[two]]),
+        b_ub=np.concatenate([hi, -lo[two]]),
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+
+
 def test_objective_matches_highs_on_criterion_4_draws():
     checked = 0
-    for c, U, V, b in _criterion_4_lps(step=12):
-        res = solve_lp(c, U, V, b)
-        A = U @ V
-        ref = linprog(
-            np.concatenate([c, c]),
-            A_ub=np.hstack([A, -A]),
-            b_ub=b,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": False},
-        )
+    for c, U, V, lo, hi in _criterion_4_lps(step=12):
+        res = solve_lp(c, U, V, lo, hi)
+        ref = _highs_l1(c, U @ V, lo, hi)
         assert res.status == "optimal" and ref.status == 0
         assert abs(res.objective - ref.fun) <= 1e-7
         checked += 1
@@ -268,20 +387,13 @@ def test_agrees_with_scipy_linprog():
     rng = np.random.default_rng(20240817)
     checked = infeasible = 0
     for _ in range(60):
-        c, A, b = _random_l1_instance(rng, integer=False)
+        c, A, lo, hi = _random_l1_instance(rng, integer=False)
         p = c.size
-        ref = linprog(
-            np.concatenate([c, c]),
-            A_ub=np.hstack([A, -A]),
-            b_ub=b,
-            bounds=(0, None),
-            method="highs",
-            options={"presolve": False},
-        )
+        ref = _highs_l1(c, A, lo, hi)
         want = _SCIPY_STATUS.get(ref.status)
         if want is None:
             continue
-        res = _solve(c, A, b)
+        res = _solve_range(c, A, lo, hi)
         assert res.status == want, f"status mismatch: {res.status} vs {want}"
         if want == "optimal":
             scale = 1.0 + abs(ref.fun)
@@ -290,7 +402,7 @@ def test_agrees_with_scipy_linprog():
             z_ref = ref.x[:p] - ref.x[p:]
             assert abs(c @ np.abs(z_ref) - ref.fun) < 1e-7 * scale
             # solution must be primal feasible
-            assert np.all(A @ res.x <= b + 1e-7)
+            assert np.all(A @ res.x <= hi + 1e-7) and np.all(A @ res.x >= lo - 1e-7)
             checked += 1
         else:
             infeasible += 1
@@ -300,8 +412,8 @@ def test_agrees_with_scipy_linprog():
 
 def test_objective_consistent_with_solution(rng):
     for _ in range(10):
-        c, A, b = _random_l1_instance(rng, integer=False)
-        res = _solve(c, A, b)
+        c, A, lo, hi = _random_l1_instance(rng, integer=False)
+        res = _solve_range(c, A, lo, hi)
         if res.status == "optimal":
             assert res.objective == pytest.approx(float(c @ np.abs(res.x)), abs=1e-9)
-            assert res.iterations <= 50 * (2 * len(c) + len(b))
+            assert res.iterations <= 50 * (2 * len(c) + len(hi))

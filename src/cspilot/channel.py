@@ -11,6 +11,7 @@ a tone is ``1 / sigma^2`` for noise variance sigma^2.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -28,6 +29,22 @@ def _as_count(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(value, name: str) -> float:
+    """`value` as a finite float; else ``ValueError`` naming `name`.
+
+    Real numbers pass, numpy ones too; a bool, a str, a complex and a
+    non-finite value are refused.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _as_indices(values, name: str) -> np.ndarray:
@@ -187,7 +204,7 @@ def synthesize_measurement(
             f"sensing matrix has {X.rows.shape[1]} delay columns, channel has "
             f"{h.taps.shape[0]} taps"
         )
-    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+    if _as_real(noise_variance, "noise_variance") < 0:
         raise ValueError("noise_variance must be finite and nonnegative")
     y = X.rows @ h.taps
     if noise_variance > 0:

@@ -14,12 +14,11 @@ threshold and the error probability are closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_count
+from .channel import _as_count, _as_real
 
 # trials per Monte-Carlo chunk; it sizes the reused draw buffer only: blocks
 # are filled row by row, so trial i takes normals 2*M_BS*i .. 2*M_BS*(i+1)
@@ -43,13 +42,11 @@ class DetectionConfig:
     def __post_init__(self):
         if _as_count(self.antenna_count, "antenna_count") < 1:
             raise ValueError("antenna_count must be at least 1")
-        if not math.isfinite(self.pathloss_power) or self.pathloss_power < 0:
+        if _as_real(self.pathloss_power, "pathloss_power") < 0:
             raise ValueError("pathloss_power must be finite and nonnegative")
         if self.threshold is None:
             return
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if self.threshold <= 1:
+        if _as_real(self.threshold, "threshold") <= 1:
             raise ValueError("threshold must exceed 1")
         if self.pathloss_power > 0 and self.threshold >= 1 + self.pathloss_power:
             raise ValueError("threshold must be below 1 + pathloss_power")
@@ -154,10 +151,13 @@ def min_threshold_for_network(
     A UE qualifies when its optimal-threshold error probability does not
     exceed ``max_error_probability`` (all UEs qualify when the cap is
     None).  Thresholds and error probabilities are evaluated for all UEs
-    at once.  Raises ``ValueError`` on an empty list, on a non-finite or
-    non-positive power, on a non-finite cap, or when no UE qualifies.
+    at once.  Raises ``ValueError`` on an empty or non-1-D list, on a
+    non-finite or non-positive power, on a cap that is not a finite real
+    number, or when no UE qualifies.
     """
     powers = np.asarray(list(pathloss_powers), dtype=float)
+    if powers.ndim != 1:
+        raise ValueError(f"pathloss_powers must be a 1-D list, got shape {powers.shape}")
     if powers.size == 0:
         raise ValueError("pathloss_powers is empty")
     if not np.isfinite(powers).all():
@@ -166,10 +166,8 @@ def min_threshold_for_network(
         raise ValueError("all pathloss powers must be positive")
     if _as_count(antenna_count, "antenna_count") < 1:
         raise ValueError("antenna_count must be at least 1")
-    if max_error_probability is not None and not math.isfinite(max_error_probability):
-        raise ValueError(
-            f"max_error_probability must be finite or None, got {max_error_probability!r}"
-        )
+    if max_error_probability is not None:
+        _as_real(max_error_probability, "max_error_probability")
     thresholds = _crossing(powers)
     if max_error_probability is not None:
         pe = _error_probability(antenna_count, powers, thresholds)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, _as_count
+from .channel import OfdmParams, _as_count, _as_real
 
 # trials per Monte-Carlo chunk; it sizes the reused buffers only: blocks are
 # filled row by row, so trial i takes doubles K_G*i .. K_G*(i+1) of the
@@ -36,7 +36,7 @@ class NetworkModel:
     def __post_init__(self):
         if _as_count(self.cell_count, "cell_count") < 1:
             raise ValueError("cell_count must be positive")
-        if not (0 < self.coverage_prob <= 1):
+        if not (0 < _as_real(self.coverage_prob, "coverage_prob") <= 1):
             raise ValueError("coverage_prob must lie in (0, 1]")
         if _as_count(self.group_size, "group_size") < 1:
             raise ValueError("group_size must be positive")

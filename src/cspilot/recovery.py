@@ -19,12 +19,11 @@ threshold, with ``noise_variance == 0`` meaning a noiseless measurement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, SensingMatrix, _as_count
+from .channel import OfdmParams, SensingMatrix, _as_count, _as_real
 from .simplex import solve_lp
 
 NMSE_FLOOR_DB = -200.0
@@ -64,7 +63,7 @@ def dantzig_epsilon(noise_variance: float, X: SensingMatrix) -> float:
     Gaussian sup-norm factor over the taps.  Raises ``ValueError`` for a
     non-finite or negative `noise_variance`.
     """
-    if not (math.isfinite(noise_variance) and noise_variance >= 0):
+    if _as_real(noise_variance, "noise_variance") < 0:
         raise ValueError(f"noise_variance must be finite and nonnegative, got {noise_variance!r}")
     if noise_variance == 0:
         return NOISELESS_EPSILON
@@ -108,7 +107,7 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     `estimate` that is not 1-D and for a non-finite entry of `estimate`,
     which no threshold can rank.
     """
-    if not (math.isfinite(floor) and floor >= 0):
+    if _as_real(floor, "floor") < 0:
         raise ValueError("floor must be finite and non-negative")
     if np.ndim(estimate) != 1:
         raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
@@ -131,71 +130,65 @@ def _check_measurement(y: np.ndarray, X: SensingMatrix) -> None:
         raise ValueError("measurement must be finite")
 
 
-def _ls_refit(y, Xs: np.ndarray, support) -> tuple[float, np.ndarray | None]:
-    """Residual energy and coefficients of the LS fit restricted to `support`."""
-    idx = list(support)
-    if not idx:
-        return float(np.sum(np.abs(y) ** 2)), None
-    A = Xs[:, idx]
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    return float(np.sum(np.abs(resid) ** 2)), coef
-
-
-def _stepwise_select(y, Xs, candidates, cap, threshold):
+def _stepwise_select(y, Xs, candidates, threshold):
     """Prune/extend the candidate support by residual-energy significance.
 
     Each pass prunes the tap whose removal raises the residual energy least
-    while that rise is below `threshold`, then adds the tap most
-    correlated with the residual when its addition lowers the residual
-    energy by more than the same amount; passes repeat (at most ``4 * cap``)
-    until neither step changes the support.  Both scores come from one thin
-    QR ``Xs_K = Q R`` of the support columns: removing tap i raises
-    the residual energy by ``|coef_i|^2 / ||row i of R^-1||^2`` and adding
-    column a lowers it by ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a``
-    and r the residual.  A column in the span of the other support columns
-    (or beyond the row count) scores a zero rise.  Returns the sorted
-    support and the number of passes run.
+    while that rise is below `threshold`, then, under `CANDIDATE_CAP` taps,
+    adds the tap most correlated with the residual when that lowers the
+    residual energy by more than the same amount; passes repeat (at most
+    ``4 * CANDIDATE_CAP``) until neither step changes the support.  Both
+    scores come from one thin QR ``Xs_K = Q R`` of the support: with
+    ``coef = R^-1 Q^H y``, removing tap i raises the residual energy by
+    ``|coef_i|^2 / ||row i of R^-1||^2``, and adding column a lowers it by
+    ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a`` and r the residual.
+    A column in the span of the others (or beyond the row count) is pruned
+    whatever the threshold.  Returns the sorted support, ``coef`` from the
+    factor of exactly that support in the same order, and the passes run.
     """
     keep = list(candidates)
     m = Xs.shape[0]
-    for passes in range(1, 4 * cap + 1):
+    for passes in range(1, 4 * CANDIDATE_CAP + 1):
         changed = False
         while True:
             Q, R = np.linalg.qr(Xs[:, keep])
             qy = Q.conj().T @ y
             resid = y - Q @ qy
             if not keep:
+                coef = qy  # empty: the fit of no columns
                 break
             diag = np.abs(np.diagonal(R))
             tol = max(m, len(keep)) * np.finfo(float).eps * diag.max()
             dependent = np.flatnonzero(diag <= tol)
             if dependent.size or len(keep) > m:
-                # in the span of the other columns: removing it costs nothing
-                weakest = int(dependent[0]) if dependent.size else m
-                rise = 0.0
-            else:
-                R_inv = np.linalg.inv(R)
-                rises = np.abs(R_inv @ qy) ** 2 / np.sum(np.abs(R_inv) ** 2, axis=1)
-                weakest = int(np.argmin(rises))
-                rise = rises[weakest]
-            if rise < threshold:
-                keep.pop(weakest)
+                keep.pop(int(dependent[0]) if dependent.size else m)
                 changed = True
-            else:
+                continue
+            R_inv = np.linalg.inv(R)
+            coef = R_inv @ qy
+            rises = np.abs(coef) ** 2 / np.sum(np.abs(R_inv) ** 2, axis=1)
+            weakest = int(np.argmin(rises))
+            if rises[weakest] >= threshold:
                 break
+            keep.pop(weakest)
+            changed = True
         corr = np.abs(Xs.conj().T @ resid)
         if keep:
             corr[keep] = 0.0
         best = int(np.argmax(corr))
-        if len(keep) < cap:
+        if len(keep) < CANDIDATE_CAP:
             u = Xs[:, best] - Q @ (Q.conj().T @ Xs[:, best])
             if abs(np.vdot(u, resid)) ** 2 > threshold * np.vdot(u, u).real:
                 keep.append(best)
                 changed = True
         if not changed:
             break
-    return sorted(keep), passes
+    if len(keep) > coef.size:
+        # the pass limit fell right after an add, past the last factor
+        Q, R = np.linalg.qr(Xs[:, keep])
+        coef = np.linalg.solve(R, Q.conj().T @ y)
+    order = np.argsort(keep)
+    return np.asarray(keep, dtype=int)[order], coef[order], passes
 
 
 def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> RecoveryResult:
@@ -211,7 +204,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     by more than the same amount.  The threshold is
     ``SELECTION_TAU * noise_variance``, or with ``noise_variance == 0`` the
     rounding level ``M * eps * ||y||^2`` of an M-tone measurement y.  The
-    estimate is the least-squares refit on the surviving support.
+    estimate is the surviving support's least-squares fit, from its QR.
 
     ``raw_estimate`` is the program solution and ``raw_support`` its
     candidates before the cap.  When the solve is not optimal,
@@ -247,14 +240,10 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     raw_support = threshold_support(raw, floor)
     support = raw_support
     if support.size > CANDIDATE_CAP:
-        mags = np.abs(raw)
-        support = np.sort(support[np.argsort(mags[support])[-CANDIDATE_CAP:]])
-    selected, passes = _stepwise_select(y, X.rows, list(support), CANDIDATE_CAP, threshold)
-    support = np.asarray(selected, dtype=int)
+        support = np.sort(support[np.argsort(np.abs(raw[support]))[-CANDIDATE_CAP:]])
+    support, coef, passes = _stepwise_select(y, X.rows, support, threshold)
     estimate = np.zeros(d, dtype=complex)
-    if support.size:
-        _, coef = _ls_refit(y, X.rows, list(support))
-        estimate[support] = coef
+    estimate[support] = coef
     return RecoveryResult(
         estimate=estimate,
         recovered_support=support,
@@ -350,14 +339,14 @@ def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
     """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `NMSE_FLOOR_DB`.
 
     Raises ValueError when the two shapes differ or either argument holds a
-    non-finite entry, so a broken estimate is never scored as a number.
+    non-finite or non-numeric entry, so a broken estimate is never scored.
     """
-    if np.shape(estimate) != np.shape(true_h):
-        raise ValueError(
-            f"estimate has shape {np.shape(estimate)}, true channel {np.shape(true_h)}"
-        )
-    if not (np.all(np.isfinite(true_h)) and np.all(np.isfinite(estimate))):
-        raise ValueError("true channel and estimate must be finite")
+    true_h, estimate = np.asarray(true_h), np.asarray(estimate)
+    if estimate.shape != true_h.shape:
+        raise ValueError(f"estimate has shape {estimate.shape}, true channel {true_h.shape}")
+    if not all(a.dtype.kind in "iufc" and np.isfinite(a).all() for a in (true_h, estimate)):
+        raise ValueError("true channel and estimate must be finite numbers")
+    true_h, estimate = true_h.astype(complex), estimate.astype(complex)  # no integer overflow
     signal = float(np.sum(np.abs(true_h) ** 2))
     if signal == 0.0:
         raise ValueError("true channel has zero norm")

@@ -3,14 +3,24 @@
 Scores every drop-one and add-one candidate by a fresh least-squares solve
 (``len(K) + 2`` `numpy.linalg.lstsq` calls per pass), the direct reading of
 the selection rule in `cspilot.recovery.dantzig_recover`.  The QR-scored
-`cspilot.recovery._stepwise_select` must return the same support.
+`cspilot.recovery._stepwise_select` must return the same support, and its
+estimate must match `ls_refit` on that support.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cspilot.recovery import _ls_refit
+
+def ls_refit(y, Xs, support):
+    """Residual energy and coefficients of the LS fit restricted to `support`."""
+    idx = list(support)
+    if not idx:
+        return float(np.sum(np.abs(y) ** 2)), None
+    A = Xs[:, idx]
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    return float(np.sum(np.abs(resid) ** 2)), coef
 
 
 def stepwise_select_lstsq(y, Xs, candidates, cap, threshold):
@@ -19,9 +29,9 @@ def stepwise_select_lstsq(y, Xs, candidates, cap, threshold):
     for _ in range(4 * cap):
         changed = False
         while keep:
-            base, _ = _ls_refit(y, Xs, keep)
+            base, _ = ls_refit(y, Xs, keep)
             rises = [
-                _ls_refit(y, Xs, keep[:i] + keep[i + 1 :])[0] - base
+                ls_refit(y, Xs, keep[:i] + keep[i + 1 :])[0] - base
                 for i in range(len(keep))
             ]
             weakest = int(np.argmin(rises))
@@ -30,13 +40,13 @@ def stepwise_select_lstsq(y, Xs, candidates, cap, threshold):
                 changed = True
             else:
                 break
-        base, coef = _ls_refit(y, Xs, keep)
+        base, coef = ls_refit(y, Xs, keep)
         resid = y - (Xs[:, keep] @ coef if keep else 0.0)
         corr = np.abs(Xs.conj().T @ resid)
         if keep:
             corr[keep] = 0.0
         best = int(np.argmax(corr))
-        if len(keep) < cap and base - _ls_refit(y, Xs, keep + [best])[0] > threshold:
+        if len(keep) < cap and base - ls_refit(y, Xs, keep + [best])[0] > threshold:
             keep.append(best)
             changed = True
         if not changed:

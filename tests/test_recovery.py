@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from debias_oracle import stepwise_select_lstsq
+from debias_oracle import ls_refit, stepwise_select_lstsq
 
 from cspilot import recovery, simplex
 from cspilot.channel import (
@@ -20,7 +20,6 @@ from cspilot.recovery import (
     NOISELESS_EPSILON,
     SELECTION_TAU,
     _embed_lp,
-    _ls_refit,
     comb_tone_set,
     dantzig_epsilon,
     _stepwise_select,
@@ -255,7 +254,8 @@ def _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
 )
 def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr_dbs, trials):
     # the QR-scored selection must pick the support the per-candidate lstsq
-    # reference picks; the final refit is shared, so estimates are equal too
+    # reference picks, and its estimate, read off the final factor, must be
+    # the reference's lstsq refit on that support to rounding
     pruned = added = 0
     for y, X, p, noise_var in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
         res = dantzig_recover(y, X, noise_var)
@@ -274,8 +274,8 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
         assert res.recovered_support.tolist() == want
         expected = np.zeros(p.tap_count, dtype=complex)
         if want:
-            expected[want] = _ls_refit(y, X.rows, want)[1]
-        assert np.array_equal(res.estimate, expected)
+            expected[want] = ls_refit(y, X.rows, want)[1]
+        assert np.linalg.norm(res.estimate - expected) <= 1e-12 * np.linalg.norm(expected)
         pruned += bool(set(candidates.tolist()) - set(want))
         added += bool(set(want) - set(candidates.tolist()))
     assert pruned > 0
@@ -291,11 +291,68 @@ def test_stepwise_select_prunes_dependent_columns(rng):
     rows = X.rows.copy()
     rows[:, [1, 2]] = rows[:, [0, 0]]
     y = synthesize_measurement(SensingMatrix(rows, X.tone_set), h, 0.01, rng)
-    support, _ = _stepwise_select(y, rows, [0, 1, 2], 12, 10.0 * 0.01)
+    support, _, _ = _stepwise_select(y, rows, [0, 1, 2], 10.0 * 0.01)
     assert len(set(support) & {0, 1, 2}) <= 1
     y = synthesize_measurement(X, h, 1.0, rng)
-    support, _ = _stepwise_select(y, X.rows, list(range(30)), 40, 0.01 * 1.0)
+    support, _, _ = _stepwise_select(y, X.rows, list(range(30)), 0.01 * 1.0)
     assert len(support) <= X.rows.shape[0]
+
+
+def _assert_lstsq_fit(y, Xs, support, coef):
+    # the returned coefficients are an independent lstsq refit on the support
+    expected = ls_refit(y, Xs, support)[1] if support.size else np.zeros(0)
+    assert coef.shape == expected.shape
+    assert np.linalg.norm(coef - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_stepwise_select_empty_support_has_empty_fit(rng):
+    # every candidate is pruned and none added: no coefficients, and
+    # dantzig_recover scores an all-zero estimate
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    y = synthesize_measurement(X, sample_channel(p, rng), 0.01, rng)
+    support, coef, _ = _stepwise_select(y, X.rows, [0, 1, 2], 1e6)
+    assert support.size == 0
+    _assert_lstsq_fit(y, X.rows, support, coef)
+    res = dantzig_recover(y, X, 1e4)
+    assert res.recovered_support.size == 0
+    assert np.array_equal(res.estimate, np.zeros(p.tap_count))
+
+
+def test_stepwise_select_pass_limit_after_add_refits(rng):
+    # a column whose rise sits one ulp below the threshold while its add
+    # score clears it (the two are rounded differently) is added and pruned
+    # in turn, so the pass limit falls right after an add, past the last
+    # factor; the fit must still be that of the returned support
+    for _ in range(100):
+        a = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        Q, R = np.linalg.qr(a[:, None])
+        R_inv = np.linalg.inv(R)
+        rise = (np.abs(R_inv @ (Q.conj().T @ y)) ** 2 / np.sum(np.abs(R_inv) ** 2, axis=1))[0]
+        threshold = np.nextafter(rise, np.inf)
+        if abs(np.vdot(a, y)) ** 2 > threshold * np.vdot(a, a).real:
+            break
+    else:
+        pytest.fail("no draw scores the add above the prune")
+    support, coef, passes = _stepwise_select(y, a[:, None], [], threshold)
+    assert passes == 4 * CANDIDATE_CAP
+    assert support.tolist() == [0]
+    _assert_lstsq_fit(y, a[:, None], support, coef)
+
+
+def test_stepwise_select_zero_threshold_prunes_dependent_column(rng):
+    # threshold 0 (dantzig_recover's noiseless threshold when y = 0): a
+    # dependent column scores a zero rise, which is not below 0, yet it
+    # leaves, so the kept columns have a factor to read the fit from
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    rows = X.rows.copy()
+    rows[:, 1] = rows[:, 0]
+    y = np.zeros(rows.shape[0], dtype=complex)
+    support, coef, _ = _stepwise_select(y, rows, [0, 1, 2], 0.0)
+    assert support.tolist() == [0, 2]
+    _assert_lstsq_fit(y, rows, support, coef)
 
 
 def test_omp_noiseless_exact(rng):
@@ -491,6 +548,14 @@ def test_nmse_rejects_non_finite(bad):
         nmse(np.ones(3), np.array([bad, 0, 0]))
     with pytest.raises(ValueError):
         nmse(np.array([bad, 1, 1]), np.zeros(3))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_nmse_integer_arrays_score_without_wrapping(dtype):
+    # 20^2 and 17^2 overflow both dtypes
+    truth, estimate = np.array([20, 1]), np.array([3, 0])
+    want = nmse(truth.astype(float), estimate.astype(float))
+    assert nmse(truth.astype(dtype), estimate.astype(dtype)) == want
 
 
 @pytest.mark.parametrize("estimate", [np.ones(1), np.ones((2, 3)), np.ones(4)])

@@ -7,7 +7,7 @@ Library layout:
 * `cspilot.recovery` — Dantzig-selector LP, OMP oracle, dense LS baseline,
   each sized by its sensing matrix alone
 * `cspilot.simplex` — self-contained factored compact-tableau dual simplex
-  for weighted l1 LPs
+  for the Dantzig selector's l1 LP
 * `cspilot.detection` — massive-MIMO energy detection
 * `cspilot.pilots` — binary pilot codebooks
 * `cspilot.netsim` — collision analysis and multiplexing metrics

@@ -47,6 +47,18 @@ def _as_real(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
+def _as_finite(values, name: str, kinds: str = "iufc") -> np.ndarray:
+    """`values` as an array of finite numbers; else ``ValueError`` naming `name`.
+
+    Its dtype kind must be in `kinds` (integer, float, complex), so bool,
+    str and object arrays are refused, and complex ones when "c" is left out.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in kinds or not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite numbers, got dtype {array.dtype}")
+    return array
+
+
 def _as_indices(values, name: str) -> np.ndarray:
     """`values` as an int array; ``ValueError`` unless every entry is an integer."""
     indices = np.asarray(values)
@@ -104,15 +116,13 @@ def default_params(**overrides) -> OfdmParams:
 
 @dataclass
 class SparseChannel:
-    """S-sparse complex tap vector with its support set; ``ValueError`` on a non-finite tap."""
+    """S-sparse complex tap vector and support; ``ValueError`` unless taps are finite numbers."""
 
     taps: np.ndarray
     support: np.ndarray
 
     def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=complex)
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("taps must be finite")
+        self.taps = _as_finite(self.taps, "taps").astype(complex, copy=False)
         self.support = _as_indices(self.support, "support")
         nz = np.flatnonzero(self.taps)
         if not np.array_equal(np.sort(self.support), nz):
@@ -127,10 +137,10 @@ class SensingMatrix:
     delay column d; every entry has unit magnitude.
 
     `rows` is kept as a read-only complex copy, so an operator derived from
-    it and stored by `cached` (the Dantzig LP's constraint factors, the dense
-    LS pseudo-inverse) stays valid for the life of the matrix.  Raises
-    ``ValueError`` unless `rows` is 2-D and finite with one row per entry of
-    `tone_set`.
+    it and stored by `cached` (the Dantzig LP's factor V, the dense LS
+    pseudo-inverse) stays valid for the life of the matrix.  Raises
+    ``ValueError`` unless `rows` is a 2-D array of finite numbers with one
+    row per entry of `tone_set`.
     """
 
     rows: np.ndarray
@@ -138,8 +148,8 @@ class SensingMatrix:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=complex)
-        if rows.ndim != 2 or not np.all(np.isfinite(rows)):
+        rows = _as_finite(self.rows, "rows").astype(complex)
+        if rows.ndim != 2:
             raise ValueError("rows must be a finite 2-D array")
         if np.shape(self.tone_set) != rows.shape[:1]:
             raise ValueError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_count, _as_real
+from .channel import _as_count, _as_finite, _as_real
 
 # trials per Monte-Carlo chunk; it sizes the reused draw buffer only: blocks
 # are filled row by row, so trial i takes normals 2*M_BS*i .. 2*M_BS*(i+1)
@@ -151,17 +151,16 @@ def min_threshold_for_network(
     A UE qualifies when its optimal-threshold error probability does not
     exceed ``max_error_probability`` (all UEs qualify when the cap is
     None).  Thresholds and error probabilities are evaluated for all UEs
-    at once.  Raises ``ValueError`` on an empty or non-1-D list, on a
-    non-finite or non-positive power, on a cap that is not a finite real
-    number, or when no UE qualifies.
+    at once.  Raises ``ValueError`` on an empty or non-1-D list, on a power
+    that is not a finite positive real number (a bool, str or complex
+    included), on a cap that is not a finite real number, or when no UE
+    qualifies.
     """
-    powers = np.asarray(list(pathloss_powers), dtype=float)
+    powers = _as_finite(pathloss_powers, "pathloss_powers", kinds="iuf").astype(float)
     if powers.ndim != 1:
         raise ValueError(f"pathloss_powers must be a 1-D list, got shape {powers.shape}")
     if powers.size == 0:
         raise ValueError("pathloss_powers is empty")
-    if not np.isfinite(powers).all():
-        raise ValueError("all pathloss powers must be finite")
     if (powers <= 0).any():
         raise ValueError("all pathloss powers must be positive")
     if _as_count(antenna_count, "antenna_count") < 1:

@@ -31,8 +31,11 @@ class CapacityExceededError(ValueError):
 
 
 def capacity(L_prime: int, l: int) -> int:
-    """Largest user count a code with L' ones and l zeros per column can host."""
-    return math.comb(_as_count(L_prime, "L_prime") + _as_count(l, "l"), l)
+    """Largest user count a code with L' >= 1 ones and l >= 1 zeros per column can host."""
+    for value, name in ((L_prime, "L_prime"), (l, "l")):
+        if _as_count(value, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return math.comb(L_prime + l, l)
 
 
 def choose_l(K: int, L_prime: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, SensingMatrix, _as_count, _as_real
+from .channel import OfdmParams, SensingMatrix, _as_count, _as_finite, _as_real
 from .simplex import solve_lp
 
 NMSE_FLOOR_DB = -200.0
@@ -71,11 +71,11 @@ def dantzig_epsilon(noise_variance: float, X: SensingMatrix) -> float:
     return float(np.sqrt(noise_variance) * np.sqrt(m) * np.sqrt(2.0 * np.log(d)))
 
 
-def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``U, V`` of the LP rows ``U @ V = [[R, -Im], [Im, R]]``.
+def _lp_factors(X: SensingMatrix) -> np.ndarray:
+    """The LP's factor ``V = [[Re X, -Im X], [Im X, Re X]]``, read-only.
 
-    ``X^H X = R + j Im``; ``V = [[Re X, -Im X], [Im X, Re X]]`` is the real
-    form of X and ``U = V^T``.  Both are read-only.
+    V is the real form of X, so ``V^T V = [[R, -Im], [Im, R]]`` is that of
+    ``X^H X = R + j Im``.
     """
     m, d = X.rows.shape
     V = np.empty((2 * m, 2 * d))
@@ -84,50 +84,45 @@ def _lp_factors(X: SensingMatrix) -> tuple[np.ndarray, np.ndarray]:
     V[m:, :d] = X.rows.imag
     V[m:, d:] = X.rows.real
     V.flags.writeable = False
-    return V.T, V
+    return V
 
 
 def _embed_lp(y, X: SensingMatrix, eps: float):
-    # Real form of min ||h||_1 s.t. ||X^H(y - X h)||_inf <= eps over
-    # z = [Re h, Im h]: per-entry bounds eps/sqrt(2) on the real and
-    # imaginary parts of the correlated residual, one range row each.
-    # The constraint factors depend on the tones only, so X keeps them.
-    U, V = X.cached("lp_factors", _lp_factors)
+    # Real form (v, V, t) of min ||h||_1 s.t. ||X^H(y - X h)||_inf <= eps
+    # over z = [Re h, Im h]: per-entry bounds t = eps/sqrt(2) on the real
+    # and imaginary parts of the correlated residual v - V^T V z.  The
+    # factor V depends on the tones only, so X keeps it.
+    V = X.cached("lp_factors", _lp_factors)
     v = X.rows.conj().T @ y
-    t = eps / np.sqrt(2.0)
-    v_r = np.concatenate([v.real, v.imag])
-    c = np.ones(V.shape[1])
-    return c, U, V, v_r - t, v_r + t
+    return np.concatenate([v.real, v.imag]), V, eps / np.sqrt(2.0)
 
 
 def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Indices whose magnitude clears ``max(floor, 0.01 * largest)``.
 
     Raises ValueError for a non-finite or negative `floor`, for an
-    `estimate` that is not 1-D and for a non-finite entry of `estimate`,
-    which no threshold can rank.
+    `estimate` that is not 1-D and for an entry of `estimate` that is not a
+    finite number, which no threshold can rank.
     """
     if _as_real(floor, "floor") < 0:
         raise ValueError("floor must be finite and non-negative")
     if np.ndim(estimate) != 1:
         raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
-    if not np.all(np.isfinite(estimate)):
-        raise ValueError("estimate must be finite")
-    mags = np.abs(estimate)
+    mags = np.abs(_as_finite(estimate, "estimate"))
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
         return np.array([], dtype=int)
     return np.flatnonzero(mags > max(floor, 0.01 * top))
 
 
-def _check_measurement(y: np.ndarray, X: SensingMatrix) -> None:
+def _check_measurement(y, X: SensingMatrix) -> np.ndarray:
+    """`y` as an array of one finite number per row of `X`; else ``ValueError``."""
     if np.shape(y) != X.rows.shape[:1]:
         raise ValueError(
             f"measurement has shape {np.shape(y)}, need ({X.rows.shape[0]},) "
             "for the sensing matrix"
         )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurement must be finite")
+    return _as_finite(y, "measurement")
 
 
 def _stepwise_select(y, Xs, candidates, threshold):
@@ -143,8 +138,10 @@ def _stepwise_select(y, Xs, candidates, threshold):
     ``|coef_i|^2 / ||row i of R^-1||^2``, and adding column a lowers it by
     ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a`` and r the residual.
     A column in the span of the others (or beyond the row count) is pruned
-    whatever the threshold.  Returns the sorted support, ``coef`` from the
-    factor of exactly that support in the same order, and the passes run.
+    whatever the threshold, and by the same rounding rule on ``||u||`` a
+    column in the span of the support is never added.  Returns the sorted
+    support, ``coef`` from the factor of exactly that support in the same
+    order, and the passes run.
     """
     keep = list(candidates)
     m = Xs.shape[0]
@@ -178,7 +175,10 @@ def _stepwise_select(y, Xs, candidates, threshold):
         best = int(np.argmax(corr))
         if len(keep) < CANDIDATE_CAP:
             u = Xs[:, best] - Q @ (Q.conj().T @ Xs[:, best])
-            if abs(np.vdot(u, resid)) ** 2 > threshold * np.vdot(u, u).real:
+            u_norm2 = np.vdot(u, u).real
+            # a column the prune would find dependent is not added
+            tol = max(m, len(keep) + 1) * np.finfo(float).eps * (diag.max() if keep else 0.0)
+            if u_norm2 > tol**2 and abs(np.vdot(u, resid)) ** 2 > threshold * u_norm2:
                 keep.append(best)
                 changed = True
         if not changed:
@@ -212,7 +212,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     empty.  Raises ``ValueError`` for a non-finite or negative
     `noise_variance`.
     """
-    _check_measurement(y, X)
+    y = _check_measurement(y, X)
     d = X.rows.shape[1]
     eps = dantzig_epsilon(noise_variance, X)
     res = solve_lp(*_embed_lp(y, X, eps))
@@ -266,7 +266,7 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
             f"sparsity must be between 0 and the {X.rows.shape[0]} measurements, "
             f"got {sparsity!r}"
         )
-    _check_measurement(y, X)
+    y = _check_measurement(y, X)
     d = X.rows.shape[1]
     selected: list[int] = []
     coef = np.array([], dtype=complex)
@@ -325,7 +325,7 @@ def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
     m, d = X_full.rows.shape
     if m < d:
         raise ValueError(f"dense estimation needs at least {d} tones, got {m}")
-    _check_measurement(y_full, X_full)
+    y_full = _check_measurement(y_full, X_full)
     pinv = X_full.cached("ls_pinv", _ls_pinv)
     estimate = pinv @ y_full
     return RecoveryResult(
@@ -341,11 +341,9 @@ def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
     Raises ValueError when the two shapes differ or either argument holds a
     non-finite or non-numeric entry, so a broken estimate is never scored.
     """
-    true_h, estimate = np.asarray(true_h), np.asarray(estimate)
+    true_h, estimate = _as_finite(true_h, "true channel"), _as_finite(estimate, "estimate")
     if estimate.shape != true_h.shape:
         raise ValueError(f"estimate has shape {estimate.shape}, true channel {true_h.shape}")
-    if not all(a.dtype.kind in "iufc" and np.isfinite(a).all() for a in (true_h, estimate)):
-        raise ValueError("true channel and estimate must be finite numbers")
     true_h, estimate = true_h.astype(complex), estimate.astype(complex)  # no integer overflow
     signal = float(np.sum(np.abs(true_h) ** 2))
     if signal == 0.0:

@@ -1,65 +1,55 @@
-"""Range-row dual simplex with steepest-edge pricing for the Dantzig selector's weighted-l1 LP.
+"""Range-row dual simplex with steepest-edge pricing for the Dantzig selector's LP.
 
-Solves ``min sum_j c_j |z_j|  subject to  lo <= U @ (V @ z) <= hi`` with z
-free and ``c >= 0``, the LP the l1 embedding produces.  The constraint
-matrix ``A = U V`` comes as an m x r and an r x p factor; for the Dantzig
-LP ``U = V^T``, m = p = 2D and the rank r = 2M is far below both.  An
-entry of `lo` may be -inf, which makes its row one-sided.
+Solves ``min ||z||_1  subject to  |V^T (V z) - v| <= t`` entrywise, z
+free: the real Dantzig selector, with V the 2M x 2D real form of the
+sensing matrix, v that of the correlation ``X^H y`` and ``t = eps /
+sqrt(2)``.  The constraint matrix ``A = V^T V`` is p x p (p = 2D) with
+rank r = 2M, far below p; each of its rows k is a range row
+``v_k - t <= (A z)_k <= v_k + t`` with one slack ``s_k = v_k + t - (A z)_k``
+in ``[0, 2t]``.
 
-Each row k has one slack ``s_k = hi_k - (A z)_k`` bounded by
-``0 <= s_k <= hi_k - lo_k``.  The solver is the dual simplex over the split
-``z = z+ - z-`` (``z+, z- >= 0``) from the all-slack basis ``z = 0,
-s = hi``: nonnegative costs make that basis dual feasible, so the run
-reaches the optimum directly, and the objective is bounded below by zero,
-so the LP is optimal or infeasible.
+The solver is the dual simplex over the split ``z = z+ - z-``
+(``z+, z- >= 0``) from the all-slack basis ``z = 0, s = v + t``: unit
+costs make that basis dual feasible, so the run reaches the optimum
+directly, and the objective is bounded below by zero, so the LP is optimal
+or infeasible.  A basic slack above 2t is replaced by its twin
+``2t - s_k``, which then lies below 0: the tableau row is negated and its
+right-hand side becomes ``2t - rhs``.  Every nonbasic variable thus sits at
+0, a leaving variable leaves at 0 and the ratio test is the textbook one.
+The twin's column is the slack's negated and takes its place in the store.
 
-A basic slack above its upper bound is replaced by its twin
-``s'_k = (hi_k - lo_k) - s_k``, which then lies below its lower bound 0:
-the tableau row is negated and its right-hand side becomes
-``hi_k - lo_k - rhs``.  Every nonbasic variable thus sits at its lower
-bound 0, a leaving variable leaves at 0 and the ratio test is the
-textbook one.  The twin's column is the slack's negated, so it takes the
-slack's place in the store below.
-
-Pricing is dual steepest edge (Forrest and Goldfarb 1992).  With
-``x`` the basic values and ``room`` their upper bounds (inf for z+ and
-z-), the leaving row maximizes ``viol_r^2 / w_r`` over the rows with
+Pricing is dual steepest edge (Forrest and Goldfarb 1992): with ``x`` the
+basic values and ``room`` their upper bounds (inf for z+ and z-), the
+leaving row maximizes ``viol_r^2 / w_r`` over the rows with
 ``viol_r = min(x_r, room_r - x_r) < -tol``, where ``w_r`` is the squared
-norm of row r of ``B^-1``.  The columns of ``B^-1`` are the slack columns
-of the tableau, up to sign, so ``w`` is read exactly from the stored slack
-columns, plus 1 for each row never pivoted on, whose slack column is still
-its unit vector; no update formula carries it from pivot to pivot.
+norm of row r of ``B^-1``.  The columns of ``B^-1`` are, up to sign, the
+slack columns of the tableau, so ``w`` is read exactly from the stored
+slack columns, plus 1 for each row never pivoted on.
 
 The tableau is stored compactly, transposed so the rank-1 update runs over
-one contiguous block, as ``W = [rhs; (B^-1 U)^T; stored slack columns]``:
+one contiguous block, as ``W = [rhs; (B^-1 V^T)^T; stored slack columns]``:
 
-* the z+ columns ``(B^-1 U) V`` are not stored: a pivot row's z+ part is
+* the z+ columns ``(B^-1 V^T) V`` are not stored: a pivot row's z+ part is
   ``W[1:1+r, row] @ V`` and an entering z+ column j is
   ``V[:, j] @ W[1:1+r]``, so a pivot updates r rows for them, not p;
 * each z- column is the exact negation of its z+ column (negation commutes
   with every rounded step of a Gauss-Jordan update);
 * a basic structural column is a unit vector, so its pivot-row entry is
   set exactly: 0, or +-1 when it is the leaving variable;
-* a slack column is the unit vector it started as until its row is a pivot
-  row, and only then is it stored.
+* a slack column is its unit vector until its row is a pivot row, and
+  only then is it stored.
 
-With the identity factor ``V = I_p`` (general callers pass
-``(c, A, np.eye(p), np.full(m, -np.inf), b)`` for ``A z <= b``) every
-product above picks one entry exactly, so the stored entries are those of
-the dense ``(m+1) x (2p+m+1)`` tableau; with the Dantzig factors they agree
-with it to rounding.  The rank-1 products of the update are formed by
-``np.einsum``, about twice as fast as ``np.outer`` on this shape, and
-subtracted in place.
+The stored entries agree with the dense ``(p+1) x (3p+1)`` tableau's to
+rounding.  The update's rank-1 products are formed by ``np.einsum``, about
+twice as fast as ``np.outer`` here, and subtracted in place.
 
-Variables are numbered as in the split LP: z+ as 0..p-1, z- as p..2p-1
-and the slack of row k (or its twin) as 2p+k.  Ties in pricing go to the
-smallest row and ties in the ratio test to the smallest number.
-
-Anti-cycling: after ``5 * (2p + m)`` pivots the solver permanently
-switches to Bland's rule, which cannot cycle: the leaving row is the
-violated row whose basic variable has the smallest number, and the
-entering variable the smallest number among the ratio-test ties.  The
-default iteration cap is ``50 * (2p + m)`` pivots, m counting range rows.
+Variables are numbered z+ as 0..p-1, z- as p..2p-1 and the slack of row k
+(or its twin) as 2p+k.  Ties in pricing go to the smallest row and ties in
+the ratio test to the smallest number.  After ``5 * 3p`` pivots the solver
+switches for good to Bland's rule, which cannot cycle: the leaving row is
+the violated row whose basic variable has the smallest number, and the
+entering variable the smallest number among the ratio-test ties.  After
+``50 * 3p`` pivots it stops with status ``iteration-limit``.
 """
 
 from __future__ import annotations
@@ -68,14 +58,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times (2p+m) pivots
+from .channel import _as_finite, _as_real
+
+_BLAND_AFTER_FACTOR = 5  # switch to Bland's rule after this many times 3p pivots
+_MAX_ITER_FACTOR = 50  # stop after this many times 3p pivots
 _TOL = 1e-9  # feasibility/optimality tolerance
 
 
 @dataclass
 class LpResult:
     x: np.ndarray | None
-    objective: float | None
     status: str  # optimal | infeasible | iteration-limit
     iterations: int
 
@@ -83,11 +75,12 @@ class LpResult:
 def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
     """Dual simplex on the factored compact tableau; returns (status, iterations).
 
-    ``W[0]`` is the right-hand side, ``W[1:rank+1]`` holds ``(B^-1 U)^T`` and
-    the rows after them the stored slack columns, in the order their rows
-    were first pivoted on.  `cost` holds the reduced costs in ratio-test
-    order: z+, z-, stored slacks.  `room` holds each row's slack range and
-    `basis` split-LP variable numbers.
+    The constraint matrix is ``U @ V`` (``U = V^T`` in `solve_lp`).  ``W[0]``
+    is the right-hand side, ``W[1:rank+1]`` holds ``(B^-1 U)^T`` and the
+    rows after them the stored slack columns, in the order their rows were
+    first pivoted on.  `cost` holds the reduced costs in ratio-test order:
+    z+, z-, stored slacks.  `room` holds each row's slack range and `basis`
+    split-LP variable numbers.
     """
     rank, p = V.shape
     m = W.shape[1]
@@ -192,70 +185,39 @@ def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
         it += 1
 
 
-def solve_lp(c, U, V, lo, hi, *, max_iter: int | None = None) -> LpResult:
-    """Minimize ``sum_j c_j |z_j|`` subject to ``lo <= U @ (V @ z) <= hi``, z free.
+def solve_lp(v, V, t) -> LpResult:
+    """Minimize ``||z||_1`` subject to ``|V^T (V z) - v| <= t`` entrywise, z free.
 
-    Parameters
-    ----------
-    c, U, V, lo, hi : array_like
-        Dense problem data; the constraint matrix is the product of `U`,
-        2-D with shape (m, r), and `V`, 2-D with shape (r, p).  Every
-        weight in `c` must be nonnegative.  `c`, `U`, `V` and `hi` must be
-        finite; an entry of `lo` is finite and at most `hi`'s, or -inf for a
-        one-sided row.  Constraints ``A_ub @ z <= b_ub`` with no low-rank
-        form are passed as ``(c, A_ub, np.eye(p), np.full(m, -np.inf), b_ub)``.
-    max_iter : int, optional
-        Pivot cap; defaults to ``50 * (2p + m)``.
-
-    Returns
-    -------
-    LpResult
-        ``x`` holds the p free variables z when status is ``optimal``,
-        otherwise None; ``iterations`` counts pivots.
-
-    Raises
-    ------
-    ValueError
-        On inconsistent dimensions, a non-finite entry other than a -inf in
-        `lo`, a row with ``lo > hi``, or a negative weight.
+    `V` is 2-D, `v` holds one entry per column of `V` and `t` is a scalar,
+    all finite real numbers with ``t >= 0``; anything else raises
+    ``ValueError``.  The result's ``x`` holds z when its status is
+    ``optimal`` and is None otherwise; ``iterations`` counts pivots.
     """
-    c = np.asarray(c, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if U.ndim != 2 or V.ndim != 2:
-        raise ValueError("U and V must be 2-D")
-    m, rank = U.shape
-    p = V.shape[1]
-    if V.shape[0] != rank or c.shape != (p,) or lo.shape != (m,) or hi.shape != (m,):
-        raise ValueError("inconsistent LP dimensions")
-    if not all(np.isfinite(v).all() for v in (c, U, V, hi)):
-        raise ValueError("LP data must be finite")
-    if not (np.isfinite(lo) | (lo == -np.inf)).all():
-        raise ValueError("lower bounds must be finite or -inf")
-    if (lo > hi).any():
-        raise ValueError("lower bounds must not exceed upper bounds")
-    if (c < 0).any():
-        raise ValueError("costs must be nonnegative")
-    if max_iter is None:
-        max_iter = 50 * (2 * p + m)
-    bland_after = _BLAND_AFTER_FACTOR * (2 * p + m)
+    V = _as_finite(V, "V", kinds="iuf").astype(float, copy=False)
+    v = _as_finite(v, "v", kinds="iuf").astype(float, copy=False)
+    if V.ndim != 2:
+        raise ValueError(f"V must be 2-D, got shape {V.shape}")
+    rank, p = V.shape
+    if v.shape != (p,):
+        raise ValueError(f"v has shape {v.shape}, need ({p},) for V of shape {V.shape}")
+    if _as_real(t, "t") < 0:
+        raise ValueError(f"t must be nonnegative, got {t!r}")
 
-    W = np.zeros((1 + rank + m, m))
-    W[0] = hi
-    W[1 : rank + 1] = U.T
-    cost = np.zeros(2 * p + m)
-    cost[:p] = c
-    cost[p : 2 * p] = c
-    basis = np.arange(2 * p, 2 * p + m)
+    W = np.zeros((1 + rank + p, p))
+    W[0] = v + t
+    W[1 : rank + 1] = V
+    cost = np.zeros(3 * p)
+    cost[: 2 * p] = 1.0
+    basis = np.arange(2 * p, 3 * p)
+    room = np.full(p, 2.0 * t)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the ratio test divides by every pivot-row entry, zeros included,
         # and masks the ineligible quotients
-        status, it = _dual_simplex(W, V, cost, hi - lo, basis, max_iter, bland_after)
+        status, it = _dual_simplex(
+            W, V, cost, room, basis, _MAX_ITER_FACTOR * 3 * p, _BLAND_AFTER_FACTOR * 3 * p
+        )
     if status != "optimal":
-        return LpResult(x=None, objective=None, status=status, iterations=it)
-    x = np.zeros(2 * p + m)
+        return LpResult(x=None, status=status, iterations=it)
+    x = np.zeros(3 * p)
     x[basis] = W[0]
-    z = x[:p] - x[p : 2 * p]
-    return LpResult(x=z, objective=float(c @ np.abs(z)), status="optimal", iterations=it)
+    return LpResult(x=x[:p] - x[p : 2 * p], status="optimal", iterations=it)

@@ -1,5 +1,4 @@
 import csv
-import functools
 import math
 import multiprocessing
 import os
@@ -253,8 +252,8 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
 
 
 def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypatch):
-    # a solve cut off after one pivot is counted as a failure and left out of
-    # both Dantzig rows; the other methods still score every trial
+    # a failed solve is counted as a failure and left out of both Dantzig
+    # rows; the other methods still score every trial
     args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
     params = cli._ofdm_from({**cli.EXPERIMENTS["recover-bench"].defaults, "tap_count": "25"})
@@ -271,9 +270,11 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
 
     calls = []
 
-    def second_solve_cut(*args, **kwargs):
+    def second_solve_cut(*args):
         calls.append(None)
-        return simplex.solve_lp(*args, **kwargs, max_iter=1 if len(calls) == 2 else None)
+        if len(calls) == 2:
+            return simplex.LpResult(x=None, status="iteration-limit", iterations=1)
+        return simplex.solve_lp(*args)
 
     monkeypatch.setattr(recovery, "solve_lp", second_solve_cut)
     code, out = run(tmp_path, "f.csv", "recover-bench", *args)
@@ -286,7 +287,8 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     assert rows["omp"] == means(clean, 2)
     assert rows["fde_ls"] == means(clean, 3)
 
-    monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
+    monkeypatch.setattr(recovery, "solve_lp", simplex.solve_lp)
+    monkeypatch.setattr(simplex, "_MAX_ITER_FACTOR", 0)
     code, out = run(tmp_path, "g.csv", "recover-bench", *args)
     assert code == 1
     assert "4 check(s) failed" in capsys.readouterr().err
@@ -312,18 +314,18 @@ def test_recover_bench_noiseless(tmp_path):
 
 _GOLDEN_RECOVER = {
     ("tap_count=100", "tone_policy=designed"): [
-        "10.0,dantzig,-8.698525696212489,0.0,20",
+        "10.0,dantzig,-8.69852569621249,0.0,20",
         "10.0,dantzig+debias,-22.635991810701032,0.9,20",
         "10.0,omp,-22.309011042918254,0.9,20",
-        "inf,dantzig,-138.7700303571508,1.0,20",
+        "inf,dantzig,-138.7700303735209,1.0,20",
         "inf,dantzig+debias,-200.0,1.0,20",
         "inf,omp,-200.0,1.0,20",
     ],
     ("tap_count=25", "tone_policy=random"): [
-        "10.0,dantzig,-11.97456033652055,0.4,20",
+        "10.0,dantzig,-11.974560336520552,0.4,20",
         "10.0,dantzig+debias,-22.255773267762844,0.9,20",
         "10.0,omp,-22.58859362643621,1.0,20",
-        "inf,dantzig,-140.52924069173477,1.0,20",
+        "inf,dantzig,-140.5292406997201,1.0,20",
         "inf,dantzig+debias,-200.0,1.0,20",
         "inf,omp,-200.0,1.0,20",
     ],
@@ -335,8 +337,9 @@ def test_recover_bench_golden_rows(tmp_path, sets):
     # exact strings: a faster solver or debias must keep every byte of the
     # omp rows and every support rate; an NMSE moves in its last digits when
     # its arithmetic changes at rounding level: the raw dantzig one with the
-    # LP's store or pivot path (the factored store and the range-row
-    # steepest-edge pricing did), the dantzig+debias one with the refit
+    # LP's store, pivot path or row ranges (the factored store, the
+    # range-row steepest-edge pricing and the width 2t in place of
+    # (v + t) - (v - t) did), the dantzig+debias one with the refit
     # (reading it off the stepwise debias's final QR factor did)
     args = ["--seed", "1", "--set", "trials=10", "--set", "snr_dbs=10,inf"]
     for item in sets:

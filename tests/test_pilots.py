@@ -64,6 +64,14 @@ def test_fractional_counts_raise_value_error(call):
         call()
 
 
+@pytest.mark.parametrize("L_prime, l, name", [(-1, 2, "L_prime"), (0, 1, "L_prime"), (3, -2, "l"), (3, 0, "l")])
+def test_capacity_counts_must_be_positive(L_prime, l, name):
+    # C(L'+l, l) would read -1 ones as a code for 0 users, and math.comb
+    # would refuse a negative l with its own message
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        capacity(L_prime, l)
+
+
 def test_codebook_matches_anti_diagonal_pattern():
     book = build_codebook(4, 3, 1)
     assert np.array_equal(book.columns, ANTI_DIAGONAL_4)

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from debias_oracle import ls_refit, stepwise_select_lstsq
@@ -91,15 +89,15 @@ def test_dantzig_single_tap_noiseless(rng):
 
 
 def test_failed_solve_is_not_an_estimate(rng, monkeypatch):
-    # a solve cut off after one pivot hands back NaN, which nmse and
+    # a solve cut off by its pivot cap hands back NaN, which nmse and
     # threshold_support refuse, rather than an all-zero estimate
     p = default_params()
     h = sample_channel(p, rng)
     X = build_sensing_matrix(select_pilot_tones(p, rng), p)
     y = synthesize_measurement(X, h, 0.1, rng)
-    monkeypatch.setattr(recovery, "solve_lp", functools.partial(simplex.solve_lp, max_iter=1))
+    monkeypatch.setattr(simplex, "_MAX_ITER_FACTOR", 0)
     res = dantzig_recover(y, X, 0.1)
-    assert res.solver_status != "optimal"
+    assert res.solver_status == "iteration-limit"
     assert res.recovered_support.size == 0
     assert res.raw_support.size == 0
     for estimate in (res.estimate, res.raw_estimate):
@@ -355,6 +353,21 @@ def test_stepwise_select_zero_threshold_prunes_dependent_column(rng):
     _assert_lstsq_fit(y, rows, support, coef)
 
 
+def test_stepwise_select_never_adds_a_column_in_the_support_span():
+    # a duplicate of a kept column has a rounding-level u = (I - QQ^H) a:
+    # once pruned it is not added back, so the support settles at once
+    # rather than cycling to the pass limit with a non-minimum-norm fit
+    p = default_params()
+    rows = build_sensing_matrix(select_pilot_tones(p, np.random.default_rng(3)), p).rows.copy()
+    rows[:, 1] = rows[:, 0]
+    y = rows[:, [0, 2]] @ np.array([1.0, 2.0])
+    support, coef, passes = _stepwise_select(y, rows, [0, 1, 2], 0.0)
+    assert support.tolist() == [0, 2]
+    assert passes == 2
+    _assert_lstsq_fit(y, rows, support, coef)
+    assert coef == pytest.approx([1.0, 2.0], rel=1e-12)
+
+
 def test_omp_noiseless_exact(rng):
     p = default_params()
     for _ in range(10):
@@ -453,9 +466,8 @@ def test_fde_rank_deficient_raises_on_every_call():
 
 
 def test_embed_lp_cached_block_matches_fresh_matrix(rng):
-    # the factors a matrix keeps are bitwise the ones a fresh matrix of the
-    # same tones builds, and their product is the real form of X^H X to
-    # rounding
+    # the factor a matrix keeps is bitwise the one a fresh matrix of the
+    # same tones builds, and V^T V is the real form of X^H X to rounding
     p = default_params()
     eps = 0.4
     X = build_sensing_matrix(DESIGNED_TONES_100, p)
@@ -464,22 +476,21 @@ def test_embed_lp_cached_block_matches_fresh_matrix(rng):
         cached = _embed_lp(y, X, eps)
         fresh = _embed_lp(y, build_sensing_matrix(DESIGNED_TONES_100, p), eps)
         for a, b in zip(cached, fresh):
-            assert a.tobytes() == b.tobytes()
-    c, U, V, lo, hi = cached
-    assert U.shape == (200, 40) and V.shape == (40, 200)
-    assert not (U.flags.writeable or V.flags.writeable)
-    kept = X.cached("lp_factors", None)
-    assert kept[0] is U and kept[1] is V
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    v, V, t = cached
+    assert v.shape == (200,) and V.shape == (40, 200) and t == eps / np.sqrt(2.0)
+    assert not V.flags.writeable
+    assert X.cached("lp_factors", None) is V
     G = X.rows.conj().T @ X.rows
     R, Im = G.real, G.imag
     formula = np.block([[R, -Im], [Im, R]])
-    assert np.max(np.abs(U @ V - formula)) <= 1e-12
-    # another tone set gets its own factors
+    assert np.max(np.abs(V.T @ V - formula)) <= 1e-12
+    # another tone set gets its own factor
     other = build_sensing_matrix(select_pilot_tones(p, rng), p)
-    V_other = _embed_lp(y, other, eps)[2]
+    V_other = _embed_lp(y, other, eps)[1]
     assert V_other is not V
     assert not np.array_equal(V_other, V)
-    assert _embed_lp(y, X, eps)[2] is V
+    assert _embed_lp(y, X, eps)[1] is V
 
 
 def test_fde_rank_deficient_raises():
@@ -516,6 +527,24 @@ def test_estimators_reject_two_dimensional_measurement(rng):
         fde_ls_recover(np.ones((100, 2), dtype=complex), comb)
     with pytest.raises(ValueError, match="measurement has shape"):
         fde_ls_recover(np.ones((1, 100), dtype=complex), comb)
+
+
+def test_estimators_take_a_list_measurement(rng):
+    # a list is read as the array it holds, noiseless Dantzig and OMP too
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    h = sample_channel(p, rng)
+    y, yf = synthesize_measurement(X, h, 0.0, rng), synthesize_measurement(comb, h, 0.0, rng)
+    for call in (
+        lambda y, yf: dantzig_recover(y, X, 0.0),
+        lambda y, yf: dantzig_recover(y, X, 0.01),
+        lambda y, yf: omp_recover(y, X, p.sparsity),
+        lambda y, yf: fde_ls_recover(yf, comb),
+    ):
+        want, got = call(y, yf), call(list(y), list(yf))
+        assert np.array_equal(got.estimate, want.estimate)
+        assert np.array_equal(got.recovered_support, want.recovered_support)
 
 
 def test_fde_comparable_at_20db(rng):

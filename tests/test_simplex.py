@@ -1,16 +1,17 @@
-"""Solver checks against the dense-tableau oracle, closed-form optima and HiGHS.
+"""Solver checks against closed-form optima, the dense-tableau oracle and HiGHS.
 
-`solve_lp` solves ``min c @ |z|`` s.t. ``lo <= U @ (V @ z) <= hi`` with z
-free.  A constraint matrix ``A`` is posed with the identity factor,
-``(A, I)``, under which the solver's arithmetic is the dense tableau's, and
-``A z <= b`` as the one-sided rows ``lo = -inf``.  An ``x >= 0`` LP is
-posed for it by appending the rows ``-z <= 0``.
+`solve_lp(v, V, t)` solves the Dantzig selector's LP ``min ||z||_1`` s.t.
+``|V^T (V z) - v| <= t``.  General weighted-l1 LPs ``min c @ |z|`` s.t.
+``lo <= A z <= hi`` (an entry of `lo` may be -inf) drive the same kernel
+through `lp_oracle.compact_solve_l1`, which poses them with the identity
+factor, under which the kernel's arithmetic is the dense tableau's.  An
+``x >= 0`` LP is posed for it by appending the rows ``-z <= 0``.
 """
 
 import lp_oracle
 import numpy as np
 import pytest
-from lp_oracle import dense_solve_l1
+from lp_oracle import compact_solve_l1, dense_solve_l1
 from scipy.optimize import linprog
 
 import cspilot.simplex as simplex
@@ -43,18 +44,17 @@ TEXTBOOK_DUAL = _nonnegative(
 )
 
 
-def _solve(c, A, b, **kw):
-    """`solve_lp` on ``A z <= b``, the constraint matrix given as ``A @ I``."""
-    return _solve_range(c, A, np.full(len(b), -np.inf), b, **kw)
+def _solve(c, A, b):
+    """The kernel on ``A z <= b``: one-sided rows."""
+    return compact_solve_l1(c, A, np.full(len(b), -np.inf), b)
 
 
-def _solve_range(c, A, lo, hi, **kw):
-    """`solve_lp` on ``lo <= A z <= hi``, the constraint matrix given as ``A @ I``."""
-    return solve_lp(c, A, np.eye(np.shape(A)[1]), lo, hi, **kw)
+def _objective(c, res):
+    return float(np.asarray(c) @ np.abs(res.x))
 
 
 def _assert_same_as_oracle(c, A, lo, hi):
-    res, ref = _solve_range(c, A, lo, hi), dense_solve_l1(c, A, lo, hi)
+    res, ref = compact_solve_l1(c, A, lo, hi), dense_solve_l1(c, A, lo, hi)
     assert res.status == ref.status
     assert res.iterations == ref.iterations
     if ref.x is None:
@@ -67,7 +67,7 @@ def _assert_same_as_oracle(c, A, lo, hi):
 def test_known_textbook_optimum():
     res = _solve(*TEXTBOOK_DUAL)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(36.0, abs=1e-9)
+    assert _objective(TEXTBOOK_DUAL[0], res) == pytest.approx(36.0, abs=1e-9)
     assert res.x == pytest.approx([0.0, 1.5, 1.0], abs=1e-9)
     assert res.iterations == 2
 
@@ -76,7 +76,7 @@ def test_dual_simplex_path_negative_rhs():
     # nonnegative costs with infeasible slack basis: min x1 + x2, x1 + x2 >= 4
     res = _solve(*_nonnegative([1.0, 1.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], [-4.0, 3.0, 3.0]))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(4.0, abs=1e-9)
+    assert _objective([1.0, 1.0], res) == pytest.approx(4.0, abs=1e-9)
     assert res.iterations == 2
 
 
@@ -85,13 +85,12 @@ def test_free_variables_take_negative_values():
     res = _solve([1.0, 2.0], [[1.0, 1.0]], [-3.0])
     assert res.status == "optimal"
     assert np.array_equal(res.x, [-3.0, 0.0])
-    assert res.objective == 3.0
 
 
 def test_zero_objective_feasibility_only():
     res = _solve(*_nonnegative([0.0, 0.0], [[1.0, 1.0]], [1.0]))
     assert res.status == "optimal"
-    assert res.objective == 0.0
+    assert np.all(res.x >= 0) and res.x.sum() <= 1.0
 
 
 def test_infeasible_detected_by_dual():
@@ -102,94 +101,119 @@ def test_infeasible_detected_by_dual():
     assert res.iterations == 1
 
 
-def test_iteration_cap_reported():
-    res = _solve(*TEXTBOOK_DUAL, max_iter=1)
-    assert res.status == "iteration-limit"
-    assert res.x is None
-    assert res.iterations == 1
-
-
-def test_dimension_validation():
-    one = [[1.0]]
-    with pytest.raises(ValueError):
-        solve_lp([1.0, 2.0], one, one, [0.0], [1.0])  # c does not match V's columns
-    with pytest.raises(ValueError):
-        solve_lp([1.0], one, one, [0.0], [1.0, 2.0])  # hi does not match U's rows
-    with pytest.raises(ValueError):
-        solve_lp([1.0], one, one, [0.0, 0.0], [1.0])  # lo does not match U's rows
-    with pytest.raises(ValueError):
-        solve_lp([1.0], [[1.0, 2.0]], one, [0.0], [1.0])  # U's columns are not V's rows
-    with pytest.raises(ValueError):
-        solve_lp([1.0], [1.0], one, [0.0], [1.0])  # U must be 2-D
-    with pytest.raises(ValueError):
-        solve_lp([1.0], one, [1.0], [0.0], [1.0])  # V must be 2-D
-
-
-def _textbook_data():
-    # the constraint matrix A_ub is posed as the factor U, with V = I, and
-    # its right-hand side b_ub as the upper bounds of range rows
-    c, A, b = TEXTBOOK_DUAL
-    return {"c": c.copy(), "A_ub": A.copy(), "V": np.eye(c.size), "lo": b - 1.0, "b_ub": b.copy()}
-
-
-@pytest.mark.parametrize(
-    "where, bad",
-    [(w, v) for w in ("c", "A_ub", "V", "b_ub") for v in (np.nan, np.inf, -np.inf)]
-    + [("lo", np.nan), ("lo", np.inf)],
-)
-def test_non_finite_data_rejected(where, bad):
-    data = _textbook_data()
-    data[where].flat[0] = bad
-    with pytest.raises(ValueError):
-        solve_lp(*data.values())
-
-
-def test_lower_bound_above_upper_rejected():
-    data = _textbook_data()
-    data["lo"][0] = data["b_ub"][0] + 1e-12
-    with pytest.raises(ValueError, match="lower bounds"):
-        solve_lp(*data.values())
-
-
-def test_negative_cost_rejected():
-    with pytest.raises(ValueError):
-        solve_lp([-3.0, 5.0], [[1.0, 0.0]], np.eye(2), [-np.inf], [4.0])
+def test_soft_thresholds_with_the_identity_factor():
+    # V = I decouples the rows |z_k - v_k| <= t: the l1 optimum shrinks each
+    # v_k towards 0 by t, one pivot per row outside [-t, t]
+    v = np.array([2.5, -3.0, 0.25, -0.5, 0.0, 4.0])
+    for t in (0.5, 0.0, 5.0):
+        res = solve_lp(v, np.eye(v.size), t)
+        assert res.status == "optimal"
+        assert res.x == pytest.approx(np.sign(v) * np.maximum(np.abs(v) - t, 0.0), abs=1e-12)
+        assert res.iterations == np.count_nonzero(np.abs(v) > t)
 
 
 def test_upper_side_violation_pivots_on_the_twin():
     # min |z| with 2 <= z <= 3: the slack 3 - z starts at 3, above its range
     # of 1, so the row is flipped and its twin z - 2 leaves at 0
-    res = _solve_range([1.0], [[1.0]], [2.0], [3.0])
+    res = solve_lp([2.5], [[1.0]], 0.5)
     assert res.status == "optimal"
     assert np.array_equal(res.x, [2.0])
     assert res.iterations == 1
-    # -5 <= z1 + z2 <= -4: the cheaper z1 goes negative to the nearer bound
-    res = _solve_range([1.0, 3.0], [[1.0, 1.0]], [-5.0], [-4.0])
+    # -5 <= z1 + z2 <= -4 in both rows of V^T V = [[1, 1], [1, 1]]: the
+    # slacks start below 0, and z1 goes to the nearer bound
+    res = solve_lp([-4.5, -4.5], [[1.0, 1.0]], 0.5)
     assert np.array_equal(res.x, [-4.0, 0.0])
     assert res.iterations == 1
+
+
+def test_equality_rows_at_zero_width():
+    # V^T V = [[1, 2], [2, 4]]; at t = 0 both rows read z1 + 2 z2 = 3
+    res = solve_lp([3.0, 6.0], [[1.0, 2.0]], 0.0)
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([0.0, 1.5], abs=1e-12)
+
+
+def test_dantzig_form_infeasible():
+    # V^T V = [[1, 1], [1, 1]]: the rows ask z1 + z2 to lie in [1/2, 3/2]
+    # and in [-3/2, -1/2] at once
+    res = solve_lp([1.0, -1.0], [[1.0, 1.0]], 0.5)
+    assert res.status == "infeasible"
+    assert res.x is None
+
+
+def test_iteration_cap_reported(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_ITER_FACTOR", 0)
+    res = solve_lp([2.5, -3.0], np.eye(2), 0.5)
+    assert res.status == "iteration-limit"
+    assert res.x is None
+    assert res.iterations == 0
+
+
+def test_caps_are_multiples_of_three_p(monkeypatch):
+    # p columns and p range rows: 2p + m = 3p split and slack variables
+    seen = []
+    kernel = simplex._dual_simplex
+
+    def spy(W, V, cost, room, basis, max_iter, bland_after):
+        seen.append((max_iter, bland_after))
+        return kernel(W, V, cost, room, basis, max_iter, bland_after)
+
+    monkeypatch.setattr(simplex, "_dual_simplex", spy)
+    assert solve_lp([1.0, 2.0], np.eye(2), 0.5).status == "optimal"
+    assert seen == [(50 * 6, 5 * 6)]
+
+
+def test_dimension_validation():
+    with pytest.raises(ValueError, match="V must be 2-D"):
+        solve_lp([1.0], [1.0], 0.5)
+    with pytest.raises(ValueError, match="V must be 2-D"):
+        solve_lp([1.0], [[[1.0]]], 0.5)
+    with pytest.raises(ValueError, match="v has shape"):
+        solve_lp([1.0, 2.0], [[1.0]], 0.5)  # v does not match V's columns
+    with pytest.raises(ValueError, match="v has shape"):
+        solve_lp([[1.0]], [[1.0]], 0.5)  # v must be 1-D
+
+
+@pytest.mark.parametrize(
+    "where, bad", [(w, b) for w in ("v", "V") for b in (np.nan, np.inf, -np.inf)]
+    + [("t", np.nan), ("t", np.inf)],
+)
+def test_non_finite_data_rejected(where, bad):
+    data = {"v": np.array([2.5, -3.0]), "V": np.eye(2), "t": 0.5}
+    if where == "t":
+        data["t"] = bad
+    else:
+        data[where].flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{where} must be"):
+        solve_lp(**data)
+
+
+def test_lower_bound_above_upper_rejected():
+    # a negative half-width puts each row's lower bound v - t above v + t
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        solve_lp([2.5, -3.0], np.eye(2), -1e-12)
 
 
 def test_one_sided_and_range_rows_mixed():
     # min |z1| + 2|z2| with 1 <= z1 - z2 <= 2, z2 >= 1/2 (one-sided) and
     # -1 <= z1 + z2 <= 4: z2 = 1/2 and z1 = 3/2
-    res = _solve_range(
+    res = compact_solve_l1(
         [1.0, 2.0], [[1.0, -1.0], [0.0, -1.0], [1.0, 1.0]], [1.0, -np.inf, -1.0], [2.0, -0.5, 4.0]
     )
     assert res.status == "optimal"
     assert res.x == pytest.approx([1.5, 0.5], abs=1e-12)
-    assert res.objective == pytest.approx(2.5, abs=1e-12)
 
 
 def test_equality_row_has_zero_range():
     # lo == hi: the row's slack is fixed at 0
-    res = _solve_range([1.0, 1.0], [[1.0, 2.0]], [3.0], [3.0])
+    res = compact_solve_l1([1.0, 1.0], [[1.0, 2.0]], [3.0], [3.0])
     assert res.status == "optimal"
     assert res.x == pytest.approx([0.0, 1.5], abs=1e-12)
-    res = _solve_range([1.0, 1.0], [[1.0, 2.0], [1.0, 0.0]], [3.0, -np.inf], [3.0, -4.0])
+    res = compact_solve_l1([1.0, 1.0], [[1.0, 2.0], [1.0, 0.0]], [3.0, -np.inf], [3.0, -4.0])
     assert res.status == "optimal"
     assert res.x == pytest.approx([-4.0, 3.5], abs=1e-12)
     # z = 1 and z = 2 at once
-    res = _solve_range([1.0], [[1.0], [1.0]], [1.0, 2.0], [1.0, 2.0])
+    res = compact_solve_l1([1.0], [[1.0], [1.0]], [1.0, 2.0], [1.0, 2.0])
     assert res.status == "infeasible"
 
 
@@ -214,7 +238,7 @@ def _one_sided(c, A, b):
 def test_beale_dual_optimum():
     res = _assert_same_as_oracle(*_one_sided(*BEALE_DUAL))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(0.05, abs=1e-9)
+    assert _objective(BEALE_DUAL[0], res) == pytest.approx(0.05, abs=1e-9)
     assert res.x == pytest.approx([0.0, 1.5, 0.05], abs=1e-9)
     assert res.iterations == 4
 
@@ -244,10 +268,12 @@ def test_degenerate_cycle_terminates():
 
 
 def test_cycles_without_bland_rule(monkeypatch):
-    # the switch is what ends the run above: without it the pivots cycle
+    # the switch is what ends the run above: without it the pivots cycle to
+    # the cap of 50 (2p + m) pivots
     monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 10**6)
-    res = _solve_range(*CYCLING_LP, max_iter=1000)
+    res = compact_solve_l1(*CYCLING_LP)
     assert res.status == "iteration-limit"
+    assert res.iterations == 50 * (2 * 10 + 5)
 
 
 def test_bland_rule_matches_dense_oracle(monkeypatch):
@@ -255,7 +281,7 @@ def test_bland_rule_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(simplex, "_BLAND_AFTER_FACTOR", 0)
     monkeypatch.setattr(lp_oracle, "_BLAND_AFTER_FACTOR", 0)
     res = _assert_same_as_oracle(*_one_sided(*BEALE_DUAL))
-    assert res.objective == pytest.approx(0.05, abs=1e-9)
+    assert _objective(BEALE_DUAL[0], res) == pytest.approx(0.05, abs=1e-9)
     assert _assert_same_as_oracle(*CYCLING_LP).status == "optimal"
     rng = np.random.default_rng(20261019)
     for k in range(100):
@@ -332,11 +358,12 @@ def _dantzig_lps(tap_count, tones, seed_tag, trials):
     ids=["25-designed", "25-random", "100-designed", "100-random"],
 )
 def test_matches_dense_oracle_on_dantzig_lps(tap_count, tones, seed_tag, trials):
-    # the factored solve takes the dense tableau's pivots on U @ V; its
+    # the factored solve takes the dense tableau's pivots on V^T V; its
     # entries agree with the tableau's to rounding, not bit for bit
-    for c, U, V, lo, hi in _dantzig_lps(tap_count, tones, seed_tag, trials):
-        assert U.shape == (2 * tap_count, 40) and V.shape == (40, 2 * tap_count)
-        res, ref = solve_lp(c, U, V, lo, hi), dense_solve_l1(c, U @ V, lo, hi)
+    for v, V, t in _dantzig_lps(tap_count, tones, seed_tag, trials):
+        assert V.shape == (40, 2 * tap_count)
+        res = solve_lp(v, V, t)
+        ref = dense_solve_l1(np.ones(v.size), V.T @ V, v - t, v + t)
         assert res.status == ref.status == "optimal"
         assert res.iterations == ref.iterations
         assert np.max(np.abs(res.x - ref.x)) <= 1e-9
@@ -374,11 +401,11 @@ def _highs_l1(c, A, lo, hi):
 
 def test_objective_matches_highs_on_criterion_4_draws():
     checked = 0
-    for c, U, V, lo, hi in _criterion_4_lps(step=12):
-        res = solve_lp(c, U, V, lo, hi)
-        ref = _highs_l1(c, U @ V, lo, hi)
+    for v, V, t in _criterion_4_lps(step=12):
+        res = solve_lp(v, V, t)
+        ref = _highs_l1(np.ones(v.size), V.T @ V, v - t, v + t)
         assert res.status == "optimal" and ref.status == 0
-        assert abs(res.objective - ref.fun) <= 1e-7
+        assert abs(np.abs(res.x).sum() - ref.fun) <= 1e-7
         checked += 1
     assert checked == 42 + 17
 
@@ -393,11 +420,11 @@ def test_agrees_with_scipy_linprog():
         want = _SCIPY_STATUS.get(ref.status)
         if want is None:
             continue
-        res = _solve_range(c, A, lo, hi)
+        res = compact_solve_l1(c, A, lo, hi)
         assert res.status == want, f"status mismatch: {res.status} vs {want}"
         if want == "optimal":
             scale = 1.0 + abs(ref.fun)
-            assert abs(res.objective - ref.fun) < 1e-7 * scale
+            assert abs(_objective(c, res) - ref.fun) < 1e-7 * scale
             # HiGHS's split solution gives the same weighted l1 norm
             z_ref = ref.x[:p] - ref.x[p:]
             assert abs(c @ np.abs(z_ref) - ref.fun) < 1e-7 * scale
@@ -408,12 +435,3 @@ def test_agrees_with_scipy_linprog():
             infeasible += 1
     assert checked >= 20
     assert infeasible >= 1
-
-
-def test_objective_consistent_with_solution(rng):
-    for _ in range(10):
-        c, A, lo, hi = _random_l1_instance(rng, integer=False)
-        res = _solve_range(c, A, lo, hi)
-        if res.status == "optimal":
-            assert res.objective == pytest.approx(float(c @ np.abs(res.x)), abs=1e-9)
-            assert res.iterations <= 50 * (2 * len(c) + len(hi))

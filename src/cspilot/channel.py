@@ -47,24 +47,30 @@ def _as_real(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def _as_finite(values, name: str, kinds: str = "iufc") -> np.ndarray:
+def _as_finite(values, name: str, kinds: str = "iufc", ndim: int | None = None) -> np.ndarray:
     """`values` as an array of finite numbers; else ``ValueError`` naming `name`.
 
     Its dtype kind must be in `kinds` (integer, float, complex), so bool,
-    str and object arrays are refused, and complex ones when "c" is left out.
+    str and object arrays are refused, and complex ones when "c" is left out;
+    when `ndim` is given, the array must have that many dimensions.
     """
     array = np.asarray(values)
     if array.dtype.kind not in kinds or not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite numbers, got dtype {array.dtype}")
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
     return array
 
 
-def _as_indices(values, name: str) -> np.ndarray:
-    """`values` as an int array; ``ValueError`` unless every entry is an integer."""
-    indices = np.asarray(values)
-    if indices.size and indices.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got {indices!r}")
-    return indices.astype(int, copy=False)
+def _as_tones(values) -> np.ndarray:
+    """`values` as a 1-D int array of distinct nonnegative tones; else ``ValueError``."""
+    tones = np.asarray(values)
+    if tones.ndim != 1 or (tones.size and tones.dtype.kind not in "iu"):
+        raise ValueError(f"tone_set must be integers in a 1-D set, got {tones!r}")
+    tones = tones.astype(int, copy=False)
+    if tones.size and (tones.min() < 0 or np.unique(tones).size != tones.size):
+        raise ValueError("tone indices must be distinct and nonnegative")
+    return tones
 
 
 @dataclass(frozen=True)
@@ -116,17 +122,17 @@ def default_params(**overrides) -> OfdmParams:
 
 @dataclass
 class SparseChannel:
-    """S-sparse complex tap vector and support; ``ValueError`` unless taps are finite numbers."""
+    """Complex tap vector; ``ValueError`` unless `taps` is a 1-D array of finite numbers."""
 
     taps: np.ndarray
-    support: np.ndarray
 
     def __post_init__(self):
-        self.taps = _as_finite(self.taps, "taps").astype(complex, copy=False)
-        self.support = _as_indices(self.support, "support")
-        nz = np.flatnonzero(self.taps)
-        if not np.array_equal(np.sort(self.support), nz):
-            raise ValueError("support must be exactly the nonzero tap indices")
+        self.taps = _as_finite(self.taps, "taps", ndim=1).astype(complex, copy=False)
+
+    @property
+    def support(self) -> np.ndarray:
+        """Indices of the nonzero taps, ascending."""
+        return np.flatnonzero(self.taps)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ class SensingMatrix:
     it and stored by `cached` (the Dantzig LP's factor V, the dense LS
     pseudo-inverse) stays valid for the life of the matrix.  Raises
     ``ValueError`` unless `rows` is a 2-D array of finite numbers with one
-    row per entry of `tone_set`.
+    row per entry of `tone_set`, a 1-D set of distinct nonnegative integers.
     """
 
     rows: np.ndarray
@@ -148,16 +154,15 @@ class SensingMatrix:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = _as_finite(self.rows, "rows").astype(complex)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a finite 2-D array")
-        if np.shape(self.tone_set) != rows.shape[:1]:
+        rows = _as_finite(self.rows, "rows", ndim=2).astype(complex)
+        tones = _as_tones(self.tone_set)
+        if tones.shape != rows.shape[:1]:
             raise ValueError(
-                f"tone_set has shape {np.shape(self.tone_set)}, rows {rows.shape}: "
-                "need one tone per row"
+                f"tone_set has shape {tones.shape}, rows {rows.shape}: need one tone per row"
             )
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "tone_set", tones)
 
     def cached(self, key, build):
         """``build(self)`` on the first call with `key`; the stored result after.
@@ -177,7 +182,7 @@ def sample_channel(params: OfdmParams, rng: np.random.Generator) -> SparseChanne
     ) / np.sqrt(2.0)
     taps = np.zeros(params.tap_count, dtype=complex)
     taps[support] = gains
-    return SparseChannel(taps=taps, support=support)
+    return SparseChannel(taps=taps)
 
 
 def select_pilot_tones(params: OfdmParams, rng: np.random.Generator) -> np.ndarray:
@@ -189,11 +194,9 @@ def select_pilot_tones(params: OfdmParams, rng: np.random.Generator) -> np.ndarr
 
 def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
     """Assemble the partial-DFT matrix for the given tones, rows in ascending tone order."""
-    tones = np.sort(_as_indices(list(tone_set), "tone_set"))
-    if tones.size and (tones[0] < 0 or tones[-1] >= params.bandwidth_time_product):
+    tones = np.sort(_as_tones(tone_set))
+    if tones.size and tones[-1] >= params.bandwidth_time_product:
         raise ValueError("tone indices out of range")
-    if np.unique(tones).size != tones.size:
-        raise ValueError("tone indices must be distinct")
     n = tones[:, None].astype(float)
     d = np.arange(params.tap_count)[None, :].astype(float)
     rows = np.exp(-2j * np.pi * n * d / params.bandwidth_time_product)

@@ -40,6 +40,7 @@ from . import __version__
 from .channel import (
     OfdmParams,
     build_sensing_matrix,
+    default_params,
     sample_channel,
     select_pilot_tones,
     synthesize_measurement,
@@ -110,13 +111,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# config key of each OfdmParams field
+_OFDM_KEYS = {
+    "wt": "bandwidth_time_product",
+    "tap_count": "tap_count",
+    "sparsity": "sparsity",
+    "pilot_count": "pilot_count",
+}
+
+
 def _ofdm_from(cfg: dict[str, str]) -> OfdmParams:
-    return OfdmParams(
-        bandwidth_time_product=int(cfg["wt"]),
-        tap_count=int(cfg["tap_count"]),
-        sparsity=int(cfg["sparsity"]),
-        pilot_count=int(cfg["pilot_count"]),
-    )
+    return OfdmParams(**{name: int(cfg[key]) for key, name in _OFDM_KEYS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +376,8 @@ class _Experiment:
     defaults: dict
 
 
-_OFDM_DEFAULTS = {
-    "wt": "1000",
-    "tap_count": "100",
-    "sparsity": "4",
-    "pilot_count": "20",
-}
+# the standard working point, as config strings
+_OFDM_DEFAULTS = {key: str(getattr(default_params(), name)) for key, name in _OFDM_KEYS.items()}
 
 EXPERIMENTS = {
     "fig3": _Experiment(

@@ -156,9 +156,7 @@ def min_threshold_for_network(
     included), on a cap that is not a finite real number, or when no UE
     qualifies.
     """
-    powers = _as_finite(pathloss_powers, "pathloss_powers", kinds="iuf").astype(float)
-    if powers.ndim != 1:
-        raise ValueError(f"pathloss_powers must be a 1-D list, got shape {powers.shape}")
+    powers = _as_finite(pathloss_powers, "pathloss_powers", kinds="iuf", ndim=1).astype(float)
     if powers.size == 0:
         raise ValueError("pathloss_powers is empty")
     if (powers <= 0).any():

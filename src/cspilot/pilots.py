@@ -18,7 +18,7 @@ index and an observed zero set is decoded by ranking it, without search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,8 +40,8 @@ def capacity(L_prime: int, l: int) -> int:
 
 def choose_l(K: int, L_prime: int) -> int:
     """Smallest zero count l >= 1 whose capacity C(L'+l, l) reaches K users."""
-    if _as_count(K, "K") < 1 or _as_count(L_prime, "L_prime") < 1:
-        raise ValueError("K and L_prime must be positive")
+    if _as_count(K, "K") < 1:
+        raise ValueError(f"K must be positive, got {K!r}")
     l = 1
     while capacity(L_prime, l) < K:
         l += 1
@@ -67,45 +67,38 @@ def _unrank(k: int, L: int, l: int) -> list:
     return rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class PilotCodebook:
-    """L x K binary matrix; column k is UE k's on/off pattern.
+    """The L x K on/off matrix fixed by L' ones and l zeros per column and K users.
 
-    The columns must be the first K zero patterns in reverse
-    colexicographic order, as `build_codebook` makes them: decoding finds a
-    UE from the rank of its zero set, so any other matrix is rejected with
-    ``ValueError`` rather than decoded to the wrong UE.  `columns` is kept
-    as a read-only copy, so it cannot be edited after that check.
+    Column k of the read-only `columns` is the k-th zero pattern in reverse
+    colex order, so a UE decodes from the rank of its zero set.  Counts
+    must be integers with L', l >= 1 and 0 <= K <= capacity (above it,
+    `CapacityExceededError`); else ``ValueError``.
     """
 
     ones_per_column: int
     zeros_per_column: int
-    columns: np.ndarray
+    user_count: int
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("ones_per_column", "zeros_per_column"):
-            if _as_count(getattr(self, name), name) < 1:
-                raise ValueError("ones_per_column and zeros_per_column must be positive")
+        cap = capacity(self.ones_per_column, self.zeros_per_column)
+        K = _as_count(self.user_count, "user_count")
         L, l = self.dimension, self.zeros_per_column
-        cols = np.array(self.columns)  # a private copy, read-only once validated
-        if cols.ndim != 2 or cols.shape[0] != L or not np.isin(cols, (0, 1)).all():
-            raise ValueError(f"columns must be a 0/1 matrix with {L} rows")
-        for k in range(cols.shape[1]):
-            zeros = np.flatnonzero(cols[:, k] == 0).tolist()
-            if len(zeros) != l or _rank(zeros, L, l) != k:
-                raise ValueError(
-                    f"column {k} is not the {l}-zero pattern of reverse-colex rank {k}"
-                )
-        cols.flags.writeable = False
-        self.columns = cols
+        if K < 0:
+            raise ValueError(f"user_count must be nonnegative, got {K}")
+        if K > cap:
+            raise CapacityExceededError(f"K={K} exceeds capacity C({L},{l})={cap}")
+        columns = np.ones((L, K), dtype=np.uint8)
+        for k in range(K):
+            columns[_unrank(k, L, l), k] = 0
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
 
     @property
     def dimension(self) -> int:
         return self.ones_per_column + self.zeros_per_column
-
-    @property
-    def user_count(self) -> int:
-        return self.columns.shape[1]
 
 
 def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
@@ -115,18 +108,7 @@ def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
     the anti-diagonal pattern; larger l extends the same ordering over all
     l-subsets of rows.  Only the K requested columns are unranked.
     """
-    if _as_count(L_prime, "L_prime") < 1 or _as_count(l, "l") < 1:
-        raise ValueError("L_prime and l must be positive")
-    if _as_count(K, "K") < 0:
-        raise ValueError("K must be nonnegative")
-    cap = capacity(L_prime, l)
-    if K > cap:
-        raise CapacityExceededError(f"K={K} exceeds capacity C({L_prime + l},{l})={cap}")
-    L = L_prime + l
-    columns = np.ones((L, K), dtype=np.uint8)
-    for k in range(K):
-        columns[_unrank(k, L, l), k] = 0
-    return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, columns=columns)
+    return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, user_count=K)
 
 
 @dataclass(frozen=True)
@@ -138,8 +120,11 @@ class DecodeOutcome:
 def superpose(active_ues, book: PilotCodebook) -> np.ndarray:
     """Componentwise OR of the active columns (ideal energy detection).
 
-    Raises ``ValueError`` for a UE index that is not a column of `book`.
+    Raises ``ValueError`` unless `active_ues` is a 1-D list of integer
+    column indices of `book`.
     """
+    if not np.iterable(active_ues):  # a 2-D list fails as a UE index below
+        raise ValueError(f"active_ues must be a 1-D list of UE indices, got {active_ues!r}")
     pattern = np.zeros(book.dimension, dtype=np.uint8)
     for k in active_ues:
         if not 0 <= _as_count(k, "UE index") < book.user_count:
@@ -157,7 +142,7 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
     collision.  Any other pattern (including l lows matching no column) is
     reported invalid — with imperfect detection the three clean outcomes
     are not exhaustive.  Raises ``ValueError`` unless `observed` holds
-    exactly one 0 or 1 per pilot dimension.
+    exactly one 0 or 1 per pilot dimension, as integers or floats (no bool).
     """
     observed = np.asarray(observed)
     if observed.shape != (book.dimension,):
@@ -165,7 +150,8 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
             f"observed vector has length {observed.size}, expected {book.dimension}"
         )
     zeros = np.flatnonzero(observed == 0).tolist()
-    if len(zeros) + np.count_nonzero(observed == 1) != book.dimension:
+    binary = len(zeros) + np.count_nonzero(observed == 1) == book.dimension
+    if observed.dtype.kind not in "iuf" or not binary:
         raise ValueError(f"observed entries must be 0 or 1, got {observed!r}")
     if len(zeros) == book.dimension:
         return DecodeOutcome(kind="empty")
@@ -181,6 +167,5 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
 
 def code_efficiency(L_prime: int, l: int) -> Fraction:
     """Fraction of pilot dimensions actually used for training: L'/(L'+l)."""
-    if _as_count(L_prime, "L_prime") < 1 or _as_count(l, "l") < 1:
-        raise ValueError("L_prime and l must be positive")
+    capacity(L_prime, l)  # checks both counts
     return Fraction(L_prime, L_prime + l)

@@ -106,9 +106,7 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """
     if _as_real(floor, "floor") < 0:
         raise ValueError("floor must be finite and non-negative")
-    if np.ndim(estimate) != 1:
-        raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
-    mags = np.abs(_as_finite(estimate, "estimate"))
+    mags = np.abs(_as_finite(estimate, "estimate", ndim=1))
     top = mags.max() if mags.size else 0.0
     if top == 0.0:
         return np.array([], dtype=int)
@@ -338,10 +336,11 @@ def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
 def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
     """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `NMSE_FLOOR_DB`.
 
-    Raises ValueError when the two shapes differ or either argument holds a
-    non-finite or non-numeric entry, so a broken estimate is never scored.
+    Raises ValueError unless both are 1-D of one length, and when either holds
+    a non-finite or non-numeric entry, so a broken estimate is never scored.
     """
-    true_h, estimate = _as_finite(true_h, "true channel"), _as_finite(estimate, "estimate")
+    true_h = _as_finite(true_h, "true channel", ndim=1)
+    estimate = _as_finite(estimate, "estimate")
     if estimate.shape != true_h.shape:
         raise ValueError(f"estimate has shape {estimate.shape}, true channel {true_h.shape}")
     true_h, estimate = true_h.astype(complex), estimate.astype(complex)  # no integer overflow

@@ -75,12 +75,12 @@ class LpResult:
 def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
     """Dual simplex on the factored compact tableau; returns (status, iterations).
 
-    The constraint matrix is ``U @ V`` (``U = V^T`` in `solve_lp`).  ``W[0]``
-    is the right-hand side, ``W[1:rank+1]`` holds ``(B^-1 U)^T`` and the
-    rows after them the stored slack columns, in the order their rows were
-    first pivoted on.  `cost` holds the reduced costs in ratio-test order:
-    z+, z-, stored slacks.  `room` holds each row's slack range and `basis`
-    split-LP variable numbers.
+    The constraint matrix is ``V^T V``.  ``W[0]`` is the right-hand side,
+    ``W[1:rank+1]`` holds ``(B^-1 V^T)^T`` and the rows after them the
+    stored slack columns, in the order their rows were first pivoted on.
+    `cost` holds the reduced costs in ratio-test order: z+, z-, stored
+    slacks.  `room` holds each row's slack range and `basis` split-LP
+    variable numbers.
     """
     rank, p = V.shape
     m = W.shape[1]
@@ -96,7 +96,7 @@ def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
     ratio_buf = np.empty(cost.size)
     outer_buf = np.empty_like(W)  # the rank-1 update's products
     rhs = W[0]
-    BU = W[1 : 1 + rank]  # (B^-1 U)^T
+    BVt = W[1 : 1 + rank]  # (B^-1 V^T)^T
     VT = np.ascontiguousarray(V.T)  # V's columns, contiguous
     plus, minus = row_buf[:p], row_buf[p : 2 * p]
     # views over the stored slack columns, renewed each time a slack is stored
@@ -141,7 +141,7 @@ def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
             stored, live, n = stored + 1, live + 1, n + 1
             slacks, block, outer = W[1 + rank : live], W[:live], outer_buf[:live]
             row, ratio, reduced = row_buf[:n], ratio_buf[:n], cost[:n]
-        np.matmul(BU[:, r], V, out=plus)
+        np.matmul(BVt[:, r], V, out=plus)
         # basic structural columns are unit vectors: their entries are exact
         np.putmask(plus, basic, 0.0)
         leaving = basis[r]
@@ -167,8 +167,8 @@ def _dual_simplex(W, V, cost, room, basis, max_iter, bland_after):
             basis[r] = 2 * p + k
             upper[r] = room[k]
         else:
-            # the entering column B^-1 U V[:, j], negated for z-
-            col = VT[q % p] @ BU
+            # the entering column B^-1 V^T V[:, j], negated for z-
+            col = VT[q % p] @ BVt
             if q >= p:
                 np.negative(col, out=col)
             basic[q % p] = True
@@ -193,10 +193,8 @@ def solve_lp(v, V, t) -> LpResult:
     ``ValueError``.  The result's ``x`` holds z when its status is
     ``optimal`` and is None otherwise; ``iterations`` counts pivots.
     """
-    V = _as_finite(V, "V", kinds="iuf").astype(float, copy=False)
+    V = _as_finite(V, "V", kinds="iuf", ndim=2).astype(float, copy=False)
     v = _as_finite(v, "v", kinds="iuf").astype(float, copy=False)
-    if V.ndim != 2:
-        raise ValueError(f"V must be 2-D, got shape {V.shape}")
     rank, p = V.shape
     if v.shape != (p,):
         raise ValueError(f"v has shape {v.shape}, need ({p},) for V of shape {V.shape}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _as_count, _as_indices
+from .channel import _as_count, _as_tones
 
 # 20 tones of 1000, minimizing coherence over 24 delay lags (mu = 0.1618).
 # For a 25-tap dictionary this is well inside the exact-recovery regime.
@@ -39,13 +39,13 @@ def mutual_coherence(tone_set, tap_count: int, wt: int) -> float:
 
     Columns d1, d2 of the partial-DFT matrix correlate through the lag
     Delta = d1 - d2 only, so the maximum runs over Delta in [1, tap_count).
-    Raises ``ValueError`` unless `tone_set` is a non-empty set of integer
-    subcarriers in ``[0, wt)``, `wt` an integer and ``tap_count >= 2``.
+    Raises ``ValueError`` unless `tone_set` is a non-empty set of distinct
+    integer subcarriers in ``[0, wt)``, `wt` an integer and ``tap_count >= 2``.
     """
-    tones = _as_indices(tone_set, "tone_set")
-    if tones.ndim != 1 or not tones.size:
-        raise ValueError(f"tone_set must be a non-empty 1-D set, got {tone_set!r}")
-    if tones.min() < 0 or tones.max() >= _as_count(wt, "wt"):
+    tones = _as_tones(tone_set)
+    if not tones.size:
+        raise ValueError("tone_set must not be empty")
+    if tones.max() >= _as_count(wt, "wt"):
         raise ValueError(f"tone indices must lie in [0, {wt})")
     if _as_count(tap_count, "tap_count") < 2:
         raise ValueError(f"need at least 2 taps for a pair of columns, got {tap_count!r}")

@@ -147,13 +147,17 @@ def test_sensing_matrix_rejects_fractional_tones():
     assert np.array_equal(X.rows, build_sensing_matrix([0, 1], p).rows)
 
 
-def test_sparse_channel_rejects_fractional_support():
+def test_sparse_channel_support_follows_taps():
     from cspilot.channel import SparseChannel
 
-    taps = np.array([0.0, 1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError, match="support must be integers"):
-        SparseChannel(taps=taps, support=[1.2])
-    assert SparseChannel(taps=taps, support=np.array([1], dtype=np.int8)).support.tolist() == [1]
+    h = SparseChannel(taps=np.array([0.0, 1.0, 0.0, -2j]))
+    assert h.support.tolist() == [1, 3]
+    h.taps[1] = 0.0
+    assert h.support.tolist() == [3]
+    assert SparseChannel(taps=np.zeros(3)).support.size == 0
+    for taps in (1.0, np.ones((2, 2))):
+        with pytest.raises(ValueError, match="taps must be 1-D"):
+            SparseChannel(taps=taps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -161,9 +165,9 @@ def test_sparse_channel_rejects_non_finite_taps(bad):
     from cspilot.channel import SparseChannel
 
     with pytest.raises(ValueError, match="taps must be finite"):
-        SparseChannel(taps=[bad, 0, 0], support=[0])
+        SparseChannel(taps=[bad, 0, 0])
     with pytest.raises(ValueError, match="taps must be finite"):
-        SparseChannel(taps=[1.0, complex(0.0, bad), 0], support=[0, 1])
+        SparseChannel(taps=[1.0, complex(0.0, bad), 0])
 
 
 def test_sensing_matrix_rows_are_read_only():
@@ -185,7 +189,7 @@ def test_sensing_matrix_rows_are_read_only():
 def test_measurement_zero_channel():
     p = default_params(tap_count=10, sparsity=10, pilot_count=10)
     h = sample_channel(p, np.random.default_rng(0))
-    silent = type(h)(taps=np.zeros(10, dtype=complex), support=np.array([], dtype=int))
+    silent = type(h)(taps=np.zeros(10, dtype=complex))
     X = build_sensing_matrix(range(10), p)
     y = synthesize_measurement(X, silent, 0.0, np.random.default_rng(0))
     assert np.all(y == 0)
@@ -197,7 +201,7 @@ def test_measurement_delay_zero_tap():
     p = default_params()
     taps = np.zeros(100, dtype=complex)
     taps[0] = 1.0
-    h = SparseChannel(taps=taps, support=np.array([0]))
+    h = SparseChannel(taps=taps)
     X = build_sensing_matrix([3, 77, 512], p)
     y = synthesize_measurement(X, h, 0.0, np.random.default_rng(0))
     assert np.allclose(y, 1.0)  # the all-ones column

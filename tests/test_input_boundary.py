@@ -1,15 +1,22 @@
 """Bad scalars and arrays at the public entry points raise ``ValueError``.
 
-One row per (entry point, bad value): a str, complex, bool or non-finite
-number where a real scalar belongs, a 2-D list or a scalar where a 1-D one
-belongs, bool, str or complex arrays where numbers belong, and counts below
-their range.  A ``TypeError`` or a returned result fails the row.
+Two tables.  `_ROWS` holds one row per (entry point, bad value): a str,
+complex, bool or non-finite number where a real scalar belongs, a 2-D list
+or a scalar where a 1-D one belongs, bool, str or complex arrays where
+numbers belong, and counts below their range.  `_WALK` holds one row per
+callable that ``cspilot`` exports, naming the kind of each numeric argument;
+every bad value of that kind is substituted in turn into an otherwise good
+call.  Either way a ``TypeError``, ``IndexError``, ``LinAlgError`` or a
+returned result fails the row.  Object arguments (params, model, config,
+matrix, channel, book, rng) are out of scope: they are taken as given.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+import cspilot
 
 from cspilot.channel import (
     SensingMatrix,
@@ -22,7 +29,7 @@ from cspilot.channel import (
 )
 from cspilot.detection import DetectionConfig, min_threshold_for_network
 from cspilot.netsim import NetworkModel
-from cspilot.pilots import capacity
+from cspilot.pilots import build_codebook, capacity, superpose
 from cspilot.recovery import (
     comb_tone_set,
     dantzig_epsilon,
@@ -71,7 +78,7 @@ _ROWS = {
     "fde-bool-measurement": lambda: fde_ls_recover(np.ones(100, dtype=bool), _COMB),
     "support-str-estimate": lambda: threshold_support(np.array(["a"]), 0.0),
     "support-bool-estimate": lambda: threshold_support(np.array([True, False])),
-    "taps-str": lambda: SparseChannel(np.array(["1"]), [0]),
+    "taps-str": lambda: SparseChannel(np.array(["1"])),
     "sensing-rows-str": lambda: SensingMatrix(np.array([["1"]]), np.array([0])),
     "capacity-negative-ones": lambda: capacity(-1, 2),
     "capacity-zero-zeros": lambda: capacity(3, 0),
@@ -84,6 +91,13 @@ _ROWS = {
     "lp-t-negative": lambda: solve_lp(np.ones(2), np.eye(2), -0.5),
     "lp-t-nan": lambda: solve_lp(np.ones(2), np.eye(2), np.nan),
     "lp-t-str": lambda: solve_lp(np.ones(2), np.eye(2), "0.5"),
+    "sensing-tones-str": lambda: SensingMatrix(np.ones((2, 2)), np.array(["a", "b"])),
+    "sensing-tones-nan": lambda: SensingMatrix(np.ones((2, 2)), np.array([np.nan, 1.0])),
+    "sensing-tones-scalar": lambda: build_sensing_matrix(5, _P),
+    "sensing-tones-np-scalar": lambda: build_sensing_matrix(np.int64(5), _P),
+    "superpose-scalar": lambda: superpose(0, build_codebook(3, 2, 1)),
+    "nmse-scalars": lambda: nmse(1.0, 1.0),
+    "nmse-2d": lambda: nmse(np.ones((2, 2)), np.ones((2, 2))),
 }
 
 
@@ -100,3 +114,210 @@ def test_real_scalars_of_every_kind_pass():
     assert NetworkModel(4, 1, 2).coverage_prob == 1
     threshold = min_threshold_for_network((2.0,), 8, np.float16(0.5))
     assert math.isclose(threshold, 3 * math.log(3) / 2)
+
+
+# ---------------------------------------------------------------------------
+# the walk over every export
+
+_EXEMPT = {"RecoveryResult", "LpResult", "RhoMetrics", "DecodeOutcome", "CapacityExceededError"}
+
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+# bad stand-ins for an integer count and for a real scalar; a 0-D array is
+# a scalar, so only a 2-D one is the wrong shape here
+_BAD_COUNT = {
+    **_NON_FINITE,
+    "negative": -1,
+    "fractional": 2.5,
+    "bool": True,
+    "np-bool": np.True_,
+    "str": "3",
+    "complex": 3 + 0j,
+    "2-D": np.full((2, 2), 3),
+}
+_BAD_REAL = {
+    **_NON_FINITE,
+    "negative": -0.5,
+    "bool": True,
+    "np-bool": np.True_,
+    "str": "0.5",
+    "complex": 0.5 + 0j,
+    "2-D": np.full((2, 2), 0.5),
+}
+
+
+def _with(good, value):
+    """`good` as floats (complex when it is complex) with its first entry set to `value`."""
+    bad = np.array(good, dtype=complex if np.iscomplexobj(good) else float)
+    bad.flat[0] = value
+    return bad
+
+
+def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None):
+    """Bad stand-ins for the array `good`.
+
+    Non-finite, bool and str entries and one dimension fewer or more, always;
+    complex entries when `real` or `integer`, a fractional entry when
+    `integer`, a negative entry when `nonneg`, and one entry fewer along
+    `axis` when the call fixes that length.
+    """
+    good = np.asarray(good)
+    bad = {label: _with(good, value) for label, value in _NON_FINITE.items()}
+    bad.update(
+        {
+            "bool": good.astype(bool),
+            "str": good.astype(str),
+            f"{good.ndim - 1}-D": good[0],
+            f"{good.ndim + 1}-D": good[None],
+        }
+    )
+    if real or integer:
+        bad["complex"] = good.astype(complex)
+    if integer:
+        bad["fractional"] = _with(good, 0.5)
+    if nonneg:
+        bad["negative"] = _with(good, -1)
+    if axis is not None:
+        bad["wrong-length"] = np.delete(good, 0, axis=axis)
+    return bad
+
+
+_RNG = np.random.default_rng(3)
+_BOOK = build_codebook(3, 2, 1)
+_CONFIG = DetectionConfig(8, 2.0)
+_MODEL = NetworkModel(4, 0.5, 2)
+_V = np.eye(3)[:2]
+_OFDM = {"bandwidth_time_product": 1000, "tap_count": 100, "sparsity": 4, "pilot_count": 20}
+
+# export -> (good keyword arguments, {numeric argument: its bad stand-ins})
+_WALK = {
+    "OfdmParams": (_OFDM, dict.fromkeys(_OFDM, _BAD_COUNT)),
+    "default_params": ({}, dict.fromkeys(_OFDM, _BAD_COUNT)),
+    "SensingMatrix": (
+        {"rows": _X.rows, "tone_set": _X.tone_set},
+        {
+            "rows": _bad_array(_X.rows, axis=0),
+            "tone_set": _bad_array(_X.tone_set, integer=True, nonneg=True, axis=0),
+        },
+    ),
+    "SparseChannel": ({"taps": _H.taps}, {"taps": _bad_array(_H.taps)}),
+    "build_sensing_matrix": (
+        {"tone_set": _X.tone_set, "params": _P},
+        {"tone_set": _bad_array(_X.tone_set, integer=True, nonneg=True)},
+    ),
+    "sample_channel": ({"params": _P, "rng": _RNG}, {}),
+    "select_pilot_tones": ({"params": _P, "rng": _RNG}, {}),
+    "synthesize_measurement": (
+        {"X": _X, "h": _H, "noise_variance": 0.1, "rng": _RNG},
+        {"noise_variance": _BAD_REAL},
+    ),
+    "DetectionConfig": (
+        {"antenna_count": 8, "pathloss_power": 2.0, "threshold": 1.5},
+        {"antenna_count": _BAD_COUNT, "pathloss_power": _BAD_REAL, "threshold": _BAD_REAL},
+    ),
+    "error_probability": ({"config": _CONFIG}, {}),
+    "error_probability_mc": (
+        {"config": _CONFIG, "trials": 10, "rng": _RNG},
+        {"trials": _BAD_COUNT},
+    ),
+    "min_threshold_for_network": (
+        {"pathloss_powers": [2.0, 10.0], "antenna_count": 8, "max_error_probability": 0.5},
+        {
+            "pathloss_powers": _bad_array([2.0, 10.0], real=True, nonneg=True),
+            "antenna_count": _BAD_COUNT,
+            "max_error_probability": _BAD_REAL,
+        },
+    ),
+    "optimal_threshold": ({"config": _CONFIG}, {}),
+    "NetworkModel": (
+        {"cell_count": 4, "coverage_prob": 0.5, "group_size": 2},
+        {"cell_count": _BAD_COUNT, "coverage_prob": _BAD_REAL, "group_size": _BAD_COUNT},
+    ),
+    "collision_probability": ({"model": _MODEL}, {}),
+    "collision_probability_mc": (
+        {"model": _MODEL, "trials": 10, "rng": _RNG},
+        {"trials": _BAD_COUNT},
+    ),
+    "expected_singletons": ({"model": _MODEL}, {}),
+    "optimal_group_size": ({"model": _MODEL}, {}),
+    "reuse_gain": ({"model": _MODEL, "params": _P}, {}),
+    "rho_metrics": ({"model": _MODEL, "params": _P}, {}),
+    "PilotCodebook": (
+        {"ones_per_column": 2, "zeros_per_column": 1, "user_count": 3},
+        dict.fromkeys(("ones_per_column", "zeros_per_column", "user_count"), _BAD_COUNT),
+    ),
+    "build_codebook": (
+        {"K": 3, "L_prime": 2, "l": 1},
+        dict.fromkeys(("K", "L_prime", "l"), _BAD_COUNT),
+    ),
+    "capacity": ({"L_prime": 2, "l": 1}, {"L_prime": _BAD_COUNT, "l": _BAD_COUNT}),
+    "choose_l": ({"K": 3, "L_prime": 2}, {"K": _BAD_COUNT, "L_prime": _BAD_COUNT}),
+    "code_efficiency": ({"L_prime": 2, "l": 1}, {"L_prime": _BAD_COUNT, "l": _BAD_COUNT}),
+    "decode_energy_vector": (
+        {"observed": _BOOK.columns[:, 0], "book": _BOOK},
+        {"observed": _bad_array(_BOOK.columns[:, 0], integer=True, nonneg=True, axis=0)},
+    ),
+    "superpose": (
+        {"active_ues": [0, 2], "book": _BOOK},
+        {"active_ues": _bad_array([0, 2], integer=True, nonneg=True)},
+    ),
+    "comb_tone_set": ({"params": _P}, {}),
+    "dantzig_epsilon": ({"noise_variance": 0.1, "X": _X}, {"noise_variance": _BAD_REAL}),
+    "dantzig_recover": (
+        {"y": _X.rows @ _H.taps, "X": _X, "noise_variance": 0.1},
+        {"y": _bad_array(_X.rows @ _H.taps, axis=0), "noise_variance": _BAD_REAL},
+    ),
+    "omp_recover": (
+        {"y": _X.rows @ _H.taps, "X": _X, "sparsity": 4},
+        {"y": _bad_array(_X.rows @ _H.taps, axis=0), "sparsity": _BAD_COUNT},
+    ),
+    "fde_ls_recover": (
+        {"y_full": _COMB.rows @ _H.taps, "X_full": _COMB},
+        {"y_full": _bad_array(_COMB.rows @ _H.taps, axis=0)},
+    ),
+    "nmse": (
+        {"true_h": _H.taps, "estimate": _H.taps},
+        {"true_h": _bad_array(_H.taps, axis=0), "estimate": _bad_array(_H.taps, axis=0)},
+    ),
+    "threshold_support": (
+        {"estimate": _H.taps, "floor": 0.01},
+        {"estimate": _bad_array(_H.taps), "floor": _BAD_REAL},
+    ),
+    "solve_lp": (
+        {"v": np.ones(3), "V": _V, "t": 0.5},
+        {
+            "v": _bad_array(np.ones(3), real=True, axis=0),
+            "V": _bad_array(_V, real=True, axis=1),
+            "t": _BAD_REAL,
+        },
+    ),
+}
+
+_SUBSTITUTIONS = [
+    pytest.param(name, arg, bad, id=f"{name}-{arg}-{label}")
+    for name, (_, args) in _WALK.items()
+    for arg, values in args.items()
+    for label, bad in values.items()
+]
+
+
+def test_every_export_has_a_walk_row():
+    exports = {
+        name
+        for name in dir(cspilot)
+        if not name.startswith("_") and callable(getattr(cspilot, name))
+    }
+    assert exports - _EXEMPT == set(_WALK)
+
+
+@pytest.mark.parametrize("name", list(_WALK))
+def test_walk_good_call_passes(name):
+    # each substitution below changes one argument of this call
+    good, _ = _WALK[name]
+    getattr(cspilot, name)(**good)
+
+
+@pytest.mark.parametrize("name, arg, bad", _SUBSTITUTIONS)
+def test_walk_bad_argument_raises_value_error(name, arg, bad):
+    good, _ = _WALK[name]
+    with pytest.raises(ValueError):
+        getattr(cspilot, name)(**{**good, arg: bad})

@@ -190,47 +190,44 @@ def test_code_efficiency_values():
 
 
 def test_codebook_rejects_malformed_columns():
-    # a 0/1 matrix of L = L' + l rows with l zeros in every column
-    with pytest.raises(ValueError):
-        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=np.ones((5, 1)))
-    with pytest.raises(ValueError):
-        PilotCodebook(
-            ones_per_column=2, zeros_per_column=2, columns=[[1, 1], [1, 0], [0, 1], [2, 0]]
-        )
-    with pytest.raises(ValueError):
-        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=[[1], [1], [1], [0]])
-    with pytest.raises(ValueError):
-        PilotCodebook(ones_per_column=0, zeros_per_column=2, columns=np.zeros((2, 0)))
+    # no column has L' >= 1 ones and l >= 1 zeros, or there are not
+    # user_count of the C(L'+l, l) zero patterns to hand out
+    for ones, zeros, users in [(0, 2, 1), (2, 0, 1), (2, 2, -1)]:
+        with pytest.raises(ValueError):
+            PilotCodebook(ones_per_column=ones, zeros_per_column=zeros, user_count=users)
+    with pytest.raises(CapacityExceededError, match="exceeds capacity"):
+        PilotCodebook(ones_per_column=2, zeros_per_column=2, user_count=7)
+    assert PilotCodebook(ones_per_column=2, zeros_per_column=2, user_count=0).columns.shape == (4, 0)
 
 
 @pytest.mark.parametrize("ones, zeros", [(2.0, 1), (2, 1.0), (np.float64(2), 1)])
 def test_codebook_rejects_fractional_counts(ones, zeros):
-    # math.comb raised TypeError on these from the rank check
-    cols = build_codebook(3, 2, 1).columns
+    # math.comb raised TypeError on these
     with pytest.raises(ValueError, match="must be an integer"):
-        PilotCodebook(ones, zeros, cols)
-    assert PilotCodebook(np.int64(2), np.int8(1), cols).user_count == 3
+        PilotCodebook(ones, zeros, 3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        PilotCodebook(2, 1, 3.0)
+    assert PilotCodebook(np.int64(2), np.int8(1), np.int16(3)).columns.shape == (3, 3)
 
 
-def test_codebook_rejects_swapped_columns():
-    # a permuted book would decode UE 0's pattern to UE 1; it must not load
-    book = build_codebook(6, 2, 2)
-    swapped = book.columns[:, [1, 0, 2, 3, 4, 5]]
-    with pytest.raises(ValueError):
-        PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=swapped)
+def test_codebook_is_fixed_by_its_counts():
+    # the three counts determine the columns, so books compare by them
+    book = PilotCodebook(ones_per_column=20, zeros_per_column=2, user_count=231)
+    assert book == build_codebook(231, 20, 2)
+    assert np.array_equal(book.columns, build_codebook(231, 20, 2).columns)
 
 
 def test_codebook_columns_are_read_only():
-    # an in-place swap after validation would decode UE 0 as UE 1
+    # an in-place swap would decode UE 0 as UE 1, and a new count would
+    # leave the columns of the old one
     book = build_codebook(6, 2, 2)
     with pytest.raises(ValueError):
         book.columns[:, [0, 1]] = book.columns[:, [1, 0]]
-    source = np.ones((4, 1), dtype=np.uint8)
-    source[[2, 3], 0] = 0
-    copied = PilotCodebook(ones_per_column=2, zeros_per_column=2, columns=source)
-    source[:, 0] = [0, 0, 1, 1]  # the caller's array stays theirs
-    assert copied.columns[:, 0].tolist() == [1, 1, 0, 0]
-    assert decode_energy_vector(superpose([0], copied), copied).ue_index == 0
+    with pytest.raises(AttributeError):
+        book.user_count = 3
+    with pytest.raises(AttributeError):
+        book.columns = ANTI_DIAGONAL_4
+    assert decode_energy_vector(superpose([0], book), book).ue_index == 0
 
 
 @settings(max_examples=40, deadline=None)

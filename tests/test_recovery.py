@@ -36,7 +36,7 @@ _NON_FINITE = [np.nan, np.inf, -np.inf]
 def _single_tap_channel(params, delay=0, gain=1.0):
     taps = np.zeros(params.tap_count, dtype=complex)
     taps[delay] = gain
-    return SparseChannel(taps=taps, support=np.array([delay]))
+    return SparseChannel(taps=taps)
 
 
 @pytest.mark.parametrize("bad", [*_NON_FINITE, -1.0])

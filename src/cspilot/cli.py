@@ -4,10 +4,12 @@
 [--set key=value ...] [--workers N]``
 
 Config files are flat ``key=value`` lines (``#`` comments allowed);
-``--set`` overrides win over the file, which wins over defaults.  Unknown
-keys are rejected.  Output is RFC-4180-style CSV (UTF-8, LF) preceded by
-``#``-prefixed provenance lines: tool version, seed, and a SHA-256 digest
-of the resolved configuration.
+``--set`` overrides win over the file, which wins over defaults.  Each
+experiment's table gives every key a default and a parser of its domain;
+unknown keys are rejected, and each value is parsed once, before the
+experiment starts.  ``--seed`` is an integer >= 0, ``--workers`` one >= 1.
+Output is RFC-4180-style CSV (UTF-8, LF) preceded by ``#``-prefixed lines:
+tool version, seed, and a SHA-256 digest of the resolved config strings.
 
 Randomness is derived per grid point from ``(seed, experiment tag, item
 index)``, and per recover-bench trial from ``(seed, tag, SNR index, trial
@@ -31,7 +33,7 @@ import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,26 +84,11 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_lines(path: str) -> list[tuple[str, str]]:
+    """``("path:lineno", line)`` of each config file line that is not blank or a ``#`` comment."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+        lines = [(f"{path}:{lineno}", line.strip()) for lineno, line in enumerate(fh, start=1)]
+    return [(where, line) for where, line in lines if line and not line.startswith("#")]
 
 
 def _fmt(value) -> str:
@@ -111,17 +98,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# config key of each OfdmParams field
+def _at_least(low: int):
+    """Parser of an integer >= `low`; argparse names it by `__name__` in its errors."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # refuses "", "1.5", "nan" and "inf"
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    parse.__name__ = f"integer >= {low}"
+    return parse
+
+
+_count = _at_least(1)
+
+
+def _listed(parse_one, inside=lambda value: True, domain: str = ""):
+    """Parser of a non-empty comma-separated list of `parse_one` values that satisfy `inside`."""
+
+    def parse(text: str) -> list:
+        values = [parse_one(entry) for entry in text.split(",")]  # an empty entry raises
+        if not all(map(inside, values)):
+            raise ValueError(f"every entry must be finite and {domain}")
+        return values
+
+    return parse
+
+
+def _tone_policy(text: str) -> str:
+    if text not in ("designed", "random"):
+        raise ValueError("must be designed or random")
+    return text
+
+
+def _zero_count(text: str) -> int | None:
+    """Codebook-verify's ``l``: empty (None) means the smallest l that fits k users."""
+    return _count(text) if text else None
+
+
+# config key of each OfdmParams field, in field order, at the standard working point
 _OFDM_KEYS = {
-    "wt": "bandwidth_time_product",
-    "tap_count": "tap_count",
-    "sparsity": "sparsity",
-    "pilot_count": "pilot_count",
+    key: (str(value), _count)
+    for key, value in zip(("wt", "tap_count", "sparsity", "pilot_count"), astuple(default_params()))
 }
-
-
-def _ofdm_from(cfg: dict[str, str]) -> OfdmParams:
-    return OfdmParams(**{name: int(cfg[key]) for key, name in _OFDM_KEYS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +149,12 @@ def _ofdm_from(cfg: dict[str, str]) -> OfdmParams:
 
 
 def _run_fig3(cfg, seed, workers):
-    params = _ofdm_from(cfg)
-    cells = int(cfg["cells"])
-    kg_max = int(cfg["kg_max"])
+    params = OfdmParams(*(cfg[key] for key in _OFDM_KEYS))
     rows = []
-    for p_out in _floats(cfg["p_outs"]):
+    for p_out in cfg["p_outs"]:
         alpha = 1.0 - p_out
-        for k_g in range(1, kg_max + 1):
-            model = NetworkModel(cell_count=cells, coverage_prob=alpha, group_size=k_g)
+        for k_g in range(1, cfg["kg_max"] + 1):
+            model = NetworkModel(cell_count=cfg["cells"], coverage_prob=alpha, group_size=k_g)
             rho = rho_metrics(model, params)
             rows.append([k_g, p_out, rho.fq, rho.ag_fq, rho.cs, rho.ag_cs])
     return ["k_g", "p_out", "rho_fq", "rho_ag_fq", "rho_cs", "rho_ag_cs"], rows, 0
@@ -156,24 +174,14 @@ def _detect_point(item):
 
 
 def _run_detect_sweep(cfg, seed, workers):
-    antenna_counts = _ints(cfg["antenna_counts"])
-    powers = _floats(cfg["pathloss_powers"])
-    trials = int(cfg["trials"])
-    grid = [(m, gp) for m in antenna_counts for gp in powers]
-    items = [(seed, trials, index, m, gp) for index, (m, gp) in enumerate(grid)]
+    grid = [(m, gp) for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]]
+    items = [(seed, cfg["trials"], index, m, gp) for index, (m, gp) in enumerate(grid)]
     # a point costs in proportion to its antenna count: start the largest
     # first so the pool does not end on one long item, then restore grid order
     order = sorted(range(len(items)), key=lambda index: -grid[index][0])
     results = _fan_out(_detect_point, [items[index] for index in order], workers)
     rows = [row for _, row in sorted(zip(order, results))]
     return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
-
-
-def _designed_tones(params: OfdmParams, policy: str) -> np.ndarray | None:
-    """The designed tone set for `params`, or None where trials draw random tones."""
-    if policy != "designed":
-        return None
-    return _DESIGNED.get((params.bandwidth_time_product, params.tap_count, params.pilot_count))
 
 
 @functools.lru_cache(maxsize=4)
@@ -183,7 +191,8 @@ def _bench_matrices(params: OfdmParams, policy: str):
     Both are read-only and so are the operators they cache, so every chunk a
     process runs shares them.
     """
-    tones = _designed_tones(params, policy)
+    key = (params.bandwidth_time_product, params.tap_count, params.pilot_count)
+    tones = _DESIGNED.get(key) if policy == "designed" else None  # None: random tones
     designed = None if tones is None else build_sensing_matrix(tones, params)
     return build_sensing_matrix(comb_tone_set(params), params), designed
 
@@ -197,11 +206,16 @@ def _noise_variance(snr_db: float) -> float:
     except (OverflowError, ZeroDivisionError):  # the power left the float range
         noise_var = math.nan
     if not (math.isfinite(noise_var) and noise_var > 0):
-        raise ConfigError(
-            f"snr_dbs entry {snr_db!r} dB has no finite, positive noise variance "
+        raise ValueError(
+            f"entry {snr_db!r} dB has no finite, positive noise variance "
             "(only inf means noiseless)"
         )
     return noise_var
+
+
+def _snrs(text: str) -> list[tuple[float, float]]:
+    """``(snr_db, noise variance)`` of each entry of a non-empty comma-separated list."""
+    return [(snr_db, _noise_variance(snr_db)) for snr_db in map(float, text.split(","))]
 
 
 # the order in which _recover_chunk lists each trial's outcomes
@@ -248,18 +262,11 @@ def _recover_chunk(item):
 
 
 def _run_recover_bench(cfg, seed, workers):
-    params = _ofdm_from(cfg)
-    trials = int(cfg["trials"])
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    policy = cfg["tone_policy"]
-    if policy not in ("designed", "random"):
-        raise ConfigError(f"tone_policy must be designed or random, not {policy!r}")
-    snrs = _floats(cfg["snr_dbs"])
-    noise_vars = [_noise_variance(snr_db) for snr_db in snrs]
+    params = OfdmParams(*(cfg[key] for key in _OFDM_KEYS))
+    trials, policy, snrs = cfg["trials"], cfg["tone_policy"], cfg["snr_dbs"]
     items = [
         (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
-        for si, noise_var in enumerate(noise_vars)
+        for si, (_, noise_var) in enumerate(snrs)
         for t0 in range(0, trials, _TRIAL_CHUNK)
     ]
     chunks = _fan_out(_recover_chunk, items, workers)
@@ -267,7 +274,7 @@ def _run_recover_bench(cfg, seed, workers):
     # one failure per failed LP solve; its trial is left out of both Dantzig rows
     failures = sum(trial[0] is None for trial in per_trial)
     rows = []
-    for si, snr_db in enumerate(snrs):
+    for si, (snr_db, _) in enumerate(snrs):
         outcomes = per_trial[si * trials : (si + 1) * trials]
         for mi, name in enumerate(_RECOVER_METHODS):
             # add in t order, one float at a time, so the mean is the same
@@ -291,17 +298,13 @@ def _run_recover_bench(cfg, seed, workers):
 
 
 def _run_codebook_verify(cfg, seed, workers):
-    l_prime = int(cfg["l_prime"])
-    k = int(cfg["k"])
-    l = int(cfg["l"]) if cfg["l"] else (choose_l(k, l_prime) if k >= 1 else 1)
-    book = build_codebook(k, l_prime, l)
-    failures = 0
+    l_prime, k = cfg["l_prime"], cfg["k"]
+    book = build_codebook(k, l_prime, cfg["l"] or choose_l(k, l_prime))
     rows = []
 
     outcome = decode_energy_vector(np.zeros(book.dimension, dtype=np.uint8), book)
     empty_fail = int(outcome.kind != "empty")
     rows.append(["empty", 1, empty_fail])
-    failures += empty_fail
 
     single_fail = 0
     for i in range(k):
@@ -309,7 +312,6 @@ def _run_codebook_verify(cfg, seed, workers):
         if outcome.kind != "identified" or outcome.ue_index != i:
             single_fail += 1
     rows.append(["single", k, single_fail])
-    failures += single_fail
 
     if k > 300:
         rng = np.random.default_rng([seed, _TAG_CODEBOOK, 0])
@@ -326,9 +328,8 @@ def _run_codebook_verify(cfg, seed, workers):
         if decode_energy_vector(superpose([i, j], book), book).kind != "collision":
             pair_fail += 1
     rows.append(["pair", len(pair_list), pair_fail])
-    failures += pair_fail
 
-    return ["check", "cases", "failures"], rows, failures
+    return ["check", "cases", "failures"], rows, sum(row[2] for row in rows)
 
 
 def _netsim_point(item):
@@ -340,12 +341,8 @@ def _netsim_point(item):
 
 
 def _run_netsim(cfg, seed, workers):
-    cells = _ints(cfg["cells"])
-    group_sizes = _ints(cfg["group_sizes"])
-    alphas = _floats(cfg["alphas"])
-    trials = int(cfg["trials"])
-    grid = [(n, k, a) for n in cells for k in group_sizes for a in alphas]
-    items = [(seed, trials, index, *point) for index, point in enumerate(grid)]
+    grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
+    items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
     rows = _fan_out(_netsim_point, items, workers)
     return (
         ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"],
@@ -373,72 +370,75 @@ def _fan_out(work, items, workers):
 @dataclass(frozen=True)
 class _Experiment:
     runner: object
-    defaults: dict
+    keys: dict  # config key -> (default string, parser of a string to its value)
 
-
-# the standard working point, as config strings
-_OFDM_DEFAULTS = {key: str(getattr(default_params(), name)) for key, name in _OFDM_KEYS.items()}
 
 EXPERIMENTS = {
     "fig3": _Experiment(
         _run_fig3,
-        {**_OFDM_DEFAULTS, "cells": "16", "kg_max": "100", "p_outs": "0,0.3"},
+        {
+            **_OFDM_KEYS,
+            "cells": ("16", _count),
+            "kg_max": ("100", _count),
+            "p_outs": ("0,0.3", _listed(float, lambda p_out: 0 <= p_out < 1, "in [0, 1)")),
+        },
     ),
     "detect-sweep": _Experiment(
         _run_detect_sweep,
         {
-            "antenna_counts": "32,64,128",
-            "pathloss_powers": "0,2,10",
-            "trials": "100000",
+            "antenna_counts": ("32,64,128", _listed(_count)),
+            "pathloss_powers": ("0,2,10", _listed(float, lambda gp: 0 <= gp < math.inf, ">= 0")),
+            "trials": ("100000", _count),
         },
     ),
     "recover-bench": _Experiment(
         _run_recover_bench,
         {
-            **_OFDM_DEFAULTS,
-            "trials": "100",
-            "snr_dbs": "0,10,20,inf",
-            "tone_policy": "designed",
+            **_OFDM_KEYS,
+            "trials": ("100", _count),
+            "snr_dbs": ("0,10,20,inf", _snrs),
+            "tone_policy": ("designed", _tone_policy),
         },
     ),
     "codebook-verify": _Experiment(
         _run_codebook_verify,
-        {"l_prime": "20", "l": "", "k": "21"},
+        {"l_prime": ("20", _count), "l": ("", _zero_count), "k": ("21", _count)},
     ),
     "netsim": _Experiment(
         _run_netsim,
         {
-            "cells": "4,16,64",
-            "group_sizes": "1,4,16,64",
-            "alphas": "0.5,0.7,1.0",
-            "trials": "100000",
+            "cells": ("4,16,64", _listed(_count)),
+            "group_sizes": ("1,4,16,64", _listed(_count)),
+            "alphas": ("0.5,0.7,1.0", _listed(float, lambda alpha: 0 < alpha <= 1, "in (0, 1]")),
+            "trials": ("100000", _count),
         },
     ),
 }
 
 
-def _resolve_config(experiment: str, config_path, sets) -> dict[str, str]:
-    entry = EXPERIMENTS[experiment]
-    resolved = dict(entry.defaults)
-    layers = []
-    if config_path is not None:
-        layers.append(_parse_config_file(config_path))
-    overrides = {}
-    for item in sets:
+def _resolve_config(experiment: str, config_path, sets) -> tuple[dict[str, str], dict]:
+    """The resolved config strings, which the digest hashes, and the value each parses to."""
+    keys = EXPERIMENTS[experiment].keys
+    resolved = {key: default for key, (default, _) in keys.items()}
+    items = [] if config_path is None else _config_lines(config_path)
+    for where, item in items + [("--set", item) for item in sets]:
         if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"{where}: expected key=value, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    layers.append(overrides)
-    for layer in layers:
-        for key, value in layer.items():
-            if key not in resolved:
-                raise ConfigError(
-                    f"unknown key {key!r} for experiment {experiment}; "
-                    f"known keys: {', '.join(sorted(resolved))}"
-                )
-            resolved[key] = value
-    return resolved
+        key = key.strip()
+        if key not in resolved:
+            raise ConfigError(
+                f"unknown key {key!r} for experiment {experiment}; "
+                f"known keys: {', '.join(sorted(resolved))}"
+            )
+        resolved[key] = value.strip()
+    values = {}
+    for key, text in resolved.items():
+        try:
+            values[key] = keys[key][1](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}={text!r}: {exc}") from None
+    return resolved, values
 
 
 def _canonical(config: dict[str, str]) -> str:
@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--seed", type=_at_least(0), default=0, help="master seed (default 0)")
     parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument(
         "--set",
@@ -511,11 +511,11 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE",
         help="override a config key (repeatable; wins over --config)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+    parser.add_argument("--workers", type=_count, default=1, help="parallel workers")
     args = parser.parse_args(argv)
 
     try:
-        config = _resolve_config(args.experiment, args.config, args.overrides)
+        config, values = _resolve_config(args.experiment, args.config, args.overrides)
     except (ConfigError, OSError) as exc:
         print(f"cspilot: config error: {exc}", file=sys.stderr)
         return 2
@@ -523,9 +523,9 @@ def main(argv=None) -> int:
     runner = EXPERIMENTS[args.experiment].runner
     try:
         with _one_blas_thread():
-            header, rows, failures = runner(config, args.seed, max(1, args.workers))
-    except (ConfigError, ValueError) as exc:
-        # covers malformed numeric values and capacity-exceeded codebooks
+            header, rows, failures = runner(values, args.seed, args.workers)
+    except ValueError as exc:
+        # a bound across keys: the OFDM counts or a codebook's capacity
         print(f"cspilot: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,8 +32,10 @@ class CapacityExceededError(ValueError):
 
 def capacity(L_prime: int, l: int) -> int:
     """Largest user count a code with L' >= 1 ones and l >= 1 zeros per column can host."""
+    # Python ints: a numpy int8 pair would overflow in the sum
+    L_prime, l = _as_count(L_prime, "L_prime"), _as_count(l, "l")
     for value, name in ((L_prime, "L_prime"), (l, "l")):
-        if _as_count(value, name) < 1:
+        if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     return math.comb(L_prime + l, l)
 
@@ -83,9 +85,11 @@ class PilotCodebook:
     columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # stored as Python ints, so `dimension` cannot overflow a numpy dtype
+        for name in ("ones_per_column", "zeros_per_column", "user_count"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         cap = capacity(self.ones_per_column, self.zeros_per_column)
-        K = _as_count(self.user_count, "user_count")
-        L, l = self.dimension, self.zeros_per_column
+        K, L, l = self.user_count, self.dimension, self.zeros_per_column
         if K < 0:
             raise ValueError(f"user_count must be nonnegative, got {K}")
         if K > cap:

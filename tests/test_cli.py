@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -181,29 +182,6 @@ def test_netsim_default_grid_agrees_with_closed_form(tmp_path, seed):
         assert abs(p_mc - p_analytic) <= 4.0 * p_stderr + 1.0 / (k * trials), row
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "2,nan"])
-def test_detect_sweep_non_finite_power_is_config_error(tmp_path, capsys, bad):
-    code, out = run(
-        tmp_path, "d.csv", "detect-sweep",
-        "--set", "antenna_counts=16",
-        "--set", f"pathloss_powers={bad}",
-        "--set", "trials=100",
-    )
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_recover_bench_zero_trials_is_config_error(tmp_path, capsys):
-    code, out = run(
-        tmp_path, "r.csv", "recover-bench",
-        "--set", "trials=0", "--set", "snr_dbs=inf", "--set", "tap_count=25",
-    )
-    assert code == 2
-    assert "trials" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("bad", ["-inf", "-4000", "nan", "20,nan"])
 def test_recover_bench_snr_without_finite_noise_is_config_error(
     tmp_path, capsys, monkeypatch, bad
@@ -256,7 +234,7 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     # rows; the other methods still score every trial
     args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
-    params = cli._ofdm_from({**cli.EXPERIMENTS["recover-bench"].defaults, "tap_count": "25"})
+    params = cli.default_params(tap_count=25)
     item = (0, params, "designed", 0, cli._noise_variance(10.0), 0, 4)
     with cli._one_blas_thread():  # the BLAS setting main runs the trials with
         clean = cli._recover_chunk(item)
@@ -360,11 +338,12 @@ def test_codebook_verify_defaults(tmp_path):
     assert all(r[2] == "0" for r in rows)
 
 
-def test_codebook_verify_empty_book(tmp_path):
+def test_codebook_verify_empty_book(tmp_path, capsys):
+    # a book of no users verifies nothing: it is refused, not reported clean
     code, out = run(tmp_path, "cb0.csv", "codebook-verify", "--set", "k=0")
-    assert code == 0
-    _, _, rows = parse(out)
-    assert [r[1] for r in rows] == ["1", "0", "0"]
+    assert code == 2
+    assert "config error: k='0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -533,19 +512,161 @@ def test_capacity_overflow_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_numeric_is_config_error(tmp_path):
-    code, _ = run(tmp_path, "a.csv", "codebook-verify", "--set", "l_prime=abc")
-    assert code == 2
-
-
-def test_bad_tone_policy(tmp_path):
-    code, _ = run(
-        tmp_path, "a.csv", "recover-bench",
-        "--set", "tone_policy=best", "--set", "trials=1", "--set", "snr_dbs=inf",
-    )
-    assert code == 2
-
-
 def test_unwritable_output_path(tmp_path):
     code = cli.main(["fig3", "--set", "kg_max=2", "--out", str(tmp_path / "no" / "a.csv")])
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the config boundary: every key of every experiment's table, walked
+
+
+def _stub_runner(monkeypatch, experiment, runner):
+    entry = cli.EXPERIMENTS[experiment]
+    monkeypatch.setitem(cli.EXPERIMENTS, experiment, dataclasses.replace(entry, runner=runner))
+
+
+def _no_run(*args):
+    raise AssertionError("the experiment ran")
+
+
+def _exit_code(argv):
+    """`cli.main`'s return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_NOT_COUNT = ["", "nan", "inf", "-1", "0", "1.5", "abc"]
+_OFDM_WALK = dict.fromkeys(("wt", "tap_count", "sparsity", "pilot_count"), _NOT_COUNT)
+
+
+def _not_list(bad_entries, good):
+    """Each bad entry alone and after the good entry `good`, and a stray empty entry."""
+    return [*bad_entries, *(f"{good},{bad}" for bad in bad_entries if bad), f"{good},,{good}"]
+
+
+# experiment -> {key: values outside the key's domain}
+_CONFIG_WALK = {
+    "fig3": {
+        **_OFDM_WALK,
+        "cells": _NOT_COUNT,
+        "kg_max": _NOT_COUNT,
+        "p_outs": _not_list(["", "nan", "inf", "-1", "1", "1.5", "abc"], "0"),
+    },
+    "detect-sweep": {
+        "antenna_counts": _not_list(_NOT_COUNT, "4"),
+        "pathloss_powers": _not_list(["", "nan", "inf", "-1", "-0.5", "abc"], "2"),
+        "trials": _NOT_COUNT,
+    },
+    "recover-bench": {
+        **_OFDM_WALK,
+        "trials": _NOT_COUNT,
+        "snr_dbs": _not_list(["", "nan", "-inf", "-4000", "abc"], "10"),
+        "tone_policy": ["", "best", "Designed", "nan", "1"],
+    },
+    "codebook-verify": {
+        "l_prime": _NOT_COUNT,
+        "l": [bad for bad in _NOT_COUNT if bad],  # empty means "the smallest l that fits"
+        "k": _NOT_COUNT,
+    },
+    "netsim": {
+        "cells": _not_list(_NOT_COUNT, "4"),
+        "group_sizes": _not_list(_NOT_COUNT, "4"),
+        "alphas": _not_list(["", "nan", "inf", "-1", "0", "1.5", "abc"], "0.5"),
+        "trials": _NOT_COUNT,
+    },
+}
+_FLAG_WALK = {
+    "--seed": ["", "-1", "1.5", "nan", "abc"],
+    "--workers": ["", "0", "-3", "1.5", "nan", "abc"],
+}
+
+
+def test_every_config_key_has_a_walk_row():
+    assert {name: set(keys) for name, keys in _CONFIG_WALK.items()} == {
+        name: set(entry.keys) for name, entry in cli.EXPERIMENTS.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "experiment, key, bad",
+    [
+        pytest.param(experiment, key, bad, id=f"{experiment}-{key}={bad}")
+        for experiment, keys in _CONFIG_WALK.items()
+        for key, values in keys.items()
+        for bad in values
+    ],
+)
+def test_config_value_outside_its_domain_exits_2(
+    tmp_path, capsys, monkeypatch, experiment, key, bad
+):
+    # refused while the config resolves: no experiment starts and no file is written
+    _stub_runner(monkeypatch, experiment, _no_run)
+    out = tmp_path / "out.csv"
+    assert _exit_code([experiment, "--out", str(out), "--set", f"{key}={bad}"]) == 2
+    assert f"config error: {key}={bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, flag, bad",
+    [
+        pytest.param(experiment, flag, bad, id=f"{experiment}{flag}={bad}")
+        for experiment in sorted(cli.EXPERIMENTS)
+        for flag, values in _FLAG_WALK.items()
+        for bad in values
+    ],
+)
+def test_seed_or_workers_outside_its_domain_exits_2(
+    tmp_path, capsys, monkeypatch, experiment, flag, bad
+):
+    _stub_runner(monkeypatch, experiment, _no_run)
+    out = tmp_path / "out.csv"
+    assert _exit_code([experiment, "--out", str(out), f"{flag}={bad}"]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, item, expected",
+    [
+        ("recover-bench", "snr_dbs=inf,-3", [(math.inf, 0.0), (-3.0, cli._noise_variance(-3.0))]),
+        ("detect-sweep", "pathloss_powers=0", [0.0]),
+        ("codebook-verify", "l=", None),
+        ("netsim", "alphas=1", [1.0]),
+        ("fig3", "p_outs=0", [0.0]),
+    ],
+)
+def test_edge_values_inside_their_domain_reach_the_runner(
+    tmp_path, monkeypatch, experiment, item, expected
+):
+    seen = {}
+
+    def capture(cfg, seed, workers):
+        seen.update(cfg)
+        return ["x"], [], 0
+
+    _stub_runner(monkeypatch, experiment, capture)
+    code, _ = run(tmp_path, "a.csv", experiment, "--set", item)
+    assert code == 0
+    assert seen[item.partition("=")[0]] == expected
+
+
+# the digest of each experiment's default config strings
+_DEFAULT_DIGESTS = {
+    "codebook-verify": "d21803664bf3a4bb79f341372e9f7c1f175757029fe12dde7e5bc0c5177adef6",
+    "detect-sweep": "c3ded23dd948a3d4a45e1723f1d5ebbb8f131df28fb78405ace376174837f599",
+    "fig3": "0d2b721cb2e5ba7d1d9bb605d45e63b48a920edc6319556a9a08ca8051802479",
+    "netsim": "ca77237feab9cf626895e2de422b0519452c05e04b115b124cf030aa3d2a2008",
+    "recover-bench": "1adf3ae83a25548310c6c18c58a05a53bd44898a66ad425763c9474c1955f5b0",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_default_config_digest_is_pinned(tmp_path, monkeypatch, experiment):
+    _stub_runner(monkeypatch, experiment, lambda cfg, seed, workers: (["x"], [], 0))
+    code, out = run(tmp_path, "a.csv", experiment)
+    assert code == 0
+    assert parse(out)[0][3] == f"# config-sha256: {_DEFAULT_DIGESTS[experiment]}"

@@ -19,6 +19,7 @@ import pytest
 import cspilot
 
 from cspilot.channel import (
+    OfdmParams,
     SensingMatrix,
     SparseChannel,
     build_sensing_matrix,
@@ -29,7 +30,7 @@ from cspilot.channel import (
 )
 from cspilot.detection import DetectionConfig, min_threshold_for_network
 from cspilot.netsim import NetworkModel
-from cspilot.pilots import build_codebook, capacity, superpose
+from cspilot.pilots import PilotCodebook, build_codebook, capacity, decode_energy_vector, superpose
 from cspilot.recovery import (
     comb_tone_set,
     dantzig_epsilon,
@@ -101,7 +102,20 @@ _ROWS = {
 }
 
 
-@pytest.mark.parametrize("call", list(_ROWS.values()), ids=list(_ROWS))
+# bounds that depend on another argument
+_CROSS = {
+    "tone-at-wt": lambda: build_sensing_matrix([0, _P.bandwidth_time_product], _P),
+    "ue-index-at-k": lambda: superpose([3], build_codebook(3, 2, 1)),
+    "threshold-at-1-plus-gp": lambda: DetectionConfig(4, 1.0, 2.0),
+    "omp-sparsity-above-m": lambda: omp_recover(_X.rows @ _H.taps, _X, _P.pilot_count + 1),
+    "fde-ls-m-below-d": lambda: fde_ls_recover(_X.rows @ _H.taps, _X),
+    "pilot-count-above-wt": lambda: OfdmParams(10, 4, 2, 11),
+    "decode-length-mismatch": lambda: decode_energy_vector(np.ones(2), build_codebook(3, 2, 1)),
+    "nmse-shape-mismatch": lambda: nmse(np.ones(3), np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("call", [*_ROWS.values(), *_CROSS.values()], ids=[*_ROWS, *_CROSS])
 def test_bad_input_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
@@ -114,6 +128,9 @@ def test_real_scalars_of_every_kind_pass():
     assert NetworkModel(4, 1, 2).coverage_prob == 1
     threshold = min_threshold_for_network((2.0,), 8, np.float16(0.5))
     assert math.isclose(threshold, 3 * math.log(3) / 2)
+    # narrow numpy counts add as Python ints: 100 + 100 overflows an int8
+    assert capacity(np.int8(100), np.int8(100)) == math.comb(200, 100)
+    assert PilotCodebook(np.int8(100), np.int8(100), 3).dimension == 200
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The README's library example runs against the current API."""
+"""The README's library example runs against the current API, and its CLI tables match the CLI."""
 
 import math
 import re
 from pathlib import Path
+
+from cspilot import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +22,11 @@ def test_library_quick_start_runs(capsys):
     support, nmse_db = capsys.readouterr().out.rsplit("]", 1)
     assert support.startswith("[")
     assert math.isfinite(float(nmse_db))
+
+
+def test_cli_section_lists_every_config_key_with_its_default():
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `([^`]+)` \| (`[^`]*`|empty) \|", section, re.MULTILINE))
+    for name, experiment in cli.EXPERIMENTS.items():
+        for key, (default, _) in experiment.keys.items():
+            assert (key, f"`{default}`" if default else "empty") in rows, (name, key)

@@ -47,7 +47,7 @@ from .channel import (
     select_pilot_tones,
     synthesize_measurement,
 )
-from .detection import DetectionConfig, error_probability_mc, optimal_threshold
+from .detection import DetectionConfig, _crossing, error_probability_mc, optimal_threshold
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
 from .pilots import build_codebook, choose_l, decode_energy_vector, superpose
 from .recovery import (
@@ -130,6 +130,16 @@ def _tone_policy(text: str) -> str:
     if text not in ("designed", "random"):
         raise ValueError("must be designed or random")
     return text
+
+
+def _pathloss_power(text: str) -> float:
+    """Detect-sweep's gP: 0 (the pinned threshold), or one whose crossing `_crossing` accepts."""
+    gp = float(text)
+    if not 0 <= gp < math.inf:
+        raise ValueError("must be finite and >= 0")
+    if gp > 0:
+        _crossing(gp)
+    return gp
 
 
 def _zero_count(text: str) -> int | None:
@@ -387,7 +397,7 @@ EXPERIMENTS = {
         _run_detect_sweep,
         {
             "antenna_counts": ("32,64,128", _listed(_count)),
-            "pathloss_powers": ("0,2,10", _listed(float, lambda gp: 0 <= gp < math.inf, ">= 0")),
+            "pathloss_powers": ("0,2,10", _listed(_pathloss_power)),
             "trials": ("100000", _count),
         },
     ),

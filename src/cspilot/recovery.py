@@ -31,6 +31,7 @@ CANDIDATE_CAP = 12  # debias candidates kept, the largest raw taps first
 SELECTION_TAU = 10.0  # stepwise significance level, in units of the noise variance
 NOISELESS_EPSILON = 1e-6  # constraint level at noise variance 0
 MAGNITUDE_FLOOR = 0.01  # smallest raw tap magnitude kept as a candidate under noise
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -123,6 +124,29 @@ def _check_measurement(y, X: SensingMatrix) -> np.ndarray:
     return _as_finite(y, "measurement")
 
 
+def _deflate(M, q):
+    """``M <- (I - q q^H) M`` in place for a unit vector `q`; returns ``q^H M``.
+
+    The one update for a support that grows or shrinks by a column: OMP
+    deflates ``[X | y]`` by each chosen direction, the stepwise debias the
+    rows of its inverse factor by each pruned one (through ``B.T``).
+    """
+    row = q.conj() @ M
+    M -= q[:, None] * row
+    return row
+
+
+def _independent(norm, m, k, scale):
+    """The `numpy.linalg.matrix_rank` rule for a diagonal entry `norm` of a factor R.
+
+    R factors k columns of m rows; the entry, the norm of a column's part
+    outside the span of the columns before it, must clear
+    ``max(m, k) * eps * scale``, with `scale` the largest ``|R_ii|`` (0 for
+    none).  Elementwise for an array of norms.
+    """
+    return norm > max(m, k) * _EPS * scale
+
+
 def _stepwise_select(y, Xs, candidates, threshold):
     """Prune/extend the candidate support by residual-energy significance.
 
@@ -130,63 +154,80 @@ def _stepwise_select(y, Xs, candidates, threshold):
     while that rise is below `threshold`, then, under `CANDIDATE_CAP` taps,
     adds the tap most correlated with the residual when that lowers the
     residual energy by more than the same amount; passes repeat (at most
-    ``4 * CANDIDATE_CAP``) until neither step changes the support.  Both
-    scores come from one thin QR ``Xs_K = Q R`` of the support: with
-    ``coef = R^-1 Q^H y``, removing tap i raises the residual energy by
-    ``|coef_i|^2 / ||row i of R^-1||^2``, and adding column a lowers it by
-    ``|u^H r|^2 / ||u||^2`` with ``u = (I - Q Q^H) a`` and r the residual.
-    A column in the span of the others (or beyond the row count) is pruned
-    whatever the threshold, and by the same rounding rule on ``||u||`` a
-    column in the span of the support is never added.  Returns the sorted
-    support, ``coef`` from the factor of exactly that support in the same
-    order, and the passes run.
+    ``4 * CANDIDATE_CAP``) until neither step changes the support.  A pass
+    factors its support once, ``Xs_K = Q R``: with ``B = R^-1`` and
+    ``coef = B Q^H y``, removing tap i raises the residual energy by
+    ``|coef_i|^2 / ||row i of B||^2``.  A prune deflates B, coef and an
+    identity P by row i's direction (`_deflate`), which leaves the
+    survivors' inverse factor and fit, and in P the projector onto their
+    span in the coordinates of Q; adding column a then lowers the residual
+    energy by ``|u^H r|^2 / ||u||^2``, with ``r = y - Q P Q^H y`` and
+    ``u = a - Q P Q^H a``.  A column in the span of the others (or beyond
+    the row count) is pruned whatever the threshold, and by the same rule
+    (`_independent`) a column in the span of the support is never added.
+    A pass that only pruned would rerun on the survivors and change
+    nothing, so it is counted, not run.  Returns the sorted support, its
+    coefficients in the same order, and the passes run.
     """
     keep = list(candidates)
     m = Xs.shape[0]
-    for passes in range(1, 4 * CANDIDATE_CAP + 1):
-        changed = False
+    XsH = Xs.conj().T
+    limit = 4 * CANDIDATE_CAP
+    for passes in range(1, limit + 1):
+        pruned = False
         while True:
             Q, R = np.linalg.qr(Xs[:, keep])
-            qy = Q.conj().T @ y
-            resid = y - Q @ qy
-            if not keep:
-                coef = qy  # empty: the fit of no columns
+            diag = np.abs(R.diagonal())
+            scale = diag.max(initial=0.0)
+            independent = _independent(diag, m, len(keep), scale)
+            if len(keep) <= m and independent.all():
                 break
-            diag = np.abs(np.diagonal(R))
-            tol = max(m, len(keep)) * np.finfo(float).eps * diag.max()
-            dependent = np.flatnonzero(diag <= tol)
-            if dependent.size or len(keep) > m:
-                keep.pop(int(dependent[0]) if dependent.size else m)
-                changed = True
-                continue
-            R_inv = np.linalg.inv(R)
-            coef = R_inv @ qy
-            rises = np.abs(coef) ** 2 / np.sum(np.abs(R_inv) ** 2, axis=1)
-            weakest = int(np.argmin(rises))
+            dependent = np.flatnonzero(~independent)
+            keep.pop(int(dependent[0]) if dependent.size else m)
+            pruned = True
+        QH = Q.conj().T
+        qy = QH @ y
+        k = len(keep)
+        # B over P: a prune deflates the rows of both
+        BP = np.concatenate((np.linalg.inv(R), np.eye(k)))
+        B, P = BP[:k], BP[k:]
+        coef = B @ qy
+        rises = np.abs(coef) ** 2 / (np.abs(B) ** 2).sum(axis=1)
+        for _ in range(k):
+            weakest = int(rises.argmin())
             if rises[weakest] >= threshold:
                 break
-            keep.pop(weakest)
-            changed = True
-        corr = np.abs(Xs.conj().T @ resid)
-        if keep:
-            corr[keep] = 0.0
-        best = int(np.argmax(corr))
+            row = B[weakest]
+            row = row / np.vdot(row, row).real ** 0.5
+            coef -= _deflate(BP.T, row)[:k] * (row @ qy)
+            # the pruned row is zero and scores +inf from now on
+            B[weakest], coef[weakest], keep[weakest] = 0.0, np.inf, -1
+            rises = np.abs(coef) ** 2 / (np.abs(B) ** 2).sum(axis=1)
+        if -1 in keep:
+            kept = [p for p, index in enumerate(keep) if index >= 0]
+            keep, coef, pruned = [keep[p] for p in kept], coef[kept], True
+        added = False
         if len(keep) < CANDIDATE_CAP:
-            u = Xs[:, best] - Q @ (Q.conj().T @ Xs[:, best])
+            QP = Q @ P
+            resid = y - QP @ qy
+            corr = np.abs(XsH @ resid)
+            corr[keep] = 0.0
+            best = int(corr.argmax())
+            u = Xs[:, best] - QP @ (QH @ Xs[:, best])
             u_norm2 = np.vdot(u, u).real
-            # a column the prune would find dependent is not added
-            tol = max(m, len(keep) + 1) * np.finfo(float).eps * (diag.max() if keep else 0.0)
-            if u_norm2 > tol**2 and abs(np.vdot(u, resid)) ** 2 > threshold * u_norm2:
-                keep.append(best)
-                changed = True
-        if not changed:
+            if _independent(u_norm2**0.5, m, len(keep) + 1, scale):
+                added = abs(np.vdot(u, resid)) ** 2 > threshold * u_norm2
+        if not added:
+            passes = min(passes + pruned, limit)
             break
+        keep.append(best)
     if len(keep) > coef.size:
         # the pass limit fell right after an add, past the last factor
         Q, R = np.linalg.qr(Xs[:, keep])
         coef = np.linalg.solve(R, Q.conj().T @ y)
-    order = np.argsort(keep)
-    return np.asarray(keep, dtype=int)[order], coef[order], passes
+    support = np.array(keep, dtype=int)
+    order = support.argsort()
+    return support[order], coef[order], passes
 
 
 def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> RecoveryResult:
@@ -202,7 +243,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     by more than the same amount.  The threshold is
     ``SELECTION_TAU * noise_variance``, or with ``noise_variance == 0`` the
     rounding level ``M * eps * ||y||^2`` of an M-tone measurement y.  The
-    estimate is the surviving support's least-squares fit, from its QR.
+    estimate is the surviving support's least-squares fit, read off the debias.
 
     ``raw_estimate`` is the program solution and ``raw_support`` its
     candidates before the cap.  When the solve is not optimal,
@@ -254,10 +295,16 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
 
 
 def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResult:
-    """Greedy correlation matching with a per-iteration least-squares refit.
+    """Greedy correlation matching with a least-squares fit on the chosen columns.
 
     Runs exactly `sparsity` iterations and is deterministic given its
-    inputs (argmax ties resolve to the lowest index).
+    inputs (argmax ties resolve to the lowest index).  Each iteration
+    deflates ``W = [X | y]`` by the chosen column's part outside the
+    earlier ones' span (`_deflate`, modified Gram-Schmidt), which leaves
+    the residual in W's last column and gives one row of the chosen
+    columns' triangular factor R, ending in ``Q^H y``; ``R coef = Q^H y``
+    is solved once, at the end.  Raises ``LinAlgError`` when a chosen
+    column is numerically in the span of the earlier ones (`_independent`).
     """
     if not 0 <= _as_count(sparsity, "sparsity") <= X.rows.shape[0]:
         raise ValueError(
@@ -265,26 +312,30 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
             f"got {sparsity!r}"
         )
     y = _check_measurement(y, X)
-    d = X.rows.shape[1]
+    m, d = X.rows.shape
+    XH = X.rows.conj().T
+    W = np.empty((m, d + 1), dtype=complex)
+    W[:, :d], W[:, d] = X.rows, y
+    R = np.empty((sparsity, d + 1), dtype=complex)
     selected: list[int] = []
-    coef = np.array([], dtype=complex)
-    resid = y.astype(complex)
-    for _ in range(sparsity):
-        corr = np.abs(X.rows.conj().T @ resid)
-        if selected:
-            corr[selected] = -1.0
-        selected.append(int(np.argmax(corr)))
-        cols = X.rows[:, selected]
-        coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-        if rank < len(selected):
-            raise np.linalg.LinAlgError(
-                "selected sensing columns are numerically dependent"
-            )
-        resid = y - cols @ coef
+    scale = 0.0
+    resid = W[:, d]
+    for k in range(sparsity):
+        corr = np.abs(XH @ resid)
+        corr[selected] = -1.0
+        best = int(corr.argmax())
+        column = W[:, best]
+        norm = np.vdot(column, column).real ** 0.5
+        if not _independent(norm, m, k + 1, scale):
+            raise np.linalg.LinAlgError("selected sensing columns are numerically dependent")
+        scale = max(scale, norm)
+        R[k] = _deflate(W, column / norm)
+        column[:] = 0.0  # no part left outside the span, so R stays triangular
+        selected.append(best)
     estimate = np.zeros(d, dtype=complex)
     support = np.array(sorted(selected), dtype=int)
     if selected:
-        estimate[selected] = coef
+        estimate[selected] = np.linalg.solve(R[:, selected], R[:, d])
     return RecoveryResult(
         estimate=estimate,
         recovered_support=support,

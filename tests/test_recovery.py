@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from debias_oracle import ls_refit, stepwise_select_lstsq
+from omp_oracle import omp_lstsq
 
 from cspilot import recovery, simplex
 from cspilot.channel import (
@@ -28,7 +29,7 @@ from cspilot.recovery import (
     threshold_support,
 )
 from cspilot.simplex import solve_lp
-from cspilot.tones import DESIGNED_TONES_100
+from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100
 
 _NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -378,6 +379,42 @@ def test_omp_noiseless_exact(rng):
         assert np.array_equal(res.recovered_support, h.support)
         rel = np.linalg.norm(res.estimate - h.taps) / np.linalg.norm(h.taps)
         assert rel < 1e-8
+
+
+@pytest.mark.parametrize(
+    "tap_count, tones, seed_tag, snr_dbs, trials",
+    [
+        (25, DESIGNED_TONES_25, 41, (np.inf,), 500),
+        (100, DESIGNED_TONES_100, 42, (0.0, 10.0, 20.0, np.inf), 200),
+        (25, None, 41, (0.0, 10.0, 20.0, np.inf), 100),
+    ],
+    ids=["criterion4-noiseless", "100-designed", "25-random"],
+)
+def test_omp_matches_lstsq_reference(tap_count, tones, seed_tag, snr_dbs, trials):
+    # criterion 4's 500 frozen noiseless draws, and the stepwise debias's
+    # instances at 0, 10 and 20 dB and noiseless: the same columns as the
+    # per-iteration lstsq reference, and its refit on them to rounding
+    for y, X, p, _ in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
+        selected, coef = omp_lstsq(y, X.rows, p.sparsity)
+        res = omp_recover(y, X, p.sparsity)
+        assert res.recovered_support.tolist() == sorted(selected)
+        expected = np.zeros(p.tap_count, dtype=complex)
+        expected[selected] = coef
+        assert np.linalg.norm(res.estimate - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_omp_raises_on_a_numerically_dependent_column(rng):
+    # with two equal columns, the second iteration must choose the copy of
+    # the first, which has no part outside the chosen span
+    p = default_params()
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    rows = X.rows[:, [0, 0]]
+    twin = SensingMatrix(rows, X.tone_set)
+    with pytest.raises(np.linalg.LinAlgError, match="dependent"):
+        omp_recover(rows[:, 0], twin, 2)
+    with pytest.raises(np.linalg.LinAlgError, match="dependent"):
+        omp_lstsq(rows[:, 0], rows, 2)
+    assert omp_recover(rows[:, 0], twin, 1).recovered_support.tolist() == [0]
 
 
 def test_omp_zero_sparsity(rng):

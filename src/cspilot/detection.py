@@ -9,11 +9,14 @@ Both energies are Gamma distributed under the Gaussian signal model:
 shape M_BS with scale 1/M_BS (silent) or (1+gP)/M_BS (active).  Sharing
 the shape, their densities cross at ``(1+gP) ln(1+gP) / gP`` for every
 M_BS, and their tails are regularized incomplete gamma functions, so the
-threshold and the error probability are closed forms.
+threshold and the error probability are closed forms.  For the integer
+shape M_BS a Gamma tail is a Poisson tail, a finite or fast-converging sum
+computed here with numpy and `math` alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,20 +62,114 @@ def _crossing(gp):
     (1, 1 + gP); it rounds to 1.0 for gP below about 1e-16.
     """
     gp = np.asarray(gp, dtype=float)
-    threshold = (1.0 + gp) * np.log1p(gp) / gp
+    # numerator and denominator scaled by 2**-10, exactly, so that the
+    # numerator stays finite up to the largest double
+    threshold = (1.0 + gp) * 2.0**-10 * np.log1p(gp) / (gp * 2.0**-10)
     if not np.all((1.0 < threshold) & (threshold < 1.0 + gp)):
         raise ValueError("energy densities do not cross inside (1, 1 + gP)")
     return threshold
 
 
-def _error_probability(m: int, gp, threshold):
-    # silent survival plus active CDF of the Gamma(m, 1/m) and
-    # Gamma(m, (1+gP)/m) energies, elementwise for arrays; scipy.special is
-    # imported here, as it is most of the package's import time and no
-    # other function needs it
-    from scipy.special import gammainc, gammaincc
+def _stirlerr(n: int) -> float:
+    """Error of Stirling's formula, ``ln n! - (n + 1/2) ln n + n - ln(2 pi) / 2``, n >= 1."""
+    if n <= 15:
+        # about 1e-14 absolute through lgamma; the series below is worse here
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
-    return 0.5 * (gammaincc(m, m * threshold) + gammainc(m, m * threshold / (1.0 + gp)))
+
+def _bd0(k: int, x):
+    """Deviance ``k ln(k/x) + x - k`` over an array x > 0, with no cancellation near x = k.
+
+    Near k it sums ``(k-x) v + 2k (v^3/3 + v^5/5 + ...)``, v = (k-x)/(k+x),
+    until no element changes (Loader 2000).
+    """
+    out = (x - k) - k * np.log(x / k)
+    near = np.abs(k - x) < 0.1 * (k + x)
+    if not near.any():
+        return out
+    v = (k - x[near]) / (k + x[near])
+    total = (k - x[near]) * v
+    power = 2.0 * k * v
+    odd = 3
+    while True:
+        power *= v * v
+        nxt = total + power / odd
+        if (nxt == total).all():
+            break
+        total = nxt
+        odd += 2
+    out[near] = total
+    return out
+
+
+def _poisson_pmf(k: int, x):
+    """``P[Poisson(x) = k]`` over an array x > 0, in Loader's saddle-point form."""
+    if k == 0:
+        return np.exp(-x)
+    return np.exp(-_stirlerr(k) - _bd0(k, x)) / math.sqrt(2 * math.pi * k)
+
+
+def _tail_sum(ratio, n: int):
+    """``1 + r(1) + r(1) r(2) + ...`` for n rows of ratios below 1 that fall with j.
+
+    ``ratio(j)`` maps a row of steps j to an (n, len(j)) block.  Blocks of
+    doubling width are summed until, in every row, the geometric bound
+    ``t r / (1 - r)`` on the rest (last term t, next ratio r) is below
+    eps times the sum.
+    """
+    total = np.ones(n)
+    last = np.ones(n)
+    start, width = 1, 32
+    while True:
+        block = last[:, None] * np.cumprod(ratio(np.arange(start, start + width)), axis=1)
+        total += block.sum(axis=1)
+        last = block[:, -1]
+        start += width
+        r = ratio(np.array([start]))[:, 0]
+        if np.all(last * r <= (1.0 - r) * 2.0**-52 * total):
+            return total
+        width *= 2
+
+
+def _poisson_tails(m: int, x):
+    """``(P[N <= m-1], P[N >= m])`` for N ~ Poisson(x), elementwise over x > 0.
+
+    They are the regularized incomplete gamma functions ``Q(m, x)`` and
+    ``P(m, x)`` of the integer shape m.  A tail is summed from its boundary
+    term away from the mean, term k-1 being term k times k/x going down and
+    term k+1 term k times x/(k+1) going up; that is possible for the lower
+    tail when x > m - 1 and for the upper one when x < m + 1.  Outside its
+    range a tail is one minus the other, which is then at most 1/2, so no
+    small tail comes from cancellation.  x = inf gives (0, 1).
+    """
+    m = int(m)
+    x = np.asarray(x, dtype=float)
+    # x = inf, where Q = 0 and P = 1, as the largest double: no inf - inf
+    flat = np.minimum(x.reshape(-1), np.finfo(float).max)
+    lower = np.empty_like(flat)
+    upper = np.empty_like(flat)
+    down = flat > m - 1
+    up = flat < m + 1
+    if down.any():
+        xd = flat[down]
+        lower[down] = _poisson_pmf(m - 1, xd) * _tail_sum(lambda j: (m - j) / xd[:, None], len(xd))
+    if up.any():
+        xu = flat[up]
+        upper[up] = _poisson_pmf(m, xu) * _tail_sum(lambda j: xu[:, None] / (m + j), len(xu))
+    lower[~down] = 1.0 - upper[~down]
+    upper[~up] = 1.0 - lower[~up]
+    return lower.reshape(x.shape), upper.reshape(x.shape)
+
+
+def _error_probability(m: int, gp, threshold):
+    # silent survival Q(m, m t) plus active CDF P(m, m t / (1+gP)) of the
+    # Gamma(m, 1/m) and Gamma(m, (1+gP)/m) energies, elementwise for arrays
+    with np.errstate(over="ignore"):  # m t above the largest double: Q(m, inf) = 0
+        silent, _ = _poisson_tails(m, m * threshold)
+    _, active = _poisson_tails(m, m * (threshold / (1.0 + gp)))
+    return 0.5 * (silent + active)
 
 
 def optimal_threshold(config: DetectionConfig) -> float:
@@ -132,7 +229,8 @@ def error_probability_mc(
         w = rng.standard_normal(out=buffer[:n])
         energies = np.einsum("ij,ij->i", w, w) / (2 * m)
         active = slice(done % 2, n, 2)  # the trials with an even global index
-        energies[active] *= 1.0 + config.pathloss_power
+        with np.errstate(over="ignore"):  # an overflow to inf still exceeds the threshold
+            energies[active] *= 1.0 + config.pathloss_power
         detected = energies > threshold
         hits = np.count_nonzero(detected[active])
         # misses among the active trials plus false alarms among the silent

@@ -210,24 +210,27 @@ def test_numpy_scalars_written_as_plain_numbers(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_out(tmp_path):
-    # scipy.special is imported by the one detection function that needs it,
-    # which recover-bench never calls; scipy.linalg, which alone takes about
-    # 0.2 s to import, by nothing: the recovery kernels are numpy only
+    # the package runs on numpy alone: the detection tails are Poisson sums
+    # and the recovery kernels numpy; scipy.linalg alone takes about 0.2 s to
+    # import, scipy.special about 0.2 s and 25 MB
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = tmp_path / "r.csv"
     probe = (
         "import sys, cspilot.cli\n"
-        "kept_out = ('scipy.stats', 'scipy.special', 'scipy.linalg')\n"
-        "loaded = lambda: [m in sys.modules for m in kept_out]\n"
+        "from cspilot.detection import DetectionConfig, error_probability, min_threshold_for_network\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print(loaded())\n"
         f"cspilot.cli.main(['recover-bench', '--out', {str(out)!r}, *{RECOVER_TINY!r}])\n"
+        f"cspilot.cli.main(['detect-sweep', '--out', {str(out)!r}, '--workers', '1', *{DETECT_TINY!r}])\n"
+        "error_probability(DetectionConfig(8, 2.0))\n"
+        "min_threshold_for_network([1.0, 10.0], 8, max_error_probability=1e-3)\n"
         "print(loaded())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split("\n")[:2] == ["[False, False, False]"] * 2
+    assert done.stdout.split("\n")[:2] == ["[]"] * 2
     assert out.exists()
 
 
@@ -642,6 +645,7 @@ def test_seed_or_workers_outside_its_domain_exits_2(
         ("codebook-verify", "l=", None),
         ("netsim", "alphas=1", [1.0]),
         ("fig3", "p_outs=0", [0.0]),
+        ("detect-sweep", "pathloss_powers=1e308", [1e308]),
     ],
 )
 def test_edge_values_inside_their_domain_reach_the_runner(

@@ -1,8 +1,10 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from detection_oracle import error_probability_mc_complex
+from scipy.special import gammainc, gammaincc
 
 from cspilot import detection
 from cspilot.channel import OfdmParams
@@ -56,6 +58,48 @@ def test_error_probability_explicit_threshold_blind_point():
     assert error_probability(config) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         DetectionConfig(antenna_count=8, pathloss_power=0.0, threshold=0.5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 64, 128, 1024, 10**4, 10**5, 10**6])
+def test_poisson_tails_match_the_incomplete_gamma(m):
+    # both tails at the energies _error_probability forms: gP log-spaced over
+    # the range _crossing accepts, thresholds at the crossing and drawn inside
+    # (1, 1 + gP), and gP = 0 at preset thresholds; scipy.special is the
+    # oracle, and where it is off (its large-m expansion loses up to 1e-5
+    # relative far in the upper tail at m = 10^6) mpmath at 40 digits decides
+    rng = np.random.default_rng(m)
+    gp = np.append(10.0 ** np.linspace(-15, 308, 60), np.finfo(float).max)
+    gp = np.tile(gp, 2)
+    thresholds = np.concatenate([detection._crossing(gp[:61]), 1.0 + gp[61:] * rng.uniform(size=61)])
+    with np.errstate(over="ignore"):  # m t may pass the largest double
+        silent = m * thresholds
+    preset = m * np.array([1.0 + 1e-12, 1.01, 1.5, 3.0, 100.0])
+    x = np.concatenate([silent, m * (thresholds / (1.0 + gp)), preset])
+    tol = 1e-12 if m <= 1024 else 1e-11
+    lower, upper = detection._poisson_tails(m, x)
+    for got, want, exact in (
+        (lower, gammaincc(m, x), lambda v: mpmath.gammainc(m, v, mpmath.inf, regularized=True)),
+        (upper, gammainc(m, x), lambda v: mpmath.gammainc(m, 0, v, regularized=True)),
+    ):
+        for i in np.flatnonzero(np.abs(got - want) > tol * want + 1e-300):
+            with mpmath.workdps(40):
+                ref = float(exact(x[i]))
+            assert abs(got[i] - ref) <= tol * ref + 1e-300, (x[i], got[i], want[i], ref)
+
+
+def test_error_probability_threshold_past_the_largest_double_over_m():
+    # m t overflows: the silent survival is 0 and the active energy m t / (1 + gP)
+    # is still formed, without a warning
+    config = DetectionConfig(antenna_count=8, pathloss_power=1.5e308, threshold=1e308)
+    want = 0.5 * gammainc(8, 8 * (1e308 / 1.5e308))
+    assert error_probability(config) == pytest.approx(want, rel=1e-12)
+
+
+def test_error_probability_mc_at_the_largest_powers(rng):
+    # an active energy times 1 + gP may pass the largest double; inf still
+    # exceeds the threshold, and no overflow warning is raised
+    for gp in (1e308, np.finfo(float).max):
+        assert error_probability_mc(DetectionConfig(antenna_count=4, pathloss_power=gp), 1000, rng) == 0.0
 
 
 def test_energy_metric_noise_mean(rng):

@@ -145,24 +145,16 @@ class SensingMatrix:
     `rows` is kept as a read-only complex copy, so an operator derived from
     it and stored by `cached` (the Dantzig LP's factor V, the dense LS
     pseudo-inverse) stays valid for the life of the matrix.  Raises
-    ``ValueError`` unless `rows` is a 2-D array of finite numbers with one
-    row per entry of `tone_set`, a 1-D set of distinct nonnegative integers.
+    ``ValueError`` unless `rows` is a 2-D array of finite numbers.
     """
 
     rows: np.ndarray
-    tone_set: np.ndarray
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = _as_finite(self.rows, "rows", ndim=2).astype(complex)
-        tones = _as_tones(self.tone_set)
-        if tones.shape != rows.shape[:1]:
-            raise ValueError(
-                f"tone_set has shape {tones.shape}, rows {rows.shape}: need one tone per row"
-            )
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "tone_set", tones)
 
     def cached(self, key, build):
         """``build(self)`` on the first call with `key`; the stored result after.
@@ -200,7 +192,7 @@ def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
     n = tones[:, None].astype(float)
     d = np.arange(params.tap_count)[None, :].astype(float)
     rows = np.exp(-2j * np.pi * n * d / params.bandwidth_time_product)
-    return SensingMatrix(rows=rows, tone_set=tones)
+    return SensingMatrix(rows=rows)
 
 
 def synthesize_measurement(

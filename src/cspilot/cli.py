@@ -16,15 +16,14 @@ index)``, and per recover-bench trial from ``(seed, tag, SNR index, trial
 index)``.  recover-bench splits each SNR into chunks of trials, each chunk
 returns its per-trial NMSE and support hits, and the means add them in
 trial order.  ``--workers N`` runs the work items on N forked processes;
-``main`` runs every experiment with one BLAS thread and restores the count
-it found.  Output bytes are therefore identical for any ``--workers`` value
-and any BLAS thread setting.
+``main`` pins the BLAS to one thread before the first experiment and keeps
+it for the process.  Output bytes are therefore identical for any
+``--workers`` value and any BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import ctypes
 import functools
@@ -57,7 +56,7 @@ from .recovery import (
     nmse,
     omp_recover,
 )
-from .tones import DESIGNED_TONES_25, DESIGNED_TONES_100
+from .tones import DESIGNED_TONES
 
 # experiment tags keep per-item random streams disjoint across experiments
 _TAG_DETECT = 1
@@ -74,11 +73,6 @@ _GP_ZERO_THRESHOLD = 1.5
 # cost of shipping the item
 _TRIAL_CHUNK = 10
 
-_DESIGNED = {
-    (1000, 25, 20): DESIGNED_TONES_25,
-    (1000, 100, 20): DESIGNED_TONES_100,
-}
-
 
 class ConfigError(Exception):
     pass
@@ -87,7 +81,10 @@ class ConfigError(Exception):
 def _config_lines(path: str) -> list[tuple[str, str]]:
     """``("path:lineno", line)`` of each config file line that is not blank or a ``#`` comment."""
     with open(path, encoding="utf-8") as fh:
-        lines = [(f"{path}:{lineno}", line.strip()) for lineno, line in enumerate(fh, start=1)]
+        try:
+            lines = [(f"{path}:{lineno}", line.strip()) for lineno, line in enumerate(fh, start=1)]
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
     return [(where, line) for where, line in lines if line and not line.startswith("#")]
 
 
@@ -199,11 +196,19 @@ def _bench_matrices(params: OfdmParams, policy: str):
     """The comb matrix and the designed-tone matrix (None for random tones), once per process.
 
     Both are read-only and so are the operators they cache, so every chunk a
-    process runs shares them.
+    process runs shares them.  ``ValueError`` when the policy is designed
+    and `params` is not a point with a frozen tone set.
     """
-    key = (params.bandwidth_time_product, params.tap_count, params.pilot_count)
-    tones = _DESIGNED.get(key) if policy == "designed" else None  # None: random tones
-    designed = None if tones is None else build_sensing_matrix(tones, params)
+    designed = None
+    if policy == "designed":
+        point = (params.bandwidth_time_product, params.tap_count, params.pilot_count)
+        if point not in DESIGNED_TONES:
+            raise ValueError(
+                "tone_policy=designed has frozen tones only at (wt, tap_count, pilot_count) = "
+                f"{' or '.join(map(str, DESIGNED_TONES))}, not {point}; "
+                "tone_policy=random draws tones at any point"
+            )
+        designed = build_sensing_matrix(DESIGNED_TONES[point], params)
     return build_sensing_matrix(comb_tone_set(params), params), designed
 
 
@@ -274,6 +279,9 @@ def _recover_chunk(item):
 def _run_recover_bench(cfg, seed, workers):
     params = OfdmParams(*(cfg[key] for key in _OFDM_KEYS))
     trials, policy, snrs = cfg["trials"], cfg["tone_policy"], cfg["snr_dbs"]
+    # refuses a designed point without frozen tones before any item starts;
+    # forked workers inherit the matrices built here
+    _bench_matrices(params, policy)
     items = [
         (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
         for si, (_, noise_var) in enumerate(snrs)
@@ -469,7 +477,15 @@ def _write_csv(path, experiment, seed, config, header, rows):
 
 
 def _openblas_threads():
-    """Getter and setter of the OpenBLAS thread count bundled with numpy, or None."""
+    """Getter and setter of the OpenBLAS thread count bundled with numpy, or None.
+
+    `main` sets one thread, when the count reads otherwise, and keeps it for
+    the rest of the process.  The matrices here are small, so BLAS threads
+    cost CPU without saving time, and LAPACK rounds differently with another
+    thread count; one thread keeps the CSV bytes the same on every machine.
+    The count is never restored: the CLI owns its process, and after a fork
+    each set call restarts an OpenBLAS thread that spins ~0.125 s of CPU.
+    """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libs.glob("libscipy_openblas64_*.so"))
     if not paths:
@@ -480,28 +496,6 @@ def _openblas_threads():
     put = lib.scipy_openblas_set_num_threads64_
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with one BLAS thread, then restore the count it found.
-
-    The matrices here are small, so BLAS threads cost CPU without saving
-    time, and LAPACK rounds differently with another thread count; one
-    thread keeps the CSV bytes the same on every machine.  Without the
-    bundled OpenBLAS this does nothing.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def main(argv=None) -> int:
@@ -531,11 +525,14 @@ def main(argv=None) -> int:
         return 2
 
     runner = EXPERIMENTS[args.experiment].runner
+    threads = _openblas_threads()
+    if threads is not None and threads[0]() != 1:
+        threads[1](1)  # kept for the process, see _openblas_threads
     try:
-        with _one_blas_thread():
-            header, rows, failures = runner(values, args.seed, args.workers)
+        header, rows, failures = runner(values, args.seed, args.workers)
     except ValueError as exc:
-        # a bound across keys: the OFDM counts or a codebook's capacity
+        # a bound across keys: the OFDM counts, a designed tone set or a
+        # codebook's capacity
         print(f"cspilot: config error: {exc}", file=sys.stderr)
         return 2
 

@@ -353,10 +353,10 @@ def _ls_pinv(X: SensingMatrix) -> np.ndarray:
     """Pseudo-inverse of ``X`` from one SVD; ``LinAlgError`` below full column rank.
 
     Full rank means every singular value clears ``max(m, d) * eps *
-    largest``, the `numpy.linalg.matrix_rank` rule.
+    largest``, the `numpy.linalg.matrix_rank` rule (`_independent`).
     """
     U, s, Vh = np.linalg.svd(X.rows, full_matrices=False)
-    if s[-1] <= max(X.rows.shape) * np.finfo(float).eps * s[0]:
+    if not _independent(s[-1], *X.rows.shape, s[0]):
         raise np.linalg.LinAlgError("sensing matrix is rank deficient")
     pinv = (Vh.conj().T / s) @ U.conj().T
     pinv.flags.writeable = False

@@ -33,6 +33,12 @@ DESIGNED_TONES_100 = np.array(
      698, 705, 829, 855, 862, 880, 930, 947, 965, 988]
 )
 
+# the frozen set of each (wt, tap_count, pilot_count) point that has one
+DESIGNED_TONES = {
+    (1000, 25, 20): DESIGNED_TONES_25,
+    (1000, 100, 20): DESIGNED_TONES_100,
+}
+
 
 def mutual_coherence(tone_set, tap_count: int, wt: int) -> float:
     """Largest normalized inner product between distinct sensing-matrix columns.

@@ -241,8 +241,10 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     args += ["--set", "tap_count=25"]
     params = cli.default_params(tap_count=25)
     item = (0, params, "designed", 0, cli._noise_variance(10.0), 0, 4)
-    with cli._one_blas_thread():  # the BLAS setting main runs the trials with
-        clean = cli._recover_chunk(item)
+    threads = cli._openblas_threads()
+    if threads is not None:
+        threads[1](1)  # the BLAS setting main runs the trials with
+    clean = cli._recover_chunk(item)
 
     def means(trials, mi):
         total, hits = 0.0, 0
@@ -433,37 +435,47 @@ def test_blas_threads_do_not_change_output(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_main_runs_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+def test_main_pins_one_blas_thread_once_and_never_restores_it(tmp_path, monkeypatch):
+    # after a fork every OpenBLAS set call restarts a thread that spins
+    # ~0.125 s of CPU, so main sets the count only when it does not read 1 and
+    # keeps it: one set call per process at most, none after a runner returns
     threads = cli._openblas_threads()
     if threads is None:
         pytest.skip("numpy does not bundle OpenBLAS here")
     get, put = threads
-    seen = []
-    real_sample = cli.sample_channel
+    events = []
 
-    def spy(*args, **kwargs):
-        seen.append(get())
-        return real_sample(*args, **kwargs)
+    def spy_put(count):
+        events.append(("set", count))
+        put(count)
 
-    monkeypatch.setattr(cli, "sample_channel", spy)
-    original = get()
-    put(2)
-    try:
-        code, _ = run(tmp_path, "ok.csv", "recover-bench", *RECOVER_TINY)
-        assert code == 0
-        assert get() == 2
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: (get, spy_put))
 
-        def broken(*args, **kwargs):
-            seen.append(get())
-            raise ValueError("broken channel")
+    def watched(runner):
+        def run_and_watch(cfg, seed, workers):
+            events.append(("run", get()))
+            return runner(cfg, seed, workers)
 
-        monkeypatch.setattr(cli, "sample_channel", broken)
-        code, _ = run(tmp_path, "bad.csv", "recover-bench", *RECOVER_TINY)
-        assert code == 2
-        assert get() == 2
-    finally:
-        put(original)
-    assert seen and set(seen) == {1}
+        return run_and_watch
+
+    def broken(cfg, seed, workers):
+        raise ValueError("broken runner")
+
+    for experiment in ("fig3", "netsim"):
+        _stub_runner(monkeypatch, experiment, watched(cli.EXPERIMENTS[experiment].runner))
+    _stub_runner(monkeypatch, "codebook-verify", watched(broken))
+    put(2)  # as OPENBLAS_NUM_THREADS or the core count may leave it
+    runs = [
+        (0, ["fig3", "--set", "kg_max=2"]),
+        (2, ["codebook-verify"]),
+        (0, ["netsim", "--workers", "2", *NETSIM_TINY]),
+        (0, ["fig3", "--set", "kg_max=2"]),
+    ]
+    for index, (expected, args) in enumerate(runs):
+        code, _ = run(tmp_path, f"{index}.csv", *args)
+        assert code == expected, args
+    assert events == [("set", 1)] + [("run", 1)] * len(runs)
+    assert get() == 1
 
 
 def test_seed_changes_monte_carlo_output(tmp_path):
@@ -509,6 +521,36 @@ def test_malformed_config_line(tmp_path, capsys):
     code, _ = run(tmp_path, "a.csv", "fig3", "--config", str(cfg))
     assert code == 2
     assert "key=value" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
+    _stub_runner(monkeypatch, "fig3", _no_run)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    code, out = run(tmp_path, "a.csv", "fig3", "--config", str(cfg))
+    assert code == 2
+    assert f"config error: {cfg}: not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_designed_tones_only_at_their_frozen_points(tmp_path, capsys, monkeypatch):
+    # no frozen tone set fits 50 taps: random tones run there, and designed
+    # is refused before any work item starts (it once fell back to random)
+    args = ["--set", "tap_count=50", "--set", "trials=1", "--set", "snr_dbs=inf"]
+    code, out = run(tmp_path, "r.csv", "recover-bench", *args, "--set", "tone_policy=random")
+    assert code == 0
+    assert len(parse(out)[2]) == 4
+
+    def no_items(*args):
+        raise AssertionError("a work item started")
+
+    monkeypatch.setattr(cli, "_fan_out", no_items)
+    code, out = run(tmp_path, "d.csv", "recover-bench", *args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: tone_policy=designed" in err
+    assert "(1000, 25, 20) or (1000, 100, 20), not (1000, 50, 20)" in err
+    assert not out.exists()
 
 
 def test_capacity_overflow_is_config_error(tmp_path, capsys):

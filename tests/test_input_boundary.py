@@ -43,7 +43,8 @@ from cspilot.recovery import (
 from cspilot.simplex import solve_lp
 
 _P = default_params()
-_X = build_sensing_matrix(select_pilot_tones(_P, np.random.default_rng(0)), _P)
+_TONES = select_pilot_tones(_P, np.random.default_rng(0))
+_X = build_sensing_matrix(_TONES, _P)
 _H = sample_channel(_P, np.random.default_rng(1))
 _COMB = build_sensing_matrix(comb_tone_set(_P), _P)
 _STR_Y = np.array(["a"] * 20)
@@ -80,7 +81,7 @@ _ROWS = {
     "support-str-estimate": lambda: threshold_support(np.array(["a"]), 0.0),
     "support-bool-estimate": lambda: threshold_support(np.array([True, False])),
     "taps-str": lambda: SparseChannel(np.array(["1"])),
-    "sensing-rows-str": lambda: SensingMatrix(np.array([["1"]]), np.array([0])),
+    "sensing-rows-str": lambda: SensingMatrix(np.array([["1"]])),
     "capacity-negative-ones": lambda: capacity(-1, 2),
     "capacity-zero-zeros": lambda: capacity(3, 0),
     "lp-V-1d": lambda: solve_lp(np.ones(2), np.ones(2), 0.5),
@@ -92,8 +93,8 @@ _ROWS = {
     "lp-t-negative": lambda: solve_lp(np.ones(2), np.eye(2), -0.5),
     "lp-t-nan": lambda: solve_lp(np.ones(2), np.eye(2), np.nan),
     "lp-t-str": lambda: solve_lp(np.ones(2), np.eye(2), "0.5"),
-    "sensing-tones-str": lambda: SensingMatrix(np.ones((2, 2)), np.array(["a", "b"])),
-    "sensing-tones-nan": lambda: SensingMatrix(np.ones((2, 2)), np.array([np.nan, 1.0])),
+    "sensing-tones-str": lambda: build_sensing_matrix(np.array(["a", "b"]), _P),
+    "sensing-tones-nan": lambda: build_sensing_matrix([np.nan, 1.0], _P),
     "sensing-tones-scalar": lambda: build_sensing_matrix(5, _P),
     "sensing-tones-np-scalar": lambda: build_sensing_matrix(np.int64(5), _P),
     "superpose-scalar": lambda: superpose(0, build_codebook(3, 2, 1)),
@@ -209,17 +210,11 @@ _OFDM = {"bandwidth_time_product": 1000, "tap_count": 100, "sparsity": 4, "pilot
 _WALK = {
     "OfdmParams": (_OFDM, dict.fromkeys(_OFDM, _BAD_COUNT)),
     "default_params": ({}, dict.fromkeys(_OFDM, _BAD_COUNT)),
-    "SensingMatrix": (
-        {"rows": _X.rows, "tone_set": _X.tone_set},
-        {
-            "rows": _bad_array(_X.rows, axis=0),
-            "tone_set": _bad_array(_X.tone_set, integer=True, nonneg=True, axis=0),
-        },
-    ),
+    "SensingMatrix": ({"rows": _X.rows}, {"rows": _bad_array(_X.rows)}),
     "SparseChannel": ({"taps": _H.taps}, {"taps": _bad_array(_H.taps)}),
     "build_sensing_matrix": (
-        {"tone_set": _X.tone_set, "params": _P},
-        {"tone_set": _bad_array(_X.tone_set, integer=True, nonneg=True)},
+        {"tone_set": _TONES, "params": _P},
+        {"tone_set": _bad_array(_TONES, integer=True, nonneg=True)},
     ),
     "sample_channel": ({"params": _P, "rng": _RNG}, {}),
     "select_pilot_tones": ({"params": _P, "rng": _RNG}, {}),

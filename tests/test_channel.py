@@ -134,6 +134,16 @@ def test_sensing_matrix_rejects_malformed_rows(rows):
         SensingMatrix(rows=rows)
 
 
+def test_sensing_matrix_takes_rows_alone():
+    # tones passed beside the rows could disagree with them; only
+    # build_sensing_matrix turns tones into rows
+    rows = build_sensing_matrix([0, 1], default_params()).rows
+    with pytest.raises(TypeError):
+        SensingMatrix(rows, np.array([5, 7]))
+    with pytest.raises(TypeError):
+        SensingMatrix(rows=rows, tone_set=np.array([0, 1]))
+
+
 def test_sensing_matrix_rejects_fractional_tones():
     # a cast would build the matrix of tones 0 and 1
     p = default_params()

@@ -523,20 +523,41 @@ def test_malformed_config_line(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-def test_config_file_not_utf8_exits_2(tmp_path, capsys, monkeypatch):
-    _stub_runner(monkeypatch, "fig3", _no_run)
+@pytest.mark.parametrize(
+    "experiment, text",
+    [
+        pytest.param(experiment, text, id=f"{experiment}-{label}")
+        for experiment in sorted(cli.EXPERIMENTS)
+        for label, text in [
+            ("utf16-bom", b"\xff\xfe=1\n"),
+            ("latin1-value", b"# written by a Latin-1 editor\nseed_note=caf\xe9\n"),
+        ]
+    ],
+)
+def test_config_file_not_utf8_exits_2(tmp_path, capsys, monkeypatch, experiment, text):
+    # refused as it is read, before any key is checked or a runner starts
+    _stub_runner(monkeypatch, experiment, _no_run)
     cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"\xff\xfe=1\n")
-    code, out = run(tmp_path, "a.csv", "fig3", "--config", str(cfg))
+    cfg.write_bytes(text)
+    code, out = run(tmp_path, "a.csv", experiment, "--config", str(cfg))
     assert code == 2
     assert f"config error: {cfg}: not UTF-8" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_designed_tones_only_at_their_frozen_points(tmp_path, capsys, monkeypatch):
-    # no frozen tone set fits 50 taps: random tones run there, and designed
-    # is refused before any work item starts (it once fell back to random)
-    args = ["--set", "tap_count=50", "--set", "trials=1", "--set", "snr_dbs=inf"]
+@pytest.mark.parametrize(
+    "item, point",
+    [
+        ("tap_count=50", (1000, 50, 20)),
+        ("pilot_count=25", (1000, 100, 25)),
+        ("wt=2000", (2000, 100, 20)),
+    ],
+)
+def test_designed_tones_only_at_their_frozen_points(tmp_path, capsys, monkeypatch, item, point):
+    # no frozen tone set fits these points: random tones run there, and
+    # designed is refused before any work item starts (it once fell back to
+    # random)
+    args = ["--set", item, "--set", "trials=1", "--set", "snr_dbs=inf"]
     code, out = run(tmp_path, "r.csv", "recover-bench", *args, "--set", "tone_policy=random")
     assert code == 0
     assert len(parse(out)[2]) == 4
@@ -549,7 +570,7 @@ def test_designed_tones_only_at_their_frozen_points(tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err
     assert "config error: tone_policy=designed" in err
-    assert "(1000, 25, 20) or (1000, 100, 20), not (1000, 50, 20)" in err
+    assert f"(1000, 25, 20) or (1000, 100, 20), not {point}" in err
     assert not out.exists()
 
 

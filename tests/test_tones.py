@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cspilot.tones import DESIGNED_TONES_25, DESIGNED_TONES_100, mutual_coherence
+from cspilot.channel import build_sensing_matrix, default_params
+from cspilot.tones import DESIGNED_TONES, DESIGNED_TONES_25, DESIGNED_TONES_100, mutual_coherence
 
 
 @pytest.mark.parametrize(
@@ -13,6 +14,19 @@ def test_designed_sets_have_stated_coherence(tones, tap_count, mu):
     assert tones.size == 20
     assert np.unique(tones).size == 20
     assert mutual_coherence(tones, tap_count, 1000) == pytest.approx(mu, abs=5e-5)
+
+
+@pytest.mark.parametrize("point", sorted(DESIGNED_TONES), ids=str)
+def test_designed_table_key_matches_its_tone_set(point):
+    # recover-bench looks the set up by (wt, tap_count, pilot_count)
+    wt, tap_count, pilot_count = point
+    tones = DESIGNED_TONES[point]
+    assert tones.size == pilot_count
+    assert np.array_equal(tones, np.sort(tones))
+    params = default_params(
+        bandwidth_time_product=wt, tap_count=tap_count, pilot_count=pilot_count
+    )
+    assert build_sensing_matrix(tones, params).rows.shape == (pilot_count, tap_count)
 
 
 def test_mutual_coherence_matches_gram_matrix(rng):

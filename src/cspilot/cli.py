@@ -6,8 +6,10 @@
 Config files are flat ``key=value`` lines (``#`` comments allowed);
 ``--set`` overrides win over the file, which wins over defaults.  Each
 experiment's table gives every key a default and a parser of its domain;
-unknown keys are rejected, and each value is parsed once, before the
-experiment starts.  ``--seed`` is an integer >= 0, ``--workers`` one >= 1.
+unknown keys are rejected.  Each value is parsed, and each input that ties
+keys together built, once, before the experiment starts; a failure there
+exits 2, and a failure of the run itself exits 1 with its traceback.
+``--seed`` is an integer >= 0, ``--workers`` one >= 1.
 Output is RFC-4180-style CSV (UTF-8, LF) preceded by ``#``-prefixed lines:
 tool version, seed, and a SHA-256 digest of the resolved config strings.
 
@@ -139,9 +141,9 @@ def _pathloss_power(text: str) -> float:
     return gp
 
 
-def _zero_count(text: str) -> int | None:
-    """Codebook-verify's ``l``: empty (None) means the smallest l that fits k users."""
-    return _count(text) if text else None
+def _codebook(k: int, l_prime: int, l: int | None):
+    """Codebook-verify's book; ``l`` None (empty) means the smallest l that fits k users."""
+    return build_codebook(k, l_prime, l or choose_l(k, l_prime))
 
 
 # config key of each OfdmParams field, in field order, at the standard working point
@@ -149,6 +151,7 @@ _OFDM_KEYS = {
     key: (str(value), _count)
     for key, value in zip(("wt", "tap_count", "sparsity", "pilot_count"), astuple(default_params()))
 }
+_PARAMS = ("params", tuple(_OFDM_KEYS), OfdmParams)  # the input those keys build
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +159,7 @@ _OFDM_KEYS = {
 
 
 def _run_fig3(cfg, seed, workers):
-    params = OfdmParams(*(cfg[key] for key in _OFDM_KEYS))
-    rows = []
+    params, rows = cfg["params"], []
     for p_out in cfg["p_outs"]:
         alpha = 1.0 - p_out
         for k_g in range(1, cfg["kg_max"] + 1):
@@ -191,24 +193,24 @@ def _run_detect_sweep(cfg, seed, workers):
     return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
 
 
+def _designed_tones(policy: str, *point: int):
+    """The frozen tones at ``(wt, tap_count, pilot_count)`` as a tuple, or None for random tones."""
+    if policy == "random":
+        return None
+    if point not in DESIGNED_TONES:
+        points = " or ".join(map(str, DESIGNED_TONES))
+        raise ValueError(f"frozen tones only at {points}, not {point}; random tones fit any point")
+    return tuple(DESIGNED_TONES[point].tolist())
+
+
 @functools.lru_cache(maxsize=4)
-def _bench_matrices(params: OfdmParams, policy: str):
-    """The comb matrix and the designed-tone matrix (None for random tones), once per process.
+def _bench_matrices(params: OfdmParams, tones):
+    """The comb matrix and the matrix of the designed `tones` (None for random), once per process.
 
     Both are read-only and so are the operators they cache, so every chunk a
-    process runs shares them.  ``ValueError`` when the policy is designed
-    and `params` is not a point with a frozen tone set.
+    process runs shares them.
     """
-    designed = None
-    if policy == "designed":
-        point = (params.bandwidth_time_product, params.tap_count, params.pilot_count)
-        if point not in DESIGNED_TONES:
-            raise ValueError(
-                "tone_policy=designed has frozen tones only at (wt, tap_count, pilot_count) = "
-                f"{' or '.join(map(str, DESIGNED_TONES))}, not {point}; "
-                "tone_policy=random draws tones at any point"
-            )
-        designed = build_sensing_matrix(DESIGNED_TONES[point], params)
+    designed = None if tones is None else build_sensing_matrix(tones, params)
     return build_sensing_matrix(comb_tone_set(params), params), designed
 
 
@@ -251,8 +253,8 @@ def _recover_chunk(item):
     set come from `_bench_matrices`, so the operators they cache serve every
     trial; random tones are drawn, and built, per trial.
     """
-    seed, params, policy, si, noise_var, t0, t1 = item
-    comb, designed = _bench_matrices(params, policy)
+    seed, params, tones, si, noise_var, t0, t1 = item
+    comb, designed = _bench_matrices(params, tones)
     trials = []
     for t in range(t0, t1):
         rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
@@ -277,13 +279,9 @@ def _recover_chunk(item):
 
 
 def _run_recover_bench(cfg, seed, workers):
-    params = OfdmParams(*(cfg[key] for key in _OFDM_KEYS))
-    trials, policy, snrs = cfg["trials"], cfg["tone_policy"], cfg["snr_dbs"]
-    # refuses a designed point without frozen tones before any item starts;
-    # forked workers inherit the matrices built here
-    _bench_matrices(params, policy)
+    params, tones, trials, snrs = cfg["params"], cfg["tones"], cfg["trials"], cfg["snr_dbs"]
     items = [
-        (seed, params, policy, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
+        (seed, params, tones, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
         for si, (_, noise_var) in enumerate(snrs)
         for t0 in range(0, trials, _TRIAL_CHUNK)
     ]
@@ -295,34 +293,25 @@ def _run_recover_bench(cfg, seed, workers):
     for si, (snr_db, _) in enumerate(snrs):
         outcomes = per_trial[si * trials : (si + 1) * trials]
         for mi, name in enumerate(_RECOVER_METHODS):
+            scored = [trial[mi] for trial in outcomes if trial[mi] is not None]
             # add in t order, one float at a time, so the mean is the same
             # for every chunking (sum() compensates from Python 3.12 on)
-            total, hits, scored = 0.0, 0, 0
-            for trial in outcomes:
-                if trial[mi] is None:
-                    continue
-                value, hit = trial[mi]
+            total = 0.0
+            for value, _ in scored:
                 total += value
-                hits += hit
-                scored += 1
-            mean, rate = (total / scored, hits / scored) if scored else (math.nan, math.nan)
+            hits, count = sum(hit for _, hit in scored), len(scored)
+            mean, rate = (total / count, hits / count) if count else (math.nan, math.nan)
             used = params.tap_count if name == "fde_ls" else params.pilot_count
             rows.append([snr_db, name, mean, rate, used])
-    return (
-        ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"],
-        rows,
-        failures,
-    )
+    header = ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"]
+    return header, rows, failures
 
 
 def _run_codebook_verify(cfg, seed, workers):
-    l_prime, k = cfg["l_prime"], cfg["k"]
-    book = build_codebook(k, l_prime, cfg["l"] or choose_l(k, l_prime))
-    rows = []
-
+    book = cfg["book"]
+    k = book.user_count
     outcome = decode_energy_vector(np.zeros(book.dimension, dtype=np.uint8), book)
-    empty_fail = int(outcome.kind != "empty")
-    rows.append(["empty", 1, empty_fail])
+    rows = [["empty", 1, int(outcome.kind != "empty")]]
 
     single_fail = 0
     for i in range(k):
@@ -361,12 +350,8 @@ def _netsim_point(item):
 def _run_netsim(cfg, seed, workers):
     grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
     items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
-    rows = _fan_out(_netsim_point, items, workers)
-    return (
-        ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"],
-        rows,
-        0,
-    )
+    header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
+    return header, _fan_out(_netsim_point, items, workers), 0
 
 
 def _fan_out(work, items, workers):
@@ -389,6 +374,9 @@ def _fan_out(work, items, workers):
 class _Experiment:
     runner: object
     keys: dict  # config key -> (default string, parser of a string to its value)
+    # (name, keys, builder) of each input built from several keys, or from the
+    # inputs before it; a builder's ValueError is a ConfigError naming its keys
+    inputs: tuple = ()
 
 
 EXPERIMENTS = {
@@ -400,6 +388,7 @@ EXPERIMENTS = {
             "kg_max": ("100", _count),
             "p_outs": ("0,0.3", _listed(float, lambda p_out: 0 <= p_out < 1, "in [0, 1)")),
         },
+        (_PARAMS,),
     ),
     "detect-sweep": _Experiment(
         _run_detect_sweep,
@@ -417,10 +406,21 @@ EXPERIMENTS = {
             "snr_dbs": ("0,10,20,inf", _snrs),
             "tone_policy": ("designed", _tone_policy),
         },
+        (
+            _PARAMS,
+            ("tones", ("tone_policy", "wt", "tap_count", "pilot_count"), _designed_tones),
+            # built before any pool forks: workers find them in _bench_matrices' cache
+            ("matrices", ("params", "tones"), _bench_matrices),
+        ),
     ),
     "codebook-verify": _Experiment(
         _run_codebook_verify,
-        {"l_prime": ("20", _count), "l": ("", _zero_count), "k": ("21", _count)},
+        {
+            "l_prime": ("20", _count),
+            "l": ("", lambda text: _count(text) if text else None),  # see _codebook
+            "k": ("21", _count),
+        },
+        (("book", ("k", "l_prime", "l"), _codebook),),
     ),
     "netsim": _Experiment(
         _run_netsim,
@@ -435,7 +435,7 @@ EXPERIMENTS = {
 
 
 def _resolve_config(experiment: str, config_path, sets) -> tuple[dict[str, str], dict]:
-    """The resolved config strings, which the digest hashes, and the value each parses to."""
+    """The resolved config strings, which the digest hashes, and the values and inputs built."""
     keys = EXPERIMENTS[experiment].keys
     resolved = {key: default for key, (default, _) in keys.items()}
     items = [] if config_path is None else _config_lines(config_path)
@@ -456,6 +456,12 @@ def _resolve_config(experiment: str, config_path, sets) -> tuple[dict[str, str],
             values[key] = keys[key][1](text)
         except ValueError as exc:
             raise ConfigError(f"{key}={text!r}: {exc}") from None
+    for name, needs, build in EXPERIMENTS[experiment].inputs:
+        try:
+            values[name] = build(*(values[key] for key in needs))
+        except ValueError as exc:
+            named = ", ".join(f"{key}={values[key]}" for key in needs)
+            raise ConfigError(f"{named}: {exc}") from None
     return resolved, values
 
 
@@ -528,13 +534,7 @@ def main(argv=None) -> int:
     threads = _openblas_threads()
     if threads is not None and threads[0]() != 1:
         threads[1](1)  # kept for the process, see _openblas_threads
-    try:
-        header, rows, failures = runner(values, args.seed, args.workers)
-    except ValueError as exc:
-        # a bound across keys: the OFDM counts, a designed tone set or a
-        # codebook's capacity
-        print(f"cspilot: config error: {exc}", file=sys.stderr)
-        return 2
+    header, rows, failures = runner(values, args.seed, args.workers)
 
     out_path = args.out if args.out is not None else f"{args.experiment}.csv"
     try:

@@ -151,7 +151,7 @@ def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
     observed = np.asarray(observed)
     if observed.shape != (book.dimension,):
         raise ValueError(
-            f"observed vector has length {observed.size}, expected {book.dimension}"
+            f"observed vector has shape {observed.shape}, expected ({book.dimension},)"
         )
     zeros = np.flatnonzero(observed == 0).tolist()
     binary = len(zeros) + np.count_nonzero(observed == 1) == book.dimension

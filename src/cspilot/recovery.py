@@ -344,9 +344,8 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
 
 
 def comb_tone_set(params: OfdmParams) -> np.ndarray:
-    """One tone per coherence band: tap_count tones at the widest even stride."""
-    stride = params.bandwidth_time_product // params.tap_count
-    return np.arange(params.tap_count) * stride
+    """One tone per coherence band: tone i is ``i * WT // tap_count``, spread over the band."""
+    return np.arange(params.tap_count) * params.bandwidth_time_product // params.tap_count
 
 
 def _ls_pinv(X: SensingMatrix) -> np.ndarray:

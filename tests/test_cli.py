@@ -240,7 +240,8 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
     params = cli.default_params(tap_count=25)
-    item = (0, params, "designed", 0, cli._noise_variance(10.0), 0, 4)
+    tones = cli._designed_tones("designed", 1000, 25, 20)
+    item = (0, params, tones, 0, cli._noise_variance(10.0), 0, 4)
     threads = cli._openblas_threads()
     if threads is not None:
         threads[1](1)  # the BLAS setting main runs the trials with
@@ -461,19 +462,24 @@ def test_main_pins_one_blas_thread_once_and_never_restores_it(tmp_path, monkeypa
     def broken(cfg, seed, workers):
         raise ValueError("broken runner")
 
+    def outcome(index, args):
+        try:
+            return run(tmp_path, f"{index}.csv", *args)[0]
+        except ValueError as exc:  # a run's own error leaves main as raised
+            return str(exc)
+
     for experiment in ("fig3", "netsim"):
         _stub_runner(monkeypatch, experiment, watched(cli.EXPERIMENTS[experiment].runner))
     _stub_runner(monkeypatch, "codebook-verify", watched(broken))
     put(2)  # as OPENBLAS_NUM_THREADS or the core count may leave it
     runs = [
         (0, ["fig3", "--set", "kg_max=2"]),
-        (2, ["codebook-verify"]),
+        ("broken runner", ["codebook-verify"]),
         (0, ["netsim", "--workers", "2", *NETSIM_TINY]),
         (0, ["fig3", "--set", "kg_max=2"]),
     ]
     for index, (expected, args) in enumerate(runs):
-        code, _ = run(tmp_path, f"{index}.csv", *args)
-        assert code == expected, args
+        assert outcome(index, args) == expected, args
     assert events == [("set", 1)] + [("run", 1)] * len(runs)
     assert get() == 1
 
@@ -574,12 +580,42 @@ def test_designed_tones_only_at_their_frozen_points(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-def test_capacity_overflow_is_config_error(tmp_path, capsys):
-    code, _ = run(
-        tmp_path, "a.csv", "codebook-verify", "--set", "k=500", "--set", "l=1",
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_error_exits_1_with_its_traceback(tmp_path, workers):
+    # numpy's LinAlgError is a ValueError; raised by a run after its config
+    # resolved, it is the run's own failure, not a config error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "r.csv"
+    argv = ["recover-bench", "--workers", workers, "--out", str(out), *RECOVER_TINY]
+    probe = (
+        "import sys, numpy as np\n"
+        "from cspilot import cli\n"
+        "def singular(*args):\n"
+        "    raise np.linalg.LinAlgError('forced singular matrix')\n"
+        "cli.fde_ls_recover = singular\n"
+        f"sys.exit(cli.main({argv!r}))\n"
     )
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr
+    assert "LinAlgError: forced singular matrix" in done.stderr
+    assert "config error" not in done.stderr
+    assert not out.exists()
+
+
+def test_dense_ls_comb_spans_the_band_at_any_tap_count(tmp_path):
+    # at tap_count=300 of 1000 a comb at the integer stride 3 covered 90% of
+    # the band, and its 300 x 300 dense-LS matrix was rank deficient
+    args = ["--set", "tap_count=300", "--set", "tone_policy=random"]
+    args += ["--set", "trials=1", "--set", "snr_dbs=20"]
+    code, out = run(tmp_path, "r.csv", "recover-bench", *args)
+    assert code == 0
+    rows = parse(out)[2]
+    assert [row[1] for row in rows] == list(cli._RECOVER_METHODS)
+    assert rows[3][4] == "300"
 
 
 def test_unwritable_output_path(tmp_path):
@@ -609,6 +645,7 @@ def _exit_code(argv):
 
 
 _NOT_COUNT = ["", "nan", "inf", "-1", "0", "1.5", "abc"]
+_OFDM = [name for name, entry in cli.EXPERIMENTS.items() if "wt" in entry.keys]
 _OFDM_WALK = dict.fromkeys(("wt", "tap_count", "sparsity", "pilot_count"), _NOT_COUNT)
 
 
@@ -653,6 +690,48 @@ _FLAG_WALK = {
     "--seed": ["", "-1", "1.5", "nan", "abc"],
     "--workers": ["", "0", "-3", "1.5", "nan", "abc"],
 }
+
+
+# one row per bound that ties keys together: the experiments it applies to,
+# the values set, and the keys the refusal names, with their values
+_CROSS_KEY_WALK = {
+    "sparsity>tap_count": (_OFDM, {"sparsity": "30", "tap_count": "25"}, {}),
+    "tap_count>wt": (_OFDM, {"tap_count": "200", "wt": "150"}, {}),
+    "pilot_count<sparsity": (_OFDM, {"pilot_count": "3"}, {"sparsity": "4"}),
+    "pilot_count>wt": (_OFDM, {"wt": "100", "pilot_count": "101"}, {}),
+    "designed-without-frozen-tones": (
+        ["recover-bench"],
+        {"tap_count": "50"},
+        {"tone_policy": "designed", "wt": "1000", "pilot_count": "20"},
+    ),
+    "k>capacity": (["codebook-verify"], {"k": "500", "l": "1"}, {"l_prime": "20"}),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, sets, named",
+    [
+        pytest.param(experiment, sets, {**sets, **others}, id=f"{experiment}-{bound}")
+        for bound, (experiments, sets, others) in _CROSS_KEY_WALK.items()
+        for experiment in experiments
+    ],
+)
+def test_cross_key_bound_exits_2_and_names_its_keys(
+    tmp_path, capsys, monkeypatch, experiment, sets, named
+):
+    # refused where the config builds the inputs it bounds: no runner, and so
+    # no pool, starts and no file is written
+    _stub_runner(monkeypatch, experiment, _no_run)
+    out = tmp_path / "out.csv"
+    argv = [experiment, "--out", str(out)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cspilot: config error: ")
+    for key, value in named.items():
+        assert f"{key}={value}" in err
+    assert not out.exists()
 
 
 def test_every_config_key_has_a_walk_row():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,6 +146,16 @@ def test_decode_invalid_patterns():
     assert decode_energy_vector(two, book).kind == "invalid"
     with pytest.raises(ValueError):
         decode_energy_vector(np.ones(5, dtype=np.uint8), book)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3), (6, 1), (5,), (7,), ()], ids=["2x3", "6x1", "5", "7", "0-D"]
+)
+def test_decode_reports_the_observed_shape(shape):
+    # a (2, 3) array has as many entries as the 6 pilot dimensions: the
+    # message gives its shape, where it once read "length 6, expected 6"
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}, expected (6,)")):
+        decode_energy_vector(np.ones(shape), build_codebook(3, 4, 2))
 
 
 @pytest.mark.parametrize(

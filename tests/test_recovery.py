@@ -5,6 +5,7 @@ from omp_oracle import omp_lstsq
 
 from cspilot import recovery, simplex
 from cspilot.channel import (
+    OfdmParams,
     SensingMatrix,
     SparseChannel,
     build_sensing_matrix,
@@ -454,6 +455,28 @@ def test_fde_noiseless_exact_dense(rng):
     res = fde_ls_recover(y, X)
     rel = np.linalg.norm(res.estimate - h.taps) / np.linalg.norm(h.taps)
     assert rel < 1e-10
+
+
+@pytest.mark.parametrize(
+    "wt, taps",
+    [(1000, taps) for taps in (1, 8, 25, 100, 112, 300, 400, 900, 999)]
+    + [(97, taps) for taps in range(1, 98)],
+)
+def test_comb_spans_the_band_with_full_rank(wt, taps):
+    # tone i is i * wt // taps: distinct, spread over the whole band, and the
+    # even stride wt // taps itself wherever taps divides wt; at that integer
+    # stride 112, 300, 400 and 900 taps of 1000 gave a rank-deficient matrix
+    p = OfdmParams(wt, taps, 1, 1)
+    tones = comb_tone_set(p)
+    assert np.all(np.diff(tones) >= wt // taps) and tones.size == taps
+    assert tones[0] == 0 and tones[-1] == wt - (wt + taps - 1) // taps  # one stride from the end
+    if wt % taps == 0:
+        assert np.array_equal(tones, np.arange(taps) * (wt // taps))
+    X = build_sensing_matrix(tones, p)
+    h = np.exp(1j * np.arange(taps))  # a dense channel
+    # full rank by the matrix_rank rule, or fde_ls_recover raises LinAlgError
+    res = fde_ls_recover(X.rows @ h, X)
+    assert np.linalg.norm(res.estimate - h) <= 1e-9 * np.linalg.norm(h)
 
 
 def test_fde_zero_measurement(rng):

@@ -48,7 +48,13 @@ from .channel import (
     select_pilot_tones,
     synthesize_measurement,
 )
-from .detection import DetectionConfig, _crossing, error_probability_mc, optimal_threshold
+from .detection import (
+    DetectionConfig,
+    _crossing,
+    error_probability,
+    error_probability_mc,
+    optimal_threshold,
+)
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
 from .pilots import build_codebook, choose_l, decode_energy_vector, superpose
 from .recovery import (
@@ -179,7 +185,7 @@ def _detect_point(item):
     config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=threshold)
     pe = error_probability_mc(config, trials, rng)
     stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
-    return [m, gp, threshold, pe, stderr]
+    return [m, gp, threshold, error_probability(config), pe, stderr]
 
 
 def _run_detect_sweep(cfg, seed, workers):
@@ -190,7 +196,7 @@ def _run_detect_sweep(cfg, seed, workers):
     order = sorted(range(len(items)), key=lambda index: -grid[index][0])
     results = _fan_out(_detect_point, [items[index] for index in order], workers)
     rows = [row for _, row in sorted(zip(order, results))]
-    return ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"], rows, 0
+    return ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"], rows, 0
 
 
 def _designed_tones(policy: str, *point: int):

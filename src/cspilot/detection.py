@@ -24,7 +24,7 @@ import numpy as np
 from .channel import _as_count, _as_finite, _as_real
 
 # trials per Monte-Carlo chunk; it sizes the reused draw buffer only: blocks
-# are filled row by row, so trial i takes normals 2*M_BS*i .. 2*M_BS*(i+1)
+# are filled row by row, so trial i takes exponentials M_BS*i .. M_BS*(i+1)
 # of the stream whatever the chunk, and pe_mc does not depend on it
 _MC_CHUNK = 4096
 
@@ -195,23 +195,23 @@ def error_probability(config: DetectionConfig) -> float:
 def error_probability_mc(
     config: DetectionConfig, trials: int, rng: np.random.Generator
 ) -> float:
-    """Monte-Carlo equal-prior error probability from explicit Gaussian draws.
+    """Monte-Carlo equal-prior error probability from one draw per antenna and trial.
 
     Activity alternates deterministically between trials (exact equal
-    priors; even trial indices transmit).  Each trial draws a fresh received
-    sample per antenna, ``CN(0, 1 + gP)`` when active and ``CN(0, 1)`` when
-    silent, and sums its 2 M_BS squared real parts; it never draws the Gamma
-    law it checks.  The only step taken on trust is that the channel and
-    noise add up to one Gaussian, ``CN(0, gP) + CN(0, 1) = CN(0, 1 + gP)``.
+    priors; even trial indices transmit).  Each trial draws the energy of a
+    fresh received sample per antenna, ``|CN(0, 1 + gP)|^2`` when active and
+    ``|CN(0, 1)|^2`` when silent, and averages the M_BS of them; the sum
+    over antennas is explicit, so it never draws the Gamma law it checks.
+    Two facts are taken on trust: the channel and noise add up to one
+    Gaussian, ``CN(0, gP) + CN(0, 1) = CN(0, 1 + gP)``, and the energy of
+    one is exponential, ``|CN(0, s)|^2 = s Exp(1)``.
 
     Draw order: per chunk of `_MC_CHUNK` trials (the last one shorter), one
-    (n, 2 M_BS) block of standard normals, row i holding trial i's real
-    parts then its imaginary parts; the call draws exactly
-    ``2 M_BS * trials`` normals and nothing else.  The energy of a row is
-    ``||w||^2 / (2 M_BS)``, the ``1/sqrt(2)`` of each part folded into the
-    divisor.  On active trials it is multiplied by ``1 + gP``, which gives
-    the energy of ``sqrt(1 + gP) (Re + j Im) / sqrt(2)`` with one multiply
-    per trial in place of one per sample.
+    (n, M_BS) block of standard exponentials, row i holding trial i's
+    antennas; the call draws exactly ``M_BS * trials`` exponentials and
+    nothing else.  The energy of a row is its sum divided by M_BS, and on
+    active trials it is multiplied by ``1 + gP``, one multiply per trial in
+    place of one per sample.
 
     `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
@@ -221,13 +221,12 @@ def error_probability_mc(
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
-    buffer = np.empty((min(_MC_CHUNK, trials), 2 * m))
+    buffer = np.empty((min(_MC_CHUNK, trials), m))
     errors = 0
     done = 0
     while done < trials:
         n = min(_MC_CHUNK, trials - done)
-        w = rng.standard_normal(out=buffer[:n])
-        energies = np.einsum("ij,ij->i", w, w) / (2 * m)
+        energies = rng.standard_exponential(out=buffer[:n]).sum(axis=1) / m
         active = slice(done % 2, n, 2)  # the trials with an even global index
         with np.errstate(over="ignore"):  # an overflow to inf still exceeds the threshold
             energies[active] *= 1.0 + config.pathloss_power

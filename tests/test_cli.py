@@ -66,32 +66,35 @@ def test_config_digest_tracks_values(tmp_path):
     assert digest(a) != digest(b)
 
 
+# the smallest config of each experiment: one that writes at least one row
+TINY = {
+    "fig3": ["--set", "kg_max=2"],
+    "detect-sweep": [
+        "--set", "antenna_counts=4", "--set", "pathloss_powers=2", "--set", "trials=200",
+    ],
+    "recover-bench": [
+        "--set", "trials=1", "--set", "snr_dbs=inf", "--set", "tap_count=25",
+    ],
+    "codebook-verify": ["--set", "l_prime=3", "--set", "k=4"],
+    "netsim": [
+        "--set", "cells=4", "--set", "group_sizes=1",
+        "--set", "alphas=1.0", "--set", "trials=10",
+    ],
+}
+
+
 def test_headers_are_stable(tmp_path):
     expected = {
         "fig3": ["k_g", "p_out", "rho_fq", "rho_ag_fq", "rho_cs", "rho_ag_cs"],
-        "detect-sweep": ["m_bs", "g_p", "threshold", "pe_mc", "pe_stderr"],
+        "detect-sweep": ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"],
         "recover-bench": [
             "snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used",
         ],
         "codebook-verify": ["check", "cases", "failures"],
         "netsim": ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"],
     }
-    tiny = {
-        "fig3": ["--set", "kg_max=2"],
-        "detect-sweep": [
-            "--set", "antenna_counts=4", "--set", "pathloss_powers=2", "--set", "trials=200",
-        ],
-        "recover-bench": [
-            "--set", "trials=1", "--set", "snr_dbs=inf", "--set", "tap_count=25",
-        ],
-        "codebook-verify": ["--set", "l_prime=3", "--set", "k=4"],
-        "netsim": [
-            "--set", "cells=4", "--set", "group_sizes=1",
-            "--set", "alphas=1.0", "--set", "trials=10",
-        ],
-    }
     for experiment, header in expected.items():
-        code, out = run(tmp_path, f"{experiment}.csv", experiment, *tiny[experiment])
+        code, out = run(tmp_path, f"{experiment}.csv", experiment, *TINY[experiment])
         assert code == 0, experiment
         _, got, rows = parse(out)
         assert got == header, experiment
@@ -122,28 +125,29 @@ def test_detect_sweep_blind_point(tmp_path):
     assert code == 0
     _, _, rows = parse(out)
     assert len(rows) == 1
-    m, gp, threshold, pe, stderr = rows[0]
+    m, gp, threshold, analytic, pe, stderr = rows[0]
     assert float(threshold) == 1.5
+    assert float(analytic) == 0.5
     assert abs(float(pe) - 0.5) < 3 * math.sqrt(0.25 / 4000)
 
 
 def test_detect_sweep_golden_rows(tmp_path):
     # exact strings, captured when the Monte-Carlo kernel moved to one
-    # received-sample block per chunk: two chunks per point, so the draw
-    # order across chunks is pinned
+    # exponential per antenna and the pe_analytic column was added: two
+    # chunks per point, so the draw order across chunks is pinned
     code, out = run(
         tmp_path, "g.csv", "detect-sweep",
         "--seed", "1", "--set", "trials=5000", "--set", "antenna_counts=8,32",
     )
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines()[4:] == [
-        "m_bs,g_p,threshold,pe_mc,pe_stderr",
-        "8,0.0,1.5,0.499,0.00707105366971571",
-        "8,2.0,1.6479184330021646,0.0634,0.003446170048038837",
-        "8,10.0,2.6376848000782074,0.0002,0.00019997999899989998",
-        "32,0.0,1.5,0.4982,0.007071021991197595",
-        "32,2.0,1.6479184330021646,0.001,0.0004469899327725402",
-        "32,10.0,2.6376848000782074,0.0,0.0",
+        "m_bs,g_p,threshold,pe_analytic,pe_mc,pe_stderr",
+        "8,0.0,1.5,0.5,0.4978,0.007070999363597765",
+        "8,2.0,1.6479184330021646,0.06361518747379569,0.059,0.0033322364862056236",
+        "8,10.0,2.6376848000782074,0.0006056320512150371,0.001,0.0004469899327725402",
+        "32,0.0,1.5,0.5,0.5008,0.007071058760892883",
+        "32,2.0,1.6479184330021646,0.0010563053174226286,0.0014,0.0005287797272967262",
+        "32,10.0,2.6376848000782074,3.489668494345095e-11,0.0,0.0",
     ]
 
 

@@ -3,7 +3,7 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
-from detection_oracle import error_probability_mc_complex
+from detection_oracle import error_probability_mc_complex, error_probability_mc_loop
 from scipy.special import gammainc, gammaincc
 
 from cspilot import detection
@@ -220,26 +220,48 @@ def test_error_probability_mc_validates_trials(rng):
 
 
 @pytest.mark.parametrize("m,gp", itertools.product((1, 2, 7, 32), (0.0, 0.3, 1.0, 4.0)))
-def test_error_probability_mc_matches_complex_oracle(m, gp):
-    # the in-place real kernel consumes the generator as the complex loop does
-    # and sums the same energies up to rounding: every pe must be identical,
-    # across one and several chunks and a short last one
+def test_error_probability_mc_matches_loop_oracle(m, gp):
+    # the vectorized kernel consumes the generator as the per-trial loop does
+    # and sums the same rows: every pe must be identical, across one and
+    # several chunks and a short last one
     config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=1.5 if gp == 0 else None)
     for trials, seed in itertools.product((1, 2, 4095, 4097, 10001), (0, 1, 2)):
         got = error_probability_mc(config, trials, np.random.default_rng(seed))
-        want = error_probability_mc_complex(config, trials, np.random.default_rng(seed))
+        want = error_probability_mc_loop(config, trials, np.random.default_rng(seed))
         assert got == want, (trials, seed)
 
 
-@pytest.mark.parametrize("m,trials", [(1, 1), (7, 4097), (32, 10001), (128, 9000)])
-def test_error_probability_mc_draws_two_normals_per_antenna(m, trials):
-    # one received sample per antenna and trial: 2 M normals, not the 4 M of
-    # separate channel and noise draws, over one chunk, several and a short last
+DISTRIBUTION_GRID = {1: (1.0, 4.0), 2: (1.0, 4.0), 7: (0.5, 2.0), 32: (0.3, 1.0), 128: (0.15, 0.5)}
+
+
+@pytest.mark.parametrize(
+    "m,gp", [(m, gp) for m, powers in DISTRIBUTION_GRID.items() for gp in powers]
+)
+def test_error_probability_mc_agrees_with_complex_gaussians(m, gp):
+    # exponential energies against complex Gaussian samples, which share no
+    # draw with them, and both against the Gamma closed form: within four
+    # combined standard errors at thresholds across (1, 1 + gP)
+    trials = 20_000
+    for fraction in (0.2, 0.5, 0.8):
+        config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=1.0 + fraction * gp)
+        fast = error_probability_mc(config, trials, np.random.default_rng(0))
+        slow = error_probability_mc_complex(config, trials, np.random.default_rng(1))
+        bound = 4.0 * np.sqrt((fast * (1.0 - fast) + slow * (1.0 - slow)) / trials)
+        analytic = error_probability(config)
+        assert abs(fast - slow) <= bound, (fraction, fast, slow)
+        assert abs(fast - analytic) <= bound, (fraction, fast, analytic)
+        assert abs(slow - analytic) <= bound, (fraction, slow, analytic)
+
+
+@pytest.mark.parametrize("m,trials", [(1, 1), (3, 4096), (7, 4097), (32, 10001), (128, 9000)])
+def test_error_probability_mc_draws_one_exponential_per_antenna(m, trials):
+    # one received energy per antenna and trial: M exponentials and nothing
+    # else, over one chunk, several and a short last one
     rng = np.random.default_rng(5)
     error_probability_mc(DetectionConfig(antenna_count=m, pathloss_power=1.0), trials, rng)
     fresh = np.random.default_rng(5)
-    fresh.standard_normal(2 * m * trials)
-    assert rng.random() == fresh.random()
+    fresh.standard_exponential(m * trials)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_error_probability_mc_does_not_depend_on_chunk(monkeypatch):

@@ -4,6 +4,8 @@ import math
 import re
 from pathlib import Path
 
+from test_cli import TINY
+
 from cspilot import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +32,14 @@ def test_cli_section_lists_every_config_key_with_its_default():
     for name, experiment in cli.EXPERIMENTS.items():
         for key, (default, _) in experiment.keys.items():
             assert (key, f"`{default}`" if default else "empty") in rows, (name, key)
+
+
+def test_cli_table_row_schemas_match_the_csv_headers(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("\n## ", 1)[0]
+    schemas = dict(re.findall(r"^\| `([^`]+)` \| [^|]* \| `([^`]+)` \|$", section, re.MULTILINE))
+    assert set(schemas) == set(cli.EXPERIMENTS)
+    for experiment, schema in schemas.items():
+        out = tmp_path / f"{experiment}.csv"
+        assert cli.main([experiment, "--out", str(out), *TINY[experiment]]) == 0
+        header = next(ln for ln in out.read_text(encoding="utf-8").splitlines() if not ln.startswith("#"))
+        assert header == schema, experiment

@@ -56,7 +56,7 @@ from .detection import (
     optimal_threshold,
 )
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
-from .pilots import build_codebook, choose_l, decode_energy_vector, superpose
+from .pilots import build_codebook, choose_l, decode_energy_vector, decode_energy_vectors, superpose
 from .recovery import (
     comb_tone_set,
     dantzig_recover,
@@ -191,11 +191,8 @@ def _detect_point(item):
 def _run_detect_sweep(cfg, seed, workers):
     grid = [(m, gp) for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]]
     items = [(seed, cfg["trials"], index, m, gp) for index, (m, gp) in enumerate(grid)]
-    # a point costs in proportion to its antenna count: start the largest
-    # first so the pool does not end on one long item, then restore grid order
-    order = sorted(range(len(items)), key=lambda index: -grid[index][0])
-    results = _fan_out(_detect_point, [items[index] for index in order], workers)
-    rows = [row for _, row in sorted(zip(order, results))]
+    # a point draws M_BS exponentials per trial
+    rows = _fan_out(_detect_point, items, workers, cost=lambda item: item[3])
     return ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"], rows, 0
 
 
@@ -313,34 +310,38 @@ def _run_recover_bench(cfg, seed, workers):
     return header, rows, failures
 
 
+def _sampled_pairs(k: int, rng: np.random.Generator) -> np.ndarray:
+    """10 000 distinct UE pairs ``i < j`` below k, as the sorted rows of a (10000, 2) array.
+
+    Each block draws as many (i, j) rows as pairs are still missing, so no
+    draw lands past the one that completes the set: the pairs, and the
+    draws consumed, are those of one ``rng.integers(0, k, size=2)`` per pair
+    drawn until 10 000 distinct ones with i != j are found.
+    """
+    codes = np.empty(0, dtype=np.int64)  # i * k + j of each pair
+    while codes.size < 10_000:
+        i, j = rng.integers(0, k, size=(10_000 - codes.size, 2)).T
+        keep = i != j
+        codes = np.union1d(codes, np.minimum(i, j)[keep] * k + np.maximum(i, j)[keep])
+    return np.column_stack(np.divmod(codes, k))
+
+
 def _run_codebook_verify(cfg, seed, workers):
     book = cfg["book"]
     k = book.user_count
     outcome = decode_energy_vector(np.zeros(book.dimension, dtype=np.uint8), book)
     rows = [["empty", 1, int(outcome.kind != "empty")]]
 
-    single_fail = 0
-    for i in range(k):
-        outcome = decode_energy_vector(superpose([i], book), book)
-        if outcome.kind != "identified" or outcome.ue_index != i:
-            single_fail += 1
-    rows.append(["single", k, single_fail])
+    kinds, ue_indices = decode_energy_vectors(book.columns.T, book)
+    single_fail = np.count_nonzero((kinds != "identified") | (ue_indices != np.arange(k)))
+    rows.append(["single", k, int(single_fail)])
 
     if k > 300:
-        rng = np.random.default_rng([seed, _TAG_CODEBOOK, 0])
-        pairs = set()
-        while len(pairs) < 10_000:
-            i, j = rng.integers(0, k, size=2)
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
-        pair_list = sorted(pairs)
+        pairs = _sampled_pairs(k, np.random.default_rng([seed, _TAG_CODEBOOK, 0]))
     else:
-        pair_list = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    pair_fail = 0
-    for i, j in pair_list:
-        if decode_energy_vector(superpose([i, j], book), book).kind != "collision":
-            pair_fail += 1
-    rows.append(["pair", len(pair_list), pair_fail])
+        pairs = np.column_stack(np.triu_indices(k, 1))
+    kinds, _ = decode_energy_vectors(superpose(pairs, book), book)
+    rows.append(["pair", len(pairs), int(np.count_nonzero(kinds != "collision"))])
 
     return ["check", "cases", "failures"], rows, sum(row[2] for row in rows)
 
@@ -357,14 +358,18 @@ def _run_netsim(cfg, seed, workers):
     grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
     items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
     header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
-    return header, _fan_out(_netsim_point, items, workers), 0
+    # a trial draws K_G uniforms and counts over N + 1 bins
+    rows = _fan_out(_netsim_point, items, workers, cost=lambda item: item[3] + item[4])
+    return header, rows, 0
 
 
-def _fan_out(work, items, workers):
+def _fan_out(work, items, workers, cost=lambda item: 0):
     """``[work(item) for item in items]``, on up to `workers` forked processes.
 
-    `work` is a module-level function and each item and result pickles.  The
-    pool is shut down, and its children joined, before this returns.
+    `work` is a module-level function and each item and result pickles.  A
+    pool starts the items in decreasing `cost` (ties in item order), so it
+    does not end on one long item; the results still come in item order.
+    The pool is shut down, and its children joined, before this returns.
     """
     workers = min(workers, len(items))
     if workers <= 1:
@@ -372,8 +377,10 @@ def _fan_out(work, items, workers):
     # fork by name: the children inherit the loaded modules and the one BLAS
     # thread set in main, and Python 3.14 makes another method the default
     context = multiprocessing.get_context("fork")
+    order = sorted(range(len(items)), key=lambda index: -cost(items[index]))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(work, items))
+        results = dict(zip(order, pool.map(work, [items[index] for index in order])))
+    return [results[index] for index in range(len(items))]
 
 
 @dataclass(frozen=True)

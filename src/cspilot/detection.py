@@ -185,10 +185,16 @@ def optimal_threshold(config: DetectionConfig) -> float:
 
 
 def error_probability(config: DetectionConfig) -> float:
-    """Analytic equal-prior error probability at the preset (or optimal) threshold."""
+    """Analytic equal-prior error probability at the preset (or optimal) threshold.
+
+    At gP = 0 one law holds under both hypotheses, so every threshold errs
+    exactly half the time; the two tails would miss 1/2 by an ulp.
+    """
     threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)
+    if config.pathloss_power == 0:
+        return 0.5
     return float(_error_probability(config.antenna_count, config.pathloss_power, threshold))
 
 

@@ -13,10 +13,14 @@ colexicographic order.  In that order column k is the subset whose zero
 rows c_1 < ... < c_l have rank ``C(L, l) - 1 - sum_i C(c_i, i)`` (the
 combinatorial number system), so columns are built by unranking their
 index and an observed zero set is decoded by ranking it, without search.
+`decode_energy_vectors` ranks a whole (n, L) stack of patterns in one
+pass, from a table of ``C(c, i)``, and `superpose` ORs an (n, g) stack
+of UE groups; the one-pattern calls are their one-row case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,9 +54,17 @@ def choose_l(K: int, L_prime: int) -> int:
     return l
 
 
-def _rank(zero_rows, L: int, l: int) -> int:
-    """Reverse-colex index of the l-subset with ascending rows ``zero_rows``."""
-    return math.comb(L, l) - 1 - sum(math.comb(c, i) for i, c in enumerate(zero_rows, start=1))
+@functools.lru_cache(maxsize=16)
+def _rank_table(L: int, l: int) -> np.ndarray:
+    """``C(c, i)`` at row c < L and column i - 1, for i = 1..l.
+
+    A rank sums one entry per column, at most ``C(L, l) - 1``: int64 when
+    that fits, else Python ints, so no rank overflows.
+    """
+    dtype = np.int64 if math.comb(L, l) <= np.iinfo(np.int64).max else object
+    table = np.array([[math.comb(c, i) for i in range(1, l + 1)] for c in range(L)], dtype=dtype)
+    table.flags.writeable = False  # one table serves every caller
+    return table
 
 
 def _unrank(k: int, L: int, l: int) -> list:
@@ -124,49 +136,68 @@ class DecodeOutcome:
 def superpose(active_ues, book: PilotCodebook) -> np.ndarray:
     """Componentwise OR of the active columns (ideal energy detection).
 
-    Raises ``ValueError`` unless `active_ues` is a 1-D list of integer
-    column indices of `book`.
+    `active_ues` is one group, a 1-D list of column indices of `book`,
+    whose (L,) pattern is returned, or an (n, g) array of n groups of g,
+    whose (n, L) patterns are returned.  Raises ``ValueError`` for any
+    other shape, a non-integer index or an index outside [0, K).
     """
-    if not np.iterable(active_ues):  # a 2-D list fails as a UE index below
-        raise ValueError(f"active_ues must be a 1-D list of UE indices, got {active_ues!r}")
-    pattern = np.zeros(book.dimension, dtype=np.uint8)
-    for k in active_ues:
-        if not 0 <= _as_count(k, "UE index") < book.user_count:
-            raise ValueError(f"UE index {k!r} is not in [0, {book.user_count})")
-        pattern |= book.columns[:, k]
-    return pattern
+    groups = np.asarray(active_ues)
+    if groups.ndim not in (1, 2):
+        raise ValueError(
+            f"active_ues must be a 1-D list or an (n, g) array of UE indices, got {active_ues!r}"
+        )
+    if groups.size and groups.dtype.kind not in "iu":  # [] is float: it ORs nothing
+        raise ValueError(f"UE index must be an integer, got {active_ues!r}")
+    outside = (groups < 0) | (groups >= book.user_count)
+    if outside.any():  # -1 would wrap to the last column
+        raise ValueError(f"UE index {int(groups[outside][0])} is not in [0, {book.user_count})")
+    return np.bitwise_or.reduce(book.columns.T[groups.astype(np.intp)], axis=-2)
 
 
-def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
-    """Classify an observed high/low energy pattern.
+def decode_energy_vectors(observed, book: PilotCodebook) -> tuple[np.ndarray, np.ndarray]:
+    """Classify each row of an (n, L) stack of observed high/low energy patterns.
 
     All dimensions low means no UE transmitted; exactly l lows matching a
     column identifies that UE, whose index is the rank of the low set;
     fewer than l lows can only arise from overlapping transmissions, a
     collision.  Any other pattern (including l lows matching no column) is
     reported invalid — with imperfect detection the three clean outcomes
-    are not exhaustive.  Raises ``ValueError`` unless `observed` holds
-    exactly one 0 or 1 per pilot dimension, as integers or floats (no bool).
+    are not exhaustive.  Returns ``(kinds, ue_indices)``: each row's kind
+    (empty, identified, collision or invalid) and its UE index, -1 unless
+    identified.  Raises ``ValueError`` unless `observed` is 2-D with L
+    columns holding only 0 or 1, as integers or floats (no bool).
     """
+    observed = np.asarray(observed)
+    L, l = book.dimension, book.zeros_per_column
+    if observed.ndim != 2 or observed.shape[1] != L:
+        raise ValueError(f"observed patterns have shape {observed.shape}, expected (n, {L})")
+    low = observed == 0
+    if observed.dtype.kind not in "iuf" or not (low | (observed == 1)).all():
+        raise ValueError(f"observed entries must be 0 or 1, got {observed!r}")
+    zeros = np.count_nonzero(low, axis=1)
+    kinds = np.full(len(observed), "invalid", dtype="<U10")
+    kinds[zeros < l] = "collision"
+    kinds[zeros == L] = "empty"
+    ue_indices = np.full(len(observed), -1, dtype=np.int64)
+    exact = np.flatnonzero(zeros == l)
+    rows = np.nonzero(low[exact])[1].reshape(-1, l)  # each row's zero rows, ascending
+    ranks = math.comb(L, l) - 1 - _rank_table(L, l)[rows, np.arange(l)].sum(axis=1)
+    known = ranks < book.user_count
+    kinds[exact[known]] = "identified"
+    ue_indices[exact[known]] = ranks[known]
+    return kinds, ue_indices
+
+
+def decode_energy_vector(observed, book: PilotCodebook) -> DecodeOutcome:
+    """`decode_energy_vectors` of one (L,) pattern; `ue_index` is None unless identified."""
     observed = np.asarray(observed)
     if observed.shape != (book.dimension,):
         raise ValueError(
             f"observed vector has shape {observed.shape}, expected ({book.dimension},)"
         )
-    zeros = np.flatnonzero(observed == 0).tolist()
-    binary = len(zeros) + np.count_nonzero(observed == 1) == book.dimension
-    if observed.dtype.kind not in "iuf" or not binary:
-        raise ValueError(f"observed entries must be 0 or 1, got {observed!r}")
-    if len(zeros) == book.dimension:
-        return DecodeOutcome(kind="empty")
-    if len(zeros) == book.zeros_per_column:
-        k = _rank(zeros, book.dimension, book.zeros_per_column)
-        if k < book.user_count:
-            return DecodeOutcome(kind="identified", ue_index=k)
-        return DecodeOutcome(kind="invalid")
-    if len(zeros) < book.zeros_per_column:
-        return DecodeOutcome(kind="collision")
-    return DecodeOutcome(kind="invalid")
+    kinds, ue_indices = decode_energy_vectors(observed[None], book)
+    kind = str(kinds[0])
+    return DecodeOutcome(kind=kind, ue_index=int(ue_indices[0]) if kind == "identified" else None)
 
 
 def code_efficiency(L_prime: int, l: int) -> Fraction:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 import multiprocessing
 import os
@@ -352,6 +353,35 @@ def test_codebook_verify_defaults(tmp_path):
     assert all(r[2] == "0" for r in rows)
 
 
+@pytest.mark.parametrize("k, pairs", [(1, "0"), (2, "1")])
+def test_codebook_verify_smallest_books(tmp_path, k, pairs):
+    # one user has no pair and two users one: every row is still written
+    code, out = run(tmp_path, "cb.csv", "codebook-verify", "--set", f"k={k}")
+    assert code == 0
+    _, _, rows = parse(out)
+    assert rows == [["empty", "1", "0"], ["single", str(k), "0"], ["pair", pairs, "0"]]
+
+
+def _pairs_one_draw_at_a_time(k, rng):
+    pairs = set()
+    while len(pairs) < 10_000:
+        i, j = rng.integers(0, k, size=2)
+        if i != j:
+            pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("k", [301, 1771, 5000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_pairs_match_one_draw_at_a_time(k, seed):
+    # blocks of as many draws as pairs are missing take the same stream, and
+    # stop at the same draw, as one two-draw call per pair
+    rng = lambda: np.random.default_rng([seed, cli._TAG_CODEBOOK, 0])
+    pairs = cli._sampled_pairs(k, rng())
+    assert pairs.shape == (10_000, 2)
+    assert [tuple(pair) for pair in pairs.tolist()] == _pairs_one_draw_at_a_time(k, rng())
+
+
 def test_codebook_verify_empty_book(tmp_path, capsys):
     # a book of no users verifies nothing: it is refused, not reported clean
     code, out = run(tmp_path, "cb0.csv", "codebook-verify", "--set", "k=0")
@@ -378,6 +408,42 @@ def test_workers_do_not_change_output(tmp_path):
     _, f = run(tmp_path, "f.csv", "detect-sweep", "--workers", "3", *DETECT_TINY)
     assert e.read_bytes() == f.read_bytes()
     assert [row[0] for row in parse(e)[2]] == ["4", "4", "16", "16", "8", "8"]
+
+
+class _SerialPool:
+    """Stand-in for the process pool that records the order items start in."""
+
+    started = []
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, work, items):
+        self.started.extend(items)
+        return map(work, items)
+
+
+def test_fan_out_starts_the_costliest_items_first(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "started", [])
+    items = [3, 1, 4, 1, 5, 9, 2, 6]
+    assert cli._fan_out(str, items, 2, cost=lambda item: item) == list(map(str, items))
+    assert _SerialPool.started == [9, 6, 5, 4, 3, 2, 1, 1]
+    _SerialPool.started.clear()
+    assert cli._fan_out(str, items, 2) == list(map(str, items))  # no cost: item order
+    assert _SerialPool.started == items
+    # netsim starts its heaviest point, the most cells and the largest group, first
+    _SerialPool.started.clear()
+    cfg = {"cells": [4, 64], "group_sizes": [1, 64], "alphas": [1.0], "trials": 10}
+    _, rows, _ = cli._run_netsim(cfg, 0, 2)
+    assert [row[:2] for row in rows] == [[4, 1], [4, 64], [64, 1], [64, 64]]
+    assert [item[3:5] for item in _SerialPool.started] == [(64, 64), (4, 64), (64, 1), (4, 1)]
 
 
 def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
@@ -825,3 +891,19 @@ def test_default_config_digest_is_pinned(tmp_path, monkeypatch, experiment):
     code, out = run(tmp_path, "a.csv", experiment)
     assert code == 0
     assert parse(out)[0][3] == f"# config-sha256: {_DEFAULT_DIGESTS[experiment]}"
+
+
+# the sha256 of the whole CSV of codebook-verify at l=3, k=1771 (sampled pairs), per seed
+_SAMPLED_CODEBOOK_DIGESTS = {
+    0: "131ef5b115e973d8d1c9d3d8a80463769c63d8c38c41863a45b449d4fbf62dbe",
+    1: "94f0ccfcd7f5ce80095763e4634d0e5b19266c03d18ba00dfcb844cd06017db4",
+    2: "14db1376ad4a2c4772f1dbf612416a9b0682071d00559e2936a65c10d16e829d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SAMPLED_CODEBOOK_DIGESTS))
+def test_sampled_codebook_verify_is_pinned(tmp_path, seed):
+    args = ["--seed", str(seed), "--set", "l=3", "--set", "k=1771"]
+    code, out = run(tmp_path, "cb.csv", "codebook-verify", *args)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SAMPLED_CODEBOOK_DIGESTS[seed]

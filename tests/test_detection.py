@@ -60,6 +60,14 @@ def test_error_probability_explicit_threshold_blind_point():
         DetectionConfig(antenna_count=8, pathloss_power=0.0, threshold=0.5)
 
 
+def test_blind_point_errs_exactly_half_the_time():
+    # one law under both hypotheses: the two Poisson tails summed directly
+    # missed 1/2 by an ulp in 31 of these 256 cases (M_BS = 1 at 1.5 among them)
+    for m, threshold in itertools.product(range(1, 65), (1.01, 1.5, 2.0, 3.0)):
+        config = DetectionConfig(antenna_count=m, pathloss_power=0.0, threshold=threshold)
+        assert error_probability(config) == 0.5, (m, threshold)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 64, 128, 1024, 10**4, 10**5, 10**6])
 def test_poisson_tails_match_the_incomplete_gamma(m):
     # both tails at the energies _error_probability forms: gP log-spaced over

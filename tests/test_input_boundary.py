@@ -199,6 +199,11 @@ def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None):
     return bad
 
 
+# a 1-D list is one UE group and a 2-D array a stack of them: 3-D is one
+# dimension too many
+_BAD_GROUPS = _bad_array([0, 2], integer=True, nonneg=True)
+_BAD_GROUPS["3-D"] = _BAD_GROUPS.pop("2-D")[None]
+
 _RNG = np.random.default_rng(3)
 _BOOK = build_codebook(3, 2, 1)
 _CONFIG = DetectionConfig(8, 2.0)
@@ -268,10 +273,11 @@ _WALK = {
         {"observed": _BOOK.columns[:, 0], "book": _BOOK},
         {"observed": _bad_array(_BOOK.columns[:, 0], integer=True, nonneg=True, axis=0)},
     ),
-    "superpose": (
-        {"active_ues": [0, 2], "book": _BOOK},
-        {"active_ues": _bad_array([0, 2], integer=True, nonneg=True)},
+    "decode_energy_vectors": (
+        {"observed": _BOOK.columns.T, "book": _BOOK},
+        {"observed": _bad_array(_BOOK.columns.T, integer=True, nonneg=True, axis=1)},
     ),
+    "superpose": ({"active_ues": [0, 2], "book": _BOOK}, {"active_ues": _BAD_GROUPS}),
     "comb_tone_set": ({"params": _P}, {}),
     "dantzig_epsilon": ({"noise_variance": 0.1, "X": _X}, {"noise_variance": _BAD_REAL}),
     "dantzig_recover": (

@@ -1,6 +1,7 @@
+import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cspilot.pilots import (
     choose_l,
     code_efficiency,
     decode_energy_vector,
+    decode_energy_vectors,
     superpose,
 )
 
@@ -257,3 +259,100 @@ def test_codebook_properties(l_prime, l, data):
     for k in range(K):
         out = decode_energy_vector(superpose([k], book), book)
         assert out.kind == "identified" and out.ue_index == k
+
+
+def _rank(zero_rows, L, l):
+    """Reverse-colex index of the l-subset with ascending rows `zero_rows`, in Python ints."""
+    return math.comb(L, l) - 1 - sum(math.comb(c, i) for i, c in enumerate(zero_rows, start=1))
+
+
+def _oracle_decode(pattern, book):
+    """``(kind, ue_index)`` of one pattern by the rules, one row at a time."""
+    zeros = [row for row, value in enumerate(pattern) if value == 0]
+    if len(zeros) == book.dimension:
+        return "empty", -1
+    if len(zeros) < book.zeros_per_column:
+        return "collision", -1
+    if len(zeros) == book.zeros_per_column:
+        k = _rank(zeros, book.dimension, book.zeros_per_column)
+        if k < book.user_count:
+            return "identified", k
+    return "invalid", -1
+
+
+@pytest.mark.parametrize(
+    "l_prime, l, K", [(1, 1, 1), (3, 1, 2), (5, 2, 17), (6, 3, 80), (4, 4, 69), (9, 3, 219), (10, 2, 1)]
+)
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, np.float64])
+def test_batch_decode_matches_the_oracle_on_every_pattern(l_prime, l, K, dtype):
+    # every 0/1 pattern of the L <= 12 dimensions, with K below capacity so
+    # that some l-zero patterns rank past the book and are invalid
+    book = build_codebook(K, l_prime, l)
+    patterns = np.array(list(product((0, 1), repeat=book.dimension)), dtype=dtype)
+    kinds, ue_indices = decode_energy_vectors(patterns, book)
+    expected = [_oracle_decode(pattern.tolist(), book) for pattern in patterns]
+    assert list(zip(kinds.tolist(), ue_indices.tolist())) == expected
+    assert ue_indices.dtype == np.int64
+    for pattern in patterns[:: max(1, len(patterns) // 64)]:
+        kind, ue_index = _oracle_decode(pattern.tolist(), book)
+        out = decode_energy_vector(pattern, book)
+        assert (out.kind, out.ue_index) == (kind, None if ue_index < 0 else ue_index)
+
+
+def test_batch_decode_ranks_past_int64_exactly():
+    # C(90, 30) is about 6.7e23, above 2**63: ranks are summed in Python ints
+    book = build_codebook(5, 60, 30)
+    assert math.comb(book.dimension, book.zeros_per_column) > 2**63
+    rng = np.random.default_rng(0)
+    drawn = np.ones((20, book.dimension), dtype=np.uint8)
+    for row in drawn:
+        row[rng.choice(book.dimension, size=30, replace=False)] = 0
+    last = np.ones(book.dimension, dtype=np.uint8)
+    last[:30] = 0  # rank 0 in colex: the last of all C(90, 30) columns
+    patterns = np.vstack([book.columns.T, drawn, last])
+    kinds, ue_indices = decode_energy_vectors(patterns, book)
+    assert kinds[:5].tolist() == ["identified"] * 5
+    assert ue_indices[:5].tolist() == list(range(5))
+    assert list(zip(kinds.tolist(), ue_indices.tolist())) == [
+        _oracle_decode(pattern.tolist(), book) for pattern in patterns
+    ]
+    assert kinds[-1] == "invalid"
+
+
+@pytest.mark.parametrize(
+    "observed, message",
+    [
+        (np.ones((2, 4), dtype=bool), "0 or 1"),
+        (np.array([[1, 1, 2, 0]]), "0 or 1"),
+        (np.array([[1, np.nan, 1, 0], [1, 1, 1, 0]]), "0 or 1"),
+        (np.ones((2, 5)), re.escape("shape (2, 5), expected (n, 4)")),
+        (np.ones((1, 2, 4)), re.escape("shape (1, 2, 4), expected (n, 4)")),
+        (np.ones(4), re.escape("shape (4,), expected (n, 4)")),
+    ],
+    ids=["bool", "two", "nan", "wrong-width", "3-D", "1-D"],
+)
+def test_batch_decode_rejects_malformed_stacks(observed, message):
+    with pytest.raises(ValueError, match=message):
+        decode_energy_vectors(observed, build_codebook(4, 3, 1))
+
+
+def test_batch_decode_of_no_patterns():
+    kinds, ue_indices = decode_energy_vectors(np.ones((0, 4)), build_codebook(4, 3, 1))
+    assert kinds.shape == ue_indices.shape == (0,)
+
+
+def test_superpose_on_a_stack_matches_the_group_loop():
+    book = build_codebook(80, 6, 3)
+    groups = np.random.default_rng(1).integers(0, 80, size=(50, 3))
+    stacked = superpose(groups, book)
+    assert stacked.shape == (50, book.dimension) and stacked.dtype == np.uint8
+    for group, pattern in zip(groups, stacked):
+        assert np.array_equal(pattern, superpose(group.tolist(), book))
+    assert superpose(np.empty((4, 0), dtype=int), book).tolist() == [[0] * 9] * 4
+    for bad in (80, -1):  # out of range in the last row only
+        with pytest.raises(ValueError, match=f"UE index {bad} is not in"):
+            superpose(np.vstack([groups, [0, 1, bad]]), book)
+    with pytest.raises(ValueError, match="must be an integer"):
+        superpose(groups.astype(float), book)
+    with pytest.raises(ValueError, match="1-D list or an"):
+        superpose(groups[None], book)

@@ -52,7 +52,6 @@ from .pilots import (
     choose_l,
     code_efficiency,
     decode_energy_vector,
-    decode_energy_vectors,
     superpose,
 )
 from .recovery import (

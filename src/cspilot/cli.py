@@ -56,7 +56,7 @@ from .detection import (
     optimal_threshold,
 )
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
-from .pilots import build_codebook, choose_l, decode_energy_vector, decode_energy_vectors, superpose
+from .pilots import build_codebook, choose_l, decode_energy_vectors, superpose
 from .recovery import (
     comb_tone_set,
     dantzig_recover,
@@ -329,11 +329,12 @@ def _sampled_pairs(k: int, rng: np.random.Generator) -> np.ndarray:
 def _run_codebook_verify(cfg, seed, workers):
     book = cfg["book"]
     k = book.user_count
-    outcome = decode_energy_vector(np.zeros(book.dimension, dtype=np.uint8), book)
-    rows = [["empty", 1, int(outcome.kind != "empty")]]
-
-    kinds, ue_indices = decode_energy_vectors(book.columns.T, book)
-    single_fail = np.count_nonzero((kinds != "identified") | (ue_indices != np.arange(k)))
+    # row 0 is the empty pattern, row 1 + i UE i alone
+    kinds, ue_indices = decode_energy_vectors(
+        np.vstack([np.zeros(book.dimension, dtype=np.uint8), book.columns.T]), book
+    )
+    rows = [["empty", 1, int(kinds[0] != "empty")]]
+    single_fail = np.count_nonzero((kinds[1:] != "identified") | (ue_indices[1:] != np.arange(k)))
     rows.append(["single", k, int(single_fail)])
 
     if k > 300:
@@ -358,8 +359,9 @@ def _run_netsim(cfg, seed, workers):
     grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
     items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
     header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
-    # a trial draws K_G uniforms and counts over N + 1 bins
-    rows = _fan_out(_netsim_point, items, workers, cost=lambda item: item[3] + item[4])
+    # a trial draws K_G uniforms and counts over N + 1 bins; timed per point,
+    # a UE costs about seven bins (BENCH_codebook_batch.json, netsim_points)
+    rows = _fan_out(_netsim_point, items, workers, cost=lambda item: item[3] + 7 * item[4])
     return header, rows, 0
 
 

@@ -56,13 +56,18 @@ def choose_l(K: int, L_prime: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _rank_table(L: int, l: int) -> np.ndarray:
-    """``C(c, i)`` at row c < L and column i - 1, for i = 1..l.
+    """``C(c, i)`` at row c < L and column i - 1, for i = 1..l, capped at ``C(L, l)``.
 
-    A rank sums one entry per column, at most ``C(L, l) - 1``: int64 when
-    that fits, else Python ints, so no rank overflows.
+    A rank sums one entry per column, at most ``C(L, l) - 1``, so no entry
+    an l-subset reaches is capped; the cap keeps the others (mid-table
+    ``C(c, i)`` can pass ``C(L, l)``) from overflowing.  int64 when
+    ``C(L, l)`` fits, else Python ints, so no rank overflows.
     """
-    dtype = np.int64 if math.comb(L, l) <= np.iinfo(np.int64).max else object
-    table = np.array([[math.comb(c, i) for i in range(1, l + 1)] for c in range(L)], dtype=dtype)
+    total = math.comb(L, l)
+    dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+    table = np.array(
+        [[min(math.comb(c, i), total) for i in range(1, l + 1)] for c in range(L)], dtype=dtype
+    )
     table.flags.writeable = False  # one table serves every caller
     return table
 
@@ -146,6 +151,9 @@ def superpose(active_ues, book: PilotCodebook) -> np.ndarray:
         raise ValueError(
             f"active_ues must be a 1-D list or an (n, g) array of UE indices, got {active_ues!r}"
         )
+    if not isinstance(active_ues, np.ndarray):  # numpy would read [True, 0] as [1, 0]
+        for k in np.asarray(active_ues, dtype=object).flat:
+            _as_count(k, "UE index")
     if groups.size and groups.dtype.kind not in "iu":  # [] is float: it ORs nothing
         raise ValueError(f"UE index must be an integer, got {active_ues!r}")
     outside = (groups < 0) | (groups >= book.user_count)

@@ -438,12 +438,15 @@ def test_fan_out_starts_the_costliest_items_first(monkeypatch):
     _SerialPool.started.clear()
     assert cli._fan_out(str, items, 2) == list(map(str, items))  # no cost: item order
     assert _SerialPool.started == items
-    # netsim starts its heaviest point, the most cells and the largest group, first
+    # netsim starts its heaviest point, the most cells and the largest group,
+    # first; a UE weighs about seven cells, so 16 UEs in 4 cells beat 1 in 64
     _SerialPool.started.clear()
-    cfg = {"cells": [4, 64], "group_sizes": [1, 64], "alphas": [1.0], "trials": 10}
+    cfg = {"cells": [4, 64], "group_sizes": [1, 16, 64], "alphas": [1.0], "trials": 10}
     _, rows, _ = cli._run_netsim(cfg, 0, 2)
-    assert [row[:2] for row in rows] == [[4, 1], [4, 64], [64, 1], [64, 64]]
-    assert [item[3:5] for item in _SerialPool.started] == [(64, 64), (4, 64), (64, 1), (4, 1)]
+    grid = [[4, 1], [4, 16], [4, 64], [64, 1], [64, 16], [64, 64]]
+    assert [row[:2] for row in rows] == grid
+    started = [list(item[3:5]) for item in _SerialPool.started]
+    assert started == [[64, 64], [4, 64], [64, 16], [4, 16], [64, 1], [4, 1]]
 
 
 def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):

@@ -200,9 +200,10 @@ def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None):
 
 
 # a 1-D list is one UE group and a 2-D array a stack of them: 3-D is one
-# dimension too many
+# dimension too many, and a list's bool is no index even beside ints
 _BAD_GROUPS = _bad_array([0, 2], integer=True, nonneg=True)
 _BAD_GROUPS["3-D"] = _BAD_GROUPS.pop("2-D")[None]
+_BAD_GROUPS["bool-in-list"] = [True, 0]
 
 _RNG = np.random.default_rng(3)
 _BOOK = build_codebook(3, 2, 1)
@@ -272,10 +273,6 @@ _WALK = {
     "decode_energy_vector": (
         {"observed": _BOOK.columns[:, 0], "book": _BOOK},
         {"observed": _bad_array(_BOOK.columns[:, 0], integer=True, nonneg=True, axis=0)},
-    ),
-    "decode_energy_vectors": (
-        {"observed": _BOOK.columns.T, "book": _BOOK},
-        {"observed": _bad_array(_BOOK.columns.T, integer=True, nonneg=True, axis=1)},
     ),
     "superpose": ({"active_ues": [0, 2], "book": _BOOK}, {"active_ues": _BAD_GROUPS}),
     "comb_tone_set": ({"params": _P}, {}),

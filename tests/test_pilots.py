@@ -18,6 +18,7 @@ from cspilot.pilots import (
     decode_energy_vector,
     decode_energy_vectors,
     superpose,
+    _rank_table,
 )
 
 # canonical single-zero book for three transmit dimensions:
@@ -319,6 +320,29 @@ def test_batch_decode_ranks_past_int64_exactly():
     assert kinds[-1] == "invalid"
 
 
+@pytest.mark.parametrize("K, l_prime, l", [(30, 20, 50), (3, 1, 67)])
+def test_batch_decode_when_only_mid_table_binomials_pass_int64(K, l_prime, l):
+    # C(L, l) fits int64 but some C(c, i) with c < L, i <= l does not
+    # (C(69, 34) ~ 2.8e19, C(67, 33) ~ 1.4e19): ranks stay exact int64
+    book = build_codebook(K, l_prime, l)
+    L = book.dimension
+    assert math.comb(L, l) <= 2**63 - 1 < max(math.comb(c, i) for c in range(L) for i in range(l + 1))
+    assert _rank_table(L, l).dtype == np.int64
+    pairs = np.array(list(combinations(range(K), 2)))
+    patterns = np.vstack([np.zeros(L, dtype=np.uint8), book.columns.T, superpose(pairs, book)])
+    kinds, ue_indices = decode_energy_vectors(patterns, book)
+    assert kinds[0] == "empty" and (kinds[K + 1 :] == "collision").all()
+    assert kinds[1 : K + 1].tolist() == ["identified"] * K
+    assert ue_indices[1 : K + 1].tolist() == list(range(K))
+    assert decode_energy_vector(np.zeros(L), book).kind == "empty"
+    # ranks all over [0, C(L, l)), past the book, as the rows of the capped table give them
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        zeros = np.sort(rng.choice(L, size=l, replace=False))
+        rank = math.comb(L, l) - 1 - int(_rank_table(L, l)[zeros, np.arange(l)].sum())
+        assert rank == _rank(zeros.tolist(), L, l)
+
+
 @pytest.mark.parametrize(
     "observed, message",
     [
@@ -356,3 +380,6 @@ def test_superpose_on_a_stack_matches_the_group_loop():
         superpose(groups.astype(float), book)
     with pytest.raises(ValueError, match="1-D list or an"):
         superpose(groups[None], book)
+    for mixed in ([True, 0], [[0, 1], [2, np.True_]]):  # numpy alone reads True as 1
+        with pytest.raises(ValueError, match="UE index must be an integer, got (np.)?True"):
+            superpose(mixed, book)

@@ -184,15 +184,45 @@ def select_pilot_tones(params: OfdmParams, rng: np.random.Generator) -> np.ndarr
     )
 
 
+def _partial_dft(tones: np.ndarray, params: OfdmParams) -> np.ndarray:
+    """``exp(-2j*pi*n*d / WT)`` for each tone n on the last axis of `tones` and each delay d.
+
+    A stack of tone sets gives the stack of their matrices, shape
+    ``tones.shape + (tap_count,)``, from one ``exp``; each matrix has the
+    bits of the one built alone.
+    """
+    n = tones[..., None].astype(float)
+    d = np.arange(params.tap_count).astype(float)
+    return np.exp(-2j * np.pi * n * d / params.bandwidth_time_product)
+
+
 def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
     """Assemble the partial-DFT matrix for the given tones, rows in ascending tone order."""
     tones = np.sort(_as_tones(tone_set))
     if tones.size and tones[-1] >= params.bandwidth_time_product:
         raise ValueError("tone indices out of range")
-    n = tones[:, None].astype(float)
-    d = np.arange(params.tap_count)[None, :].astype(float)
-    rows = np.exp(-2j * np.pi * n * d / params.bandwidth_time_product)
-    return SensingMatrix(rows=rows)
+    return SensingMatrix(rows=_partial_dft(tones, params))
+
+
+def _noise(m: int, noise_variance: float, rng: np.random.Generator) -> np.ndarray | None:
+    """m circularly-symmetric complex Gaussian draws of variance `noise_variance`.
+
+    The real parts are drawn first, then the imaginary parts; None, and no
+    draw, at variance 0.
+    """
+    if noise_variance == 0:
+        return None
+    return np.sqrt(noise_variance / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+def _measure(rows: np.ndarray, taps: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    """``rows @ taps + noise`` over a stack: (..., M, D) rows, (..., D) taps, (..., M) noise.
+
+    `noise` None means noiseless.  Each product is one matrix-vector call,
+    so a stacked measurement has the bits of the ones made alone.
+    """
+    y = (rows @ taps[..., None])[..., 0]
+    return y if noise is None else y + noise
 
 
 def synthesize_measurement(
@@ -211,11 +241,4 @@ def synthesize_measurement(
         )
     if _as_real(noise_variance, "noise_variance") < 0:
         raise ValueError("noise_variance must be finite and nonnegative")
-    y = X.rows @ h.taps
-    if noise_variance > 0:
-        m = X.rows.shape[0]
-        z = np.sqrt(noise_variance / 2.0) * (
-            rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        )
-        y = y + z
-    return y
+    return _measure(X.rows, h.taps, _noise(X.rows.shape[0], noise_variance, rng))

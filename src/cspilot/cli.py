@@ -42,11 +42,14 @@ import numpy as np
 from . import __version__
 from .channel import (
     OfdmParams,
+    SensingMatrix,
+    _measure,
+    _noise,
+    _partial_dft,
     build_sensing_matrix,
     default_params,
     sample_channel,
     select_pilot_tones,
-    synthesize_measurement,
 )
 from .detection import (
     DetectionConfig,
@@ -57,13 +60,7 @@ from .detection import (
 )
 from .netsim import NetworkModel, collision_probability, collision_probability_mc, rho_metrics
 from .pilots import build_codebook, choose_l, decode_energy_vectors, superpose
-from .recovery import (
-    comb_tone_set,
-    dantzig_recover,
-    fde_ls_recover,
-    nmse,
-    omp_recover,
-)
+from .recovery import _above, _dense_ls, _nmse_db, _omp, comb_tone_set, dantzig_recover
 from .tones import DESIGNED_TONES
 
 # experiment tags keep per-item random streams disjoint across experiments
@@ -76,9 +73,11 @@ _TAG_NETSIM = 4
 # any other; the sweep pins this arbitrary value so rows stay well defined
 _GP_ZERO_THRESHOLD = 1.5
 
-# trials per recover-bench work item: small enough that the slow noiseless
-# SNR spreads over the workers, large enough that a trial's cost dwarfs the
-# cost of shipping the item
+# trials per recover-bench work item, and the width of its stacks: small
+# enough that the slow noiseless SNR spreads over the workers, large enough
+# that a trial's cost dwarfs the cost of shipping the item and that the
+# work batched over the chunk (matrices, measurements, OMP, dense LS,
+# scoring) runs once per ten trials, not once per trial
 _TRIAL_CHUNK = 10
 
 
@@ -242,9 +241,13 @@ def _snrs(text: str) -> list[tuple[float, float]]:
 _RECOVER_METHODS = ("dantzig", "dantzig+debias", "omp", "fde_ls")
 
 
-def _score(h, estimate, support):
-    """``(nmse, hit)`` of one estimate of `h`; a hit is the exact support."""
-    return nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support))
+def _score(true_h, estimates, supports):
+    """``(nmse, hit)`` of each row of the (k, D) `estimates` against that row of `true_h`.
+
+    A hit is the exact support; `supports` holds each estimate's as a (k, D) mask.
+    """
+    hits = (supports == (true_h != 0)).all(axis=-1)
+    return list(zip(_nmse_db(true_h, estimates).tolist(), hits.astype(int).tolist()))
 
 
 def _recover_chunk(item):
@@ -252,33 +255,48 @@ def _recover_chunk(item):
 
     Each trial lists one ``(nmse, hit)`` per method, in `_RECOVER_METHODS`
     order; both Dantzig entries are None when the LP solve was not optimal,
-    so a failed solve is never scored.  The comb matrix and a designed tone
-    set come from `_bench_matrices`, so the operators they cache serve every
-    trial; random tones are drawn, and built, per trial.
+    so a failed solve is never scored.  Each trial draws its channel, its
+    tones when they are random, and the noise of y and of y_full from its
+    own generator, and runs its own Dantzig solve; the random-tone matrices,
+    the measurements, OMP, dense LS and the scoring each run once over the
+    chunk's stack of trials.  The comb matrix and a designed tone set come
+    from `_bench_matrices`, so the operators they cache serve every trial.
     """
     seed, params, tones, si, noise_var, t0, t1 = item
     comb, designed = _bench_matrices(params, tones)
-    trials = []
+    m, d = params.pilot_count, params.tap_count
+    taps, tone_sets, noise, noise_full = [], [], [], []
     for t in range(t0, t1):
         rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
-        h = sample_channel(params, rng)
-        X = designed
-        if X is None:
-            X = build_sensing_matrix(select_pilot_tones(params, rng), params)
-        y = synthesize_measurement(X, h, noise_var, rng)
-        res = dantzig_recover(y, X, noise_var)
-        omp_res = omp_recover(y, X, params.sparsity)
-        y_full = synthesize_measurement(comb, h, noise_var, rng)
-        fde_res = fde_ls_recover(y_full, comb)
-        scores = [None, None]  # a failed solve's NaN estimates are not scored
+        taps.append(sample_channel(params, rng).taps)
+        if designed is None:
+            tone_sets.append(select_pilot_tones(params, rng))
+        noise.append(_noise(m, noise_var, rng))
+        noise_full.append(_noise(d, noise_var, rng))
+    H, n = np.array(taps), len(taps)
+    rows = designed.rows if designed is not None else _partial_dft(np.array(tone_sets), params)
+    noisy = noise_var > 0
+    Y = _measure(rows, H, np.array(noise) if noisy else None)
+    Y_full = _measure(comb.rows, H, np.array(noise_full) if noisy else None)
+
+    estimates = np.empty((n, len(_RECOVER_METHODS), d), dtype=complex)
+    supports = np.zeros(estimates.shape, dtype=bool)
+    scored = np.ones(estimates.shape[:2], dtype=bool)
+    for i in range(n):
+        X = designed if designed is not None else SensingMatrix(rows=rows[i])
+        res = dantzig_recover(Y[i], X, noise_var)
         if res.solver_status == "optimal":
-            scores = [
-                _score(h, res.raw_estimate, res.raw_support),
-                _score(h, res.estimate, res.recovered_support),
-            ]
-        scores += [_score(h, r.estimate, r.recovered_support) for r in (omp_res, fde_res)]
-        trials.append(scores)
-    return trials
+            estimates[i, :2] = res.raw_estimate, res.estimate
+            supports[i, 0, res.raw_support] = supports[i, 1, res.recovered_support] = True
+        else:
+            scored[i, :2] = False  # a failed solve's NaN estimates are not scored
+    estimates[:, 2], selected = _omp(Y, rows, params.sparsity)
+    supports[np.arange(n)[:, None], 2, selected] = True
+    estimates[:, 3] = _dense_ls(Y_full, comb)
+    supports[:, 3] = _above(np.abs(estimates[:, 3]), 0.0)
+    truth = np.broadcast_to(H[:, None], estimates.shape)
+    outcomes = iter(_score(truth[scored], estimates[scored], supports[scored]))
+    return [[next(outcomes) if ok else None for ok in row] for row in scored.tolist()]
 
 
 def _run_recover_bench(cfg, seed, workers):

@@ -107,11 +107,16 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """
     if _as_real(floor, "floor") < 0:
         raise ValueError("floor must be finite and non-negative")
-    mags = np.abs(_as_finite(estimate, "estimate", ndim=1))
-    top = mags.max() if mags.size else 0.0
-    if top == 0.0:
-        return np.array([], dtype=int)
-    return np.flatnonzero(mags > max(floor, 0.01 * top))
+    return np.flatnonzero(_above(np.abs(_as_finite(estimate, "estimate", ndim=1)), floor))
+
+
+def _above(mags: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the entries of each row of `mags` above ``max(floor, 0.01 * its largest)``.
+
+    An all-zero row keeps nothing, since `floor` is nonnegative.
+    """
+    top = mags.max(axis=-1, keepdims=True, initial=0.0)
+    return mags > np.maximum(floor, 0.01 * top)
 
 
 def _check_measurement(y, X: SensingMatrix) -> np.ndarray:
@@ -129,10 +134,12 @@ def _deflate(M, q):
 
     The one update for a support that grows or shrinks by a column: OMP
     deflates ``[X | y]`` by each chosen direction, the stepwise debias the
-    rows of its inverse factor by each pruned one (through ``B.T``).
+    rows of its inverse factor by each pruned one (through ``B.T``).  Over
+    a stack, (..., m) vectors deflate (..., m, c) matrices, each with one
+    vector-matrix call, as alone.
     """
-    row = q.conj() @ M
-    M -= q[:, None] * row
+    row = (q.conj()[..., None, :] @ M)[..., 0, :]
+    M -= q[..., :, None] * row[..., None, :]
     return row
 
 
@@ -298,49 +305,68 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
     """Greedy correlation matching with a least-squares fit on the chosen columns.
 
     Runs exactly `sparsity` iterations and is deterministic given its
-    inputs (argmax ties resolve to the lowest index).  Each iteration
-    deflates ``W = [X | y]`` by the chosen column's part outside the
-    earlier ones' span (`_deflate`, modified Gram-Schmidt), which leaves
-    the residual in W's last column and gives one row of the chosen
-    columns' triangular factor R, ending in ``Q^H y``; ``R coef = Q^H y``
-    is solved once, at the end.  Raises ``LinAlgError`` when a chosen
-    column is numerically in the span of the earlier ones (`_independent`).
+    inputs (argmax ties resolve to the lowest index); the work is `_omp`'s
+    on a stack of one.  Raises ``ValueError`` unless ``0 <= sparsity <=
+    min(M, D)``, and ``LinAlgError`` when a chosen column is numerically in
+    the span of the earlier ones (`_independent`).
     """
-    if not 0 <= _as_count(sparsity, "sparsity") <= X.rows.shape[0]:
+    m, d = X.rows.shape
+    if not 0 <= _as_count(sparsity, "sparsity") <= min(m, d):
         raise ValueError(
-            f"sparsity must be between 0 and the {X.rows.shape[0]} measurements, "
-            f"got {sparsity!r}"
+            f"sparsity must satisfy 0 <= sparsity <= min(M, D) = {min(m, d)} "
+            f"for {m} measurements of {d} taps, got {sparsity!r}"
         )
     y = _check_measurement(y, X)
-    m, d = X.rows.shape
-    XH = X.rows.conj().T
-    W = np.empty((m, d + 1), dtype=complex)
-    W[:, :d], W[:, d] = X.rows, y
-    R = np.empty((sparsity, d + 1), dtype=complex)
-    selected: list[int] = []
-    scale = 0.0
-    resid = W[:, d]
-    for k in range(sparsity):
-        corr = np.abs(XH @ resid)
-        corr[selected] = -1.0
-        best = int(corr.argmax())
-        column = W[:, best]
-        norm = np.vdot(column, column).real ** 0.5
-        if not _independent(norm, m, k + 1, scale):
-            raise np.linalg.LinAlgError("selected sensing columns are numerically dependent")
-        scale = max(scale, norm)
-        R[k] = _deflate(W, column / norm)
-        column[:] = 0.0  # no part left outside the span, so R stays triangular
-        selected.append(best)
-    estimate = np.zeros(d, dtype=complex)
-    support = np.array(sorted(selected), dtype=int)
-    if selected:
-        estimate[selected] = np.linalg.solve(R[:, selected], R[:, d])
+    estimate, selected = _omp(y[None], X.rows, sparsity)
     return RecoveryResult(
-        estimate=estimate,
-        recovered_support=support,
+        estimate=estimate[0],
+        recovered_support=np.sort(selected[0]),
         solver_status="optimal",
     )
+
+
+def _omp(Y: np.ndarray, rows: np.ndarray, sparsity: int):
+    """OMP on each row of the (n, M) `Y` against its (M, D) matrix in `rows`.
+
+    `rows` is one (M, D) matrix for every trial or an (n, M, D) stack.
+    Each iteration deflates each trial's ``W = [X | y]`` by the chosen
+    column's part outside the earlier ones' span (`_deflate`, modified
+    Gram-Schmidt), which leaves the residual in W's last column and gives
+    one row of the chosen columns' triangular factor R, ending in ``Q^H y``;
+    ``R coef = Q^H y`` is solved once, at the end.  A column's norm is one
+    ``vdot`` on its strided view of W and every product one BLAS call per
+    trial, so each trial keeps the bits of a stack of one.  Returns the
+    (n, D) estimates and the (n, sparsity) columns in the order chosen;
+    raises ``LinAlgError`` when any trial chooses a column numerically in
+    the span of its earlier ones.
+    """
+    n, m = Y.shape
+    d = rows.shape[-1]
+    XH = rows.conj().swapaxes(-1, -2)
+    W = np.empty((n, m, d + 1), dtype=complex)
+    W[..., :d], W[..., d] = rows, Y
+    R = np.empty((n, sparsity, d + 1), dtype=complex)
+    selected = np.empty((n, sparsity), dtype=int)
+    trials = np.arange(n)
+    norms, scale = np.empty(n), np.zeros(n)
+    for k in range(sparsity):
+        corr = np.abs(XH @ W[..., d:])[..., 0]
+        corr[trials[:, None], selected[:, :k]] = -1.0
+        best = corr.argmax(axis=1)
+        for i, b in enumerate(best):
+            column = W[i, :, b]
+            norms[i] = np.vdot(column, column).real ** 0.5
+        if not _independent(norms, m, k + 1, scale).all():
+            raise np.linalg.LinAlgError("selected sensing columns are numerically dependent")
+        scale = np.maximum(scale, norms)
+        R[:, k] = _deflate(W, W[trials, :, best] / norms[:, None])
+        W[trials, :, best] = 0.0  # no part left outside the span, so R stays triangular
+        selected[:, k] = best
+    estimate = np.zeros((n, d), dtype=complex)
+    if sparsity:
+        triangle = np.take_along_axis(R, selected[:, None, :], axis=2)
+        estimate[trials[:, None], selected] = np.linalg.solve(triangle, R[..., d:])[..., 0]
+    return estimate, selected
 
 
 def comb_tone_set(params: OfdmParams) -> np.ndarray:
@@ -374,13 +400,17 @@ def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
     if m < d:
         raise ValueError(f"dense estimation needs at least {d} tones, got {m}")
     y_full = _check_measurement(y_full, X_full)
-    pinv = X_full.cached("ls_pinv", _ls_pinv)
-    estimate = pinv @ y_full
+    estimate = _dense_ls(y_full, X_full)
     return RecoveryResult(
         estimate=estimate,
         recovered_support=threshold_support(estimate),
         solver_status="optimal",
     )
+
+
+def _dense_ls(Y: np.ndarray, X: SensingMatrix) -> np.ndarray:
+    """``pinv(X) y`` for each row y of `Y` (..., M), one matrix-vector call each."""
+    return (X.cached("ls_pinv", _ls_pinv) @ Y[..., None])[..., 0]
 
 
 def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
@@ -389,16 +419,23 @@ def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
     Raises ValueError unless both are 1-D of one length, and when either holds
     a non-finite or non-numeric entry, so a broken estimate is never scored.
     """
-    true_h = _as_finite(true_h, "true channel", ndim=1)
+    return float(_nmse_db(_as_finite(true_h, "true channel", ndim=1), estimate))
+
+
+def _nmse_db(true_h, estimate) -> np.ndarray:
+    """`nmse` of each row of `estimate` against the same row of `true_h`, as an array.
+
+    Raises ValueError unless both have one shape, when either holds a
+    non-finite or non-numeric entry and when any row of `true_h` has zero norm.
+    """
+    true_h = _as_finite(true_h, "true channel")
     estimate = _as_finite(estimate, "estimate")
     if estimate.shape != true_h.shape:
         raise ValueError(f"estimate has shape {estimate.shape}, true channel {true_h.shape}")
     true_h, estimate = true_h.astype(complex), estimate.astype(complex)  # no integer overflow
-    signal = float(np.sum(np.abs(true_h) ** 2))
-    if signal == 0.0:
+    signal = np.sum(np.abs(true_h) ** 2, axis=-1)
+    if not signal.all():
         raise ValueError("true channel has zero norm")
-    err = float(np.sum(np.abs(estimate - true_h) ** 2))
-    ratio = err / signal
-    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
-        return NMSE_FLOOR_DB
-    return float(10.0 * np.log10(ratio))
+    ratio = np.sum(np.abs(estimate - true_h) ** 2, axis=-1) / signal
+    floor = 10.0 ** (NMSE_FLOOR_DB / 10.0)
+    return np.where(ratio <= floor, NMSE_FLOOR_DB, 10.0 * np.log10(np.maximum(ratio, floor)))

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from cspilot.channel import (
     OfdmParams,
     SensingMatrix,
+    SparseChannel,
+    _measure,
+    _partial_dft,
     build_sensing_matrix,
     default_params,
     sample_channel,
@@ -256,3 +259,36 @@ def test_measurement_dimension_mismatch(rng):
     X = build_sensing_matrix(range(20), default_params(tap_count=50))
     with pytest.raises(ValueError):
         synthesize_measurement(X, h, 0.0, rng)
+
+
+@pytest.mark.parametrize("tap_count", [25, 100])
+def test_stacked_partial_dft_and_measurement_equal_single_calls(tap_count):
+    # one exp over a stack of tone sets, and one stacked product, keep each
+    # trial's bits: the stack of one is what the single calls run
+    p = default_params(tap_count=tap_count)
+    rng = np.random.default_rng(tap_count)
+    tone_sets = np.array([select_pilot_tones(p, rng) for _ in range(13)])
+    taps = np.array([sample_channel(p, rng).taps for _ in range(13)])
+    rows = _partial_dft(tone_sets, p)
+    assert rows.shape == (13, 20, tap_count)
+    for noise_variance in (0.0, 0.1):
+        draws = np.random.default_rng(7)
+        singles = []
+        for tones, h in zip(tone_sets, taps):
+            X = build_sensing_matrix(tones, p)
+            assert np.array_equal(X.rows, rows[len(singles)])
+            singles.append(synthesize_measurement(X, SparseChannel(h), noise_variance, draws))
+        draws = np.random.default_rng(7)
+        noise = None
+        if noise_variance:
+            noise = [
+                np.sqrt(noise_variance / 2.0)
+                * (draws.standard_normal(20) + 1j * draws.standard_normal(20))
+                for _ in tone_sets
+            ]
+        assert np.array_equal(_measure(rows, taps, noise), np.array(singles))
+    # one matrix for every trial broadcasts over the stack of taps
+    shared = _measure(rows[0], taps, None)
+    X = build_sensing_matrix(tone_sets[0], p)
+    for h, y in zip(taps, shared):
+        assert np.array_equal(y, synthesize_measurement(X, SparseChannel(h), 0.0, rng))

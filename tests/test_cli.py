@@ -492,6 +492,32 @@ def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_recover_bench_runs_the_batched_work_once_per_chunk(tmp_path, monkeypatch):
+    # draws and the Dantzig solve stay per trial; the random-tone matrices,
+    # OMP, dense LS and scoring each run once per chunk of trials
+    batched = ("_partial_dft", "_omp", "_dense_ls", "_score")
+    calls = {name: 0 for name in (*batched, "dantzig_recover")}
+
+    def counting(name):
+        work = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return work(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    trials = 2 * cli._TRIAL_CHUNK + 1
+    args = ["--workers", "1", "--set", f"trials={trials}", "--set", "snr_dbs=10,inf"]
+    args += ["--set", "tap_count=25", "--set", "tone_policy=random"]
+    code, _ = run(tmp_path, "r.csv", "recover-bench", *args)
+    assert code == 0
+    chunks = 2 * 3  # two SNRs of three chunks, the last one trial long
+    assert calls == {**dict.fromkeys(batched, chunks), "dantzig_recover": 2 * trials}
+
+
 def test_blas_threads_do_not_change_output(tmp_path):
     # LAPACK may round fde_ls's 100x100 pseudo-inverse differently under two
     # BLAS threads; main pins one, in its own process and in the workers
@@ -665,7 +691,7 @@ def test_run_error_exits_1_with_its_traceback(tmp_path, workers):
         "from cspilot import cli\n"
         "def singular(*args):\n"
         "    raise np.linalg.LinAlgError('forced singular matrix')\n"
-        "cli.fde_ls_recover = singular\n"
+        "cli._dense_ls = singular\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
     done = subprocess.run(

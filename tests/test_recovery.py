@@ -8,6 +8,7 @@ from cspilot.channel import (
     OfdmParams,
     SensingMatrix,
     SparseChannel,
+    _partial_dft,
     build_sensing_matrix,
     default_params,
     sample_channel,
@@ -17,9 +18,14 @@ from cspilot.channel import (
 from cspilot.recovery import (
     CANDIDATE_CAP,
     MAGNITUDE_FLOOR,
+    NMSE_FLOOR_DB,
     NOISELESS_EPSILON,
     SELECTION_TAU,
+    _above,
+    _dense_ls,
     _embed_lp,
+    _nmse_db,
+    _omp,
     comb_tone_set,
     dantzig_epsilon,
     _stepwise_select,
@@ -444,6 +450,116 @@ def test_omp_sparsity_cap(rng):
     for sparsity in (21, -1, -3, 2.5):  # 2.5 raised TypeError from range()
         with pytest.raises(ValueError, match="sparsity"):
             omp_recover(np.zeros(20, dtype=complex), X, sparsity)
+
+
+def test_omp_sparsity_beyond_the_taps_is_a_value_error(rng):
+    # D < sparsity <= M: more columns asked for than there are
+    p = default_params(tap_count=25, pilot_count=30)
+    X = build_sensing_matrix(select_pilot_tones(p, rng), p)
+    with pytest.raises(ValueError, match=r"0 <= sparsity <= min\(M, D\) = 25"):
+        omp_recover(np.ones(30, dtype=complex), X, 26)
+    assert omp_recover(np.ones(30, dtype=complex), X, 25).recovered_support.size == 25
+
+
+def _stack(tap_count, tones, noise_variance, n, seed):
+    """n trials' (rows, Y, matrices): one matrix for all (designed) or a stack (random)."""
+    p = default_params(tap_count=tap_count)
+    rng = np.random.default_rng(seed)
+    taps = np.array([sample_channel(p, rng).taps for _ in range(n)])
+    if tones is None:
+        rows = _partial_dft(np.array([select_pilot_tones(p, rng) for _ in range(n)]), p)
+        matrices = [SensingMatrix(r) for r in rows]
+    else:
+        X = build_sensing_matrix(tones, p)
+        rows, matrices = X.rows, [X] * n
+    Y = np.array([synthesize_measurement(matrix, SparseChannel(h), noise_variance, rng)
+                  for matrix, h in zip(matrices, taps)])
+    return rows, Y, matrices
+
+
+@pytest.mark.parametrize("noise_variance", [1.0, 0.1, 0.0])
+@pytest.mark.parametrize("tap_count, tones", [(100, DESIGNED_TONES_100), (25, None)])
+def test_stacked_omp_equals_single_calls(tap_count, tones, noise_variance):
+    rows, Y, matrices = _stack(tap_count, tones, noise_variance, 13, tap_count)
+    for sparsity in (0, 1, 4):
+        estimates, selected = _omp(Y, rows, sparsity)
+        assert selected.shape == (13, sparsity)
+        for y, X, estimate, chosen in zip(Y, matrices, estimates, selected):
+            res = omp_recover(y, X, sparsity)
+            assert np.array_equal(res.estimate, estimate)
+            assert np.array_equal(res.recovered_support, np.sort(chosen))
+
+
+def test_stacked_omp_raises_when_one_trial_picks_a_dependent_column(rng):
+    # the middle trial's twin columns make its second pick dependent; the
+    # others alone recover, but the stack as a whole refuses
+    p = default_params()
+    rows = _partial_dft(np.array([select_pilot_tones(p, rng) for _ in range(3)]), p)[:, :, :2]
+    rows[1, :, 1] = rows[1, :, 0]
+    Y = rows[:, :, 0] + 0.5 * rows[:, :, 1]
+    with pytest.raises(np.linalg.LinAlgError, match="dependent"):
+        _omp(Y, rows, 2)
+    for i in (0, 2):
+        assert omp_recover(Y[i], SensingMatrix(rows[i]), 2).recovered_support.tolist() == [0, 1]
+    with pytest.raises(np.linalg.LinAlgError, match="dependent"):
+        omp_recover(Y[1], SensingMatrix(rows[1]), 2)
+
+
+@pytest.mark.parametrize("tap_count", [25, 100])
+def test_stacked_dense_ls_equals_single_calls(tap_count):
+    p = default_params(tap_count=tap_count)
+    comb = build_sensing_matrix(comb_tone_set(p), p)
+    rng = np.random.default_rng(tap_count)
+    Y = rng.standard_normal((13, tap_count)) + 1j * rng.standard_normal((13, tap_count))
+    Y[4] = 0.0
+    estimates = _dense_ls(Y, comb)
+    masks = _above(np.abs(estimates), 0.0)
+    for y, estimate, mask in zip(Y, estimates, masks):
+        res = fde_ls_recover(y, comb)
+        assert np.array_equal(res.estimate, estimate)
+        assert np.array_equal(res.recovered_support, np.flatnonzero(mask))
+    assert not masks[4].any()
+
+
+def _nmse_per_trial(true_h, estimate):
+    # the per-trial arithmetic of a single score: Python floats and a scalar log10
+    signal = float(np.sum(np.abs(true_h) ** 2))
+    ratio = float(np.sum(np.abs(estimate - true_h) ** 2)) / signal
+    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
+        return NMSE_FLOOR_DB
+    return float(10.0 * np.log10(ratio))
+
+
+def test_stacked_nmse_equals_single_calls():
+    rng = np.random.default_rng(8)
+    truth = rng.standard_normal((60, 25)) + 1j * rng.standard_normal((60, 25))
+    truth[:, rng.random(25) < 0.8] = 0.0
+    truth[:, 0] += 1.0  # every row has some energy
+    scales = 10.0 ** rng.uniform(-12, 2, size=(60, 1))
+    error = rng.standard_normal((60, 25)) + 1j * rng.standard_normal((60, 25))
+    estimate = truth + scales * error
+    estimate[0], estimate[1] = truth[0], 0.0  # the floor, and 0 dB
+    stacked = _nmse_db(truth, estimate)
+    assert stacked.shape == (60,)
+    assert stacked[0] == NMSE_FLOOR_DB
+    for t, e, value in zip(truth, estimate, stacked):
+        assert nmse(t, e) == value == _nmse_per_trial(t, e)
+
+
+@pytest.mark.parametrize(
+    "true_h, estimate, match",
+    [
+        (np.ones((3, 4)), np.full((3, 4), np.nan), "finite"),
+        (np.where(np.eye(3, 4) > 0, np.inf, 1.0), np.ones((3, 4)), "finite"),
+        (np.ones((3, 4)), np.ones((3, 5)), "shape"),
+        (np.ones((3, 4)), np.ones((2, 4)), "shape"),
+        (np.ones((3, 4)), np.ones(4), "shape"),
+        (np.vstack([np.ones(4), np.zeros(4), np.ones(4)]), np.ones((3, 4)), "zero norm"),
+    ],
+)
+def test_stacked_nmse_refusals(true_h, estimate, match):
+    with pytest.raises(ValueError, match=match):
+        _nmse_db(true_h, estimate)
 
 
 def test_fde_noiseless_exact_dense(rng):

@@ -9,18 +9,20 @@ observing the group's per-dimension energy pattern can then tell apart
 l-zero columns never combine into another column's pattern.
 
 Codebook columns are the first K l-subsets of the L rows in reverse
-colexicographic order.  In that order column k is the subset whose zero
-rows c_1 < ... < c_l have rank ``C(L, l) - 1 - sum_i C(c_i, i)`` (the
-combinatorial number system), so columns are built by unranking their
-index and an observed zero set is decoded by ranking it, without search.
+colexicographic order, which is the order `itertools.combinations` lists
+the l-subsets of the rows taken in descending order.  In that order column
+k is the subset whose zero rows c_1 < ... < c_l have rank
+``C(L, l) - 1 - sum_i C(c_i, i)`` (the combinatorial number system), so an
+observed zero set is decoded by ranking it, without search.
 `decode_energy_vectors` ranks a whole (n, L) stack of patterns in one
-pass, from a table of ``C(c, i)``, and `superpose` ORs an (n, g) stack
-of UE groups; the one-pattern calls are their one-row case.
+pass, from the Python-int binomials of each pattern's own zero rows, and
+`superpose` ORs an (n, g) stack of UE groups; the one-pattern calls are
+their one-row case.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,38 +56,6 @@ def choose_l(K: int, L_prime: int) -> int:
     return l
 
 
-@functools.lru_cache(maxsize=16)
-def _rank_table(L: int, l: int) -> np.ndarray:
-    """``C(c, i)`` at row c < L and column i - 1, for i = 1..l, capped at ``C(L, l)``.
-
-    A rank sums one entry per column, at most ``C(L, l) - 1``, so no entry
-    an l-subset reaches is capped; the cap keeps the others (mid-table
-    ``C(c, i)`` can pass ``C(L, l)``) from overflowing.  int64 when
-    ``C(L, l)`` fits, else Python ints, so no rank overflows.
-    """
-    total = math.comb(L, l)
-    dtype = np.int64 if total <= np.iinfo(np.int64).max else object
-    table = np.array(
-        [[min(math.comb(c, i), total) for i in range(1, l + 1)] for c in range(L)], dtype=dtype
-    )
-    table.flags.writeable = False  # one table serves every caller
-    return table
-
-
-def _unrank(k: int, L: int, l: int) -> list:
-    """Zero rows (descending) of the l-subset with reverse-colex index k."""
-    remainder = math.comb(L, l) - 1 - k
-    rows = []
-    c = L
-    for i in range(l, 0, -1):
-        c -= 1
-        while math.comb(c, i) > remainder:
-            c -= 1
-        rows.append(c)
-        remainder -= math.comb(c, i)
-    return rows
-
-
 @dataclass(frozen=True)
 class PilotCodebook:
     """The L x K on/off matrix fixed by L' ones and l zeros per column and K users.
@@ -111,9 +81,10 @@ class PilotCodebook:
             raise ValueError(f"user_count must be nonnegative, got {K}")
         if K > cap:
             raise CapacityExceededError(f"K={K} exceeds capacity C({L},{l})={cap}")
+        subsets = itertools.islice(itertools.combinations(range(L - 1, -1, -1), l), K)
+        rows = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, count=K * l)
         columns = np.ones((L, K), dtype=np.uint8)
-        for k in range(K):
-            columns[_unrank(k, L, l), k] = 0
+        columns[rows, np.repeat(np.arange(K), l)] = 0
         columns.flags.writeable = False
         object.__setattr__(self, "columns", columns)
 
@@ -127,7 +98,7 @@ def build_codebook(K: int, L_prime: int, l: int) -> PilotCodebook:
 
     For l = 1 and K = L this puts column i's single zero in row L-1-i,
     the anti-diagonal pattern; larger l extends the same ordering over all
-    l-subsets of rows.  Only the K requested columns are unranked.
+    l-subsets of rows.  Only the K requested columns are enumerated.
     """
     return PilotCodebook(ones_per_column=L_prime, zeros_per_column=l, user_count=K)
 
@@ -170,10 +141,12 @@ def decode_energy_vectors(observed, book: PilotCodebook) -> tuple[np.ndarray, np
     fewer than l lows can only arise from overlapping transmissions, a
     collision.  Any other pattern (including l lows matching no column) is
     reported invalid — with imperfect detection the three clean outcomes
-    are not exhaustive.  Returns ``(kinds, ue_indices)``: each row's kind
-    (empty, identified, collision or invalid) and its UE index, -1 unless
-    identified.  Raises ``ValueError`` unless `observed` is 2-D with L
-    columns holding only 0 or 1, as integers or floats (no bool).
+    are not exhaustive.  A rank sums ``C(c_i, i)`` over the pattern's own
+    zero rows in Python ints, so it is exact at any C(L, l).  Returns
+    ``(kinds, ue_indices)``: each row's kind (empty, identified, collision
+    or invalid) and its UE index, -1 unless identified.  Raises
+    ``ValueError`` unless `observed` is 2-D with L columns holding only 0
+    or 1, as integers or floats (no bool).
     """
     observed = np.asarray(observed)
     L, l = book.dimension, book.zeros_per_column
@@ -189,7 +162,8 @@ def decode_energy_vectors(observed, book: PilotCodebook) -> tuple[np.ndarray, np
     ue_indices = np.full(len(observed), -1, dtype=np.int64)
     exact = np.flatnonzero(zeros == l)
     rows = np.nonzero(low[exact])[1].reshape(-1, l)  # each row's zero rows, ascending
-    ranks = math.comb(L, l) - 1 - _rank_table(L, l)[rows, np.arange(l)].sum(axis=1)
+    binomials = np.frompyfunc(math.comb, 2, 1)(rows, np.arange(1, l + 1))
+    ranks = math.comb(L, l) - 1 - binomials.sum(axis=1)
     known = ranks < book.user_count
     kinds[exact[known]] = "identified"
     ue_indices[exact[known]] = ranks[known]

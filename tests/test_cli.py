@@ -362,6 +362,14 @@ def test_codebook_verify_smallest_books(tmp_path, k, pairs):
     assert rows == [["empty", "1", "0"], ["single", str(k), "0"], ["pair", pairs, "0"]]
 
 
+def test_codebook_verify_one_one_per_column(tmp_path):
+    # l_prime=1 takes l = k - 1 zeros: every rank sums 599 binomials
+    code, out = run(tmp_path, "cb.csv", "codebook-verify", "--set", "l_prime=1", "--set", "k=600")
+    assert code == 0
+    _, _, rows = parse(out)
+    assert rows == [["empty", "1", "0"], ["single", "600", "0"], ["pair", "10000", "0"]]
+
+
 def _pairs_one_draw_at_a_time(k, rng):
     pairs = set()
     while len(pairs) < 10_000:

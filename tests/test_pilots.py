@@ -18,7 +18,6 @@ from cspilot.pilots import (
     decode_energy_vector,
     decode_energy_vectors,
     superpose,
-    _rank_table,
 )
 
 # canonical single-zero book for three transmit dimensions:
@@ -323,11 +322,10 @@ def test_batch_decode_ranks_past_int64_exactly():
 @pytest.mark.parametrize("K, l_prime, l", [(30, 20, 50), (3, 1, 67)])
 def test_batch_decode_when_only_mid_table_binomials_pass_int64(K, l_prime, l):
     # C(L, l) fits int64 but some C(c, i) with c < L, i <= l does not
-    # (C(69, 34) ~ 2.8e19, C(67, 33) ~ 1.4e19): ranks stay exact int64
+    # (C(69, 34) ~ 2.8e19, C(67, 33) ~ 1.4e19): the decode stays exact
     book = build_codebook(K, l_prime, l)
     L = book.dimension
     assert math.comb(L, l) <= 2**63 - 1 < max(math.comb(c, i) for c in range(L) for i in range(l + 1))
-    assert _rank_table(L, l).dtype == np.int64
     pairs = np.array(list(combinations(range(K), 2)))
     patterns = np.vstack([np.zeros(L, dtype=np.uint8), book.columns.T, superpose(pairs, book)])
     kinds, ue_indices = decode_energy_vectors(patterns, book)
@@ -335,12 +333,40 @@ def test_batch_decode_when_only_mid_table_binomials_pass_int64(K, l_prime, l):
     assert kinds[1 : K + 1].tolist() == ["identified"] * K
     assert ue_indices[1 : K + 1].tolist() == list(range(K))
     assert decode_energy_vector(np.zeros(L), book).kind == "empty"
-    # ranks all over [0, C(L, l)), past the book, as the rows of the capped table give them
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        zeros = np.sort(rng.choice(L, size=l, replace=False))
-        rank = math.comb(L, l) - 1 - int(_rank_table(L, l)[zeros, np.arange(l)].sum())
-        assert rank == _rank(zeros.tolist(), L, l)
+
+
+@pytest.mark.parametrize(
+    "l_prime, l, K",
+    [
+        (20, 3, 0), (20, 3, 1771), (3, 1, 0), (3, 1, 4), (1, 67, 68),
+        (20, 50, 30), (60, 30, 5), (1, 499, 0), (1, 499, 500),
+    ],
+)
+def test_column_k_has_rank_k(l_prime, l, K):
+    # enumerated columns against the rank formula, one column at a time,
+    # from empty and full books to books whose C(L, l) passes 2**63
+    book = build_codebook(K, l_prime, l)
+    L = book.dimension
+    assert book.columns.shape == (L, K)
+    for k in range(K):
+        zeros = np.flatnonzero(book.columns[:, k] == 0).tolist()
+        assert len(zeros) == l and _rank(zeros, L, l) == k
+
+
+def test_batch_decode_of_one_one_per_column():
+    # l = 499 zeros beside one one: 499 binomials per rank, and the 500
+    # patterns of 499 zeros rank all over [0, 500), past the 300-user book
+    book = build_codebook(300, 1, 499)
+    rng = np.random.default_rng(3)
+    drawn = np.zeros((200, book.dimension), dtype=np.uint8)
+    drawn[np.arange(200), rng.integers(0, book.dimension, size=200)] = 1
+    patterns = np.vstack([book.columns.T, drawn])
+    kinds, ue_indices = decode_energy_vectors(patterns, book)
+    assert ue_indices[:300].tolist() == list(range(300))
+    assert {"identified", "invalid"} <= set(kinds[300:].tolist())
+    assert list(zip(kinds.tolist(), ue_indices.tolist())) == [
+        _oracle_decode(pattern.tolist(), book) for pattern in patterns
+    ]
 
 
 @pytest.mark.parametrize(

@@ -190,8 +190,7 @@ def _detect_point(item):
 def _run_detect_sweep(cfg, seed, workers):
     grid = [(m, gp) for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]]
     items = [(seed, cfg["trials"], index, m, gp) for index, (m, gp) in enumerate(grid)]
-    # a point draws M_BS exponentials per trial
-    rows = _fan_out(_detect_point, items, workers, cost=lambda item: item[3])
+    rows = _fan_out(_detect_point, items, workers)
     return ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"], rows, 0
 
 
@@ -377,19 +376,16 @@ def _run_netsim(cfg, seed, workers):
     grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
     items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
     header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
-    # a trial draws K_G uniforms and counts over N + 1 bins; timed per point,
-    # a UE costs about seven bins (BENCH_codebook_batch.json, netsim_points)
-    rows = _fan_out(_netsim_point, items, workers, cost=lambda item: item[3] + 7 * item[4])
-    return header, rows, 0
+    return header, _fan_out(_netsim_point, items, workers), 0
 
 
-def _fan_out(work, items, workers, cost=lambda item: 0):
+def _fan_out(work, items, workers):
     """``[work(item) for item in items]``, on up to `workers` forked processes.
 
     `work` is a module-level function and each item and result pickles.  A
-    pool starts the items in decreasing `cost` (ties in item order), so it
-    does not end on one long item; the results still come in item order.
-    The pool is shut down, and its children joined, before this returns.
+    pool starts the items in item order and returns the results in item
+    order.  The pool is shut down, and its children joined, before this
+    returns.
     """
     workers = min(workers, len(items))
     if workers <= 1:
@@ -397,10 +393,8 @@ def _fan_out(work, items, workers, cost=lambda item: 0):
     # fork by name: the children inherit the loaded modules and the one BLAS
     # thread set in main, and Python 3.14 makes another method the default
     context = multiprocessing.get_context("fork")
-    order = sorted(range(len(items)), key=lambda index: -cost(items[index]))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        results = dict(zip(order, pool.map(work, [items[index] for index in order])))
-    return [results[index] for index in range(len(items))]
+        return list(pool.map(work, items))
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ import numpy as np
 
 from .channel import _as_count, _as_finite, _as_real
 
-# trials per Monte-Carlo chunk; it sizes the reused draw buffer only: blocks
-# are filled row by row, so trial i takes exponentials M_BS*i .. M_BS*(i+1)
-# of the stream whatever the chunk, and pe_mc does not depend on it
-_MC_CHUNK = 4096
+# exponentials per Monte-Carlo block, 4096 trials at the largest default M_BS;
+# blocks fill row by row, so it sizes the reused draw buffer and not pe_mc
+_MC_BUDGET = 2**19
 
 
 @dataclass(frozen=True)
@@ -212,12 +211,12 @@ def error_probability_mc(
     Gaussian, ``CN(0, gP) + CN(0, 1) = CN(0, 1 + gP)``, and the energy of
     one is exponential, ``|CN(0, s)|^2 = s Exp(1)``.
 
-    Draw order: per chunk of `_MC_CHUNK` trials (the last one shorter), one
-    (n, M_BS) block of standard exponentials, row i holding trial i's
-    antennas; the call draws exactly ``M_BS * trials`` exponentials and
-    nothing else.  The energy of a row is its sum divided by M_BS, and on
-    active trials it is multiplied by ``1 + gP``, one multiply per trial in
-    place of one per sample.
+    Draw order: per block of ``max(1, _MC_BUDGET // M_BS)`` trials, one
+    (n, M_BS) block of standard exponentials (row i: trial i's antennas);
+    the call draws exactly ``M_BS * trials`` exponentials and nothing else.
+    The energy of a row is its sum divided by M_BS, and on active trials it
+    is multiplied by ``1 + gP``, one multiply per trial in place of one per
+    sample.
 
     `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
@@ -227,11 +226,10 @@ def error_probability_mc(
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
-    buffer = np.empty((min(_MC_CHUNK, trials), m))
+    buffer = np.empty((max(1, min(trials, _MC_BUDGET // m)), m))
     errors = 0
-    done = 0
-    while done < trials:
-        n = min(_MC_CHUNK, trials - done)
+    for done in range(0, trials, len(buffer)):
+        n = min(len(buffer), trials - done)
         energies = rng.standard_exponential(out=buffer[:n]).sum(axis=1) / m
         active = slice(done % 2, n, 2)  # the trials with an even global index
         with np.errstate(over="ignore"):  # an overflow to inf still exceeds the threshold
@@ -240,7 +238,6 @@ def error_probability_mc(
         hits = np.count_nonzero(detected[active])
         # misses among the active trials plus false alarms among the silent
         errors += (detected[active].size - hits) + (np.count_nonzero(detected) - hits)
-        done += n
     return errors / trials
 
 

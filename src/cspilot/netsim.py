@@ -18,11 +18,9 @@ import numpy as np
 
 from .channel import OfdmParams, _as_count, _as_real
 
-# trials per Monte-Carlo chunk; it sizes the reused buffers only: blocks are
-# filled row by row, so trial i takes doubles K_G*i .. K_G*(i+1) of the
-# stream whatever the chunk, and p_mc does not depend on it.  At 2048 the
-# default netsim grid runs ~20% faster than at 8192 (smaller working set)
-_MC_CHUNK = 2048
+# doubles per Monte-Carlo block, 2048 trials at the largest default K_G;
+# blocks fill row by row, so it sizes the reused buffers and not p_mc
+_MC_BUDGET = 2**17
 
 
 @dataclass(frozen=True)
@@ -118,28 +116,38 @@ def collision_probability_mc(
     fraction of the group that failed to train.  A UE draws one uniform u
     and lands in bin ``min(floor(u N / alpha), N)`` (bin N is outage), the
     inverse CDF of its (N+1)-way law; trial i takes doubles K_G i .. K_G (i+1)
-    of the stream, whatever `_MC_CHUNK`.  `trials` must be an integer of at
-    least 1 (``ValueError`` otherwise).
+    of the stream.  A singleton is a bin unequal to both neighbours in its
+    trial's row, sorted between the sentinels -1 and N, so memory and work
+    do not grow with N.  `trials` must be an integer >= 1 and N + 1 must fit
+    ``intp`` (``ValueError`` otherwise).
     """
-    if _as_count(trials, "trials") < 1:
+    if (trials := _as_count(trials, "trials")) < 1:  # an int: trials**3 cannot overflow
         raise ValueError("trials must be at least 1")
-    n, k = model.cell_count, model.group_size
-    u = np.empty((min(_MC_CHUNK, trials), k))
-    cells = np.empty(u.shape, dtype=np.intp)
-    offsets = np.arange(len(u))[:, None] * (n + 1)  # each trial's row of N+1 bins
+    n, k = int(model.cell_count), int(model.group_size)
+    if n >= np.iinfo(np.intp).max:
+        raise ValueError(f"cell_count must be below {np.iinfo(np.intp).max}, got {n}")
     # finite for subnormal alpha (0 * scale is 0, not nan); u >= 2^-53 still maps to outage
     scale = min(n / model.coverage_prob, n * 2.0**53)
+    # bin N as a double, rounded down above 2^53 so that its cast fits
+    outage = float(n) if float(n) <= n else float(np.nextafter(float(n), 0.0))
+    u = np.empty((max(1, min(trials, _MC_BUDGET // k)), k))
+    # a row: the sentinel -1, a trial's K_G bins, and bin N (outage is never a singleton)
+    bins = np.empty((len(u), k + 2), dtype=np.int32 if n < 2**31 - 1 else np.intp)
+    bins[:, 0], bins[:, -1] = -1, int(outage)
+    edges, ones = np.empty(bins.size - 1, dtype=bool), np.empty(bins.shape, dtype=bool)
     # how many trials left s singletons, for s = 0..K_G
     tally = np.zeros(k + 1, dtype=np.int64)
-    for done in range(0, trials, _MC_CHUNK):
-        b = min(_MC_CHUNK, trials - done)
+    for done in range(0, trials, len(u)):
+        b = min(len(u), trials - done)
         x = rng.random(out=u[:b])
-        np.minimum(np.multiply(x, scale, out=x), n, out=x)  # u >= alpha: outage
-        cells[:b] = x  # the cast truncates, which is floor as x >= 0
-        cells[:b] += offsets[:b]
-        # bins holding one UE, per trial, less the outage bin N when it holds one
-        ones = (np.bincount(cells[:b].ravel(), minlength=b * (n + 1)) == 1).reshape(b, n + 1)
-        tally += np.bincount(np.count_nonzero(ones, axis=1) - ones[:, n], minlength=k + 1)
+        np.minimum(np.multiply(x, scale, out=x), outage, out=x)  # u >= alpha: outage
+        rows, single = bins[:b], ones[:b]
+        rows[:, 1:-1] = x  # the cast truncates, which is floor as x >= 0
+        rows.sort(axis=1)  # the sentinels stay at the ends
+        # the block as one flat run: bin i + 1 differs from bin i, then from both neighbours
+        ne = np.not_equal(rows.ravel()[1:], rows.ravel()[:-1], out=edges[: rows.size - 1])
+        np.logical_and(ne[1:], ne[:-1], out=single.ravel()[1:-1])
+        tally += np.bincount(np.count_nonzero(single[:, 1:-1], axis=1), minlength=k + 1)
     # exact integer moments of the singleton count, so the mean and the
     # variance are each rounded once, whatever the mean
     s1 = sum(s * int(c) for s, c in enumerate(tally))

@@ -1,11 +1,12 @@
 """Reference Monte-Carlo detection errors, used by tests only.
 
 `error_probability_mc_loop` is the direct reading of the kernel's draw
-order: per chunk of `_MC_CHUNK` trials it draws one (n, M) block of
-standard exponentials as a new array, then walks the trials one at a time,
-averaging a row over the antennas and scaling it by ``1 + gP`` when the
-trial transmits.  `cspilot.detection.error_probability_mc` consumes the
-generator in the same order and must return the same error probability.
+order: per block of ``max(1, _MC_BUDGET // M)`` trials (the budget read
+at call time) it draws one (n, M) block of standard exponentials as a new
+array, then walks the trials one at a time, averaging a row over the
+antennas and scaling it by ``1 + gP`` when the trial transmits.
+`cspilot.detection.error_probability_mc` consumes the generator in the
+same order and must return the same error probability.
 
 `error_probability_mc_complex` shares nothing with the kernel but the
 alternating activity: per chunk it draws an (n, 2M) block ``w`` of standard
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cspilot.detection import _MC_CHUNK, DetectionConfig, optimal_threshold
+from cspilot import detection
+from cspilot.detection import DetectionConfig, optimal_threshold
 
 
 def error_probability_mc_loop(
@@ -29,9 +31,10 @@ def error_probability_mc_loop(
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
+    chunk = max(1, detection._MC_BUDGET // m)
     errors = 0
-    for start in range(0, trials, _MC_CHUNK):
-        block = rng.standard_exponential((min(_MC_CHUNK, trials - start), m))
+    for start in range(0, trials, chunk):
+        block = rng.standard_exponential((min(chunk, trials - start), m))
         for i, row in enumerate(block):
             sent = (start + i) % 2 == 0
             energy = row.sum() / m
@@ -51,10 +54,11 @@ def error_probability_mc_complex(
     if threshold is None:
         threshold = optimal_threshold(config)
     m = config.antenna_count
+    chunk = max(1, detection._MC_BUDGET // m)
     errors = 0
     done = 0
     while done < trials:
-        n = min(_MC_CHUNK, trials - done)
+        n = min(chunk, trials - done)
         sent = ((np.arange(done, done + n) % 2) == 0).astype(float)
         w = rng.standard_normal((n, 2 * m))
         y = np.sqrt(1.0 + config.pathloss_power * sent)[:, None] * (

@@ -154,7 +154,8 @@ def test_detect_sweep_golden_rows(tmp_path):
 
 def test_netsim_golden_rows(tmp_path):
     # exact strings, captured when placement moved to one uniform per UE;
-    # 10 000 trials span several chunks, so the draw order across them is pinned
+    # at K_G = 64, 10 000 trials span several blocks, so the draw order across
+    # them is pinned
     code, out = run(
         tmp_path, "n.csv", "netsim",
         "--seed", "1", "--set", "trials=10000", "--set", "cells=4,64",
@@ -185,6 +186,19 @@ def test_netsim_default_grid_agrees_with_closed_form(tmp_path, seed):
         p_analytic, p_mc, p_stderr = map(float, row[4:])
         assert p_analytic == pytest.approx(1.0 - a * (1.0 - a / n) ** (k - 1), rel=1e-12)
         assert abs(p_mc - p_analytic) <= 4.0 * p_stderr + 1.0 / (k * trials), row
+
+
+def test_netsim_a_million_cells(tmp_path):
+    # the tally's memory follows the group, not the cell count: the bins of a
+    # million cells per trial would take gigabytes
+    code, out = run(tmp_path, "n.csv", "netsim", "--set", "cells=1000000", "--set", "trials=2000")
+    assert code == 0
+    _, _, rows = parse(out)
+    assert len(rows) == 12
+    for row in rows:
+        trials = int(row[3])
+        p_analytic, p_mc, p_stderr = map(float, row[4:])
+        assert abs(p_mc - p_analytic) <= 4.0 * p_stderr + 1.0 / trials, row
 
 
 @pytest.mark.parametrize("bad", ["-inf", "-4000", "nan", "20,nan"])
@@ -411,50 +425,11 @@ def test_workers_do_not_change_output(tmp_path):
     _, c = run(tmp_path, "c.csv", "recover-bench", *RECOVER_TINY)
     _, d = run(tmp_path, "d.csv", "recover-bench", "--workers", "2", *RECOVER_TINY)
     assert c.read_bytes() == d.read_bytes()
-    # detect-sweep starts the largest antenna count first and writes grid order
+    # detect-sweep writes grid order
     _, e = run(tmp_path, "e.csv", "detect-sweep", *DETECT_TINY)
     _, f = run(tmp_path, "f.csv", "detect-sweep", "--workers", "3", *DETECT_TINY)
     assert e.read_bytes() == f.read_bytes()
     assert [row[0] for row in parse(e)[2]] == ["4", "4", "16", "16", "8", "8"]
-
-
-class _SerialPool:
-    """Stand-in for the process pool that records the order items start in."""
-
-    started = []
-
-    def __init__(self, max_workers, mp_context):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, work, items):
-        self.started.extend(items)
-        return map(work, items)
-
-
-def test_fan_out_starts_the_costliest_items_first(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "started", [])
-    items = [3, 1, 4, 1, 5, 9, 2, 6]
-    assert cli._fan_out(str, items, 2, cost=lambda item: item) == list(map(str, items))
-    assert _SerialPool.started == [9, 6, 5, 4, 3, 2, 1, 1]
-    _SerialPool.started.clear()
-    assert cli._fan_out(str, items, 2) == list(map(str, items))  # no cost: item order
-    assert _SerialPool.started == items
-    # netsim starts its heaviest point, the most cells and the largest group,
-    # first; a UE weighs about seven cells, so 16 UEs in 4 cells beat 1 in 64
-    _SerialPool.started.clear()
-    cfg = {"cells": [4, 64], "group_sizes": [1, 16, 64], "alphas": [1.0], "trials": 10}
-    _, rows, _ = cli._run_netsim(cfg, 0, 2)
-    grid = [[4, 1], [4, 16], [4, 64], [64, 1], [64, 16], [64, 64]]
-    assert [row[:2] for row in rows] == grid
-    started = [list(item[3:5]) for item in _SerialPool.started]
-    assert started == [[64, 64], [4, 64], [64, 16], [4, 16], [64, 1], [4, 1]]
 
 
 def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):

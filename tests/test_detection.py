@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -228,10 +229,12 @@ def test_error_probability_mc_validates_trials(rng):
 
 
 @pytest.mark.parametrize("m,gp", itertools.product((1, 2, 7, 32), (0.0, 0.3, 1.0, 4.0)))
-def test_error_probability_mc_matches_loop_oracle(m, gp):
+def test_error_probability_mc_matches_loop_oracle(m, gp, monkeypatch):
     # the vectorized kernel consumes the generator as the per-trial loop does
     # and sums the same rows: every pe must be identical, across one and
-    # several chunks and a short last one
+    # several blocks and a short last one (a budget of 2^12 holds 4096 // M
+    # trials, so 10001 trials span 3 to 79 blocks)
+    monkeypatch.setattr(detection, "_MC_BUDGET", 2**12)
     config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=1.5 if gp == 0 else None)
     for trials, seed in itertools.product((1, 2, 4095, 4097, 10001), (0, 1, 2)):
         got = error_probability_mc(config, trials, np.random.default_rng(seed))
@@ -273,11 +276,24 @@ def test_error_probability_mc_draws_one_exponential_per_antenna(m, trials):
 
 
 def test_error_probability_mc_does_not_depend_on_chunk(monkeypatch):
-    # blocks are filled row by row, so the chunk sizes the buffer only
+    # blocks are filled row by row, so the budget sizes the buffer only
     config = DetectionConfig(antenna_count=3, pathloss_power=1.0)
     want = error_probability_mc(config, 1001, np.random.default_rng(3))
-    monkeypatch.setattr(detection, "_MC_CHUNK", 7)
+    monkeypatch.setattr(detection, "_MC_BUDGET", 21)  # 7 trials a block
     assert error_probability_mc(config, 1001, np.random.default_rng(3)) == want
+
+
+def test_error_probability_mc_memory_follows_the_budget():
+    # 4096 antennas: blocks of 128 trials, one budget of doubles; a block of
+    # 4096 trials would take 4096^2 doubles, 134 MB
+    config = DetectionConfig(antenna_count=4096, pathloss_power=1.0)
+    tracemalloc.start()
+    try:
+        error_probability_mc(config, 4096, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * detection._MC_BUDGET + 2**16
 
 
 @pytest.mark.parametrize(

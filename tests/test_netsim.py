@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -196,7 +197,8 @@ def _placement_moments(m, trials, rng):
     """Reference: the documented draw order, scored one trial at a time.
 
     Trial i reads row i of ``u = rng.random((trials, K))``; UE j lands in bin
-    ``min(floor(u N / alpha), N)``, bin N being outage.  The mean and the
+    ``min(floor(u N / alpha), N)``, bin N being outage, and the bins are
+    counted with a `Counter`, so any N up to 2^53 works.  The mean and the
     standard error of the scores are taken exactly (two passes over
     fractions) and rounded once, as the kernel's integer moments are.
     """
@@ -204,16 +206,15 @@ def _placement_moments(m, trials, rng):
     u = rng.random((trials, k))
     singles = Counter()
     for row in u:
-        bins = np.minimum(np.floor(row * (n / a)), n).astype(int)
-        singles[int(np.count_nonzero(np.bincount(bins, minlength=n + 1)[:n] == 1))] += 1
+        bins = Counter(np.minimum(np.floor(row * (n / a)), n).astype(np.int64).tolist())
+        singles[sum(1 for cell, count in bins.items() if cell < n and count == 1)] += 1
     scores = {Fraction(k - s, k): c for s, c in singles.items()}
     mean = sum(x * c for x, c in scores.items()) / trials
     var = sum((x - mean) ** 2 * c for x, c in scores.items()) / trials
     return float(mean), math.sqrt(float(var / trials))
 
 
-def _check_against_reference(m, seed):
-    trials = 2 * netsim._MC_CHUNK + 1000  # two full chunks and a partial one
+def _check_against_reference(m, seed, trials):
     got = collision_probability_mc(m, trials, np.random.default_rng(seed))
     assert got == _placement_moments(m, trials, np.random.default_rng(seed))
     return got
@@ -223,34 +224,92 @@ def test_collision_probability_mc_stderr_matches_two_pass_variance():
     # mean ~0.9987, where E[x^2] - mean^2 would lose ~12 digits.  With N = 1
     # this case cannot tell the one-uniform kernel from a two-draw one:
     # rng.integers(0, 1) draws nothing, so both read the same stream
-    est, _ = _check_against_reference(model(n=1, alpha=0.002, kg=200), 7)
+    est, _ = _check_against_reference(model(n=1, alpha=0.002, kg=200), 7, 5096)
     assert 0.99 < est < 1.0
 
 
+# at the default budget a block holds 2^17 // K_G trials: 2048 at K_G = 64
+# and 1310 at K_G = 100
 @pytest.mark.parametrize(
-    "n, alpha, kg, seed", [(16, 0.7, 16, 3), (4, 0.5, 64, 11), (64, 1.0, 4, 5)]
+    "n, alpha, kg, seed, trials",
+    [
+        (16, 0.7, 16, 3, 3000),
+        (4, 0.5, 64, 11, 2 * 2048 + 1000),  # two full blocks and a partial one
+        (64, 1.0, 4, 5, 3000),
+        (5, 0.6, 100, 13, 2 * 1310 + 1),  # two full blocks and one trial
+        (16, 0.7, 1, 2, 3000),  # K_G = 1
+        (4, 0.7, 9, 4, 3000),  # K_G > N
+        (1, 1.0, 3, 6, 500),  # K_G > N = 1, no outage: never a singleton
+        (64, 1.0, 64, 7, 3000),  # alpha = 1: no outage
+        (16, 1e-300, 8, 8, 500),  # every UE in outage
+        (64, 0.9, 2, 9, 3000),  # ~18% of trials leave exactly one UE in outage
+        (2**31 - 2, 0.9, 4, 10, 1000),  # the largest N with int32 bins
+        (2**31 - 1, 0.9, 4, 10, 1000),  # the smallest N with intp bins
+    ],
 )
-def test_collision_probability_mc_matches_per_trial_reference(n, alpha, kg, seed):
-    _check_against_reference(model(n=n, alpha=alpha, kg=kg), seed)
+def test_collision_probability_mc_matches_per_trial_reference(n, alpha, kg, seed, trials):
+    _check_against_reference(model(n=n, alpha=alpha, kg=kg), seed, trials)
 
 
 def test_collision_probability_mc_does_not_depend_on_chunk(monkeypatch):
     m = model(n=16, alpha=0.7, kg=16)
     results = set()
-    for chunk in (1, 7, 8192):
-        monkeypatch.setattr(netsim, "_MC_CHUNK", chunk)
+    for budget in (5, 7 * 16, 8192 * 16):  # 1, 7 and 8192 trials a block
+        monkeypatch.setattr(netsim, "_MC_BUDGET", budget)
         results.add(collision_probability_mc(m, 3000, np.random.default_rng(3)))
     assert len(results) == 1
 
 
 def test_collision_probability_mc_draws_one_uniform_per_ue():
     m = model(n=16, alpha=0.7, kg=5)
-    trials = netsim._MC_CHUNK + 3
+    trials = netsim._MC_BUDGET // m.group_size + 3
     rng = np.random.default_rng(9)
     collision_probability_mc(m, trials, rng)
     reference = np.random.default_rng(9)
     reference.random(m.group_size * trials)
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2**62, 2**63 - 2])
+def test_collision_probability_mc_runs_up_to_the_intp_limit(n):
+    # N / alpha = 2 N, so a UE is in outage exactly when u >= 1/2 (above 2^53
+    # the outage bin is the largest double not above N); two of three UEs in
+    # one of 2^62 or more cells never meet
+    est, _ = collision_probability_mc(model(n=n, alpha=0.5, kg=3), 10, np.random.default_rng(4))
+    u = np.random.default_rng(4).random(30)
+    assert est == np.count_nonzero(u >= 0.5) / 30
+
+
+def test_collision_probability_mc_refuses_cells_past_intp():
+    # the documented range: N + 1 fits a numpy intp
+    m = model(n=2**63 - 1, alpha=0.5, kg=3)
+    with pytest.raises(ValueError, match="cell_count"):
+        collision_probability_mc(m, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [10_000, 2**40])
+def test_collision_probability_mc_memory_follows_the_group(n):
+    # a block of 2048 trials at K_G = 16 (int32 bins, then intp ones) stays
+    # within 64 bytes per slot of a row; one bin per cell and trial would
+    # take 2048 (N + 1) 9 bytes, 184 MB at N = 10^4
+    m, trials = model(n=n, alpha=0.7, kg=16), 2048
+    rows = min(trials, netsim._MC_BUDGET // m.group_size)
+    tracemalloc.start()
+    try:
+        collision_probability_mc(m, trials, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * rows * (m.group_size + 2)
+
+
+def test_collision_probability_mc_np_integer_trials():
+    # numpy trials would overflow trials**3 past 2^21 in int64
+    m = model(n=1, alpha=0.5, kg=1)
+    trials = 2**21 + 1
+    got = collision_probability_mc(m, np.int64(trials), np.random.default_rng(2))
+    assert got == collision_probability_mc(m, trials, np.random.default_rng(2))
+    assert all(type(x) is float for x in got)
 
 
 def test_collision_probability_mc_subnormal_coverage(rng):

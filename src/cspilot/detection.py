@@ -132,43 +132,27 @@ def _tail_sum(ratio, n: int):
         width *= 2
 
 
-def _poisson_tails(m: int, x):
-    """``(P[N <= m-1], P[N >= m])`` for N ~ Poisson(x), elementwise over x > 0.
+def _lower_tail(m: int, x):
+    """``Q(m, x) = P[Poisson(x) <= m-1]``, summed down from term m-1, over a 1-D array x >= m."""
+    return _poisson_pmf(m - 1, x) * _tail_sum(lambda j: (m - j) / x[:, None], len(x))
 
-    They are the regularized incomplete gamma functions ``Q(m, x)`` and
-    ``P(m, x)`` of the integer shape m.  A tail is summed from its boundary
-    term away from the mean, term k-1 being term k times k/x going down and
-    term k+1 term k times x/(k+1) going up; that is possible for the lower
-    tail when x > m - 1 and for the upper one when x < m + 1.  Outside its
-    range a tail is one minus the other, which is then at most 1/2, so no
-    small tail comes from cancellation.  x = inf gives (0, 1).
-    """
-    m = int(m)
-    x = np.asarray(x, dtype=float)
-    # x = inf, where Q = 0 and P = 1, as the largest double: no inf - inf
-    flat = np.minimum(x.reshape(-1), np.finfo(float).max)
-    lower = np.empty_like(flat)
-    upper = np.empty_like(flat)
-    down = flat > m - 1
-    up = flat < m + 1
-    if down.any():
-        xd = flat[down]
-        lower[down] = _poisson_pmf(m - 1, xd) * _tail_sum(lambda j: (m - j) / xd[:, None], len(xd))
-    if up.any():
-        xu = flat[up]
-        upper[up] = _poisson_pmf(m, xu) * _tail_sum(lambda j: xu[:, None] / (m + j), len(xu))
-    lower[~down] = 1.0 - upper[~down]
-    upper[~up] = 1.0 - lower[~up]
-    return lower.reshape(x.shape), upper.reshape(x.shape)
+
+def _upper_tail(m: int, x):
+    """``P(m, x) = P[Poisson(x) >= m]``, summed up from term m, over a 1-D array 0 < x <= m."""
+    return _poisson_pmf(m, x) * _tail_sum(lambda j: x[:, None] / (m + j), len(x))
 
 
 def _error_probability(m: int, gp, threshold):
     # silent survival Q(m, m t) plus active CDF P(m, m t / (1+gP)) of the
-    # Gamma(m, 1/m) and Gamma(m, (1+gP)/m) energies, elementwise for arrays
-    with np.errstate(over="ignore"):  # m t above the largest double: Q(m, inf) = 0
-        silent, _ = _poisson_tails(m, m * threshold)
-    _, active = _poisson_tails(m, m * (threshold / (1.0 + gp)))
-    return 0.5 * (silent + active)
+    # Gamma(m, 1/m) and Gamma(m, (1+gP)/m) energies, elementwise for arrays.
+    # Every caller's t lies in (1, 1 + gP), so m t >= m >= m t / (1+gP):
+    # each tail is summed away from the mean, and neither is a difference.
+    m = int(m)
+    with np.errstate(over="ignore"):  # m t above the largest double, where Q = 0
+        silent = np.minimum(m * threshold, np.finfo(float).max)
+    active = m * (threshold / (1.0 + gp))
+    pe = 0.5 * (_lower_tail(m, np.ravel(silent)) + _upper_tail(m, np.ravel(active)))
+    return pe.reshape(np.shape(active))
 
 
 def optimal_threshold(config: DetectionConfig) -> float:

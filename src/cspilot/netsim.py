@@ -21,6 +21,8 @@ from .channel import OfdmParams, _as_count, _as_real
 # doubles per Monte-Carlo block, 2048 trials at the largest default K_G;
 # blocks fill row by row, so it sizes the reused buffers and not p_mc
 _MC_BUDGET = 2**17
+# the largest N that `collision_probability_mc` takes: its bins 0 .. N fit intp
+_MC_MAX_CELLS = np.iinfo(np.intp).max - 1
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def collision_probability_mc(
     if (trials := _as_count(trials, "trials")) < 1:  # an int: trials**3 cannot overflow
         raise ValueError("trials must be at least 1")
     n, k = int(model.cell_count), int(model.group_size)
-    if n >= np.iinfo(np.intp).max:
-        raise ValueError(f"cell_count must be below {np.iinfo(np.intp).max}, got {n}")
+    if n > _MC_MAX_CELLS:
+        raise ValueError(f"cell_count must be at most {_MC_MAX_CELLS}, got {n}")
     # finite for subnormal alpha (0 * scale is 0, not nan); u >= 2^-53 still maps to outage
     scale = min(n / model.coverage_prob, n * 2.0**53)
     # bin N as a double, rounded down above 2^53 so that its cast fits

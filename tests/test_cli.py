@@ -201,6 +201,20 @@ def test_netsim_a_million_cells(tmp_path):
         assert abs(p_mc - p_analytic) <= 4.0 * p_stderr + 1.0 / trials, row
 
 
+def test_netsim_cells_up_to_the_intp_limit(tmp_path, capsys):
+    # bins 0 .. N must fit intp: 2^63 - 2 cells run, 2^63 - 1 is a config
+    # error naming cells before any work, and no file is written
+    top = int(np.iinfo(np.intp).max)
+    args = ["--set", "trials=10", "--set", "group_sizes=3", "--set", "alphas=0.5"]
+    code, out = run(tmp_path, "ok.csv", "netsim", "--set", f"cells={top - 1}", *args)
+    assert code == 0
+    assert parse(out)[2][0][0] == str(top - 1)
+    code, out = run(tmp_path, "bad.csv", "netsim", "--set", f"cells={top}", *args)
+    assert code == 2
+    assert f"cells='{top}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["-inf", "-4000", "nan", "20,nan"])
 def test_recover_bench_snr_without_finite_noise_is_config_error(
     tmp_path, capsys, monkeypatch, bad

@@ -69,31 +69,69 @@ def test_blind_point_errs_exactly_half_the_time():
         assert error_probability(config) == 0.5, (m, threshold)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 32, 64, 128, 1024, 10**4, 10**5, 10**6])
-def test_poisson_tails_match_the_incomplete_gamma(m):
-    # both tails at the energies _error_probability forms: gP log-spaced over
-    # the range _crossing accepts, thresholds at the crossing and drawn inside
-    # (1, 1 + gP), and gP = 0 at preset thresholds; scipy.special is the
-    # oracle, and where it is off (its large-m expansion loses up to 1e-5
-    # relative far in the upper tail at m = 10^6) mpmath at 40 digits decides
-    rng = np.random.default_rng(m)
+_TAIL_MS = [1, 2, 3, 8, 32, 64, 128, 1024, 10**4, 10**5, 10**6]
+
+
+def _thresholds(rng):
+    """gP log-spaced over the range _crossing accepts, four times, with thresholds
+    at the crossing, drawn inside (1, 1 + gP), and at both ends of that interval."""
     gp = np.append(10.0 ** np.linspace(-15, 308, 60), np.finfo(float).max)
-    gp = np.tile(gp, 2)
-    thresholds = np.concatenate([detection._crossing(gp[:61]), 1.0 + gp[61:] * rng.uniform(size=61)])
+    thresholds = np.concatenate(
+        [
+            detection._crossing(gp),
+            1.0 + gp * rng.uniform(size=gp.size),
+            np.full(gp.size, np.nextafter(1.0, 2.0)),
+            np.nextafter(1.0 + gp, 0.0),
+        ]
+    )
+    return np.tile(gp, 4), thresholds
+
+
+@pytest.mark.parametrize("m", _TAIL_MS)
+def test_poisson_tails_match_the_incomplete_gamma(m):
+    # each tail at the energies _error_probability gives it: the lower one at
+    # the silent energies m t (clamped to the largest double) and at gP = 0's
+    # preset thresholds, the upper one at the active energies m t / (1 + gP);
+    # scipy.special is the oracle, and where it is off (its large-m expansion
+    # loses up to 1e-5 relative far in the upper tail at m = 10^6) mpmath at
+    # 40 digits decides
+    gp, thresholds = _thresholds(np.random.default_rng(m))
     with np.errstate(over="ignore"):  # m t may pass the largest double
-        silent = m * thresholds
+        silent = np.minimum(m * thresholds, np.finfo(float).max)
     preset = m * np.array([1.0 + 1e-12, 1.01, 1.5, 3.0, 100.0])
-    x = np.concatenate([silent, m * (thresholds / (1.0 + gp)), preset])
     tol = 1e-12 if m <= 1024 else 1e-11
-    lower, upper = detection._poisson_tails(m, x)
-    for got, want, exact in (
-        (lower, gammaincc(m, x), lambda v: mpmath.gammainc(m, v, mpmath.inf, regularized=True)),
-        (upper, gammainc(m, x), lambda v: mpmath.gammainc(m, 0, v, regularized=True)),
+    for tail, x, want, exact in (
+        (
+            detection._lower_tail,
+            np.concatenate([silent, preset]),
+            gammaincc,
+            lambda v: mpmath.gammainc(m, v, mpmath.inf, regularized=True),
+        ),
+        (
+            detection._upper_tail,
+            m * (thresholds / (1.0 + gp)),
+            gammainc,
+            lambda v: mpmath.gammainc(m, 0, v, regularized=True),
+        ),
     ):
-        for i in np.flatnonzero(np.abs(got - want) > tol * want + 1e-300):
+        got, oracle = tail(m, x), want(m, x)
+        for i in np.flatnonzero(np.abs(got - oracle) > tol * oracle + 1e-300):
             with mpmath.workdps(40):
                 ref = float(exact(x[i]))
-            assert abs(got[i] - ref) <= tol * ref + 1e-300, (x[i], got[i], want[i], ref)
+            assert abs(got[i] - ref) <= tol * ref + 1e-300, (tail, x[i], got[i], oracle[i], ref)
+
+
+@pytest.mark.parametrize("m", _TAIL_MS)
+def test_every_threshold_puts_the_silent_energy_above_m_and_the_active_one_below(m):
+    # a threshold in (1, 1 + gP), even one ulp inside, gives m t >= m and
+    # m t / (1 + gP) <= m: the range in which each tail is summed away from
+    # its mean; at m = 1 and the largest gP the active energy is subnormal
+    gp, thresholds = _thresholds(np.random.default_rng(m))
+    with np.errstate(over="ignore"):
+        assert np.all(m * thresholds >= m)
+    assert np.all(m * (thresholds / (1.0 + gp)) <= m)
+    pe = detection._error_probability(m, gp, thresholds)
+    assert np.all((0.0 <= pe) & (pe <= 1.0))
 
 
 def test_error_probability_threshold_past_the_largest_double_over_m():

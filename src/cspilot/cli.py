@@ -13,14 +13,16 @@ exits 2, and a failure of the run itself exits 1 with its traceback.
 Output is RFC-4180-style CSV (UTF-8, LF) preceded by ``#``-prefixed lines:
 tool version, seed, and a SHA-256 digest of the resolved config strings.
 
-Randomness is derived per grid point from ``(seed, experiment tag, item
-index)``, and per recover-bench trial from ``(seed, tag, SNR index, trial
-index)``.  recover-bench splits each SNR into chunks of trials, each chunk
-returns its per-trial NMSE and support hits, and the means add them in
-trial order.  ``--workers N`` runs the work items on N forked processes;
-``main`` pins the BLAS to one thread before the first experiment and keeps
-it for the process.  Output bytes are therefore identical for any
-``--workers`` value and any BLAS thread setting.
+Randomness is derived from ``(seed, experiment tag, item index)`` per
+netsim grid point and per detect-sweep block of trials (a block draws each
+trial's antennas once for the whole grid and returns its error counts),
+and per recover-bench trial from ``(seed, tag, SNR index, trial index)``.
+recover-bench splits each SNR into chunks of trials, each chunk returns
+its per-trial NMSE and support hits, and the means add them in trial order.
+``--workers N`` runs the work items on N forked processes; ``main`` pins
+the BLAS to one thread before the first experiment and keeps it for the
+process.  Output bytes are therefore identical for any ``--workers`` value
+and any BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ from .channel import (
 from .detection import (
     DetectionConfig,
     _crossing,
+    _error_counts,
     error_probability,
-    error_probability_mc,
     optimal_threshold,
 )
 from .netsim import (
@@ -78,6 +80,10 @@ _TAG_NETSIM = 4
 # with g*P = 0 the two hypotheses coincide and no threshold is better than
 # any other; the sweep pins this arbitrary value so rows stay well defined
 _GP_ZERO_THRESHOLD = 1.5
+
+# trials per detect-sweep work item; even, so that every block starts on a
+# transmitting trial and a trial's activity is that of its global index
+_DETECT_BLOCK = 10_000
 
 # trials per recover-bench work item, and the width of its stacks: small
 # enough that the slow noiseless SNR spreads over the workers, large enough
@@ -180,23 +186,26 @@ def _run_fig3(cfg, seed, workers):
     return ["k_g", "p_out", "rho_fq", "rho_ag_fq", "rho_cs", "rho_ag_cs"], rows, 0
 
 
-def _detect_point(item):
-    seed, trials, index, m, gp = item
-    rng = np.random.default_rng([seed, _TAG_DETECT, index])
-    if gp > 0:
-        threshold = optimal_threshold(DetectionConfig(antenna_count=m, pathloss_power=gp))
-    else:
-        threshold = _GP_ZERO_THRESHOLD
-    config = DetectionConfig(antenna_count=m, pathloss_power=gp, threshold=threshold)
-    pe = error_probability_mc(config, trials, rng)
-    stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
-    return [m, gp, threshold, error_probability(config), pe, stderr]
+def _detect_block(item):
+    seed, block, trials, points = item
+    return _error_counts(points, trials, np.random.default_rng([seed, _TAG_DETECT, block]))
 
 
 def _run_detect_sweep(cfg, seed, workers):
-    grid = [(m, gp) for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]]
-    items = [(seed, cfg["trials"], index, m, gp) for index, (m, gp) in enumerate(grid)]
-    rows = _fan_out(_detect_point, items, workers)
+    trials = cfg["trials"]
+    points = [
+        (m, gp, optimal_threshold(DetectionConfig(m, gp)) if gp > 0 else _GP_ZERO_THRESHOLD)
+        for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]
+    ]
+    items = [
+        (seed, block, min(_DETECT_BLOCK, trials - t0), points)
+        for block, t0 in enumerate(range(0, trials, _DETECT_BLOCK))
+    ]
+    rows = []
+    for point, errors in zip(points, sum(_fan_out(_detect_block, items, workers)).tolist()):
+        pe = errors / trials
+        stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
+        rows.append([*point, error_probability(DetectionConfig(*point)), pe, stderr])
     return ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"], rows, 0
 
 

@@ -181,6 +181,35 @@ def error_probability(config: DetectionConfig) -> float:
     return float(_error_probability(config.antenna_count, config.pathloss_power, threshold))
 
 
+def _error_counts(points, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Error counts of ``(M_BS, gP, threshold)`` points over the same `trials` trials.
+
+    Per block of ``max(1, _MC_BUDGET // max M)`` trials it draws one (n, max M)
+    block of standard exponentials, ``max(M) * trials`` in all; a point reads
+    the first M_BS of each row.  By antenna count, each energy extends the
+    previous sum by the next columns, and every gP at that M_BS shares it.
+    """
+    counts = np.zeros(len(points), dtype=np.int64)
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
+    width = points[order[-1]][0]
+    buffer = np.empty((max(1, min(trials, _MC_BUDGET // width)), width))
+    for done in range(0, trials, len(buffer)):
+        block = rng.standard_exponential(out=buffer[: trials - done])
+        total, start = 0.0, 0
+        for i in order:
+            m, gp, threshold = points[i]
+            if m > start:
+                total, start = total + block[:, start:m].sum(axis=1), m
+                energy = total / m
+                # the trials with an even global index transmit
+                active, silent = energy[done % 2 :: 2], energy[1 - done % 2 :: 2]
+            with np.errstate(over="ignore"):  # an overflow to inf still exceeds the threshold
+                hits = np.count_nonzero(active * (1.0 + gp) > threshold)
+            # misses among the active trials plus false alarms among the silent
+            counts[i] += (active.size - hits) + np.count_nonzero(silent > threshold)
+    return counts
+
+
 def error_probability_mc(
     config: DetectionConfig, trials: int, rng: np.random.Generator
 ) -> float:
@@ -200,7 +229,7 @@ def error_probability_mc(
     the call draws exactly ``M_BS * trials`` exponentials and nothing else.
     The energy of a row is its sum divided by M_BS, and on active trials it
     is multiplied by ``1 + gP``, one multiply per trial in place of one per
-    sample.
+    sample.  `detect-sweep` runs the grid case, one row of max M_BS a trial.
 
     `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
@@ -209,20 +238,8 @@ def error_probability_mc(
     threshold = config.threshold
     if threshold is None:
         threshold = optimal_threshold(config)
-    m = config.antenna_count
-    buffer = np.empty((max(1, min(trials, _MC_BUDGET // m)), m))
-    errors = 0
-    for done in range(0, trials, len(buffer)):
-        n = min(len(buffer), trials - done)
-        energies = rng.standard_exponential(out=buffer[:n]).sum(axis=1) / m
-        active = slice(done % 2, n, 2)  # the trials with an even global index
-        with np.errstate(over="ignore"):  # an overflow to inf still exceeds the threshold
-            energies[active] *= 1.0 + config.pathloss_power
-        detected = energies > threshold
-        hits = np.count_nonzero(detected[active])
-        # misses among the active trials plus false alarms among the silent
-        errors += (detected[active].size - hits) + (np.count_nonzero(detected) - hits)
-    return errors / trials
+    points = [(config.antenna_count, config.pathloss_power, threshold)]
+    return int(_error_counts(points, trials, rng)[0]) / trials
 
 
 def min_threshold_for_network(

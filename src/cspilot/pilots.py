@@ -14,8 +14,8 @@ the l-subsets of the rows taken in descending order.  In that order column
 k is the subset whose zero rows c_1 < ... < c_l have rank
 ``C(L, l) - 1 - sum_i C(c_i, i)`` (the combinatorial number system), so an
 observed zero set is decoded by ranking it, without search.
-`decode_energy_vectors` ranks a whole (n, L) stack of patterns in one
-pass, from the Python-int binomials of each pattern's own zero rows, and
+`decode_energy_vectors` ranks a whole (n, L) stack of patterns in blocks
+of rows, from the Python-int binomials of each pattern's own zero rows, and
 `superpose` ORs an (n, g) stack of UE groups; the one-pattern calls are
 their one-row case.
 """
@@ -30,6 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import _as_count
+
+
+# zero rows per block built or ranked, bounding its index and binomial arrays
+_BLOCK = 2**13
 
 
 class CapacityExceededError(ValueError):
@@ -82,9 +86,11 @@ class PilotCodebook:
         if K > cap:
             raise CapacityExceededError(f"K={K} exceeds capacity C({L},{l})={cap}")
         subsets = itertools.islice(itertools.combinations(range(L - 1, -1, -1), l), K)
-        rows = np.fromiter(itertools.chain.from_iterable(subsets), np.intp, count=K * l)
         columns = np.ones((L, K), dtype=np.uint8)
-        columns[rows, np.repeat(np.arange(K), l)] = 0
+        width = max(1, _BLOCK // l)
+        for start in range(0, K, width):  # each block's (n, l) zero rows
+            rows = np.array(list(itertools.islice(subsets, width)), dtype=np.intp)
+            columns[rows, np.arange(start, start + len(rows))[:, None]] = 0
         columns.flags.writeable = False
         object.__setattr__(self, "columns", columns)
 
@@ -161,9 +167,12 @@ def decode_energy_vectors(observed, book: PilotCodebook) -> tuple[np.ndarray, np
     kinds[zeros == L] = "empty"
     ue_indices = np.full(len(observed), -1, dtype=np.int64)
     exact = np.flatnonzero(zeros == l)
-    rows = np.nonzero(low[exact])[1].reshape(-1, l)  # each row's zero rows, ascending
-    binomials = np.frompyfunc(math.comb, 2, 1)(rows, np.arange(1, l + 1))
-    ranks = math.comb(L, l) - 1 - binomials.sum(axis=1)
+    ranks = np.empty(len(exact), dtype=object)
+    height = max(1, _BLOCK // l)
+    for start in range(0, len(exact), height):
+        rows = np.nonzero(low[exact[start : start + height]])[1].reshape(-1, l)  # ascending
+        binomials = np.frompyfunc(math.comb, 2, 1)(rows, np.arange(1, l + 1))
+        ranks[start : start + height] = math.comb(L, l) - 1 - binomials.sum(axis=1)
     known = ranks < book.user_count
     kinds[exact[known]] = "identified"
     ue_indices[exact[known]] = ranks[known]

@@ -8,6 +8,16 @@ antennas and scaling it by ``1 + gP`` when the trial transmits.
 `cspilot.detection.error_probability_mc` consumes the generator in the
 same order and must return the same error probability.
 
+`error_counts_loop` reads a whole grid the same way: it draws one
+(trials, max M) matrix of standard exponentials, then for each
+``(M, gP, threshold)`` point walks the trials one at a time, averaging the
+first M draws of the row.  `cspilot.detection._error_counts` consumes the
+generator as that one draw does and must return the same error counts.
+The kernel adds a row's columns segment by segment, between consecutive
+antenna counts, so an energy may differ from this direct sum in its last
+bit; the tests assert equal counts at seeds where no decision sits that
+close to its threshold.
+
 `error_probability_mc_complex` shares nothing with the kernel but the
 alternating activity: per chunk it draws an (n, 2M) block ``w`` of standard
 normals, forms the complex received samples ``y = sqrt(1 + gP sent)
@@ -42,6 +52,22 @@ def error_probability_mc_loop(
                 energy *= 1.0 + config.pathloss_power
             errors += bool(energy > threshold) != sent
     return errors / trials
+
+
+def error_counts_loop(points, trials: int, rng: np.random.Generator) -> list[int]:
+    """Monte-Carlo error counts of each ``(M, gP, threshold)`` point, one trial at a time."""
+    draws = rng.standard_exponential((trials, max(m for m, _, _ in points)))
+    counts = []
+    for m, gp, threshold in points:
+        errors = 0
+        for i, row in enumerate(draws):
+            sent = i % 2 == 0
+            energy = row[:m].sum() / m
+            if sent:
+                energy *= 1.0 + gp
+            errors += bool(energy > threshold) != sent
+        counts.append(errors)
+    return counts
 
 
 def error_probability_mc_complex(

@@ -133,23 +133,43 @@ def test_detect_sweep_blind_point(tmp_path):
 
 
 def test_detect_sweep_golden_rows(tmp_path):
-    # exact strings, captured when the Monte-Carlo kernel moved to one
-    # exponential per antenna and the pe_analytic column was added: two
-    # chunks per point, so the draw order across chunks is pinned
+    # exact strings: m_bs, g_p, threshold and pe_analytic as captured when the
+    # pe_analytic column was added; pe_mc and pe_stderr as captured when the
+    # grid came to share each trial's draws.  20 001 trials are two full
+    # trial blocks and a block of one trial, so the block seeds, the draw
+    # order across budget chunks and the activity of each block are pinned
     code, out = run(
         tmp_path, "g.csv", "detect-sweep",
-        "--seed", "1", "--set", "trials=5000", "--set", "antenna_counts=8,32",
+        "--seed", "1", "--set", "trials=20001", "--set", "antenna_counts=8,32",
     )
     assert code == 0
     assert out.read_text(encoding="utf-8").splitlines()[4:] == [
         "m_bs,g_p,threshold,pe_analytic,pe_mc,pe_stderr",
-        "8,0.0,1.5,0.5,0.4978,0.007070999363597765",
-        "8,2.0,1.6479184330021646,0.06361518747379569,0.059,0.0033322364862056236",
-        "8,10.0,2.6376848000782074,0.0006056320512150371,0.001,0.0004469899327725402",
-        "32,0.0,1.5,0.5,0.5008,0.007071058760892883",
-        "32,2.0,1.6479184330021646,0.0010563053174226286,0.0014,0.0005287797272967262",
+        "8,0.0,1.5,0.5,0.49972501374931255,0.0035354449862168083",
+        "8,2.0,1.6479184330021646,0.06361518747379569,0.061946902654867256,0.0017045025458679549",
+        "8,10.0,2.6376848000782074,0.0006056320512150371,0.00039998000099995,0.00014138600125143227",
+        "32,0.0,1.5,0.5,0.5005749712514375,0.0035354431833191547",
+        "32,2.0,1.6479184330021646,0.0010563053174226286,0.00119994000299985,0.0002447897286425435",
         "32,10.0,2.6376848000782074,3.489668494345095e-11,0.0,0.0",
     ]
+
+
+def test_detect_sweep_draws_the_largest_antenna_count_per_trial(tmp_path, monkeypatch):
+    # at defaults each of the 100 000 trials draws 128 exponentials for the
+    # whole grid: 12.8 M, where one stream per point drew (32+64+128)*3*100 000
+    calls, error_counts = [], cli._error_counts
+
+    def counted(points, trials, rng):
+        calls.append((points, trials))
+        return error_counts(points, trials, rng)
+
+    monkeypatch.setattr(cli, "_error_counts", counted)
+    code, _ = run(tmp_path, "d.csv", "detect-sweep")
+    assert code == 0
+    assert [trials for _, trials in calls] == [cli._DETECT_BLOCK] * 10
+    drawn = sum(max(m for m, _, _ in points) * trials for points, trials in calls)
+    per_point = sum(m for m, _, _ in calls[0][0]) * 100_000
+    assert (drawn, per_point) == (12_800_000, 67_200_000)
 
 
 def test_netsim_golden_rows(tmp_path):
@@ -444,6 +464,12 @@ def test_workers_do_not_change_output(tmp_path):
     _, f = run(tmp_path, "f.csv", "detect-sweep", "--workers", "3", *DETECT_TINY)
     assert e.read_bytes() == f.read_bytes()
     assert [row[0] for row in parse(e)[2]] == ["4", "4", "16", "16", "8", "8"]
+    # several trial blocks and a short last one: the parent adds their counts
+    blocks = [*DETECT_TINY, "--set", f"trials={3 * cli._DETECT_BLOCK + 1}"]
+    _, g = run(tmp_path, "g.csv", "detect-sweep", *blocks)
+    for workers in ("2", "3"):
+        _, h = run(tmp_path, f"h{workers}.csv", "detect-sweep", "--workers", workers, *blocks)
+        assert g.read_bytes() == h.read_bytes()
 
 
 def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
@@ -933,3 +959,12 @@ def test_sampled_codebook_verify_is_pinned(tmp_path, seed):
     code, out = run(tmp_path, "cb.csv", "codebook-verify", *args)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SAMPLED_CODEBOOK_DIGESTS[seed]
+
+
+def test_one_one_codebook_verify_is_pinned(tmp_path):
+    # K = L = 2000, l = 1999: the book and its single patterns are built and
+    # ranked in many blocks, and the CSV keeps the bytes of the unblocked code
+    code, out = run(tmp_path, "cb.csv", "codebook-verify", "--set", "l_prime=1", "--set", "k=2000")
+    assert code == 0
+    digest = "8d04f51029ad1044991685f657cc67782fea48ce6e85b4019303b81506d0ec6a"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,7 +4,11 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from detection_oracle import error_probability_mc_complex, error_probability_mc_loop
+from detection_oracle import (
+    error_counts_loop,
+    error_probability_mc_complex,
+    error_probability_mc_loop,
+)
 from scipy.special import gammainc, gammaincc
 
 from cspilot import detection
@@ -328,6 +332,54 @@ def test_error_probability_mc_memory_follows_the_budget():
     tracemalloc.start()
     try:
         error_probability_mc(config, 4096, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * detection._MC_BUDGET + 2**16
+
+
+def _grid(antenna_counts):
+    # gP = 0 at the pinned threshold, and each positive gP at its crossing
+    # and at a preset threshold a fifth of the way into (1, 1 + gP)
+    points = []
+    for m in antenna_counts:
+        points.append((m, 0.0, 1.5))
+        for gp in (0.3, 4.0):
+            points.append((m, gp, optimal_threshold(DetectionConfig(m, gp))))
+            points.append((m, gp, 1.0 + 0.2 * gp))
+    return points
+
+
+@pytest.mark.parametrize("antenna_counts", [(4, 16, 8, 16), (1,), (7, 3, 7, 1), (2, 32)])
+@pytest.mark.parametrize("rows", [7, 256])
+def test_error_counts_match_the_grid_loop_oracle(antenna_counts, rows, monkeypatch):
+    # unsorted and repeated antenna counts share one row of draws per trial;
+    # blocks of an odd and an even row count, so 4097 trials span 17 to 586
+    # blocks with a short last one, and odd trial counts end on an active trial
+    monkeypatch.setattr(detection, "_MC_BUDGET", rows * max(antenna_counts))
+    points = _grid(antenna_counts)
+    for trials, seed in itertools.product((1, 2, 999, 4097), (0, 1)):
+        got = detection._error_counts(points, trials, np.random.default_rng(seed))
+        want = error_counts_loop(points, trials, np.random.default_rng(seed))
+        assert got.tolist() == want, (trials, seed)
+
+
+@pytest.mark.parametrize("antenna_counts,trials", [((4, 16, 8, 16), 1), ((1, 3), 4097), ((128, 32, 64), 10001)])
+def test_error_counts_draw_the_largest_antenna_count_per_trial(antenna_counts, trials):
+    # one row of max(M) exponentials per trial serves the whole grid
+    rng = np.random.default_rng(5)
+    detection._error_counts(_grid(antenna_counts), trials, rng)
+    fresh = np.random.default_rng(5)
+    fresh.standard_exponential(max(antenna_counts) * trials)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_error_counts_memory_follows_the_budget():
+    # the grid's widest row sizes the one draw buffer, as in the test above;
+    # the running sums and energies take a few rows of doubles beside it
+    tracemalloc.start()
+    try:
+        detection._error_counts(_grid((4096, 1, 64)), 4096, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspilot import pilots
 from cspilot.pilots import (
     CapacityExceededError,
     PilotCodebook,
@@ -409,3 +411,45 @@ def test_superpose_on_a_stack_matches_the_group_loop():
     for mixed in ([True, 0], [[0, 1], [2, np.True_]]):  # numpy alone reads True as 1
         with pytest.raises(ValueError, match="UE index must be an integer, got (np.)?True"):
             superpose(mixed, book)
+
+
+@pytest.mark.parametrize("block", [1, 5, 2**20])
+def test_blocks_do_not_change_the_book_or_its_decode(block, monkeypatch):
+    # one column or pattern per block, several, and all in one
+    want = build_codebook(219, 9, 3)
+    patterns = np.array(list(product((0, 1), repeat=want.dimension)), dtype=np.uint8)
+    kinds, ue_indices = decode_energy_vectors(patterns, want)
+    monkeypatch.setattr(pilots, "_BLOCK", block)
+    book = build_codebook(219, 9, 3)
+    assert np.array_equal(book.columns, want.columns)
+    got = decode_energy_vectors(patterns, book)
+    assert np.array_equal(got[0], kinds) and np.array_equal(got[1], ue_indices)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codebook_memory_follows_the_book():
+    # K = L = 2000 with l = 1999: the book is 4 MB, and K*l row and column
+    # indices at once took 17 times that
+    book, peak = _peak(lambda: build_codebook(2000, 1, 1999))
+    assert book.columns.nbytes == 2000 * 2000
+    assert peak <= 1.25 * book.columns.nbytes
+
+
+def test_decode_memory_follows_the_patterns():
+    # codebook-verify's singles at K = 500, l = 499: 500 exact rows, whose
+    # zero rows and binomials at once took 26 times the patterns' bytes; the
+    # 0/1 checks take two pattern-sized masks, and the rank blocks the rest
+    book = build_codebook(500, 1, 499)
+    patterns = np.vstack([np.zeros(book.dimension, dtype=np.uint8), book.columns.T])
+    (kinds, ue_indices), peak = _peak(lambda: decode_energy_vectors(patterns, book))
+    assert kinds[0] == "empty" and (kinds[1:] == "identified").all()
+    assert ue_indices[1:].tolist() == list(range(500))
+    assert peak <= 4 * patterns.nbytes

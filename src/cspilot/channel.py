@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,15 +109,8 @@ class OfdmParams:
 
 
 def default_params(**overrides) -> OfdmParams:
-    """Standard working point: WT=1000, 100 taps, S=4, M=20."""
-    base = dict(
-        bandwidth_time_product=1000,
-        tap_count=100,
-        sparsity=4,
-        pilot_count=20,
-    )
-    base.update(overrides)
-    return OfdmParams(**base)
+    """Standard working point: WT=1000, 100 taps, S=4, M=20, with `overrides` fields replaced."""
+    return replace(OfdmParams(1000, 100, 4, 20), **overrides)
 
 
 @dataclass

@@ -18,7 +18,8 @@ netsim grid point and per detect-sweep block of trials (a block draws each
 trial's antennas once for the whole grid and returns its error counts),
 and per recover-bench trial from ``(seed, tag, SNR index, trial index)``.
 recover-bench splits each SNR into chunks of trials, each chunk returns
-its per-trial NMSE and support hits, and the means add them in trial order.
+(trial, method) arrays of NMSE and support hits, and each mean folds its
+SNR's trials left to right in trial order.
 ``--workers N`` runs the work items on N forked processes; ``main`` pins
 the BLAS to one thread before the first experiment and keeps it for the
 process.  Output bytes are therefore identical for any ``--workers`` value
@@ -251,30 +252,22 @@ def _snrs(text: str) -> list[tuple[float, float]]:
     return [(snr_db, _noise_variance(snr_db)) for snr_db in map(float, text.split(","))]
 
 
-# the order in which _recover_chunk lists each trial's outcomes
+# the order of the method columns of _recover_chunk's arrays
 _RECOVER_METHODS = ("dantzig", "dantzig+debias", "omp", "fde_ls")
 
 
-def _score(true_h, estimates, supports):
-    """``(nmse, hit)`` of each row of the (k, D) `estimates` against that row of `true_h`.
-
-    A hit is the exact support; `supports` holds each estimate's as a (k, D) mask.
-    """
-    hits = (supports == (true_h != 0)).all(axis=-1)
-    return list(zip(_nmse_db(true_h, estimates).tolist(), hits.astype(int).tolist()))
-
-
 def _recover_chunk(item):
-    """Per-trial outcomes of every method, for trials ``t0 <= t < t1`` at one SNR.
+    """``(nmse, hits)`` of trials ``t0 <= t < t1`` at one SNR, two (n, 4) arrays.
 
-    Each trial lists one ``(nmse, hit)`` per method, in `_RECOVER_METHODS`
-    order; both Dantzig entries are None when the LP solve was not optimal,
-    so a failed solve is never scored.  Each trial draws its channel, its
-    tones when they are random, and the noise of y and of y_full from its
-    own generator, and runs its own Dantzig solve; the random-tone matrices,
-    the measurements, OMP, dense LS and the scoring each run once over the
-    chunk's stack of trials.  The comb matrix and a designed tone set come
-    from `_bench_matrices`, so the operators they cache serve every trial.
+    Row i is trial ``t0 + i``, and column j method j of `_RECOVER_METHODS`:
+    its NMSE in dB and whether its support is exact.  A trial whose LP solve
+    was not optimal holds NaN and no hit in both Dantzig columns, so a failed
+    solve is never scored.  Each trial draws its channel, its tones when they
+    are random, and the noise of y and of y_full from its own generator, and
+    runs its own Dantzig solve; the random-tone matrices, the measurements,
+    OMP, dense LS and the scoring each run once over the chunk's stack of
+    trials.  The comb matrix and a designed tone set come from
+    `_bench_matrices`, so the operators they cache serve every trial.
     """
     seed, params, tones, si, noise_var, t0, t1 = item
     comb, designed = _bench_matrices(params, tones)
@@ -293,9 +286,11 @@ def _recover_chunk(item):
     Y = _measure(rows, H, np.array(noise) if noisy else None)
     Y_full = _measure(comb.rows, H, np.array(noise_full) if noisy else None)
 
-    estimates = np.empty((n, len(_RECOVER_METHODS), d), dtype=complex)
+    # a failed solve keeps a zero estimate, overwritten by NaN below, and an
+    # empty support, which is never a hit: every channel has a nonzero tap
+    estimates = np.zeros((n, len(_RECOVER_METHODS), d), dtype=complex)
     supports = np.zeros(estimates.shape, dtype=bool)
-    scored = np.ones(estimates.shape[:2], dtype=bool)
+    solved = np.ones(n, dtype=bool)
     for i in range(n):
         X = designed if designed is not None else SensingMatrix(rows=rows[i])
         res = dantzig_recover(Y[i], X, noise_var)
@@ -303,14 +298,17 @@ def _recover_chunk(item):
             estimates[i, :2] = res.raw_estimate, res.estimate
             supports[i, 0, res.raw_support] = supports[i, 1, res.recovered_support] = True
         else:
-            scored[i, :2] = False  # a failed solve's NaN estimates are not scored
+            solved[i] = False
     estimates[:, 2], selected = _omp(Y, rows, params.sparsity)
     supports[np.arange(n)[:, None], 2, selected] = True
     estimates[:, 3] = _dense_ls(Y_full, comb)
     supports[:, 3] = _above(np.abs(estimates[:, 3]), 0.0)
-    truth = np.broadcast_to(H[:, None], estimates.shape)
-    outcomes = iter(_score(truth[scored], estimates[scored], supports[scored]))
-    return [[next(outcomes) if ok else None for ok in row] for row in scored.tolist()]
+    # C order: _nmse_db's copy of a broadcast view would put the methods
+    # innermost and sum each row's taps in another order than one trial's
+    truth = np.repeat(H[:, None], len(_RECOVER_METHODS), axis=1)
+    nmse = _nmse_db(truth, estimates)
+    nmse[~solved, :2] = math.nan
+    return nmse, (supports == (truth != 0)).all(axis=-1)
 
 
 def _run_recover_bench(cfg, seed, workers):
@@ -321,25 +319,23 @@ def _run_recover_bench(cfg, seed, workers):
         for t0 in range(0, trials, _TRIAL_CHUNK)
     ]
     chunks = _fan_out(_recover_chunk, items, workers)
-    per_trial = [trial for chunk in chunks for trial in chunk]
-    # one failure per failed LP solve; its trial is left out of both Dantzig rows
-    failures = sum(trial[0] is None for trial in per_trial)
-    rows = []
-    for si, (snr_db, _) in enumerate(snrs):
-        outcomes = per_trial[si * trials : (si + 1) * trials]
-        for mi, name in enumerate(_RECOVER_METHODS):
-            scored = [trial[mi] for trial in outcomes if trial[mi] is not None]
-            # add in t order, one float at a time, so the mean is the same
-            # for every chunking (sum() compensates from Python 3.12 on)
-            total = 0.0
-            for value, _ in scored:
-                total += value
-            hits, count = sum(hit for _, hit in scored), len(scored)
-            mean, rate = (total / count, hits / count) if count else (math.nan, math.nan)
-            used = params.tap_count if name == "fde_ls" else params.pilot_count
-            rows.append([snr_db, name, mean, rate, used])
+    # (SNR, trial, method) arrays; an unscored trial reads NaN and no hit
+    nmse, hits = (np.concatenate(part).reshape(len(snrs), trials, -1) for part in zip(*chunks))
+    scored = ~np.isnan(nmse)
+    # a left fold in trial order, the same for every chunking, adding 0.0 per
+    # unscored trial (a sum over the trial axis may add pairwise)
+    totals = np.cumsum(np.where(scored, nmse, 0.0), axis=1)[:, -1]
+    counts = scored.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # a method with no scored trial reads NaN
+        means, rates = totals / counts, hits.sum(axis=1) / counts
+    rows = [
+        [snr_db, name, mean, rate, params.tap_count if name == "fde_ls" else params.pilot_count]
+        for (snr_db, _), snr_means, snr_rates in zip(snrs, means.tolist(), rates.tolist())
+        for name, mean, rate in zip(_RECOVER_METHODS, snr_means, snr_rates)
+    ]
     header = ["snr_db", "method", "nmse_db_mean", "support_rate", "pilot_tones_used"]
-    return header, rows, failures
+    # one failure per failed LP solve; its trial is left out of both Dantzig rows
+    return header, rows, np.count_nonzero(~scored[..., 0])
 
 
 def _sampled_pairs(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -373,8 +369,11 @@ def _run_codebook_verify(cfg, seed, workers):
         pairs = _sampled_pairs(k, np.random.default_rng([seed, _TAG_CODEBOOK, 0]))
     else:
         pairs = np.column_stack(np.triu_indices(k, 1))
-    kinds, _ = decode_energy_vectors(superpose(pairs, book), book)
-    rows.append(["pair", len(pairs), int(np.count_nonzero(kinds != "collision"))])
+    failures = 0
+    for start in range(0, len(pairs), k):  # blocks of k pairs, no larger than the singles
+        kinds, _ = decode_energy_vectors(superpose(pairs[start : start + k], book), book)
+        failures += np.count_nonzero(kinds != "collision")
+    rows.append(["pair", len(pairs), failures])
 
     return ["check", "cases", "failures"], rows, sum(row[2] for row in rows)
 

@@ -3,7 +3,8 @@
 One trial at a time through the public single-trial calls, the direct
 reading of `cspilot.cli._recover_chunk`: each trial draws its channel, its
 tones when they are random, then the noise of y and of y_full, and is
-scored method by method.  The stacked chunk must give equal outcomes.
+scored method by method into the chunk's two (trial, method) arrays.  The
+stacked chunk must give equal arrays.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from cspilot.recovery import dantzig_recover, fde_ls_recover, nmse, omp_recover
 
 def _score(h, estimate, support):
     """``(nmse, hit)`` of one estimate of `h`; a hit is the exact support."""
-    return nmse(h.taps, estimate), int(np.array_equal(np.sort(support), h.support))
+    return nmse(h.taps, estimate), np.array_equal(np.sort(support), h.support)
 
 
 def recover_chunk_per_trial(item):
-    """`cspilot.cli._recover_chunk`'s outcomes for the same item, one trial at a time."""
+    """`cspilot.cli._recover_chunk`'s ``(nmse, hits)`` for the same item, one trial at a time."""
     seed, params, tones, si, noise_var, t0, t1 = item
     comb, designed = _bench_matrices(params, tones)
     trials = []
@@ -41,7 +42,7 @@ def recover_chunk_per_trial(item):
         omp_res = omp_recover(y, X, params.sparsity)
         y_full = synthesize_measurement(comb, h, noise_var, rng)
         fde_res = fde_ls_recover(y_full, comb)
-        scores = [None, None]  # a failed solve's NaN estimates are not scored
+        scores = [(np.nan, False)] * 2  # a failed solve's NaN estimates are not scored
         if res.solver_status == "optimal":
             scores = [
                 _score(h, res.raw_estimate, res.raw_support),
@@ -49,4 +50,5 @@ def recover_chunk_per_trial(item):
             ]
         scores += [_score(h, r.estimate, r.recovered_support) for r in (omp_res, fde_res)]
         trials.append(scores)
-    return trials
+    table = np.array(trials, dtype=float)  # (trial, method, nmse or hit)
+    return table[..., 0], table[..., 1] == 1

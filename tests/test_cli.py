@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,53 +288,68 @@ def test_cli_import_leaves_scipy_stats_out(tmp_path):
     assert out.exists()
 
 
-def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypatch):
+def _lp_key(args):
+    """The bytes of one `solve_lp` call's inputs, the same in every process."""
+    return b"".join(np.asarray(arg).tobytes() for arg in args)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypatch, workers):
     # a failed solve is counted as a failure and left out of both Dantzig
-    # rows; the other methods still score every trial
-    args = ["--workers", "1", "--set", "trials=4", "--set", "snr_dbs=10"]
+    # rows; the other methods still score every trial.  Trials 9 and 10
+    # straddle the first chunk boundary, and the solves fail by their inputs,
+    # so each forked worker cuts the same trials
+    trials = cli._TRIAL_CHUNK + 3
+    args = ["--workers", workers, "--set", f"trials={trials}", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
     params = cli.default_params(tap_count=25)
     tones = cli._designed_tones("designed", 1000, 25, 20)
-    item = (0, params, tones, 0, cli._noise_variance(10.0), 0, 4)
+    item = (0, params, tones, 0, cli._noise_variance(10.0), 0, trials)
     threads = cli._openblas_threads()
     if threads is not None:
         threads[1](1)  # the BLAS setting main runs the trials with
-    clean = cli._recover_chunk(item)
+    keys = []
 
-    def means(trials, mi):
-        total, hits = 0.0, 0
-        for trial in trials:
-            total += trial[mi][0]
-            hits += trial[mi][1]
-        return [repr(total / len(trials)), repr(hits / len(trials))]
+    def recording(*args):
+        keys.append(_lp_key(args))
+        return simplex.solve_lp(*args)
 
-    calls = []
+    monkeypatch.setattr(recovery, "solve_lp", recording)
+    nmse, hits = (part.tolist() for part in cli._recover_chunk(item))  # one chunk: the reference
+    assert len(keys) == trials
+    cut = {keys[t] for t in (1, 9, 10)}
 
-    def second_solve_cut(*args):
-        calls.append(None)
-        if len(calls) == 2:
+    def means(kept, mi):
+        total, hit_count = 0.0, 0
+        for t in kept:
+            total += nmse[t][mi]
+            hit_count += hits[t][mi]
+        return [repr(total / len(kept)), repr(hit_count / len(kept))]
+
+    def cut_solve(*args):
+        if _lp_key(args) in cut:
             return simplex.LpResult(x=None, status="iteration-limit", iterations=1)
         return simplex.solve_lp(*args)
 
-    monkeypatch.setattr(recovery, "solve_lp", second_solve_cut)
+    monkeypatch.setattr(recovery, "solve_lp", cut_solve)
     code, out = run(tmp_path, "f.csv", "recover-bench", *args)
     assert code == 1
-    assert "1 check(s) failed" in capsys.readouterr().err
+    assert "3 check(s) failed" in capsys.readouterr().err
     rows = {r[1]: r[2:4] for r in parse(out)[2]}
-    kept = [clean[t] for t in (0, 2, 3)]
+    kept = [t for t in range(trials) if t not in (1, 9, 10)]
     assert rows["dantzig"] == means(kept, 0)
     assert rows["dantzig+debias"] == means(kept, 1)
-    assert rows["omp"] == means(clean, 2)
-    assert rows["fde_ls"] == means(clean, 3)
+    assert rows["omp"] == means(range(trials), 2)
+    assert rows["fde_ls"] == means(range(trials), 3)
 
     monkeypatch.setattr(recovery, "solve_lp", simplex.solve_lp)
     monkeypatch.setattr(simplex, "_MAX_ITER_FACTOR", 0)
     code, out = run(tmp_path, "g.csv", "recover-bench", *args)
     assert code == 1
-    assert "4 check(s) failed" in capsys.readouterr().err
+    assert f"{trials} check(s) failed" in capsys.readouterr().err
     rows = {r[1]: r[2:4] for r in parse(out)[2]}
     assert rows["dantzig"] == rows["dantzig+debias"] == ["nan", "nan"]
-    assert rows["omp"] == means(clean, 2)
+    assert rows["omp"] == means(range(trials), 2)
 
 
 def test_recover_bench_noiseless(tmp_path):
@@ -412,10 +428,20 @@ def test_codebook_verify_smallest_books(tmp_path, k, pairs):
 
 def test_codebook_verify_one_one_per_column(tmp_path):
     # l_prime=1 takes l = k - 1 zeros: every rank sums 599 binomials
-    code, out = run(tmp_path, "cb.csv", "codebook-verify", "--set", "l_prime=1", "--set", "k=600")
+    args = ["--set", "l_prime=1", "--set", "k=600"]
+    code, out = run(tmp_path, "cb.csv", "codebook-verify", *args)
     assert code == 0
     _, _, rows = parse(out)
     assert rows == [["empty", "1", "0"], ["single", "600", "0"], ["pair", "10000", "0"]]
+    # the 10 000 sampled pairs are checked in blocks no larger than the
+    # singles, so a warm rerun peaks at a few times the 600 x 600 book
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "cb2.csv", "codebook-verify", *args)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * cli._codebook(600, 1, None).columns.nbytes
 
 
 def _pairs_one_draw_at_a_time(k, rng):
@@ -517,8 +543,8 @@ def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch
 
 def test_recover_bench_runs_the_batched_work_once_per_chunk(tmp_path, monkeypatch):
     # draws and the Dantzig solve stay per trial; the random-tone matrices,
-    # OMP, dense LS and scoring each run once per chunk of trials
-    batched = ("_partial_dft", "_omp", "_dense_ls", "_score")
+    # OMP, dense LS and the NMSE each run once per chunk of trials
+    batched = ("_partial_dft", "_omp", "_dense_ls", "_nmse_db")
     calls = {name: 0 for name in (*batched, "dantzig_recover")}
 
     def counting(name):

@@ -1,13 +1,15 @@
 """The stacked recover-bench chunk against the per-trial reference loop.
 
 `cspilot.cli._recover_chunk` draws and solves the Dantzig program trial by
-trial and runs everything else once over the chunk; its per-trial outcomes
-must equal, bit for bit, those of `recover_oracle.recover_chunk_per_trial`,
-which runs every trial alone through the public single-trial calls.
+trial and runs everything else once over the chunk; its (trial, method)
+NMSE and hit arrays must equal, bit for bit, those of
+`recover_oracle.recover_chunk_per_trial`, which runs every trial alone
+through the public single-trial calls.
 """
 
 import math
 
+import numpy as np
 import pytest
 from recover_oracle import recover_chunk_per_trial
 
@@ -32,11 +34,12 @@ def _item(setup, snr_db, length, seed=3, t0=5):
 @pytest.mark.parametrize("setup", sorted(_SETUPS))
 def test_chunk_equals_the_per_trial_loop(setup, snr_db, length):
     item = _item(setup, snr_db, length)
-    chunk = cli._recover_chunk(item)
-    assert len(chunk) == length
-    assert chunk == recover_chunk_per_trial(item)
-    assert all(len(trial) == len(cli._RECOVER_METHODS) for trial in chunk)
-    assert all(outcome is not None for trial in chunk for outcome in trial)
+    nmse, hits = cli._recover_chunk(item)
+    assert nmse.shape == hits.shape == (length, len(cli._RECOVER_METHODS))
+    want_nmse, want_hits = recover_chunk_per_trial(item)
+    assert np.array_equal(nmse, want_nmse, equal_nan=True)
+    assert np.array_equal(hits, want_hits)
+    assert not np.isnan(nmse).any()
 
 
 def _cut_solve(at):
@@ -55,11 +58,17 @@ def _cut_solve(at):
 @pytest.mark.parametrize("setup", sorted(_SETUPS))
 def test_failed_solve_mid_chunk_leaves_only_its_dantzig_slots_unscored(setup, monkeypatch):
     item = _item(setup, 10.0, 7)
-    clean = cli._recover_chunk(item)
+    clean_nmse, clean_hits = cli._recover_chunk(item)
     monkeypatch.setattr(recovery, "solve_lp", _cut_solve(4))
-    chunk = cli._recover_chunk(item)
+    nmse, hits = cli._recover_chunk(item)
     monkeypatch.setattr(recovery, "solve_lp", _cut_solve(4))
-    assert chunk == recover_chunk_per_trial(item)
-    assert chunk[3][:2] == [None, None]
-    assert chunk[3][2:] == clean[3][2:]  # omp and fde_ls still score the trial
-    assert chunk[:3] + chunk[4:] == clean[:3] + clean[4:]
+    want_nmse, want_hits = recover_chunk_per_trial(item)
+    assert np.array_equal(nmse, want_nmse, equal_nan=True)
+    assert np.array_equal(hits, want_hits)
+    failed = np.zeros(nmse.shape, dtype=bool)
+    failed[3, :2] = True  # the fourth trial's two Dantzig slots
+    assert np.array_equal(np.isnan(nmse), failed)
+    assert not hits[3, :2].any()
+    # omp and fde_ls still score the trial, and every other slot is unchanged
+    assert np.array_equal(nmse[~failed], clean_nmse[~failed])
+    assert np.array_equal(hits[~failed], clean_hits[~failed])

@@ -13,10 +13,15 @@ exits 2, and a failure of the run itself exits 1 with its traceback.
 Output is RFC-4180-style CSV (UTF-8, LF) preceded by ``#``-prefixed lines:
 tool version, seed, and a SHA-256 digest of the resolved config strings.
 
-Randomness is derived from ``(seed, experiment tag, item index)`` per
-netsim grid point and per detect-sweep block of trials (a block draws each
-trial's antennas once for the whole grid and returns its error counts),
-and per recover-bench trial from ``(seed, tag, SNR index, trial index)``.
+Randomness is derived from ``(seed, experiment tag, block index)`` per
+detect-sweep block of trials (a block draws each trial's antennas once for
+the whole grid and returns its error counts), from ``(seed, tag, group-size
+index, block index)`` per netsim block of trials (a block draws and sorts
+each trial's UEs once for every (N, alpha) point of its group size and
+returns their singleton tallies, so the rows of one group size share draws
+and their errors are correlated; each p_stderr is still its own row's
+standard error), and per recover-bench trial from ``(seed, tag, SNR index,
+trial index)``.
 recover-bench splits each SNR into chunks of trials, each chunk returns
 (trial, method) arrays of NMSE and support hits, and each mean folds its
 SNR's trials left to right in trial order.
@@ -64,8 +69,9 @@ from .detection import (
 from .netsim import (
     _MC_MAX_CELLS,
     NetworkModel,
+    _collision_moments,
+    _singleton_tallies,
     collision_probability,
-    collision_probability_mc,
     rho_metrics,
 )
 from .pilots import build_codebook, choose_l, decode_energy_vectors, superpose
@@ -82,9 +88,10 @@ _TAG_NETSIM = 4
 # any other; the sweep pins this arbitrary value so rows stay well defined
 _GP_ZERO_THRESHOLD = 1.5
 
-# trials per detect-sweep work item; even, so that every block starts on a
-# transmitting trial and a trial's activity is that of its global index
-_DETECT_BLOCK = 10_000
+# trials per detect-sweep and netsim work item; even, so that every
+# detect-sweep block starts on a transmitting trial and a trial's activity
+# is that of its global index
+_MC_BLOCK = 10_000
 
 # trials per recover-bench work item, and the width of its stacks: small
 # enough that the slow noiseless SNR spreads over the workers, large enough
@@ -199,8 +206,8 @@ def _run_detect_sweep(cfg, seed, workers):
         for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]
     ]
     items = [
-        (seed, block, min(_DETECT_BLOCK, trials - t0), points)
-        for block, t0 in enumerate(range(0, trials, _DETECT_BLOCK))
+        (seed, block, min(_MC_BLOCK, trials - t0), points)
+        for block, t0 in enumerate(range(0, trials, _MC_BLOCK))
     ]
     rows = []
     for point, errors in zip(points, sum(_fan_out(_detect_block, items, workers)).tolist()):
@@ -378,19 +385,35 @@ def _run_codebook_verify(cfg, seed, workers):
     return ["check", "cases", "failures"], rows, sum(row[2] for row in rows)
 
 
-def _netsim_point(item):
-    seed, trials, index, n, k, a = item
-    model = NetworkModel(cell_count=n, coverage_prob=a, group_size=k)
-    rng = np.random.default_rng([seed, _TAG_NETSIM, index])
-    estimate, stderr = collision_probability_mc(model, trials, rng)
-    return [n, k, a, trials, collision_probability(model), estimate, stderr]
+def _netsim_block(item):
+    seed, size, block, trials, k, points = item
+    rng = np.random.default_rng([seed, _TAG_NETSIM, size, block])
+    return _singleton_tallies(points, k, trials, rng)
 
 
 def _run_netsim(cfg, seed, workers):
-    grid = [(n, k, a) for n in cfg["cells"] for k in cfg["group_sizes"] for a in cfg["alphas"]]
-    items = [(seed, cfg["trials"], index, *point) for index, point in enumerate(grid)]
+    trials, cells, sizes, alphas = cfg["trials"], cfg["cells"], cfg["group_sizes"], cfg["alphas"]
+    points = [(n, a) for n in cells for a in alphas]
+    starts = range(0, trials, _MC_BLOCK)
+    items = [
+        (seed, size, block, min(_MC_BLOCK, trials - t0), k, points)
+        for size, k in enumerate(sizes) for block, t0 in enumerate(starts)
+    ]
+    tallies = _fan_out(_netsim_block, items, workers)
+    # per group size, its blocks' tallies summed in block order, as (N, alpha, singletons) counts
+    totals = [
+        sum(tallies[i : i + len(starts)]).reshape(len(cells), len(alphas), -1)
+        for i in range(0, len(items), len(starts))
+    ]
+    rows = []
+    for ni, n in enumerate(cells):
+        for k, total in zip(sizes, totals):
+            for a, tally in zip(alphas, total[ni]):
+                model = NetworkModel(cell_count=n, coverage_prob=a, group_size=k)
+                moments = _collision_moments(tally, k, trials)
+                rows.append([n, k, a, trials, collision_probability(model), *moments])
     header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
-    return header, _fan_out(_netsim_point, items, workers), 0
+    return header, rows, 0
 
 
 def _fan_out(work, items, workers):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cspilot import cli, recovery, simplex
+from cspilot import cli, netsim, recovery, simplex
 
 
 def run(tmp_path, name, experiment, *args):
@@ -167,16 +167,74 @@ def test_detect_sweep_draws_the_largest_antenna_count_per_trial(tmp_path, monkey
     monkeypatch.setattr(cli, "_error_counts", counted)
     code, _ = run(tmp_path, "d.csv", "detect-sweep")
     assert code == 0
-    assert [trials for _, trials in calls] == [cli._DETECT_BLOCK] * 10
+    assert [trials for _, trials in calls] == [cli._MC_BLOCK] * 10
     drawn = sum(max(m for m, _, _ in points) * trials for points, trials in calls)
     per_point = sum(m for m, _, _ in calls[0][0]) * 100_000
     assert (drawn, per_point) == (12_800_000, 67_200_000)
 
 
+def test_netsim_draws_one_block_per_group_size(tmp_path, monkeypatch):
+    # at defaults each trial of a group size draws K_G uniforms once for its
+    # 9 (N, alpha) points: (1+4+16+64) * 100 000 = 8.5 M, where one stream
+    # per point drew 9 times as many, 76.5 M
+    calls, tallies = [], cli._singleton_tallies
+
+    def counted(points, k, trials, rng):
+        reference = np.random.default_rng()
+        reference.bit_generator.state = rng.bit_generator.state
+        result = tallies(points, k, trials, rng)
+        reference.random(k * trials)  # the call drew exactly K_G uniforms a trial
+        assert rng.bit_generator.state == reference.bit_generator.state
+        calls.append((len(points), k, trials))
+        return result
+
+    monkeypatch.setattr(cli, "_singleton_tallies", counted)
+    code, _ = run(tmp_path, "n.csv", "netsim")
+    assert code == 0
+    assert [(k, trials) for _, k, trials in calls] == [
+        (k, cli._MC_BLOCK) for k in (1, 4, 16, 64) for _ in range(10)
+    ]
+    drawn = sum(k * trials for _, k, trials in calls)
+    per_point = sum(points * k * trials for points, k, trials in calls)
+    assert (drawn, per_point) == (8_500_000, 76_500_000)
+
+
+def test_netsim_blocks_draw_from_seed_tag_size_and_block(tmp_path):
+    # each row sums its group size's block tallies, block b of size index i
+    # drawn from (seed, tag, i, b); three blocks, the last one short
+    trials = 2 * cli._MC_BLOCK + 7
+    code, out = run(
+        tmp_path, "n.csv", "netsim", "--seed", "3", "--set", f"trials={trials}",
+        "--set", "cells=4,64", "--set", "group_sizes=2,3", "--set", "alphas=0.5,1.0",
+    )
+    assert code == 0
+    points = [(4, 0.5), (4, 1.0), (64, 0.5), (64, 1.0)]
+    expected = {}
+    for size, k in enumerate((2, 3)):
+        total = sum(
+            netsim._singleton_tallies(
+                points, k, min(cli._MC_BLOCK, trials - t0),
+                np.random.default_rng([3, cli._TAG_NETSIM, size, block]),
+            )
+            for block, t0 in enumerate(range(0, trials, cli._MC_BLOCK))
+        )
+        for (n, a), tally in zip(points, total):
+            expected[str(n), str(k), repr(a)] = netsim._collision_moments(tally, k, trials)
+    rows = parse(out)[2]
+    assert [tuple(row[:3]) for row in rows] == [
+        (n, k, a) for n in ("4", "64") for k in ("2", "3") for a in ("0.5", "1.0")
+    ]
+    for row in rows:
+        assert (float(row[5]), float(row[6])) == expected[tuple(row[:3])], row
+
+
 def test_netsim_golden_rows(tmp_path):
-    # exact strings, captured when placement moved to one uniform per UE;
-    # at K_G = 64, 10 000 trials span several blocks, so the draw order across
-    # them is pinned
+    # exact strings, captured when each group size came to draw one sorted
+    # block of uniforms for every (N, alpha) point: the rows of one K_G share
+    # their draws, and at K_G = 64 the 10 000 trials span several kernel
+    # blocks, so the draw order across them is pinned.  The N = 4 rows read
+    # as before: a SeedSequence pads its entropy with zeros, so block 0 of
+    # group size i, (seed, tag, i, 0), seeds as grid point i did, (seed, tag, i)
     code, out = run(
         tmp_path, "n.csv", "netsim",
         "--seed", "1", "--set", "trials=10000", "--set", "cells=4,64",
@@ -188,9 +246,9 @@ def test_netsim_golden_rows(tmp_path):
         "4,1,0.7,10000,0.30000000000000004,0.3012,0.004587794241244914",
         "4,4,0.7,10000,0.6069390625000001,0.611575,0.0024270819799710104",
         "4,64,0.7,10000,0.9999961832228931,0.9999953125,2.7059234069675736e-06",
-        "64,1,0.7,10000,0.30000000000000004,0.2999,0.004582139129271393",
-        "64,4,0.7,10000,0.3227184452056886,0.322275,0.002371867921596816",
-        "64,64,0.7,10000,0.6498989525406581,0.6499421875,0.0005731399583567999",
+        "64,1,0.7,10000,0.30000000000000004,0.3012,0.004587794241244914",
+        "64,4,0.7,10000,0.3227184452056886,0.32095,0.002382038990025142",
+        "64,64,0.7,10000,0.6498989525406581,0.6496078125,0.0005831577812245451",
     ]
 
 
@@ -491,7 +549,7 @@ def test_workers_do_not_change_output(tmp_path):
     assert e.read_bytes() == f.read_bytes()
     assert [row[0] for row in parse(e)[2]] == ["4", "4", "16", "16", "8", "8"]
     # several trial blocks and a short last one: the parent adds their counts
-    blocks = [*DETECT_TINY, "--set", f"trials={3 * cli._DETECT_BLOCK + 1}"]
+    blocks = [*DETECT_TINY, "--set", f"trials={3 * cli._MC_BLOCK + 1}"]
     _, g = run(tmp_path, "g.csv", "detect-sweep", *blocks)
     for workers in ("2", "3"):
         _, h = run(tmp_path, f"h{workers}.csv", "detect-sweep", "--workers", workers, *blocks)

@@ -303,6 +303,56 @@ def test_collision_probability_mc_memory_follows_the_group(n):
     assert peak <= 64 * rows * (m.group_size + 2)
 
 
+# N with int32 bins and with intp ones, each at a subnormal, two partial and
+# full coverage
+_GRID = [(n, a) for n in (4, 64, 2**62) for a in (5e-324, 0.5, 0.7, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "kg, trials, budget",
+    [
+        (1, 1000, 300),  # three blocks of 300 trials and a short last one
+        (3, 1000, 3 * 128),  # seven blocks of 128 and a short last one
+        (64, 600, 64 * 128),  # four blocks of 128, at K_G > N
+    ],
+)
+def test_singleton_tallies_rows_match_one_point(monkeypatch, kg, trials, budget):
+    # the grid kernel sorts each row of uniforms once and maps it through
+    # every point's bin map: row i is point i's tally on the same generator
+    # state, and each point agrees with the per-trial reference
+    monkeypatch.setattr(netsim, "_MC_BUDGET", budget)
+    seed = 17
+    grid = netsim._singleton_tallies(_GRID, kg, trials, np.random.default_rng(seed))
+    assert grid.shape == (len(_GRID), kg + 1) and grid.dtype == np.int64
+    for row, (n, a) in zip(grid, _GRID):
+        one = netsim._singleton_tallies([(n, a)], kg, trials, np.random.default_rng(seed))
+        assert row.tolist() == one[0].tolist(), (n, a)
+        m = model(n=n, alpha=a, kg=kg)
+        moments = netsim._collision_moments(row, kg, trials)
+        assert moments == collision_probability_mc(m, trials, np.random.default_rng(seed))
+        assert moments == _placement_moments(m, trials, np.random.default_rng(seed)), (n, a)
+
+
+@pytest.mark.parametrize("n", [10**6, 2**62])
+def test_singleton_tallies_memory_follows_the_group(n):
+    # 9 points at K_G = 64 share one block of 2048 trials; the peak stays
+    # within the block buffers (the uniforms and their scaled copy, one row
+    # of bins and two boolean masks per trial) and the tally, with one byte
+    # and one intp per trial for each point's singleton counts, at any N
+    k, points = 64, [(n, a) for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    rows = netsim._MC_BUDGET // k
+    bin_bytes = 4 if n < 2**31 - 1 else 8
+    rng = np.random.default_rng(0)  # a process's first generator allocates ~1 MB once
+    tracemalloc.start()
+    try:
+        tally = netsim._singleton_tallies(points, k, 2 * rows + 5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = rows * (2 * 8 * k + (k + 2) * (bin_bytes + 2))
+    assert peak <= buffers + tally.nbytes + 16 * rows
+
+
 def test_collision_probability_mc_np_integer_trials():
     # numpy trials would overflow trials**3 past 2^21 in int64
     m = model(n=1, alpha=0.5, kg=1)

@@ -25,10 +25,11 @@ trial index)``.
 recover-bench splits each SNR into chunks of trials, each chunk returns
 (trial, method) arrays of NMSE and support hits, and each mean folds its
 SNR's trials left to right in trial order.
-``--workers N`` runs the work items on N forked processes; ``main`` pins
-the BLAS to one thread before the first experiment and keeps it for the
-process.  Output bytes are therefore identical for any ``--workers`` value
-and any BLAS thread setting.
+``--workers N`` runs the work items on the calling process and N - 1
+forks, item i on worker i mod N, and places the results by index; ``main``
+pins the BLAS to one thread before the first experiment and keeps it for
+the process.  Output bytes are therefore identical for any ``--workers``
+value and any BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ import ctypes
 import functools
 import hashlib
 import math
-import multiprocessing
+import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -417,21 +420,76 @@ def _run_netsim(cfg, seed, workers):
 
 
 def _fan_out(work, items, workers):
-    """``[work(item) for item in items]``, on up to `workers` forked processes.
+    """``[work(item) for item in items]``, on the calling process and ``workers - 1`` forks.
 
-    `work` is a module-level function and each item and result pickles.  A
-    pool starts the items in item order and returns the results in item
-    order.  The pool is shut down, and its children joined, before this
-    returns.
+    Item i runs on worker ``i % workers``: worker 0 is the calling process,
+    each other worker a forked child that runs its share in item order and
+    sends its results back pickled on its own pipe.  The results are placed
+    by index, so neither their order nor any item's input depends on
+    `workers`.  A child's exception is raised here with its type and message,
+    caused by an error carrying the child's traceback; a child that exits
+    without a reply raises `RuntimeError`.  No partial result is returned,
+    and no child is left running when this returns or raises.
     """
     workers = min(workers, len(items))
     if workers <= 1:
         return [work(item) for item in items]
-    # fork by name: the children inherit the loaded modules and the one BLAS
-    # thread set in main, and Python 3.14 makes another method the default
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(work, items))
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                # fork, not spawn: the children inherit the loaded modules and
+                # the one BLAS thread set in main
+                pid = os.fork()
+                if pid == 0:
+                    _fan_out_child(work, items[w::workers], write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # so that EOF on `read` means the child is done
+            children.append((pid, open(read, "rb")))
+        results = [None] * len(items)
+        results[::workers] = [work(item) for item in items[::workers]]
+        for w in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                reply = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status != 0 or not reply:
+                raise RuntimeError(f"fan-out worker {w} exited without a reply, wait status {status}")
+            ok, value, remote = pickle.loads(reply)
+            if not ok:
+                raise value from RuntimeError(f"fan-out worker {w} raised:\n{remote}")
+            results[w::workers] = value
+        return results
+    except BaseException:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        raise
+
+
+def _fan_out_child(work, share, write):
+    """Write ``(True, results, None)`` or ``(False, exception, traceback)`` to `write`, and exit.
+
+    ``os._exit`` neither flushes the parent's buffers nor returns into the
+    caller's stack; status 0 means the whole reply was written.
+    """
+    status = 1
+    try:
+        try:
+            reply = pickle.dumps((True, [work(item) for item in share], None))
+        except BaseException as exc:  # the parent re-raises it
+            reply = pickle.dumps((False, exc, traceback.format_exc()))
+        with open(write, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True)
@@ -473,7 +531,7 @@ EXPERIMENTS = {
         (
             _PARAMS,
             ("tones", ("tone_policy", "wt", "tap_count", "pilot_count"), _designed_tones),
-            # built before any pool forks: workers find them in _bench_matrices' cache
+            # built before any fork: every worker finds them in _bench_matrices' cache
             ("matrices", ("params", "tones"), _bench_matrices),
         ),
     ),

@@ -2,10 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -568,11 +568,112 @@ def test_trial_chunks_do_not_change_output(tmp_path, monkeypatch):
     for workers in ("2", "3"):
         _, out = run(tmp_path, f"w{workers}.csv", "recover-bench", "--workers", workers, *args)
         assert out.read_bytes() == first.read_bytes()
-        assert not multiprocessing.active_children()  # the pool was joined in main
+        assert_no_child_left()
     for chunk in (1, 7, 1000):
         monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
         _, out = run(tmp_path, f"c{chunk}.csv", "recover-bench", "--workers", "2", *args)
         assert out.read_bytes() == first.read_bytes()
+
+
+def assert_no_child_left():
+    # every child of this process was reaped: none runs and none is a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square(item):
+    return item, np.full(2, item * item)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", [0, 1, 3, 11])
+def test_fan_out_returns_the_results_in_item_order(workers, count):
+    items = list(range(count))
+    results = cli._fan_out(_square, items, workers)
+    assert [(i, a.tolist()) for i, a in results] == [(i, [i * i] * 2) for i in items]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_fan_out_runs_item_i_on_worker_i_mod_workers(workers):
+    pids = cli._fan_out(lambda item: os.getpid(), list(range(13)), workers)
+    assert pids[::workers] == [os.getpid()] * len(pids[::workers])  # the caller's share
+    shares = [set(pids[w::workers]) for w in range(workers)]
+    assert all(len(share) == 1 for share in shares)
+    assert len(set.union(*shares)) == workers  # one process per worker
+    assert_no_child_left()
+
+
+def test_fan_out_raises_a_child_exception_with_its_traceback():
+    def work(item):
+        if item == 4:
+            raise ValueError(f"bad item {item}")
+        return item
+
+    with pytest.raises(ValueError, match="^bad item 4$") as raised:
+        cli._fan_out(work, list(range(9)), 3)  # item 4 runs on worker 1
+    cause = str(raised.value.__cause__)
+    assert "fan-out worker 1 raised" in cause
+    assert "in work" in cause and "ValueError: bad item 4" in cause
+    assert_no_child_left()
+
+
+def test_fan_out_child_exiting_without_a_reply_raises():
+    def work(item):
+        if item == 3:
+            os._exit(3)
+        return item
+
+    with pytest.raises(RuntimeError, match=r"worker 1 exited without a reply, wait status 768$"):
+        cli._fan_out(work, list(range(6)), 2)  # items 1 and 5 ran; no partial result
+    assert_no_child_left()
+
+
+def test_fan_out_caller_failure_kills_its_children():
+    def work(item):
+        if item == 0:
+            raise KeyError("caller")
+        time.sleep(60)  # the children would outlive the caller's failure
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="caller"):
+        cli._fan_out(work, list(range(8)), 4)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+@pytest.mark.parametrize("in_caller", [True, False])
+def test_main_leaves_no_child_when_a_run_raises(tmp_path, monkeypatch, workers, in_caller):
+    caller, dense_ls = os.getpid(), cli._dense_ls
+
+    def singular(*args):
+        if (os.getpid() == caller) == in_caller:
+            raise np.linalg.LinAlgError("forced singular matrix")
+        return dense_ls(*args)
+
+    monkeypatch.setattr(cli, "_dense_ls", singular)
+    args = ["--workers", workers, *RECOVER_TINY, "--set", f"trials={2 * cli._TRIAL_CHUNK}"]
+    with pytest.raises(np.linalg.LinAlgError, match="forced singular matrix"):
+        run(tmp_path, "r.csv", "recover-bench", *args)  # 4 items
+    assert_no_child_left()
+
+
+def test_cli_import_leaves_process_pools_out():
+    # the fan-out is bare forks and pipes: multiprocessing and
+    # concurrent.futures took about 15 ms of every import.  A child leaves by
+    # os._exit, so the parent's unflushed stdout is written once
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, cspilot.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+        "print(cspilot.cli._fan_out(abs, [-1, -2, -3], 3))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n[1, 2, 3]\n"
 
 
 def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch):

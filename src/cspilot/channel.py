@@ -62,15 +62,31 @@ def _as_finite(values, name: str, kinds: str = "iufc", ndim: int | None = None) 
     return array
 
 
-def _as_tones(values) -> np.ndarray:
-    """`values` as a 1-D int array of distinct nonnegative tones; else ``ValueError``."""
+def _as_tones(values, ndim: int = 1) -> np.ndarray:
+    """`values` as a 1-D int set of distinct nonnegative tones, or a 2-D stack of them.
+
+    `ndim` says which; else ``ValueError``.  The tones keep their order.
+    """
     tones = np.asarray(values)
-    if tones.ndim != 1 or (tones.size and tones.dtype.kind not in "iu"):
-        raise ValueError(f"tone_set must be integers in a 1-D set, got {tones!r}")
+    if tones.ndim != ndim or (tones.size and tones.dtype.kind not in "iu"):
+        stack = " per row of a 2-D stack" if ndim == 2 else ""
+        raise ValueError(f"tone_set must be integers in a 1-D set{stack}, got {tones!r}")
     tones = tones.astype(int, copy=False)
-    if tones.size and (tones.min() < 0 or np.unique(tones).size != tones.size):
+    ordered = np.sort(tones, axis=-1)
+    if tones.size and (ordered.min() < 0 or (ordered[..., 1:] == ordered[..., :-1]).any()):
         raise ValueError("tone indices must be distinct and nonnegative")
     return tones
+
+
+def _as_points(points, kind, name: str) -> list:
+    """`points`, a non-empty list or tuple of `kind` instances, as a list; else ``ValueError``."""
+    if not isinstance(points, (list, tuple)) or not points:
+        got = repr(points) if isinstance(points, (list, tuple)) else type(points).__name__
+        raise ValueError(f"{name} must be a non-empty list of {kind.__name__}, got {got}")
+    for point in points:
+        if not isinstance(point, kind):
+            raise ValueError(f"{name} must hold {kind.__name__} instances, got {point!r:.80}")
+    return list(points)
 
 
 @dataclass(frozen=True)
@@ -189,33 +205,71 @@ def _partial_dft(tones: np.ndarray, params: OfdmParams) -> np.ndarray:
     return np.exp(-2j * np.pi * n * d / params.bandwidth_time_product)
 
 
+def build_sensing_matrices(tone_sets, params: OfdmParams) -> list[SensingMatrix]:
+    """`build_sensing_matrix` of each row of an (n, M) stack of tone sets, from one ``exp``.
+
+    Each matrix has the bits of the one built alone.  Raises ``ValueError``
+    unless `tone_sets` is a non-empty 2-D stack of sets of distinct integer
+    tones in ``[0, WT)``.
+    """
+    tones = np.sort(_as_tones(tone_sets, ndim=2), axis=-1)
+    if not len(tones):
+        raise ValueError("tone_sets holds no tone set")
+    if tones.size and tones[:, -1].max() >= params.bandwidth_time_product:
+        raise ValueError("tone indices out of range")
+    return [SensingMatrix(rows=rows) for rows in _partial_dft(tones, params)]
+
+
 def build_sensing_matrix(tone_set, params: OfdmParams) -> SensingMatrix:
     """Assemble the partial-DFT matrix for the given tones, rows in ascending tone order."""
-    tones = np.sort(_as_tones(tone_set))
-    if tones.size and tones[-1] >= params.bandwidth_time_product:
-        raise ValueError("tone indices out of range")
-    return SensingMatrix(rows=_partial_dft(tones, params))
+    return build_sensing_matrices(np.asarray(tone_set)[None], params)[0]
 
 
-def _noise(m: int, noise_variance: float, rng: np.random.Generator) -> np.ndarray | None:
+def _matrix_rows(X) -> np.ndarray:
+    """The (M, D) rows of one `SensingMatrix`, or the (n, M, D) stack of a list of them."""
+    if isinstance(X, SensingMatrix):
+        return X.rows
+    matrices = _as_points(X, SensingMatrix, "X")
+    shapes = {x.rows.shape for x in matrices}
+    if len(shapes) > 1:
+        raise ValueError(f"sensing matrices of several shapes: {sorted(shapes)}")
+    return np.array([x.rows for x in matrices])
+
+
+def _noise(m: int, noise_variance: float, rng: np.random.Generator) -> np.ndarray:
     """m circularly-symmetric complex Gaussian draws of variance `noise_variance`.
 
-    The real parts are drawn first, then the imaginary parts; None, and no
-    draw, at variance 0.
+    The real parts are drawn first, then the imaginary parts.
     """
-    if noise_variance == 0:
-        return None
     return np.sqrt(noise_variance / 2.0) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
 
 
-def _measure(rows: np.ndarray, taps: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    """``rows @ taps + noise`` over a stack: (..., M, D) rows, (..., D) taps, (..., M) noise.
+def synthesize_measurements(X, channels, noise_variance: float, rngs) -> np.ndarray:
+    """`synthesize_measurement` of each channel in `channels`, as the rows of an (n, M) array.
 
-    `noise` None means noiseless.  Each product is one matrix-vector call,
-    so a stacked measurement has the bits of the ones made alone.
+    `X` is one `SensingMatrix` for every channel or a list of one per
+    channel; channel i's noise is drawn from ``rngs[i]`` alone, real parts
+    first, and variance 0 draws nothing.  Each product is one
+    matrix-vector call, so a row has the bits of the measurement made
+    alone.  Raises ``ValueError`` unless `channels` is a non-empty list of
+    `SparseChannel`, with one matrix (when a list) and one generator per
+    channel, every channel has a tap per delay column of `X`, and
+    `noise_variance` is a finite, nonnegative real number.
     """
-    y = (rows @ taps[..., None])[..., 0]
-    return y if noise is None else y + noise
+    taps = [h.taps for h in _as_points(channels, SparseChannel, "channels")]
+    rows, n = _matrix_rows(X), len(taps)
+    if (rows.ndim == 3 and len(rows) != n) or len(rngs) != n:
+        raise ValueError(f"{n} channels need a generator each, and one matrix each or one for all")
+    d = rows.shape[-1]
+    for h in taps:
+        if h.size != d:
+            raise ValueError(f"sensing matrix has {d} delay columns, a channel has {h.size} taps")
+    if _as_real(noise_variance, "noise_variance") < 0:
+        raise ValueError("noise_variance must be finite and nonnegative")
+    y = (rows @ np.array(taps)[..., None])[..., 0]
+    if noise_variance == 0:
+        return y
+    return y + np.array([_noise(rows.shape[-2], noise_variance, rng) for rng in rngs])
 
 
 def synthesize_measurement(
@@ -225,13 +279,7 @@ def synthesize_measurement(
 
     ``z`` is i.i.d. circularly-symmetric complex Gaussian with per-entry
     variance ``noise_variance``; variance 0 yields an exact noiseless
-    measurement (no RNG draw).
+    measurement (no RNG draw).  The one-channel case of
+    `synthesize_measurements`.
     """
-    if X.rows.shape[1] != h.taps.shape[0]:
-        raise ValueError(
-            f"sensing matrix has {X.rows.shape[1]} delay columns, channel has "
-            f"{h.taps.shape[0]} taps"
-        )
-    if _as_real(noise_variance, "noise_variance") < 0:
-        raise ValueError("noise_variance must be finite and nonnegative")
-    return _measure(X.rows, h.taps, _noise(X.rows.shape[0], noise_variance, rng))
+    return synthesize_measurements(X, [h], noise_variance, [rng])[0]

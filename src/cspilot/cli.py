@@ -13,6 +13,13 @@ exits 2, and a failure of the run itself exits 1 with its traceback.
 Output is RFC-4180-style CSV (UTF-8, LF) preceded by ``#``-prefixed lines:
 tool version, seed, and a SHA-256 digest of the resolved config strings.
 
+The runners hold config, I/O and fan-out: the work items call each layer's
+public batch function (`error_counts`, `singleton_tallies` and
+`collision_moments`, `synthesize_measurements`, `omp_estimates`,
+`fde_ls_estimates`, `support_mask`, `nmse`), which checks its inputs once
+per item; detect-sweep's points and their thresholds are built once, as
+the config resolves.
+
 Randomness is derived from ``(seed, experiment tag, block index)`` per
 detect-sweep block of trials (a block draws each trial's antennas once for
 the whole grid and returns its error counts), from ``(seed, tag, group-size
@@ -53,32 +60,31 @@ import numpy as np
 from . import __version__
 from .channel import (
     OfdmParams,
-    SensingMatrix,
-    _measure,
-    _noise,
-    _partial_dft,
+    build_sensing_matrices,
     build_sensing_matrix,
     default_params,
     sample_channel,
     select_pilot_tones,
+    synthesize_measurements,
 )
-from .detection import (
-    DetectionConfig,
-    _crossing,
-    _error_counts,
-    error_probability,
-    optimal_threshold,
-)
+from .detection import DetectionConfig, error_counts, error_probability, optimal_threshold
 from .netsim import (
-    _MC_MAX_CELLS,
+    MC_MAX_CELLS,
     NetworkModel,
-    _collision_moments,
-    _singleton_tallies,
+    collision_moments,
     collision_probability,
     rho_metrics,
+    singleton_tallies,
 )
 from .pilots import build_codebook, choose_l, decode_energy_vectors, superpose
-from .recovery import _above, _dense_ls, _nmse_db, _omp, comb_tone_set, dantzig_recover
+from .recovery import (
+    comb_tone_set,
+    dantzig_recover,
+    fde_ls_estimates,
+    nmse,
+    omp_estimates,
+    support_mask,
+)
 from .tones import DESIGNED_TONES
 
 # experiment tags keep per-item random streams disjoint across experiments
@@ -159,14 +165,20 @@ def _tone_policy(text: str) -> str:
     return text
 
 
-def _pathloss_power(text: str) -> float:
-    """Detect-sweep's gP: 0 (the pinned threshold), or one whose crossing `_crossing` accepts."""
-    gp = float(text)
-    if not 0 <= gp < math.inf:
-        raise ValueError("must be finite and >= 0")
-    if gp > 0:
-        _crossing(gp)
-    return gp
+def _detect_points(antenna_counts, pathloss_powers) -> list[DetectionConfig]:
+    """Detect-sweep's grid, each point at its `optimal_threshold` (the pinned one at gP = 0).
+
+    The density crossing does not depend on M_BS: one per gP.
+    """
+    thresholds = [
+        optimal_threshold(DetectionConfig(1, gp)) if gp > 0 else _GP_ZERO_THRESHOLD
+        for gp in pathloss_powers
+    ]
+    return [
+        DetectionConfig(m, gp, threshold)
+        for m in antenna_counts
+        for gp, threshold in zip(pathloss_powers, thresholds)
+    ]
 
 
 def _codebook(k: int, l_prime: int, l: int | None):
@@ -180,6 +192,10 @@ _OFDM_KEYS = {
     for key, value in zip(("wt", "tap_count", "sparsity", "pilot_count"), astuple(default_params()))
 }
 _PARAMS = ("params", tuple(_OFDM_KEYS), OfdmParams)  # the input those keys build
+
+# fig3's metrics read no sparsity: its params hold the least, which any pilot count admits
+_RHO_KEYS = {key: _OFDM_KEYS[key] for key in ("wt", "tap_count", "pilot_count")}
+_RHO_PARAMS = ("params", tuple(_RHO_KEYS), lambda wt, taps, pilots: OfdmParams(wt, taps, 1, pilots))
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +215,11 @@ def _run_fig3(cfg, seed, workers):
 
 def _detect_block(item):
     seed, block, trials, points = item
-    return _error_counts(points, trials, np.random.default_rng([seed, _TAG_DETECT, block]))
+    return error_counts(points, trials, np.random.default_rng([seed, _TAG_DETECT, block]))
 
 
 def _run_detect_sweep(cfg, seed, workers):
-    trials = cfg["trials"]
-    points = [
-        (m, gp, optimal_threshold(DetectionConfig(m, gp)) if gp > 0 else _GP_ZERO_THRESHOLD)
-        for m in cfg["antenna_counts"] for gp in cfg["pathloss_powers"]
-    ]
+    trials, points = cfg["trials"], cfg["points"]
     items = [
         (seed, block, min(_MC_BLOCK, trials - t0), points)
         for block, t0 in enumerate(range(0, trials, _MC_BLOCK))
@@ -216,7 +228,7 @@ def _run_detect_sweep(cfg, seed, workers):
     for point, errors in zip(points, sum(_fan_out(_detect_block, items, workers)).tolist()):
         pe = errors / trials
         stderr = float(np.sqrt(pe * (1.0 - pe) / trials))
-        rows.append([*point, error_probability(DetectionConfig(*point)), pe, stderr])
+        rows.append([*astuple(point), error_probability(point), pe, stderr])
     return ["m_bs", "g_p", "threshold", "pe_analytic", "pe_mc", "pe_stderr"], rows, 0
 
 
@@ -281,20 +293,14 @@ def _recover_chunk(item):
     """
     seed, params, tones, si, noise_var, t0, t1 = item
     comb, designed = _bench_matrices(params, tones)
-    m, d = params.pilot_count, params.tap_count
-    taps, tone_sets, noise, noise_full = [], [], [], []
-    for t in range(t0, t1):
-        rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])
-        taps.append(sample_channel(params, rng).taps)
-        if designed is None:
-            tone_sets.append(select_pilot_tones(params, rng))
-        noise.append(_noise(m, noise_var, rng))
-        noise_full.append(_noise(d, noise_var, rng))
-    H, n = np.array(taps), len(taps)
-    rows = designed.rows if designed is not None else _partial_dft(np.array(tone_sets), params)
-    noisy = noise_var > 0
-    Y = _measure(rows, H, np.array(noise) if noisy else None)
-    Y_full = _measure(comb.rows, H, np.array(noise_full) if noisy else None)
+    rngs = [np.random.default_rng([seed, _TAG_RECOVER, si, t]) for t in range(t0, t1)]
+    channels = [sample_channel(params, rng) for rng in rngs]
+    X = designed
+    if designed is None:
+        X = build_sensing_matrices([select_pilot_tones(params, rng) for rng in rngs], params)
+    Y = synthesize_measurements(X, channels, noise_var, rngs)
+    Y_full = synthesize_measurements(comb, channels, noise_var, rngs)
+    H, n, d = np.array([h.taps for h in channels]), len(channels), params.tap_count
 
     # a failed solve keeps a zero estimate, overwritten by NaN below, and an
     # empty support, which is never a hit: every channel has a nonzero tap
@@ -302,23 +308,22 @@ def _recover_chunk(item):
     supports = np.zeros(estimates.shape, dtype=bool)
     solved = np.ones(n, dtype=bool)
     for i in range(n):
-        X = designed if designed is not None else SensingMatrix(rows=rows[i])
-        res = dantzig_recover(Y[i], X, noise_var)
+        res = dantzig_recover(Y[i], X if designed is not None else X[i], noise_var)
         if res.solver_status == "optimal":
             estimates[i, :2] = res.raw_estimate, res.estimate
             supports[i, 0, res.raw_support] = supports[i, 1, res.recovered_support] = True
         else:
             solved[i] = False
-    estimates[:, 2], selected = _omp(Y, rows, params.sparsity)
+    estimates[:, 2], selected = omp_estimates(Y, X, params.sparsity)
     supports[np.arange(n)[:, None], 2, selected] = True
-    estimates[:, 3] = _dense_ls(Y_full, comb)
-    supports[:, 3] = _above(np.abs(estimates[:, 3]), 0.0)
-    # C order: _nmse_db's copy of a broadcast view would put the methods
+    estimates[:, 3] = fde_ls_estimates(Y_full, comb)
+    supports[:, 3] = support_mask(estimates[:, 3])
+    # C order: nmse's copy of a broadcast view would put the methods
     # innermost and sum each row's taps in another order than one trial's
     truth = np.repeat(H[:, None], len(_RECOVER_METHODS), axis=1)
-    nmse = _nmse_db(truth, estimates)
-    nmse[~solved, :2] = math.nan
-    return nmse, (supports == (truth != 0)).all(axis=-1)
+    scores = nmse(truth, estimates)
+    scores[~solved, :2] = math.nan
+    return scores, (supports == (truth != 0)).all(axis=-1)
 
 
 def _run_recover_bench(cfg, seed, workers):
@@ -389,31 +394,30 @@ def _run_codebook_verify(cfg, seed, workers):
 
 
 def _netsim_block(item):
-    seed, size, block, trials, k, points = item
+    seed, size, block, trials, models = item
     rng = np.random.default_rng([seed, _TAG_NETSIM, size, block])
-    return _singleton_tallies(points, k, trials, rng)
+    return singleton_tallies(models, trials, rng)
 
 
 def _run_netsim(cfg, seed, workers):
     trials, cells, sizes, alphas = cfg["trials"], cfg["cells"], cfg["group_sizes"], cfg["alphas"]
-    points = [(n, a) for n in cells for a in alphas]
+    # per group size, its (N, alpha) models in row order
+    groups = [[NetworkModel(n, a, k) for n in cells for a in alphas] for k in sizes]
     starts = range(0, trials, _MC_BLOCK)
     items = [
-        (seed, size, block, min(_MC_BLOCK, trials - t0), k, points)
-        for size, k in enumerate(sizes) for block, t0 in enumerate(starts)
+        (seed, size, block, min(_MC_BLOCK, trials - t0), models)
+        for size, models in enumerate(groups) for block, t0 in enumerate(starts)
     ]
     tallies = _fan_out(_netsim_block, items, workers)
-    # per group size, its blocks' tallies summed in block order, as (N, alpha, singletons) counts
-    totals = [
-        sum(tallies[i : i + len(starts)]).reshape(len(cells), len(alphas), -1)
-        for i in range(0, len(items), len(starts))
-    ]
+    # per group size, its blocks' tallies summed in block order, a row per model
+    totals = [sum(tallies[i : i + len(starts)]) for i in range(0, len(items), len(starts))]
     rows = []
-    for ni, n in enumerate(cells):
-        for k, total in zip(sizes, totals):
-            for a, tally in zip(alphas, total[ni]):
-                model = NetworkModel(cell_count=n, coverage_prob=a, group_size=k)
-                moments = _collision_moments(tally, k, trials)
+    for ni in range(len(cells)):
+        at_n = slice(ni * len(alphas), (ni + 1) * len(alphas))  # the models of N = cells[ni]
+        for models, total in zip(groups, totals):
+            for model, tally in zip(models[at_n], total[at_n]):
+                n, a, k = astuple(model)
+                moments = collision_moments(tally)
                 rows.append([n, k, a, trials, collision_probability(model), *moments])
     header = ["cells", "group_size", "alpha", "trials", "p_analytic", "p_mc", "p_stderr"]
     return header, rows, 0
@@ -505,20 +509,21 @@ EXPERIMENTS = {
     "fig3": _Experiment(
         _run_fig3,
         {
-            **_OFDM_KEYS,
+            **_RHO_KEYS,
             "cells": ("16", _count),
             "kg_max": ("100", _count),
             "p_outs": ("0,0.3", _listed(float, lambda p_out: 0 <= p_out < 1, "in [0, 1)")),
         },
-        (_PARAMS,),
+        (_RHO_PARAMS,),
     ),
     "detect-sweep": _Experiment(
         _run_detect_sweep,
         {
             "antenna_counts": ("32,64,128", _listed(_count)),
-            "pathloss_powers": ("0,2,10", _listed(_pathloss_power)),
+            "pathloss_powers": ("0,2,10", _listed(float, lambda gp: 0 <= gp < math.inf, ">= 0")),
             "trials": ("100000", _count),
         },
+        (("points", ("antenna_counts", "pathloss_powers"), _detect_points),),
     ),
     "recover-bench": _Experiment(
         _run_recover_bench,
@@ -550,7 +555,7 @@ EXPERIMENTS = {
             # the Monte-Carlo kernel's range; fig3's analytic rows take any count
             "cells": (
                 "4,16,64",
-                _listed(_count, lambda n: n <= _MC_MAX_CELLS, f"at most {_MC_MAX_CELLS}"),
+                _listed(_count, lambda n: n <= MC_MAX_CELLS, f"at most {MC_MAX_CELLS}"),
             ),
             "group_sizes": ("1,4,16,64", _listed(_count)),
             "alphas": ("0.5,0.7,1.0", _listed(float, lambda alpha: 0 < alpha <= 1, "in (0, 1]")),
@@ -586,7 +591,8 @@ def _resolve_config(experiment: str, config_path, sets) -> tuple[dict[str, str],
         try:
             values[name] = build(*(values[key] for key in needs))
         except ValueError as exc:
-            named = ", ".join(f"{key}={values[key]}" for key in needs)
+            # a key by its config text, an input built before by its value
+            named = ", ".join(f"{key}={resolved.get(key, values[key])}" for key in needs)
             raise ConfigError(f"{named}: {exc}") from None
     return resolved, values
 

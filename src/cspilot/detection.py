@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_count, _as_finite, _as_real
+from .channel import _as_count, _as_finite, _as_points, _as_real
 
 # exponentials per Monte-Carlo block, 4096 trials at the largest default M_BS;
 # blocks fill row by row, so it sizes the reused draw buffer and not pe_mc
@@ -181,23 +181,33 @@ def error_probability(config: DetectionConfig) -> float:
     return float(_error_probability(config.antenna_count, config.pathloss_power, threshold))
 
 
-def _error_counts(points, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Error counts of ``(M_BS, gP, threshold)`` points over the same `trials` trials.
+def error_counts(points, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Monte-Carlo error counts of each `DetectionConfig` in `points` over the same `trials` trials.
 
-    Per block of ``max(1, _MC_BUDGET // max M)`` trials it draws one (n, max M)
+    A point without a preset threshold runs at `optimal_threshold`.  Per
+    block of ``max(1, _MC_BUDGET // max M)`` trials it draws one (n, max M)
     block of standard exponentials, ``max(M) * trials`` in all; a point reads
-    the first M_BS of each row.  By antenna count, each energy extends the
-    previous sum by the next columns, and every gP at that M_BS shares it.
+    the first M_BS of each row, as `error_probability_mc` reads its own.  By
+    antenna count, each energy extends the previous sum by the next columns,
+    and every gP at that M_BS shares it.  Raises ``ValueError`` unless
+    `points` is a non-empty list of `DetectionConfig` and `trials` an
+    integer of at least 1, and for a point of gP = 0 without a threshold.
     """
-    counts = np.zeros(len(points), dtype=np.int64)
-    order = sorted(range(len(points)), key=lambda i: points[i][0])
-    width = points[order[-1]][0]
+    points = _as_points(points, DetectionConfig, "points")
+    if _as_count(trials, "trials") < 1:
+        raise ValueError("trials must be at least 1")
+    grid = [
+        (p.antenna_count, p.pathloss_power, p.threshold or optimal_threshold(p)) for p in points
+    ]
+    counts = np.zeros(len(grid), dtype=np.int64)
+    order = sorted(range(len(grid)), key=lambda i: grid[i][0])
+    width = grid[order[-1]][0]
     buffer = np.empty((max(1, min(trials, _MC_BUDGET // width)), width))
     for done in range(0, trials, len(buffer)):
         block = rng.standard_exponential(out=buffer[: trials - done])
         total, start = 0.0, 0
         for i in order:
-            m, gp, threshold = points[i]
+            m, gp, threshold = grid[i]
             if m > start:
                 total, start = total + block[:, start:m].sum(axis=1), m
                 energy = total / m
@@ -229,17 +239,12 @@ def error_probability_mc(
     the call draws exactly ``M_BS * trials`` exponentials and nothing else.
     The energy of a row is its sum divided by M_BS, and on active trials it
     is multiplied by ``1 + gP``, one multiply per trial in place of one per
-    sample.  `detect-sweep` runs the grid case, one row of max M_BS a trial.
+    sample.  This is the one-point case of `error_counts`, which `detect-sweep`
+    runs over its grid, one row of max M_BS a trial.
 
     `trials` must be an integer of at least 1 (``ValueError`` otherwise).
     """
-    if _as_count(trials, "trials") < 1:
-        raise ValueError("trials must be at least 1")
-    threshold = config.threshold
-    if threshold is None:
-        threshold = optimal_threshold(config)
-    points = [(config.antenna_count, config.pathloss_power, threshold)]
-    return int(_error_counts(points, trials, rng)[0]) / trials
+    return int(error_counts([config], trials, rng)[0]) / trials
 
 
 def min_threshold_for_network(

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, _as_count, _as_real
+from .channel import OfdmParams, _as_count, _as_finite, _as_points, _as_real
 
 # doubles per Monte-Carlo block, 2048 trials at the largest default K_G;
 # blocks fill row by row, so it sizes the reused buffers and not p_mc
 _MC_BUDGET = 2**17
-# the largest N that `collision_probability_mc` takes: its bins 0 .. N fit intp
-_MC_MAX_CELLS = np.iinfo(np.intp).max - 1
+# the largest N that the Monte-Carlo placement takes: its bins 0 .. N fit intp
+MC_MAX_CELLS = np.iinfo(np.intp).max - 1
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,36 @@ def reuse_gain(model: NetworkModel, params: OfdmParams) -> float:
     return (m * k / (m + 1.0)) * (1.0 - a / n) ** (k - 1)
 
 
-def _singleton_tallies(points, k: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Singleton tallies of ``(N, alpha)`` points over the same `trials` placements of K_G = `k`.
+def singleton_tallies(models, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Singleton tallies of each `NetworkModel` in `models` over the same `trials` placements.
 
-    Entry (i, s) counts the trials that left s singletons at point i.  Per
-    block of ``max(1, min(trials, _MC_BUDGET // K_G))`` trials it draws one
-    (n, K_G) block of uniforms, row j trial j's UEs, and sorts each row once.
-    A point maps the sorted row through its bin map; the map is monotone in
+    The models share one group size K_G; entry (i, s) counts the trials
+    that left s singletons under model i, for s = 0 .. K_G.  Per block of
+    ``max(1, min(trials, _MC_BUDGET // K_G))`` trials it draws one (n, K_G)
+    block of uniforms, row j trial j's UEs, and sorts each row once.  A
+    model maps the sorted row through its bin map; the map is monotone in
     u (a correctly rounded multiply by a positive scale, a clamp and a
     truncating cast), so the bins come out sorted, and a trial's singleton
-    count depends only on the multiset of its bins.
+    count depends only on the multiset of its bins.  Raises ``ValueError``
+    unless `models` is a non-empty list of `NetworkModel` of one group size
+    and at most `MC_MAX_CELLS` cells each, and `trials` an integer >= 1;
+    then it draws nothing.
     """
+    models = _as_points(models, NetworkModel, "models")
+    sizes = {int(model.group_size) for model in models}
+    if len(sizes) > 1:
+        raise ValueError(f"models must share one group size, got {sorted(sizes)}")
+    if (trials := _as_count(trials, "trials")) < 1:
+        raise ValueError("trials must be at least 1")
+    for model in models:
+        if model.cell_count > MC_MAX_CELLS:
+            raise ValueError(f"cell_count must be at most {MC_MAX_CELLS}, got {model.cell_count}")
+    (k,) = sizes
     u = np.empty((max(1, min(trials, _MC_BUDGET // k)), k))
     scaled = np.empty_like(u)
-    maps = []  # per point: its scale, bin N as a double, and its bin dtype
-    for n, alpha in points:
+    maps = []  # per model: its scale, bin N as a double, and its bin dtype
+    for model in models:
+        n, alpha = int(model.cell_count), model.coverage_prob
         # finite for subnormal alpha (0 * scale is 0, not nan); u >= 2^-53 still maps to outage
         scale = min(n / alpha, n * 2.0**53)
         # rounded down above 2^53 so that its cast fits
@@ -134,8 +149,8 @@ def _singleton_tallies(points, k: int, trials: int, rng: np.random.Generator) ->
     for rows in bins.values():
         rows[:, 0] = -1
     edges, ones = np.empty(len(u) * (k + 2) - 1, dtype=bool), np.empty((len(u), k + 2), dtype=bool)
-    # how many trials left s singletons, for s = 0..K_G, at each point
-    tally = np.zeros((len(points), k + 1), dtype=np.int64)
+    # how many trials left s singletons, for s = 0..K_G, under each model
+    tally = np.zeros((len(models), k + 1), dtype=np.int64)
     for done in range(0, trials, len(u)):
         x = rng.random(out=u[: trials - done])
         x.sort(axis=1)
@@ -155,12 +170,23 @@ def _singleton_tallies(points, k: int, trials: int, rng: np.random.Generator) ->
     return tally
 
 
-def _collision_moments(tally: np.ndarray, k: int, trials: int) -> tuple[float, float]:
-    """Mean and standard error of 1 - singletons/K_G from one point's singleton tally."""
+def collision_moments(tally) -> tuple[float, float]:
+    """Mean and standard error of 1 - singletons/K_G from one model's singleton tally.
+
+    Entry s of the 1-D `tally` counts the trials that left s singletons, s =
+    0 .. K_G, so K_G and the trial count are read off it.  Raises
+    ``ValueError`` unless `tally` holds at least two nonnegative integer
+    counts of at least one trial.
+    """
+    tally = _as_finite(tally, "tally", kinds="iu", ndim=1)
+    if len(tally) < 2 or (tally < 0).any() or not tally.any():
+        raise ValueError(f"tally must count at least one trial in 2 or more bins, got {tally!r}")
     # exact integer moments of the singleton count, so the mean and the
     # variance are each rounded once, whatever the mean
-    s1 = sum(s * int(c) for s, c in enumerate(tally))
-    s2 = sum(s * s * int(c) for s, c in enumerate(tally))
+    counts = [int(c) for c in tally]
+    k, trials = len(counts) - 1, sum(counts)
+    s1 = sum(s * c for s, c in enumerate(counts))
+    s2 = sum(s * s * c for s, c in enumerate(counts))
     mean = (k * trials - s1) / (k * trials)
     stderr = math.sqrt((trials * s2 - s1 * s1) / (trials**3 * k * k))
     return mean, stderr
@@ -182,19 +208,13 @@ def collision_probability_mc(
     trials, one (n, K_G) block of uniforms (row i: trial i's UEs), so trial
     i takes doubles K_G i .. K_G (i+1) of the stream and the call draws
     exactly ``K_G * trials`` doubles and nothing else.  This is the
-    one-point case of `_singleton_tallies`.  The `netsim` CLI runs the grid
-    case: each of its blocks of trials, drawn from ``(seed, tag, group-size
-    index, block index)``, serves every (N, alpha) of its group size, so
-    those rows' errors are correlated while each standard error is its own
-    row's.
+    one-model case of `singleton_tallies` and `collision_moments`.  The
+    `netsim` CLI runs the grid case: each of its blocks of trials, drawn
+    from ``(seed, tag, group-size index, block index)``, serves every
+    (N, alpha) of its group size, so those rows' errors are correlated while
+    each standard error is its own row's.
 
-    `trials` must be an integer >= 1 and N + 1 must fit ``intp``
+    `trials` must be an integer >= 1 and N at most `MC_MAX_CELLS`
     (``ValueError`` otherwise).
     """
-    if (trials := _as_count(trials, "trials")) < 1:  # an int: trials**3 cannot overflow
-        raise ValueError("trials must be at least 1")
-    n, k = int(model.cell_count), int(model.group_size)
-    if n > _MC_MAX_CELLS:
-        raise ValueError(f"cell_count must be at most {_MC_MAX_CELLS}, got {n}")
-    tally = _singleton_tallies([(n, model.coverage_prob)], k, trials, rng)[0]
-    return _collision_moments(tally, k, trials)
+    return collision_moments(singleton_tallies([model], trials, rng)[0])

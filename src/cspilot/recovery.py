@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OfdmParams, SensingMatrix, _as_count, _as_finite, _as_real
+from .channel import OfdmParams, SensingMatrix, _as_count, _as_finite, _as_real, _matrix_rows
 from .simplex import solve_lp
 
 NMSE_FLOOR_DB = -200.0
@@ -98,16 +98,32 @@ def _embed_lp(y, X: SensingMatrix, eps: float):
     return np.concatenate([v.real, v.imag]), V, eps / np.sqrt(2.0)
 
 
-def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Indices whose magnitude clears ``max(floor, 0.01 * largest)``.
+def support_mask(estimates, floor: float = 0.0) -> np.ndarray:
+    """Mask of the entries of each estimate on the last axis of `estimates` that clear a threshold.
 
-    Raises ValueError for a non-finite or negative `floor`, for an
-    `estimate` that is not 1-D and for an entry of `estimate` that is not a
-    finite number, which no threshold can rank.
+    An entry is kept when its magnitude exceeds ``max(floor, 0.01 *
+    largest)``, the largest of its own estimate; an all-zero estimate keeps
+    nothing.  Raises ValueError for a non-finite or negative `floor`, for
+    `estimates` with no axis or an empty stack of estimates, and for an
+    entry that is not a finite number, which no threshold can rank.
     """
     if _as_real(floor, "floor") < 0:
         raise ValueError("floor must be finite and non-negative")
-    return np.flatnonzero(_above(np.abs(_as_finite(estimate, "estimate", ndim=1)), floor))
+    estimates = _as_finite(estimates, "estimate")
+    if estimates.ndim == 0 or 0 in estimates.shape[:-1]:
+        raise ValueError(f"estimates must be 1-D or a non-empty stack, not {estimates.shape}")
+    return _above(np.abs(estimates), floor)
+
+
+def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Indices of the 1-D `estimate` that `support_mask` keeps.
+
+    Raises ValueError as `support_mask` does, and for an `estimate` that is
+    not 1-D.
+    """
+    if np.ndim(estimate) != 1:
+        raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
+    return np.flatnonzero(support_mask(estimate, floor))
 
 
 def _above(mags: np.ndarray, floor: float) -> np.ndarray:
@@ -119,14 +135,16 @@ def _above(mags: np.ndarray, floor: float) -> np.ndarray:
     return mags > np.maximum(floor, 0.01 * top)
 
 
-def _check_measurement(y, X: SensingMatrix) -> np.ndarray:
-    """`y` as an array of one finite number per row of `X`; else ``ValueError``."""
-    if np.shape(y) != X.rows.shape[:1]:
+def _check_measurements(Y, m: int) -> np.ndarray:
+    """`Y` as a non-empty (n, M) stack of finite numbers, with M = `m`; else ``ValueError``."""
+    if np.shape(Y)[1:] != (m,):
         raise ValueError(
-            f"measurement has shape {np.shape(y)}, need ({X.rows.shape[0]},) "
-            "for the sensing matrix"
+            f"each measurement has shape {np.shape(Y)[1:]}, need ({m},) for the sensing matrix"
         )
-    return _as_finite(y, "measurement")
+    Y = _as_finite(Y, "measurement")
+    if not len(Y):
+        raise ValueError("no measurement given")
+    return Y
 
 
 def _deflate(M, q):
@@ -258,7 +276,7 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
     empty.  Raises ``ValueError`` for a non-finite or negative
     `noise_variance`.
     """
-    y = _check_measurement(y, X)
+    y = _check_measurements(np.asarray(y)[None], X.rows.shape[0])[0]
     d = X.rows.shape[1]
     eps = dantzig_epsilon(noise_variance, X)
     res = solve_lp(*_embed_lp(y, X, eps))
@@ -283,7 +301,8 @@ def dantzig_recover(y: np.ndarray, X: SensingMatrix, noise_variance: float) -> R
         # noiseless: only a tap the exact fit leaves at rounding level goes
         floor = 0.0
         threshold = y.size * np.finfo(float).eps * float(np.vdot(y, y).real)
-    raw_support = threshold_support(raw, floor)
+    # raw is the program's own solution, not caller input: no per-trial re-check
+    raw_support = np.flatnonzero(_above(np.abs(raw), floor))
     support = raw_support
     if support.size > CANDIDATE_CAP:
         support = np.sort(support[np.argsort(np.abs(raw[support]))[-CANDIDATE_CAP:]])
@@ -305,19 +324,10 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
     """Greedy correlation matching with a least-squares fit on the chosen columns.
 
     Runs exactly `sparsity` iterations and is deterministic given its
-    inputs (argmax ties resolve to the lowest index); the work is `_omp`'s
-    on a stack of one.  Raises ``ValueError`` unless ``0 <= sparsity <=
-    min(M, D)``, and ``LinAlgError`` when a chosen column is numerically in
-    the span of the earlier ones (`_independent`).
+    inputs (argmax ties resolve to the lowest index); this is the
+    one-measurement case of `omp_estimates`, which raises its errors.
     """
-    m, d = X.rows.shape
-    if not 0 <= _as_count(sparsity, "sparsity") <= min(m, d):
-        raise ValueError(
-            f"sparsity must satisfy 0 <= sparsity <= min(M, D) = {min(m, d)} "
-            f"for {m} measurements of {d} taps, got {sparsity!r}"
-        )
-    y = _check_measurement(y, X)
-    estimate, selected = _omp(y[None], X.rows, sparsity)
+    estimate, selected = omp_estimates(np.asarray(y)[None], X, sparsity)
     return RecoveryResult(
         estimate=estimate[0],
         recovered_support=np.sort(selected[0]),
@@ -325,10 +335,10 @@ def omp_recover(y: np.ndarray, X: SensingMatrix, sparsity: int) -> RecoveryResul
     )
 
 
-def _omp(Y: np.ndarray, rows: np.ndarray, sparsity: int):
-    """OMP on each row of the (n, M) `Y` against its (M, D) matrix in `rows`.
+def omp_estimates(Y, X, sparsity: int):
+    """`omp_recover` of each row of the (n, M) measurements `Y`, as arrays.
 
-    `rows` is one (M, D) matrix for every trial or an (n, M, D) stack.
+    `X` is one `SensingMatrix` for every row or a list of one per row.
     Each iteration deflates each trial's ``W = [X | y]`` by the chosen
     column's part outside the earlier ones' span (`_deflate`, modified
     Gram-Schmidt), which leaves the residual in W's last column and gives
@@ -336,12 +346,23 @@ def _omp(Y: np.ndarray, rows: np.ndarray, sparsity: int):
     ``R coef = Q^H y`` is solved once, at the end.  A column's norm is one
     ``vdot`` on its strided view of W and every product one BLAS call per
     trial, so each trial keeps the bits of a stack of one.  Returns the
-    (n, D) estimates and the (n, sparsity) columns in the order chosen;
-    raises ``LinAlgError`` when any trial chooses a column numerically in
-    the span of its earlier ones.
+    (n, D) estimates and the (n, sparsity) columns in the order chosen.
+    Raises ``ValueError`` unless `Y` is a non-empty (n, M) stack of finite
+    numbers, with one matrix per row when `X` is a list, and ``0 <=
+    sparsity <= min(M, D)``; raises ``LinAlgError`` when any trial chooses a
+    column numerically in the span of its earlier ones (`_independent`).
     """
-    n, m = Y.shape
-    d = rows.shape[-1]
+    rows = _matrix_rows(X)
+    m, d = rows.shape[-2:]
+    Y = _check_measurements(Y, m)
+    if rows.ndim == 3 and len(rows) != len(Y):
+        raise ValueError(f"{len(rows)} sensing matrices for {len(Y)} measurements")
+    if not 0 <= _as_count(sparsity, "sparsity") <= min(m, d):
+        raise ValueError(
+            f"sparsity must satisfy 0 <= sparsity <= min(M, D) = {min(m, d)} "
+            f"for {m} measurements of {d} taps, got {sparsity!r}"
+        )
+    n = len(Y)
     XH = rows.conj().swapaxes(-1, -2)
     W = np.empty((n, m, d + 1), dtype=complex)
     W[..., :d], W[..., d] = rows, Y
@@ -391,16 +412,10 @@ def _ls_pinv(X: SensingMatrix) -> np.ndarray:
 def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
     """Dense least-squares estimate using at least as many pilot tones as taps.
 
-    The estimate is ``pinv(X) y``; the pseudo-inverse is computed once per
-    matrix and kept on `X_full`.  Raises ``ValueError`` when `X_full` has
-    fewer rows than columns, and ``LinAlgError`` on every call when the
-    sensing columns are numerically dependent (see `_ls_pinv`).
+    The one-measurement case of `fde_ls_estimates`, which raises its errors;
+    the support is `threshold_support`'s.
     """
-    m, d = X_full.rows.shape
-    if m < d:
-        raise ValueError(f"dense estimation needs at least {d} tones, got {m}")
-    y_full = _check_measurement(y_full, X_full)
-    estimate = _dense_ls(y_full, X_full)
+    estimate = fde_ls_estimates(np.asarray(y_full)[None], X_full)[0]
     return RecoveryResult(
         estimate=estimate,
         recovered_support=threshold_support(estimate),
@@ -408,34 +423,43 @@ def fde_ls_recover(y_full: np.ndarray, X_full: SensingMatrix) -> RecoveryResult:
     )
 
 
-def _dense_ls(Y: np.ndarray, X: SensingMatrix) -> np.ndarray:
-    """``pinv(X) y`` for each row y of `Y` (..., M), one matrix-vector call each."""
-    return (X.cached("ls_pinv", _ls_pinv) @ Y[..., None])[..., 0]
+def fde_ls_estimates(Y_full, X_full: SensingMatrix) -> np.ndarray:
+    """``pinv(X_full) y`` for each row y of the (n, M) measurements `Y_full`.
+
+    Each row is one matrix-vector call, as alone; the pseudo-inverse is
+    computed once per matrix and kept on `X_full`.  Raises ``ValueError``
+    when `X_full` has fewer rows than columns and unless `Y_full` is a
+    non-empty (n, M) stack of finite numbers, and ``LinAlgError`` on every
+    call when the sensing columns are numerically dependent (see `_ls_pinv`).
+    """
+    m, d = X_full.rows.shape
+    if m < d:
+        raise ValueError(f"dense estimation needs at least {d} tones, got {m}")
+    Y_full = _check_measurements(Y_full, m)
+    return (X_full.cached("ls_pinv", _ls_pinv) @ Y_full[..., None])[..., 0]
 
 
-def nmse(true_h: np.ndarray, estimate: np.ndarray) -> float:
+def nmse(true_h, estimate):
     """``10 log10(||estimate - true||^2 / ||true||^2)``, floored at `NMSE_FLOOR_DB`.
 
-    Raises ValueError unless both are 1-D of one length, and when either holds
-    a non-finite or non-numeric entry, so a broken estimate is never scored.
-    """
-    return float(_nmse_db(_as_finite(true_h, "true channel", ndim=1), estimate))
-
-
-def _nmse_db(true_h, estimate) -> np.ndarray:
-    """`nmse` of each row of `estimate` against the same row of `true_h`, as an array.
-
-    Raises ValueError unless both have one shape, when either holds a
-    non-finite or non-numeric entry and when any row of `true_h` has zero norm.
+    A 1-D channel and estimate give a float.  An (..., D) stack of them
+    gives the array of each one's score, with the bits of its call alone.
+    Raises ValueError unless both have one shape of at least one axis and
+    a non-empty stack, when either holds a non-finite or non-numeric entry
+    and when any true channel has zero norm, so a broken estimate is never
+    scored.
     """
     true_h = _as_finite(true_h, "true channel")
     estimate = _as_finite(estimate, "estimate")
-    if estimate.shape != true_h.shape:
+    if estimate.shape != true_h.shape or true_h.ndim == 0:
         raise ValueError(f"estimate has shape {estimate.shape}, true channel {true_h.shape}")
+    if 0 in true_h.shape[:-1]:
+        raise ValueError("no channel to score")
     true_h, estimate = true_h.astype(complex), estimate.astype(complex)  # no integer overflow
     signal = np.sum(np.abs(true_h) ** 2, axis=-1)
     if not signal.all():
         raise ValueError("true channel has zero norm")
     ratio = np.sum(np.abs(estimate - true_h) ** 2, axis=-1) / signal
     floor = 10.0 ** (NMSE_FLOOR_DB / 10.0)
-    return np.where(ratio <= floor, NMSE_FLOOR_DB, 10.0 * np.log10(np.maximum(ratio, floor)))
+    scores = np.where(ratio <= floor, NMSE_FLOOR_DB, 10.0 * np.log10(np.maximum(ratio, floor)))
+    return float(scores) if true_h.ndim == 1 else scores

@@ -10,8 +10,8 @@ same order and must return the same error probability.
 
 `error_counts_loop` reads a whole grid the same way: it draws one
 (trials, max M) matrix of standard exponentials, then for each
-``(M, gP, threshold)`` point walks the trials one at a time, averaging the
-first M draws of the row.  `cspilot.detection._error_counts` consumes the
+`DetectionConfig` point (its threshold preset) walks the trials one at a
+time, averaging the first M draws of the row.  `cspilot.detection.error_counts` consumes the
 generator as that one draw does and must return the same error counts.
 The kernel adds a row's columns segment by segment, between consecutive
 antenna counts, so an energy may differ from this direct sum in its last
@@ -26,6 +26,8 @@ antennas, so it agrees with the kernel in distribution only.
 """
 
 from __future__ import annotations
+
+from dataclasses import astuple
 
 import numpy as np
 
@@ -55,10 +57,10 @@ def error_probability_mc_loop(
 
 
 def error_counts_loop(points, trials: int, rng: np.random.Generator) -> list[int]:
-    """Monte-Carlo error counts of each ``(M, gP, threshold)`` point, one trial at a time."""
-    draws = rng.standard_exponential((trials, max(m for m, _, _ in points)))
+    """Monte-Carlo error counts of each `DetectionConfig` point, one trial at a time."""
+    draws = rng.standard_exponential((trials, max(p.antenna_count for p in points)))
     counts = []
-    for m, gp, threshold in points:
+    for m, gp, threshold in map(astuple, points):
         errors = 0
         for i, row in enumerate(draws):
             sent = i % 2 == 0

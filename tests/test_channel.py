@@ -8,13 +8,13 @@ from cspilot.channel import (
     OfdmParams,
     SensingMatrix,
     SparseChannel,
-    _measure,
-    _partial_dft,
+    build_sensing_matrices,
     build_sensing_matrix,
     default_params,
     sample_channel,
     select_pilot_tones,
     synthesize_measurement,
+    synthesize_measurements,
 )
 
 
@@ -262,33 +262,34 @@ def test_measurement_dimension_mismatch(rng):
 
 
 @pytest.mark.parametrize("tap_count", [25, 100])
-def test_stacked_partial_dft_and_measurement_equal_single_calls(tap_count):
+def test_stacked_sensing_matrices_and_measurements_equal_single_calls(tap_count):
     # one exp over a stack of tone sets, and one stacked product, keep each
     # trial's bits: the stack of one is what the single calls run
     p = default_params(tap_count=tap_count)
     rng = np.random.default_rng(tap_count)
     tone_sets = np.array([select_pilot_tones(p, rng) for _ in range(13)])
-    taps = np.array([sample_channel(p, rng).taps for _ in range(13)])
-    rows = _partial_dft(tone_sets, p)
-    assert rows.shape == (13, 20, tap_count)
+    channels = [sample_channel(p, rng) for _ in range(13)]
+    matrices = build_sensing_matrices(tone_sets, p)
+    assert [X.rows.shape for X in matrices] == [(20, tap_count)] * 13
     for noise_variance in (0.0, 0.1):
-        draws = np.random.default_rng(7)
         singles = []
-        for tones, h in zip(tone_sets, taps):
+        for seed, (tones, h) in enumerate(zip(tone_sets, channels)):
             X = build_sensing_matrix(tones, p)
-            assert np.array_equal(X.rows, rows[len(singles)])
-            singles.append(synthesize_measurement(X, SparseChannel(h), noise_variance, draws))
-        draws = np.random.default_rng(7)
-        noise = None
-        if noise_variance:
-            noise = [
-                np.sqrt(noise_variance / 2.0)
-                * (draws.standard_normal(20) + 1j * draws.standard_normal(20))
-                for _ in tone_sets
-            ]
-        assert np.array_equal(_measure(rows, taps, noise), np.array(singles))
+            assert np.array_equal(X.rows, matrices[seed].rows)
+            draws = np.random.default_rng(seed)
+            singles.append(synthesize_measurement(X, h, noise_variance, draws))
+        rngs = [np.random.default_rng(seed) for seed in range(13)]
+        Y = synthesize_measurements(matrices, channels, noise_variance, rngs)
+        assert np.array_equal(Y, np.array(singles))
+        # each channel's noise: its own generator's real parts, then imaginary parts
+        rngs = [np.random.default_rng(seed) for seed in range(13)]
+        noise = np.array([
+            np.sqrt(noise_variance / 2.0) * (r.standard_normal(20) + 1j * r.standard_normal(20))
+            for r in rngs
+        ])
+        clean = synthesize_measurements(matrices, channels, 0.0, rngs)
+        assert np.allclose(Y, clean + noise, rtol=0.0, atol=1e-12)
     # one matrix for every trial broadcasts over the stack of taps
-    shared = _measure(rows[0], taps, None)
-    X = build_sensing_matrix(tone_sets[0], p)
-    for h, y in zip(taps, shared):
-        assert np.array_equal(y, synthesize_measurement(X, SparseChannel(h), 0.0, rng))
+    shared = synthesize_measurements(matrices[0], channels, 0.0, [rng] * 13)
+    for h, y in zip(channels, shared):
+        assert np.array_equal(y, synthesize_measurement(matrices[0], h, 0.0, rng))

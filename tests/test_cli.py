@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -158,18 +159,18 @@ def test_detect_sweep_golden_rows(tmp_path):
 def test_detect_sweep_draws_the_largest_antenna_count_per_trial(tmp_path, monkeypatch):
     # at defaults each of the 100 000 trials draws 128 exponentials for the
     # whole grid: 12.8 M, where one stream per point drew (32+64+128)*3*100 000
-    calls, error_counts = [], cli._error_counts
+    calls, error_counts = [], cli.error_counts
 
     def counted(points, trials, rng):
-        calls.append((points, trials))
+        calls.append(([p.antenna_count for p in points], trials))
         return error_counts(points, trials, rng)
 
-    monkeypatch.setattr(cli, "_error_counts", counted)
+    monkeypatch.setattr(cli, "error_counts", counted)
     code, _ = run(tmp_path, "d.csv", "detect-sweep")
     assert code == 0
     assert [trials for _, trials in calls] == [cli._MC_BLOCK] * 10
-    drawn = sum(max(m for m, _, _ in points) * trials for points, trials in calls)
-    per_point = sum(m for m, _, _ in calls[0][0]) * 100_000
+    drawn = sum(max(counts) * trials for counts, trials in calls)
+    per_point = sum(calls[0][0]) * 100_000
     assert (drawn, per_point) == (12_800_000, 67_200_000)
 
 
@@ -177,18 +178,19 @@ def test_netsim_draws_one_block_per_group_size(tmp_path, monkeypatch):
     # at defaults each trial of a group size draws K_G uniforms once for its
     # 9 (N, alpha) points: (1+4+16+64) * 100 000 = 8.5 M, where one stream
     # per point drew 9 times as many, 76.5 M
-    calls, tallies = [], cli._singleton_tallies
+    calls, tallies = [], cli.singleton_tallies
 
-    def counted(points, k, trials, rng):
+    def counted(models, trials, rng):
+        k = models[0].group_size
         reference = np.random.default_rng()
         reference.bit_generator.state = rng.bit_generator.state
-        result = tallies(points, k, trials, rng)
+        result = tallies(models, trials, rng)
         reference.random(k * trials)  # the call drew exactly K_G uniforms a trial
         assert rng.bit_generator.state == reference.bit_generator.state
-        calls.append((len(points), k, trials))
+        calls.append((len(models), k, trials))
         return result
 
-    monkeypatch.setattr(cli, "_singleton_tallies", counted)
+    monkeypatch.setattr(cli, "singleton_tallies", counted)
     code, _ = run(tmp_path, "n.csv", "netsim")
     assert code == 0
     assert [(k, trials) for _, k, trials in calls] == [
@@ -212,14 +214,15 @@ def test_netsim_blocks_draw_from_seed_tag_size_and_block(tmp_path):
     expected = {}
     for size, k in enumerate((2, 3)):
         total = sum(
-            netsim._singleton_tallies(
-                points, k, min(cli._MC_BLOCK, trials - t0),
+            netsim.singleton_tallies(
+                [netsim.NetworkModel(n, a, k) for n, a in points],
+                min(cli._MC_BLOCK, trials - t0),
                 np.random.default_rng([3, cli._TAG_NETSIM, size, block]),
             )
             for block, t0 in enumerate(range(0, trials, cli._MC_BLOCK))
         )
         for (n, a), tally in zip(points, total):
-            expected[str(n), str(k), repr(a)] = netsim._collision_moments(tally, k, trials)
+            expected[str(n), str(k), repr(a)] = netsim.collision_moments(tally)
     rows = parse(out)[2]
     assert [tuple(row[:3]) for row in rows] == [
         (n, k, a) for n in ("4", "64") for k in ("2", "3") for a in ("0.5", "1.0")
@@ -645,14 +648,14 @@ def test_fan_out_caller_failure_kills_its_children():
 @pytest.mark.parametrize("workers", ["2", "3"])
 @pytest.mark.parametrize("in_caller", [True, False])
 def test_main_leaves_no_child_when_a_run_raises(tmp_path, monkeypatch, workers, in_caller):
-    caller, dense_ls = os.getpid(), cli._dense_ls
+    caller, dense_ls = os.getpid(), cli.fde_ls_estimates
 
     def singular(*args):
         if (os.getpid() == caller) == in_caller:
             raise np.linalg.LinAlgError("forced singular matrix")
         return dense_ls(*args)
 
-    monkeypatch.setattr(cli, "_dense_ls", singular)
+    monkeypatch.setattr(cli, "fde_ls_estimates", singular)
     args = ["--workers", workers, *RECOVER_TINY, "--set", f"trials={2 * cli._TRIAL_CHUNK}"]
     with pytest.raises(np.linalg.LinAlgError, match="forced singular matrix"):
         run(tmp_path, "r.csv", "recover-bench", *args)  # 4 items
@@ -702,9 +705,12 @@ def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch
 
 def test_recover_bench_runs_the_batched_work_once_per_chunk(tmp_path, monkeypatch):
     # draws and the Dantzig solve stay per trial; the random-tone matrices,
-    # OMP, dense LS and the NMSE each run once per chunk of trials
-    batched = ("_partial_dft", "_omp", "_dense_ls", "_nmse_db")
-    calls = {name: 0 for name in (*batched, "dantzig_recover")}
+    # OMP, dense LS, its support and the NMSE each run once per chunk of
+    # trials, and the measurements twice, with and without the comb
+    batched = (
+        "build_sensing_matrices", "omp_estimates", "fde_ls_estimates", "support_mask", "nmse",
+    )
+    calls = {name: 0 for name in (*batched, "synthesize_measurements", "dantzig_recover")}
 
     def counting(name):
         work = getattr(cli, name)
@@ -723,7 +729,11 @@ def test_recover_bench_runs_the_batched_work_once_per_chunk(tmp_path, monkeypatc
     code, _ = run(tmp_path, "r.csv", "recover-bench", *args)
     assert code == 0
     chunks = 2 * 3  # two SNRs of three chunks, the last one trial long
-    assert calls == {**dict.fromkeys(batched, chunks), "dantzig_recover": 2 * trials}
+    assert calls == {
+        **dict.fromkeys(batched, chunks),
+        "synthesize_measurements": 2 * chunks,
+        "dantzig_recover": 2 * trials,
+    }
 
 
 def test_blas_threads_do_not_change_output(tmp_path):
@@ -823,6 +833,53 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_fig3_has_no_sparsity_key(tmp_path, capsys):
+    # rho_metrics reads wt, tap_count and pilot_count alone: a sparsity would
+    # move the digest and no row
+    code, out = run(tmp_path, "a.csv", "fig3", "--set", "sparsity=4")
+    assert code == 2
+    assert "unknown key 'sparsity'" in capsys.readouterr().err
+    assert not out.exists()
+    code, out = run(tmp_path, "b.csv", "fig3", "--set", "pilot_count=3", "--set", "kg_max=2")
+    assert code == 0
+
+
+def _private_package_names(source: str) -> list[str]:
+    """Each ``_name`` that `source` imports from the package or reads off one of its modules.
+
+    Dunders such as ``__version__`` are public by convention.
+    """
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    modules, found = {"cspilot"}, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cspilot")):
+            found += [alias.name for alias in node.names if private(alias.name)]
+            modules |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = [alias for alias in node.names if alias.name.startswith("cspilot")]
+            modules |= {alias.asname or alias.name.partition(".")[0] for alias in names}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_cli_imports_no_private_name():
+    # the CLI keeps config, I/O and fan-out: the work it runs is each layer's
+    # public, checked batch function, never a kernel behind its back
+    assert _private_package_names(Path(cli.__file__).read_text(encoding="utf-8")) == []
+    assert _private_package_names(
+        "from .recovery import _omp, nmse\n"
+        "import cspilot.netsim\n"
+        "from . import detection\n"
+        "x = cspilot.netsim._MC_BUDGET + detection._crossing(1.0)\n"
+    ) == ["_omp", "cspilot.netsim._MC_BUDGET", "detection._crossing"]
+
+
 def test_missing_config_file(tmp_path):
     code, _ = run(tmp_path, "a.csv", "fig3", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
@@ -899,7 +956,7 @@ def test_run_error_exits_1_with_its_traceback(tmp_path, workers):
         "from cspilot import cli\n"
         "def singular(*args):\n"
         "    raise np.linalg.LinAlgError('forced singular matrix')\n"
-        "cli._dense_ls = singular\n"
+        "cli.fde_ls_estimates = singular\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
     done = subprocess.run(
@@ -953,6 +1010,7 @@ def _exit_code(argv):
 
 _NOT_COUNT = ["", "nan", "inf", "-1", "0", "1.5", "abc"]
 _OFDM = [name for name, entry in cli.EXPERIMENTS.items() if "wt" in entry.keys]
+_SPARSE = [name for name, entry in cli.EXPERIMENTS.items() if "sparsity" in entry.keys]
 _OFDM_WALK = dict.fromkeys(("wt", "tap_count", "sparsity", "pilot_count"), _NOT_COUNT)
 
 
@@ -964,15 +1022,14 @@ def _not_list(bad_entries, good):
 # experiment -> {key: values outside the key's domain}
 _CONFIG_WALK = {
     "fig3": {
-        **_OFDM_WALK,
+        **{key: bad for key, bad in _OFDM_WALK.items() if key != "sparsity"},
         "cells": _NOT_COUNT,
         "kg_max": _NOT_COUNT,
         "p_outs": _not_list(["", "nan", "inf", "-1", "1", "1.5", "abc"], "0"),
     },
     "detect-sweep": {
         "antenna_counts": _not_list(_NOT_COUNT, "4"),
-        # 1e-20 is finite and positive, but its crossing rounds to 1.0
-        "pathloss_powers": _not_list(["", "nan", "inf", "-1", "-0.5", "abc", "1e-20"], "2"),
+        "pathloss_powers": _not_list(["", "nan", "inf", "-1", "-0.5", "abc"], "2"),
         "trials": _NOT_COUNT,
     },
     "recover-bench": {
@@ -999,12 +1056,13 @@ _FLAG_WALK = {
 }
 
 
-# one row per bound that ties keys together: the experiments it applies to,
-# the values set, and the keys the refusal names, with their values
+# one row per bound checked where an input is built from several keys: the
+# experiments it applies to, the values set, and the keys the refusal names,
+# with their config text
 _CROSS_KEY_WALK = {
-    "sparsity>tap_count": (_OFDM, {"sparsity": "30", "tap_count": "25"}, {}),
+    "sparsity>tap_count": (_SPARSE, {"sparsity": "30", "tap_count": "25"}, {}),
     "tap_count>wt": (_OFDM, {"tap_count": "200", "wt": "150"}, {}),
-    "pilot_count<sparsity": (_OFDM, {"pilot_count": "3"}, {"sparsity": "4"}),
+    "pilot_count<sparsity": (_SPARSE, {"pilot_count": "3"}, {"sparsity": "4"}),
     "pilot_count>wt": (_OFDM, {"wt": "100", "pilot_count": "101"}, {}),
     "designed-without-frozen-tones": (
         ["recover-bench"],
@@ -1012,6 +1070,10 @@ _CROSS_KEY_WALK = {
         {"tone_policy": "designed", "wt": "1000", "pilot_count": "20"},
     ),
     "k>capacity": (["codebook-verify"], {"k": "500", "l": "1"}, {"l_prime": "20"}),
+    # 1e-20 is finite and positive, but its density crossing rounds to 1.0
+    "crossing-rounds-to-1": (
+        ["detect-sweep"], {"pathloss_powers": "2,1e-20"}, {"antenna_counts": "32,64,128"}
+    ),
 }
 
 
@@ -1116,7 +1178,7 @@ def test_edge_values_inside_their_domain_reach_the_runner(
 _DEFAULT_DIGESTS = {
     "codebook-verify": "d21803664bf3a4bb79f341372e9f7c1f175757029fe12dde7e5bc0c5177adef6",
     "detect-sweep": "c3ded23dd948a3d4a45e1723f1d5ebbb8f131df28fb78405ace376174837f599",
-    "fig3": "0d2b721cb2e5ba7d1d9bb605d45e63b48a920edc6319556a9a08ca8051802479",
+    "fig3": "a93468021d64c66a2d1dbffcb6407928dd95c26741114ae7cea3381fad8b63f2",
     "netsim": "ca77237feab9cf626895e2de422b0519452c05e04b115b124cf030aa3d2a2008",
     "recover-bench": "1adf3ae83a25548310c6c18c58a05a53bd44898a66ad425763c9474c1955f5b0",
 }

@@ -343,10 +343,10 @@ def _grid(antenna_counts):
     # and at a preset threshold a fifth of the way into (1, 1 + gP)
     points = []
     for m in antenna_counts:
-        points.append((m, 0.0, 1.5))
+        points.append(DetectionConfig(m, 0.0, 1.5))
         for gp in (0.3, 4.0):
-            points.append((m, gp, optimal_threshold(DetectionConfig(m, gp))))
-            points.append((m, gp, 1.0 + 0.2 * gp))
+            points.append(DetectionConfig(m, gp, optimal_threshold(DetectionConfig(m, gp))))
+            points.append(DetectionConfig(m, gp, 1.0 + 0.2 * gp))
     return points
 
 
@@ -359,7 +359,7 @@ def test_error_counts_match_the_grid_loop_oracle(antenna_counts, rows, monkeypat
     monkeypatch.setattr(detection, "_MC_BUDGET", rows * max(antenna_counts))
     points = _grid(antenna_counts)
     for trials, seed in itertools.product((1, 2, 999, 4097), (0, 1)):
-        got = detection._error_counts(points, trials, np.random.default_rng(seed))
+        got = detection.error_counts(points, trials, np.random.default_rng(seed))
         want = error_counts_loop(points, trials, np.random.default_rng(seed))
         assert got.tolist() == want, (trials, seed)
 
@@ -368,7 +368,7 @@ def test_error_counts_match_the_grid_loop_oracle(antenna_counts, rows, monkeypat
 def test_error_counts_draw_the_largest_antenna_count_per_trial(antenna_counts, trials):
     # one row of max(M) exponentials per trial serves the whole grid
     rng = np.random.default_rng(5)
-    detection._error_counts(_grid(antenna_counts), trials, rng)
+    detection.error_counts(_grid(antenna_counts), trials, rng)
     fresh = np.random.default_rng(5)
     fresh.standard_exponential(max(antenna_counts) * trials)
     assert rng.bit_generator.state == fresh.bit_generator.state
@@ -379,7 +379,7 @@ def test_error_counts_memory_follows_the_budget():
     # the running sums and energies take a few rows of doubles beside it
     tracemalloc.start()
     try:
-        detection._error_counts(_grid((4096, 1, 64)), 4096, np.random.default_rng(0))
+        detection.error_counts(_grid((4096, 1, 64)), 4096, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,14 +1,16 @@
 """Bad scalars and arrays at the public entry points raise ``ValueError``.
 
-Two tables.  `_ROWS` holds one row per (entry point, bad value): a str,
+Three tables.  `_ROWS` holds one row per (entry point, bad value): a str,
 complex, bool or non-finite number where a real scalar belongs, a 2-D list
 or a scalar where a 1-D one belongs, bool, str or complex arrays where
 numbers belong, and counts below their range.  `_WALK` holds one row per
 callable that ``cspilot`` exports, naming the kind of each numeric argument;
 every bad value of that kind is substituted in turn into an otherwise good
-call.  Either way a ``TypeError``, ``IndexError``, ``LinAlgError`` or a
-returned result fails the row.  Object arguments (params, model, config,
-matrix, channel, book, rng) are out of scope: they are taken as given.
+call.  `_POINTS` holds the rows of the batch functions' point lists (the
+configs, models, channels and matrices each point is) and of their bounds.
+Either way a ``TypeError``, ``IndexError``, ``LinAlgError`` or a returned
+result fails the row.  Object arguments (params, model, config, matrix,
+channel, book, rng) are otherwise out of scope: they are taken as given.
 """
 
 import math
@@ -22,22 +24,27 @@ from cspilot.channel import (
     OfdmParams,
     SensingMatrix,
     SparseChannel,
+    build_sensing_matrices,
     build_sensing_matrix,
     default_params,
     sample_channel,
     select_pilot_tones,
     synthesize_measurement,
+    synthesize_measurements,
 )
-from cspilot.detection import DetectionConfig, min_threshold_for_network
-from cspilot.netsim import NetworkModel
+from cspilot.detection import DetectionConfig, error_counts, min_threshold_for_network
+from cspilot.netsim import MC_MAX_CELLS, NetworkModel, collision_moments, singleton_tallies
 from cspilot.pilots import PilotCodebook, build_codebook, capacity, decode_energy_vector, superpose
 from cspilot.recovery import (
     comb_tone_set,
     dantzig_epsilon,
     dantzig_recover,
+    fde_ls_estimates,
     fde_ls_recover,
     nmse,
+    omp_estimates,
     omp_recover,
+    support_mask,
     threshold_support,
 )
 from cspilot.simplex import solve_lp
@@ -99,7 +106,7 @@ _ROWS = {
     "sensing-tones-np-scalar": lambda: build_sensing_matrix(np.int64(5), _P),
     "superpose-scalar": lambda: superpose(0, build_codebook(3, 2, 1)),
     "nmse-scalars": lambda: nmse(1.0, 1.0),
-    "nmse-2d": lambda: nmse(np.ones((2, 2)), np.ones((2, 2))),
+    "nmse-empty-stack": lambda: nmse(np.ones((0, 2)), np.ones((0, 2))),
 }
 
 
@@ -114,6 +121,80 @@ _CROSS = {
     "decode-length-mismatch": lambda: decode_energy_vector(np.ones(2), build_codebook(3, 2, 1)),
     "nmse-shape-mismatch": lambda: nmse(np.ones(3), np.ones(4)),
 }
+
+
+_P25 = default_params(tap_count=25, pilot_count=30)
+_X25 = build_sensing_matrix(select_pilot_tones(_P25, np.random.default_rng(4)), _P25)
+
+# the point lists of the batch functions, and the bounds between their arguments
+_POINTS = {
+    "tone-sets-at-wt": lambda: build_sensing_matrices([[0, 1], [0, 1000]], _P),
+    "synthesize-no-channel": lambda: synthesize_measurements(_X, [], 0.1, []),
+    "synthesize-taps-array": lambda: synthesize_measurements(_X, _H.taps, 0.1, [_RNG]),
+    "synthesize-rng-per-channel": lambda: synthesize_measurements(_X, [_H, _H], 0.1, [_RNG]),
+    "synthesize-matrix-per-channel": lambda: synthesize_measurements([_X], [_H, _H], 0.1, [_RNG] * 2),
+    "synthesize-taps-per-column": lambda: synthesize_measurements(_X25, [_H], 0.1, [_RNG]),
+    "error-counts-no-point": lambda: error_counts([], 10, _RNG),
+    "error-counts-nan-threshold": lambda: error_counts([(4, 1.0, math.nan)], 10, _RNG),
+    "error-counts-config-nan-threshold": lambda: error_counts(
+        [DetectionConfig(4, 1.0, math.nan)], 10, _RNG
+    ),
+    "error-counts-one-config": lambda: error_counts(_CONFIG, 10, _RNG),
+    "error-counts-gp-0-unthresholded": lambda: error_counts([DetectionConfig(4, 0.0)], 10, _RNG),
+    "tallies-no-model": lambda: singleton_tallies([], 10, _RNG),
+    "tallies-model-tuple": lambda: singleton_tallies([(4, 0.5)], 10, _RNG),
+    "tallies-two-group-sizes": lambda: singleton_tallies([_MODEL, NetworkModel(4, 0.5, 3)], 10, _RNG),
+    "tallies-cells-past-intp": lambda: singleton_tallies(
+        [NetworkModel(MC_MAX_CELLS + 1, 0.5, 2)], 10, _RNG
+    ),
+    "moments-no-trial": lambda: collision_moments([0, 0, 0]),
+    "moments-one-bin": lambda: collision_moments([5]),
+    # D < sparsity <= M: more columns than there are
+    "omp-estimates-sparsity-above-d": lambda: omp_estimates(np.ones((2, 30)), _X25, 26),
+    "omp-estimates-sparsity-above-m": lambda: omp_estimates(_Y, _X, _P.pilot_count + 1),
+    "omp-estimates-matrix-per-row": lambda: omp_estimates(_Y, [_X], 4),
+    "omp-estimates-matrix-shapes": lambda: omp_estimates(_Y, [_X, _X25], 4),
+    "fde-estimates-m-below-d": lambda: fde_ls_estimates(_Y, _X),
+    "support-mask-scalar": lambda: support_mask(1.0),
+    "support-mask-no-estimate": lambda: support_mask(np.ones((0, 3))),
+}
+
+
+@pytest.mark.parametrize("call", list(_POINTS.values()), ids=list(_POINTS))
+def test_bad_point_list_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: singleton_tallies([], 10, rng),
+        lambda rng: singleton_tallies([NetworkModel(MC_MAX_CELLS + 1, 0.5, 2)], 10, rng),
+        lambda rng: error_counts([], 10, rng),
+        lambda rng: error_counts([DetectionConfig(4, 0.0)], 10, rng),
+        lambda rng: synthesize_measurements(_X, [_H], -0.1, [rng]),
+    ],
+    ids=["tallies-no-model", "tallies-cells", "counts-no-point", "counts-gp-0", "noise-negative"],
+)
+def test_refused_batch_call_draws_nothing(call):
+    # every check runs before the first draw: an empty model list once drew
+    # every trial's uniforms and returned an empty tally
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+def test_nmse_of_a_stack_scores_each_channel():
+    # a 1-D pair gives a float; a stack the array of each pair's float
+    truth = np.array([[1.0, 2.0], [3.0, 0.5]])
+    estimate = np.array([[1.0, 2.5], [0.0, 0.5]])
+    scores = nmse(truth, estimate)
+    assert scores.shape == (2,)
+    assert scores.tolist() == [nmse(t, e) for t, e in zip(truth, estimate)]
+    assert type(nmse(truth[0], estimate[0])) is float
 
 
 @pytest.mark.parametrize("call", [*_ROWS.values(), *_CROSS.values()], ids=[*_ROWS, *_CROSS])
@@ -170,13 +251,14 @@ def _with(good, value):
     return bad
 
 
-def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None):
+def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None, empty=False):
     """Bad stand-ins for the array `good`.
 
     Non-finite, bool and str entries and one dimension fewer or more, always;
     complex entries when `real` or `integer`, a fractional entry when
-    `integer`, a negative entry when `nonneg`, and one entry fewer along
-    `axis` when the call fixes that length.
+    `integer`, a negative entry when `nonneg`, one entry fewer along `axis`
+    when the call fixes that length, and no entry along the first axis when
+    `empty`, for a list of points.
     """
     good = np.asarray(good)
     bad = {label: _with(good, value) for label, value in _NON_FINITE.items()}
@@ -196,6 +278,8 @@ def _bad_array(good, *, real=False, integer=False, nonneg=False, axis=None):
         bad["negative"] = _with(good, -1)
     if axis is not None:
         bad["wrong-length"] = np.delete(good, 0, axis=axis)
+    if empty:
+        bad["empty"] = good[:0]
     return bad
 
 
@@ -210,6 +294,13 @@ _BOOK = build_codebook(3, 2, 1)
 _CONFIG = DetectionConfig(8, 2.0)
 _MODEL = NetworkModel(4, 0.5, 2)
 _V = np.eye(3)[:2]
+_Y = np.array([_X.rows @ _H.taps, _X.rows @ np.roll(_H.taps, 1)])
+_Y_FULL = np.array([_COMB.rows @ _H.taps, _COMB.rows @ np.roll(_H.taps, 1)])
+_TONE_SETS = np.array([_TONES, select_pilot_tones(_P, np.random.default_rng(5))])
+# an (n, D) stack of estimates, as a 1-D estimate or a 3-D stack would be too
+_BAD_ESTIMATES = _bad_array(np.array([_H.taps, 2 * _H.taps]), empty=True)
+_BAD_ESTIMATES["0-D"] = _BAD_ESTIMATES.pop("1-D")[0]
+del _BAD_ESTIMATES["3-D"]
 _OFDM = {"bandwidth_time_product": 1000, "tap_count": 100, "sparsity": 4, "pilot_count": 20}
 
 # export -> (good keyword arguments, {numeric argument: its bad stand-ins})
@@ -224,8 +315,16 @@ _WALK = {
     ),
     "sample_channel": ({"params": _P, "rng": _RNG}, {}),
     "select_pilot_tones": ({"params": _P, "rng": _RNG}, {}),
+    "build_sensing_matrices": (
+        {"tone_sets": _TONE_SETS, "params": _P},
+        {"tone_sets": _bad_array(_TONE_SETS, integer=True, nonneg=True, empty=True)},
+    ),
     "synthesize_measurement": (
         {"X": _X, "h": _H, "noise_variance": 0.1, "rng": _RNG},
+        {"noise_variance": _BAD_REAL},
+    ),
+    "synthesize_measurements": (
+        {"X": _X, "channels": [_H, _H], "noise_variance": 0.1, "rngs": [_RNG, _RNG]},
         {"noise_variance": _BAD_REAL},
     ),
     "DetectionConfig": (
@@ -237,6 +336,7 @@ _WALK = {
         {"config": _CONFIG, "trials": 10, "rng": _RNG},
         {"trials": _BAD_COUNT},
     ),
+    "error_counts": ({"points": [_CONFIG], "trials": 10, "rng": _RNG}, {"trials": _BAD_COUNT}),
     "min_threshold_for_network": (
         {"pathloss_powers": [2.0, 10.0], "antenna_count": 8, "max_error_probability": 0.5},
         {
@@ -255,6 +355,11 @@ _WALK = {
         {"model": _MODEL, "trials": 10, "rng": _RNG},
         {"trials": _BAD_COUNT},
     ),
+    "singleton_tallies": ({"models": [_MODEL], "trials": 10, "rng": _RNG}, {"trials": _BAD_COUNT}),
+    "collision_moments": (
+        {"tally": [3, 5, 2]},
+        {"tally": _bad_array([3, 5, 2], integer=True, nonneg=True, empty=True)},
+    ),
     "expected_singletons": ({"model": _MODEL}, {}),
     "optimal_group_size": ({"model": _MODEL}, {}),
     "reuse_gain": ({"model": _MODEL, "params": _P}, {}),
@@ -270,6 +375,10 @@ _WALK = {
     "capacity": ({"L_prime": 2, "l": 1}, {"L_prime": _BAD_COUNT, "l": _BAD_COUNT}),
     "choose_l": ({"K": 3, "L_prime": 2}, {"K": _BAD_COUNT, "L_prime": _BAD_COUNT}),
     "code_efficiency": ({"L_prime": 2, "l": 1}, {"L_prime": _BAD_COUNT, "l": _BAD_COUNT}),
+    "decode_energy_vectors": (
+        {"observed": _BOOK.columns.T, "book": _BOOK},
+        {"observed": _bad_array(_BOOK.columns.T, integer=True, nonneg=True, axis=1)},
+    ),
     "decode_energy_vector": (
         {"observed": _BOOK.columns[:, 0], "book": _BOOK},
         {"observed": _bad_array(_BOOK.columns[:, 0], integer=True, nonneg=True, axis=0)},
@@ -285,13 +394,25 @@ _WALK = {
         {"y": _X.rows @ _H.taps, "X": _X, "sparsity": 4},
         {"y": _bad_array(_X.rows @ _H.taps, axis=0), "sparsity": _BAD_COUNT},
     ),
+    "omp_estimates": (
+        {"Y": _Y, "X": _X, "sparsity": 4},
+        {"Y": _bad_array(_Y, axis=1, empty=True), "sparsity": _BAD_COUNT},
+    ),
     "fde_ls_recover": (
         {"y_full": _COMB.rows @ _H.taps, "X_full": _COMB},
         {"y_full": _bad_array(_COMB.rows @ _H.taps, axis=0)},
     ),
+    "fde_ls_estimates": (
+        {"Y_full": _Y_FULL, "X_full": _COMB},
+        {"Y_full": _bad_array(_Y_FULL, axis=1, empty=True)},
+    ),
     "nmse": (
         {"true_h": _H.taps, "estimate": _H.taps},
         {"true_h": _bad_array(_H.taps, axis=0), "estimate": _bad_array(_H.taps, axis=0)},
+    ),
+    "support_mask": (
+        {"estimates": np.array([_H.taps, 2 * _H.taps]), "floor": 0.01},
+        {"estimates": _BAD_ESTIMATES, "floor": _BAD_REAL},
     ),
     "threshold_support": (
         {"estimate": _H.taps, "floor": 0.01},

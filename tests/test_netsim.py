@@ -322,13 +322,13 @@ def test_singleton_tallies_rows_match_one_point(monkeypatch, kg, trials, budget)
     # state, and each point agrees with the per-trial reference
     monkeypatch.setattr(netsim, "_MC_BUDGET", budget)
     seed = 17
-    grid = netsim._singleton_tallies(_GRID, kg, trials, np.random.default_rng(seed))
+    models = [model(n=n, alpha=a, kg=kg) for n, a in _GRID]
+    grid = netsim.singleton_tallies(models, trials, np.random.default_rng(seed))
     assert grid.shape == (len(_GRID), kg + 1) and grid.dtype == np.int64
-    for row, (n, a) in zip(grid, _GRID):
-        one = netsim._singleton_tallies([(n, a)], kg, trials, np.random.default_rng(seed))
+    for row, m, (n, a) in zip(grid, models, _GRID):
+        one = netsim.singleton_tallies([m], trials, np.random.default_rng(seed))
         assert row.tolist() == one[0].tolist(), (n, a)
-        m = model(n=n, alpha=a, kg=kg)
-        moments = netsim._collision_moments(row, kg, trials)
+        moments = netsim.collision_moments(row)
         assert moments == collision_probability_mc(m, trials, np.random.default_rng(seed))
         assert moments == _placement_moments(m, trials, np.random.default_rng(seed)), (n, a)
 
@@ -339,13 +339,14 @@ def test_singleton_tallies_memory_follows_the_group(n):
     # within the block buffers (the uniforms and their scaled copy, one row
     # of bins and two boolean masks per trial) and the tally, with one byte
     # and one intp per trial for each point's singleton counts, at any N
-    k, points = 64, [(n, a) for a in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    k, alphas = 64, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+    models = [model(n=n, alpha=a, kg=k) for a in alphas]
     rows = netsim._MC_BUDGET // k
     bin_bytes = 4 if n < 2**31 - 1 else 8
     rng = np.random.default_rng(0)  # a process's first generator allocates ~1 MB once
     tracemalloc.start()
     try:
-        tally = netsim._singleton_tallies(points, k, 2 * rows + 5, rng)
+        tally = netsim.singleton_tallies(models, 2 * rows + 5, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ from cspilot.channel import (
     OfdmParams,
     SensingMatrix,
     SparseChannel,
-    _partial_dft,
+    build_sensing_matrices,
     build_sensing_matrix,
     default_params,
     sample_channel,
@@ -21,18 +21,17 @@ from cspilot.recovery import (
     NMSE_FLOOR_DB,
     NOISELESS_EPSILON,
     SELECTION_TAU,
-    _above,
-    _dense_ls,
     _embed_lp,
-    _nmse_db,
-    _omp,
     comb_tone_set,
     dantzig_epsilon,
     _stepwise_select,
     dantzig_recover,
+    fde_ls_estimates,
     fde_ls_recover,
     nmse,
+    omp_estimates,
     omp_recover,
+    support_mask,
     threshold_support,
 )
 from cspilot.simplex import solve_lp
@@ -462,27 +461,27 @@ def test_omp_sparsity_beyond_the_taps_is_a_value_error(rng):
 
 
 def _stack(tap_count, tones, noise_variance, n, seed):
-    """n trials' (rows, Y, matrices): one matrix for all (designed) or a stack (random)."""
+    """n trials' (X, Y, a matrix per trial): X one matrix (designed) or a list of n (random)."""
     p = default_params(tap_count=tap_count)
     rng = np.random.default_rng(seed)
     taps = np.array([sample_channel(p, rng).taps for _ in range(n)])
     if tones is None:
-        rows = _partial_dft(np.array([select_pilot_tones(p, rng) for _ in range(n)]), p)
-        matrices = [SensingMatrix(r) for r in rows]
+        X = build_sensing_matrices([select_pilot_tones(p, rng) for _ in range(n)], p)
+        matrices = X
     else:
         X = build_sensing_matrix(tones, p)
-        rows, matrices = X.rows, [X] * n
+        matrices = [X] * n
     Y = np.array([synthesize_measurement(matrix, SparseChannel(h), noise_variance, rng)
                   for matrix, h in zip(matrices, taps)])
-    return rows, Y, matrices
+    return X, Y, matrices
 
 
 @pytest.mark.parametrize("noise_variance", [1.0, 0.1, 0.0])
 @pytest.mark.parametrize("tap_count, tones", [(100, DESIGNED_TONES_100), (25, None)])
 def test_stacked_omp_equals_single_calls(tap_count, tones, noise_variance):
-    rows, Y, matrices = _stack(tap_count, tones, noise_variance, 13, tap_count)
+    stacked, Y, matrices = _stack(tap_count, tones, noise_variance, 13, tap_count)
     for sparsity in (0, 1, 4):
-        estimates, selected = _omp(Y, rows, sparsity)
+        estimates, selected = omp_estimates(Y, stacked, sparsity)
         assert selected.shape == (13, sparsity)
         for y, X, estimate, chosen in zip(Y, matrices, estimates, selected):
             res = omp_recover(y, X, sparsity)
@@ -494,11 +493,12 @@ def test_stacked_omp_raises_when_one_trial_picks_a_dependent_column(rng):
     # the middle trial's twin columns make its second pick dependent; the
     # others alone recover, but the stack as a whole refuses
     p = default_params()
-    rows = _partial_dft(np.array([select_pilot_tones(p, rng) for _ in range(3)]), p)[:, :, :2]
+    tones = [select_pilot_tones(p, rng) for _ in range(3)]
+    rows = np.array([X.rows for X in build_sensing_matrices(tones, p)])[:, :, :2]
     rows[1, :, 1] = rows[1, :, 0]
     Y = rows[:, :, 0] + 0.5 * rows[:, :, 1]
     with pytest.raises(np.linalg.LinAlgError, match="dependent"):
-        _omp(Y, rows, 2)
+        omp_estimates(Y, [SensingMatrix(r) for r in rows], 2)
     for i in (0, 2):
         assert omp_recover(Y[i], SensingMatrix(rows[i]), 2).recovered_support.tolist() == [0, 1]
     with pytest.raises(np.linalg.LinAlgError, match="dependent"):
@@ -512,8 +512,8 @@ def test_stacked_dense_ls_equals_single_calls(tap_count):
     rng = np.random.default_rng(tap_count)
     Y = rng.standard_normal((13, tap_count)) + 1j * rng.standard_normal((13, tap_count))
     Y[4] = 0.0
-    estimates = _dense_ls(Y, comb)
-    masks = _above(np.abs(estimates), 0.0)
+    estimates = fde_ls_estimates(Y, comb)
+    masks = support_mask(estimates)
     for y, estimate, mask in zip(Y, estimates, masks):
         res = fde_ls_recover(y, comb)
         assert np.array_equal(res.estimate, estimate)
@@ -539,7 +539,7 @@ def test_stacked_nmse_equals_single_calls():
     error = rng.standard_normal((60, 25)) + 1j * rng.standard_normal((60, 25))
     estimate = truth + scales * error
     estimate[0], estimate[1] = truth[0], 0.0  # the floor, and 0 dB
-    stacked = _nmse_db(truth, estimate)
+    stacked = nmse(truth, estimate)
     assert stacked.shape == (60,)
     assert stacked[0] == NMSE_FLOOR_DB
     for t, e, value in zip(truth, estimate, stacked):
@@ -559,7 +559,7 @@ def test_stacked_nmse_equals_single_calls():
 )
 def test_stacked_nmse_refusals(true_h, estimate, match):
     with pytest.raises(ValueError, match=match):
-        _nmse_db(true_h, estimate)
+        nmse(true_h, estimate)
 
 
 def test_fde_noiseless_exact_dense(rng):

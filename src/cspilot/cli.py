@@ -17,8 +17,8 @@ The runners hold config, I/O and fan-out: the work items call each layer's
 public batch function (`error_counts`, `singleton_tallies` and
 `collision_moments`, `synthesize_measurements`, `omp_estimates`,
 `fde_ls_estimates`, `support_mask`, `nmse`), which checks its inputs once
-per item; detect-sweep's points and their thresholds are built once, as
-the config resolves.
+per item; detect-sweep's points and their thresholds, and recover-bench's
+comb and designed-tone matrices, are built once, as the config resolves.
 
 Randomness is derived from ``(seed, experiment tag, block index)`` per
 detect-sweep block of trials (a block draws each trial's antennas once for
@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import functools
 import hashlib
 import math
 import os
@@ -104,9 +103,8 @@ _MC_BLOCK = 10_000
 
 # trials per recover-bench work item, and the width of its stacks: small
 # enough that the slow noiseless SNR spreads over the workers, large enough
-# that a trial's cost dwarfs the cost of shipping the item and that the
-# work batched over the chunk (matrices, measurements, OMP, dense LS,
-# scoring) runs once per ten trials, not once per trial
+# that the work batched over the chunk (matrices, measurements, OMP, dense
+# LS, scoring) runs once per ten trials, not once per trial
 _TRIAL_CHUNK = 10
 
 
@@ -233,21 +231,20 @@ def _run_detect_sweep(cfg, seed, workers):
 
 
 def _designed_tones(policy: str, *point: int):
-    """The frozen tones at ``(wt, tap_count, pilot_count)`` as a tuple, or None for random tones."""
+    """The frozen tones at ``(wt, tap_count, pilot_count)``, or None for random tones."""
     if policy == "random":
         return None
     if point not in DESIGNED_TONES:
         points = " or ".join(map(str, DESIGNED_TONES))
         raise ValueError(f"frozen tones only at {points}, not {point}; random tones fit any point")
-    return tuple(DESIGNED_TONES[point].tolist())
+    return DESIGNED_TONES[point]
 
 
-@functools.lru_cache(maxsize=4)
 def _bench_matrices(params: OfdmParams, tones):
-    """The comb matrix and the matrix of the designed `tones` (None for random), once per process.
+    """The comb matrix and the matrix of the designed `tones` (None for random).
 
-    Both are read-only and so are the operators they cache, so every chunk a
-    process runs shares them.
+    Both are read-only and so are the operators they cache, so every chunk of
+    a run shares them.
     """
     designed = None if tones is None else build_sensing_matrix(tones, params)
     return build_sensing_matrix(comb_tone_set(params), params), designed
@@ -288,11 +285,11 @@ def _recover_chunk(item):
     are random, and the noise of y and of y_full from its own generator, and
     runs its own Dantzig solve; the random-tone matrices, the measurements,
     OMP, dense LS and the scoring each run once over the chunk's stack of
-    trials.  The comb matrix and a designed tone set come from
-    `_bench_matrices`, so the operators they cache serve every trial.
+    trials.  The item carries the run's `_bench_matrices` pair, the comb
+    matrix and the designed one, so the operators they cache serve every
+    trial.
     """
-    seed, params, tones, si, noise_var, t0, t1 = item
-    comb, designed = _bench_matrices(params, tones)
+    seed, params, (comb, designed), si, noise_var, t0, t1 = item
     rngs = [np.random.default_rng([seed, _TAG_RECOVER, si, t]) for t in range(t0, t1)]
     channels = [sample_channel(params, rng) for rng in rngs]
     X = designed
@@ -327,9 +324,9 @@ def _recover_chunk(item):
 
 
 def _run_recover_bench(cfg, seed, workers):
-    params, tones, trials, snrs = cfg["params"], cfg["tones"], cfg["trials"], cfg["snr_dbs"]
+    params, matrices, trials, snrs = cfg["params"], cfg["matrices"], cfg["trials"], cfg["snr_dbs"]
     items = [
-        (seed, params, tones, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
+        (seed, params, matrices, si, noise_var, t0, min(t0 + _TRIAL_CHUNK, trials))
         for si, (_, noise_var) in enumerate(snrs)
         for t0 in range(0, trials, _TRIAL_CHUNK)
     ]
@@ -435,9 +432,7 @@ def _fan_out(work, items, workers):
     without a reply raises `RuntimeError`.  No partial result is returned,
     and no child is left running when this returns or raises.
     """
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [work(item) for item in items]
+    workers = max(1, min(workers, len(items)))
     children = []  # (pid, read end of its pipe) of each child not yet reaped
     try:
         for w in range(1, workers):
@@ -536,7 +531,7 @@ EXPERIMENTS = {
         (
             _PARAMS,
             ("tones", ("tone_policy", "wt", "tap_count", "pilot_count"), _designed_tones),
-            # built before any fork: every worker finds them in _bench_matrices' cache
+            # built once per run, before any fork; every work item carries them
             ("matrices", ("params", "tones"), _bench_matrices),
         ),
     ),

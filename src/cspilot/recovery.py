@@ -98,24 +98,21 @@ def _embed_lp(y, X: SensingMatrix, eps: float):
     return np.concatenate([v.real, v.imag]), V, eps / np.sqrt(2.0)
 
 
-def support_mask(estimates, floor: float = 0.0) -> np.ndarray:
+def support_mask(estimates) -> np.ndarray:
     """Mask of the entries of each estimate on the last axis of `estimates` that clear a threshold.
 
-    An entry is kept when its magnitude exceeds ``max(floor, 0.01 *
-    largest)``, the largest of its own estimate; an all-zero estimate keeps
-    nothing.  Raises ValueError for a non-finite or negative `floor`, for
-    `estimates` with no axis or an empty stack of estimates, and for an
-    entry that is not a finite number, which no threshold can rank.
+    An entry is kept when its magnitude exceeds 0.01 times the largest of its
+    own estimate; an all-zero estimate keeps nothing.  Raises ValueError for
+    `estimates` with no axis or an empty stack of estimates, and for an entry
+    that is not a finite number, which no threshold can rank.
     """
-    if _as_real(floor, "floor") < 0:
-        raise ValueError("floor must be finite and non-negative")
     estimates = _as_finite(estimates, "estimate")
     if estimates.ndim == 0 or 0 in estimates.shape[:-1]:
         raise ValueError(f"estimates must be 1-D or a non-empty stack, not {estimates.shape}")
-    return _above(np.abs(estimates), floor)
+    return _above(np.abs(estimates), 0.0)
 
 
-def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def threshold_support(estimate: np.ndarray) -> np.ndarray:
     """Indices of the 1-D `estimate` that `support_mask` keeps.
 
     Raises ValueError as `support_mask` does, and for an `estimate` that is
@@ -123,7 +120,7 @@ def threshold_support(estimate: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """
     if np.ndim(estimate) != 1:
         raise ValueError(f"estimate must be 1-D, got shape {np.shape(estimate)}")
-    return np.flatnonzero(support_mask(estimate, floor))
+    return np.flatnonzero(support_mask(estimate))
 
 
 def _above(mags: np.ndarray, floor: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from cspilot.channel import (
     select_pilot_tones,
     synthesize_measurement,
 )
-from cspilot.cli import _TAG_RECOVER, _bench_matrices
+from cspilot.cli import _TAG_RECOVER
 from cspilot.recovery import dantzig_recover, fde_ls_recover, nmse, omp_recover
 
 
@@ -28,8 +28,7 @@ def _score(h, estimate, support):
 
 def recover_chunk_per_trial(item):
     """`cspilot.cli._recover_chunk`'s ``(nmse, hits)`` for the same item, one trial at a time."""
-    seed, params, tones, si, noise_var, t0, t1 = item
-    comb, designed = _bench_matrices(params, tones)
+    seed, params, (comb, designed), si, noise_var, t0, t1 = item
     trials = []
     for t in range(t0, t1):
         rng = np.random.default_rng([seed, _TAG_RECOVER, si, t])

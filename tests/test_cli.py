@@ -364,8 +364,8 @@ def test_recover_bench_leaves_failed_solves_unscored(tmp_path, capsys, monkeypat
     args = ["--workers", workers, "--set", f"trials={trials}", "--set", "snr_dbs=10"]
     args += ["--set", "tap_count=25"]
     params = cli.default_params(tap_count=25)
-    tones = cli._designed_tones("designed", 1000, 25, 20)
-    item = (0, params, tones, 0, cli._noise_variance(10.0), 0, trials)
+    matrices = cli._bench_matrices(params, cli._designed_tones("designed", 1000, 25, 20))
+    item = (0, params, matrices, 0, cli._noise_variance(10.0), 0, trials)
     threads = cli._openblas_threads()
     if threads is not None:
         threads[1](1)  # the BLAS setting main runs the trials with
@@ -597,6 +597,19 @@ def test_fan_out_returns_the_results_in_item_order(workers, count):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers, count", [(1, 0), (1, 1), (1, 3), (3, 0), (4, 1)])
+def test_fan_out_on_one_worker_forks_nothing(monkeypatch, workers, count):
+    # at most one worker after the clamp to the item count: the caller runs
+    # every item itself
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    items = list(range(count))
+    results = cli._fan_out(_square, items, workers)
+    assert [(i, a.tolist()) for i, a in results] == [(i, [i * i] * 2) for i in items]
+
+
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_fan_out_runs_item_i_on_worker_i_mod_workers(workers):
     pids = cli._fan_out(lambda item: os.getpid(), list(range(13)), workers)
@@ -679,27 +692,40 @@ def test_cli_import_leaves_process_pools_out():
     assert done.stdout == "[]\n[1, 2, 3]\n"
 
 
-def test_recover_bench_builds_each_matrix_once_per_process(tmp_path, monkeypatch):
-    # the comb and the designed-tone matrix are built on the first chunk and
-    # shared by every later one, and by later runs with the same params
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_recover_bench_builds_each_matrix_once_per_run(tmp_path, monkeypatch, workers):
+    # the comb and the designed-tone matrix are built at config time, before
+    # any work item starts, and every chunk on every worker shares them; a
+    # second run builds its own, since the CLI keeps no matrix between runs
     builds = []
-    build = cli.build_sensing_matrix
+    build, fan_out = cli.build_sensing_matrix, cli._fan_out
 
     def counting_build(tones, params):
         builds.append(len(tones))
         return build(tones, params)
 
+    def checked(work):
+        def run_item(item):
+            assert sorted(builds) == [20, 100]  # on a forked worker too
+            result = work(item)
+            assert sorted(builds) == [20, 100]
+            return result
+
+        return run_item
+
+    def checking_fan_out(work, items, workers):
+        assert sorted(builds) == [20, 100]  # designed tones and the comb
+        return fan_out(checked(work), items, workers)
+
     monkeypatch.setattr(cli, "build_sensing_matrix", counting_build)
-    cli._bench_matrices.cache_clear()
-    args = ["--workers", "1", "--set", f"trials={2 * cli._TRIAL_CHUNK + 1}"]
+    monkeypatch.setattr(cli, "_fan_out", checking_fan_out)
+    args = ["--workers", workers, "--set", f"trials={2 * cli._TRIAL_CHUNK + 1}"]
     args += ["--set", "snr_dbs=10,inf"]
-    try:
-        for name in ("a.csv", "b.csv"):
-            code, _ = run(tmp_path, name, "recover-bench", *args)
-            assert code == 0
-            assert sorted(builds) == [20, 100]  # designed tones, then the comb
-    finally:
-        cli._bench_matrices.cache_clear()  # drop the matrices built here
+    for name in ("a.csv", "b.csv"):
+        builds.clear()
+        code, _ = run(tmp_path, name, "recover-bench", *args)
+        assert code == 0
+        assert sorted(builds) == [20, 100]
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -878,6 +904,35 @@ def test_cli_imports_no_private_name():
         "from . import detection\n"
         "x = cspilot.netsim._MC_BUDGET + detection._crossing(1.0)\n"
     ) == ["_omp", "cspilot.netsim._MC_BUDGET", "detection._crossing"]
+
+
+def _cached_functions(source: str) -> list[str]:
+    """Each function in `source` decorated with ``functools.lru_cache`` or ``functools.cache``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_cli_keeps_no_cache_across_runs():
+    # a run's inputs are built once per run, at config time, and reach every
+    # worker in its work items; a process-wide cache would carry them into
+    # the next `main` call
+    assert _cached_functions(Path(cli.__file__).read_text(encoding="utf-8")) == []
+    assert _cached_functions(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=4)\ndef a(): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@staticmethod\ndef e(): pass\n"
+    ) == ["a", "b", "c", "d"]
 
 
 def test_missing_config_file(tmp_path):

@@ -75,8 +75,6 @@ _ROWS = {
     "epsilon-huge-int": lambda: dantzig_epsilon(10**400, _X),
     "noise-str": lambda: synthesize_measurement(_X, _H, "0.1", np.random.default_rng(2)),
     "noise-complex": lambda: synthesize_measurement(_X, _H, 0.1j, np.random.default_rng(2)),
-    "floor-complex": lambda: threshold_support(np.ones(3), 1j),
-    "floor-bool": lambda: threshold_support(np.ones(3), False),
     "network-powers-str": lambda: min_threshold_for_network("12", 8),
     "network-powers-bool": lambda: min_threshold_for_network([True, True], 8),
     "network-powers-scalar": lambda: min_threshold_for_network(2.0, 8),
@@ -85,7 +83,7 @@ _ROWS = {
     "dantzig-bool-measurement": lambda: dantzig_recover(np.ones(20, dtype=bool), _X, 0.1),
     "omp-str-measurement": lambda: omp_recover(_STR_Y, _X, 4),
     "fde-bool-measurement": lambda: fde_ls_recover(np.ones(100, dtype=bool), _COMB),
-    "support-str-estimate": lambda: threshold_support(np.array(["a"]), 0.0),
+    "support-str-estimate": lambda: threshold_support(np.array(["a"])),
     "support-bool-estimate": lambda: threshold_support(np.array([True, False])),
     "taps-str": lambda: SparseChannel(np.array(["1"])),
     "sensing-rows-str": lambda: SensingMatrix(np.array([["1"]])),
@@ -411,12 +409,12 @@ _WALK = {
         {"true_h": _bad_array(_H.taps, axis=0), "estimate": _bad_array(_H.taps, axis=0)},
     ),
     "support_mask": (
-        {"estimates": np.array([_H.taps, 2 * _H.taps]), "floor": 0.01},
-        {"estimates": _BAD_ESTIMATES, "floor": _BAD_REAL},
+        {"estimates": np.array([_H.taps, 2 * _H.taps])},
+        {"estimates": _BAD_ESTIMATES},
     ),
     "threshold_support": (
-        {"estimate": _H.taps, "floor": 0.01},
-        {"estimate": _bad_array(_H.taps), "floor": _BAD_REAL},
+        {"estimate": _H.taps},
+        {"estimate": _bad_array(_H.taps)},
     ),
     "solve_lp": (
         {"v": np.ones(3), "V": _V, "t": 0.5},

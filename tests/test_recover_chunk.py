@@ -25,8 +25,8 @@ _SETUPS = {
 def _item(setup, snr_db, length, seed=3, t0=5):
     tap_count, policy = _SETUPS[setup]
     params = default_params(tap_count=tap_count)
-    tones = cli._designed_tones(policy, 1000, tap_count, 20)
-    return (seed, params, tones, 1, cli._noise_variance(snr_db), t0, t0 + length)
+    matrices = cli._bench_matrices(params, cli._designed_tones(policy, 1000, tap_count, 20))
+    return (seed, params, matrices, 1, cli._noise_variance(snr_db), t0, t0 + length)
 
 
 @pytest.mark.parametrize("length", [1, 7, 10, 13])

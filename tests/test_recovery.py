@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from debias_oracle import ls_refit, stepwise_select_lstsq
@@ -178,7 +180,7 @@ def test_debias_refit_never_raises_residual(rng):
         y = synthesize_measurement(X, h, 0.01, rng)
         deb = dantzig_recover(y, X, 0.01)
         raw = deb.raw_estimate
-        support = threshold_support(raw, MAGNITUDE_FLOOR)
+        support = np.flatnonzero(np.abs(raw) > max(MAGNITUDE_FLOOR, 0.01 * np.abs(raw).max()))
         assert np.array_equal(deb.raw_support, support)
         truncated = np.zeros_like(raw)
         truncated[support] = raw[support]
@@ -264,7 +266,8 @@ def test_stepwise_select_matches_lstsq_reference(tap_count, tones, seed_tag, snr
     pruned = added = 0
     for y, X, p, noise_var in _debias_instances(tap_count, tones, seed_tag, snr_dbs, trials):
         res = dantzig_recover(y, X, noise_var)
-        candidates = threshold_support(res.raw_estimate, MAGNITUDE_FLOOR)
+        raw = res.raw_estimate
+        candidates = np.flatnonzero(np.abs(raw) > max(MAGNITUDE_FLOOR, 0.01 * np.abs(raw).max()))
         assert np.array_equal(res.raw_support, candidates)
         if candidates.size > CANDIDATE_CAP:
             mags = np.abs(res.raw_estimate[candidates])
@@ -773,23 +776,70 @@ def test_nmse_rejects_shape_mismatch(estimate):
 def test_threshold_support_rule():
     est = np.array([1.0, 0.02, 0.005, 0.0])
     assert np.array_equal(threshold_support(est), [0, 1])  # 1% of max
-    assert np.array_equal(threshold_support(est, floor=0.05), [0])
     assert threshold_support(np.zeros(4)).size == 0
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+def test_threshold_support_rule_is_strict_and_scale_free(scale):
+    est = np.array([1.0, -0.02, 0.005, 0.0]) * scale
+    assert threshold_support(est).tolist() == [0, 1]
+    cut = 0.01 * scale  # exactly 1% of the largest magnitude: not above it
+    assert threshold_support(np.array([scale, cut, -cut])).tolist() == [0]
+    above = np.nextafter(cut, np.inf)
+    assert threshold_support(np.array([-scale, above, 0.0])).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 3, 7)])
+def test_support_mask_rows_match_threshold_support(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    estimates = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        estimates = estimates + 1j * rng.standard_normal(shape)
+    estimates *= 10.0 ** rng.uniform(-4, 0, size=shape)  # some entries fall under 1%
+    rows = estimates.reshape(-1, shape[-1])
+    rows[0] = 0.0  # an all-zero estimate keeps nothing
+    masks = support_mask(estimates)
+    assert masks.shape == shape and masks.dtype == bool
+    for row, mask in zip(rows, masks.reshape(-1, shape[-1])):
+        assert np.array_equal(np.flatnonzero(mask), threshold_support(row))
+    assert not masks.reshape(-1, shape[-1])[0].any()
+
+
+@pytest.mark.parametrize("fn", [support_mask, threshold_support])
+def test_support_functions_take_no_floor(fn):
+    assert len(inspect.signature(fn).parameters) == 1
+    with pytest.raises(TypeError):
+        fn(np.ones(3), 0.05)
+
+
 @pytest.mark.parametrize(
-    "estimate, floor",
+    "floor, kept",
     [
-        ([1.0, 0.5], np.nan),
-        ([1.0, 0.5], np.inf),
-        ([1.0, 0.5], -1.0),
-        ([np.nan, 0.5], 0.0),
-        ([np.inf, 0.5], 0.0),
-        ([1.0, complex(np.nan, 0.0)], 0.01),
-        ([[1.0, 0.5], [0.5, 1.0]], 0.0),  # flat indices into a matrix are no support
-        (1.0, 0.0),
+        (0.0, [0, 1, 2, 3]),
+        (MAGNITUDE_FLOOR, [0, 1, 2, 3]),  # equals 1% of the largest here: no change
+        (0.03, [0, 1, 2]),
+        (0.5, [0]),  # strict: an entry equal to the floor is dropped
+        (2.0, []),
     ],
 )
-def test_threshold_support_rejects_bad_input(estimate, floor):
+def test_candidate_floor_overrides_the_relative_threshold(floor, kept):
+    # the Dantzig raw support keeps entries above max(floor, 1% of the largest)
+    mags = np.array([1.0, 0.5, 0.05, 0.02, 0.005, 0.0])
+    assert np.flatnonzero(recovery._above(mags, floor)).tolist() == kept
+    assert not recovery._above(np.zeros((2, 6)), floor).any()
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        [np.nan, 0.5],
+        [np.inf, 0.5],
+        [1.0, complex(np.nan, 0.0)],
+        [[1.0, 0.5], [0.5, 1.0]],  # flat indices into a matrix are no support
+        1.0,
+    ],
+)
+def test_threshold_support_rejects_bad_input(estimate):
     with pytest.raises(ValueError):
-        threshold_support(np.array(estimate), floor)
+        threshold_support(np.array(estimate))
